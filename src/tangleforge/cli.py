@@ -58,7 +58,7 @@ class RunConfig:
 
     max_n: int = 16
     max_k: int = 6
-    max_sk: int = 40
+    max_sk: int = 64
     profinite_union: int = 12
     profinite_product: int = 1_000_000
     seed: int = 7
@@ -73,10 +73,17 @@ class RunConfig:
                 overrides = json.loads(env)
             except json.JSONDecodeError as exc:
                 raise InputError(f"TANGLEFORGE_CAPS is not valid JSON: {exc}") from exc
+            if not isinstance(overrides, dict):
+                raise InputError("TANGLEFORGE_CAPS must be a JSON object")
             for key, value in overrides.items():
                 if not hasattr(cfg, key):
                     raise InputError(f"unknown cap {key!r} in TANGLEFORGE_CAPS")
-                setattr(cfg, key, int(value))
+                try:
+                    setattr(cfg, key, int(value))
+                except (TypeError, ValueError):
+                    raise InputError(
+                        f"cap {key!r} in TANGLEFORGE_CAPS must be an integer, got {value!r}"
+                    ) from None
         if getattr(args, "cap_n", None):
             cfg.max_n = args.cap_n
         if getattr(args, "seed", None) is not None:
@@ -86,6 +93,23 @@ class RunConfig:
         return cfg
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text") from exc
+
+
+def _parse_json(text: str, path: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+
+
 def load_graph(spec: str) -> Graph:
     """Fixture name, JSON file ({"n": int, "edges": [[u, v], ...]}) or
     edge-list text (one 'u v' per line, '#' comments)."""
@@ -93,13 +117,9 @@ def load_graph(spec: str) -> Graph:
         return get_fixture(spec).graph
     if not os.path.exists(spec):
         raise InputError(f"no fixture or file named {spec!r}")
-    with open(spec, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(spec)
     if spec.endswith(".json") or text.lstrip().startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{spec}: invalid JSON at line {exc.lineno}") from exc
+        obj = _parse_json(text, spec)
         if "n" not in obj or "edges" not in obj:
             raise InputError(f"{spec}: graph JSON needs 'n' and 'edges'")
         try:
@@ -132,15 +152,17 @@ def _resolve_graph_and_k(args, cfg) -> tuple[Graph, int, str]:
     if args.fixture:
         g = get_fixture(args.fixture).graph
         label = args.fixture
-        k = args.k if args.k else PIPELINE_K.get(args.fixture, 2)
+        k = args.k if args.k is not None else PIPELINE_K.get(args.fixture, 2)
     elif args.graph:
         g = load_graph(args.graph)
         label = args.graph
-        if not args.k:
+        if args.k is None:
             raise InputError("--k is required with --graph")
         k = args.k
     else:
         raise InputError("one of --fixture or --graph is required")
+    if k < 1:
+        raise InputError(f"--k must be at least 1, got {k}")
     return g, k, label
 
 
@@ -255,8 +277,7 @@ def instance_from_json(obj: dict) -> SplinterInstance:
 
 def cmd_thin_splinter(args, cfg):
     if args.instance:
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            inst = instance_from_json(json.load(fh))
+        inst = instance_from_json(_parse_json(_read_text(args.instance), args.instance))
         res = thin_splinter(inst)
         return {
             "instance": args.instance,
@@ -278,8 +299,7 @@ def cmd_thin_splinter(args, cfg):
 
 def cmd_profinite_splinter(args, cfg):
     if args.system:
-        with open(args.system, "r", encoding="utf-8") as fh:
-            sys_obj, families = system_from_json(json.load(fh))
+        sys_obj, families = system_from_json(_parse_json(_read_text(args.system), args.system))
         res = profinite_splinter(
             sys_obj, families, union_cap=cfg.profinite_union, limit_cap=cfg.profinite_product
         )

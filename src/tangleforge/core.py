@@ -213,10 +213,6 @@ def sep_sort_key(s: Separation) -> tuple:
     return (side_key(c.a), side_key(c.b))
 
 
-def same_unoriented(x: Separation, y: Separation) -> bool:
-    return x == y or x == star(y)
-
-
 def is_nested(r: Separation, s: Separation) -> bool:
     """True iff some orientations of r and s are ≤-comparable."""
     return leq(r, s) or leq(r, star(s)) or leq(star(r), s) or leq(star(r), star(s))
@@ -242,10 +238,6 @@ def is_small(x: Separation) -> bool:
     return leq(x, star(x))
 
 
-def is_cosmall(x: Separation) -> bool:
-    return leq(star(x), x)
-
-
 def is_tight(g: Graph, s: Separation) -> bool:
     """Both strict sides contain a component C of G - (A∩B) with N(C) = A∩B."""
     x = s.separator
@@ -258,13 +250,6 @@ def is_tight(g: Graph, s: Separation) -> bool:
             if comp & side:
                 found[i] = True
     return found[0] and found[1]
-
-
-def permuted_separation(s: Separation, perm: dict[int, int]) -> Separation:
-    return Separation(
-        mask_of(perm[v] for v in iter_bits(s.a)),
-        mask_of(perm[v] for v in iter_bits(s.b)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,14 @@ from .core import (
     enumerate_separations,
     iter_bits,
     join,
-    leq,
-    meet,
     sep_sort_key,
     separation_to_json,
     star,
     subsets_of_size,
 )
-from .errors import CapExceededError, HypothesisError, PreconditionError
+from .errors import CapExceededError, CertificationError, HypothesisError, PreconditionError
 
-DEFAULT_MAX_SK = 40
+DEFAULT_MAX_SK = 64
 
 
 @dataclass(frozen=True)
@@ -58,24 +56,25 @@ class Profile:
 
 def is_consistent(chosen) -> bool:
     """No two members x, y with distinct underlying separations and x* ≤ y."""
-    elems = list(chosen)
-    for x in elems:
-        sx = star(x)
-        for y in elems:
-            if y == x or y == sx:
+    pairs = [(x[0], x[1]) for x in chosen]
+    for xa, xb in pairs:
+        for ya, yb in pairs:
+            if (ya == xa and yb == xb) or (ya == xb and yb == xa):
                 continue
-            if leq(sx, y):
+            # x* = (xb, xa) ≤ (ya, yb)
+            if not (xb & ~ya) and not (yb & ~xa):
                 return False
     return True
 
 
 def satisfies_profile_property(chosen) -> bool:
     """Property (P): for no members x, y is (x* ∧ y*) again a member."""
-    members = set(chosen)
-    elems = list(chosen)
-    for x in elems:
-        for y in elems:
-            if meet(star(x), star(y)) in members:
+    pairs = [(x[0], x[1]) for x in chosen]
+    members = set(pairs)
+    for xa, xb in pairs:
+        for ya, yb in pairs:
+            # x* ∧ y* = (xb ∩ yb, xa ∪ ya)
+            if (xb & yb, xa | ya) in members:
                 return False
     return True
 
@@ -95,104 +94,118 @@ def is_profile(g: Graph, k: int, chosen, s_k=None) -> bool:
 def enumerate_k_profiles(
     g: Graph, k: int, max_sk: int = DEFAULT_MAX_SK, max_n: int = 16, max_k: int = 6
 ) -> tuple[Profile, ...]:
-    """All k-profiles of g, in deterministic order.
+    """All k-profiles of g, in the lexicographic order of their orientation
+    vectors over S_k sorted by (order, sep_sort_key).
 
-    Branch-and-bound over the unoriented separations sorted by order:
-    orientations are assigned one at a time, subtrees die on pairwise
-    consistency violations and on partial profile-property violations.
-    Each surviving leaf is re-checked against the full definition, so the
-    pruning cannot affect correctness, only speed.
+    Depth-first search over the unoriented separations sorted by order.
+    Separation i has the slots 2i (its orientation (a, b)) and 2i+1
+    (orientation (b, a)); a partial orientation is an int of chosen slots
+    and an int of banned ones. Choosing a slot bans every slot inconsistent
+    with it and, for each chosen partner y, the slot x* ∧ y* when it lies in
+    S_k, so consistency and property (P) are both fully propagated and every
+    leaf is a profile. Each leaf is still checked against the full
+    definition; a failure means the pruning is wrong and raises
+    CertificationError.
     """
     s_k = enumerate_separations(g, k, max_n=max_n, max_k=max_k)
     m = len(s_k)
     if m > max_sk:
         raise CapExceededError(f"|S_k| = {m} exceeds the profile search cap {max_sk}")
-    order = sorted(s_k, key=lambda s: (s.order, sep_sort_key(s)))
-    masks = [(s.a, s.b) for s in order]
+    if k > g.num_vertices:
+        # (V, V) ∈ S_k is its own inverse and its own meet with itself, so
+        # every orientation of S_k violates (P)
+        return ()
+    # s_k is sorted by sep_sort_key; the stable sort keeps that within an order
+    order = sorted(s_k, key=lambda s: s.order)
+    slots = [side for s in order for side in ((s.a, s.b), (s.b, s.a))]
+    width = 2 * m
+    full = (1 << width) - 1
 
-    def orient(i, o):
-        a, b = masks[i]
-        return Separation(a, b) if o == 0 else Separation(b, a)
+    # per-vertex columns over the slots: A contains v / B misses v
+    a_has = [0] * g.n
+    b_miss = [full] * g.n
+    for x, (a, b) in enumerate(slots):
+        for v in iter_bits(a):
+            a_has[v] |= 1 << x
+        for v in iter_bits(b):
+            b_miss[v] &= ~(1 << x)
+    # cons_bad[x]: the slots y of other separations with x* ≤ y, i.e.
+    # B(x) ⊆ A(y) and B(y) ⊆ A(x); x* ≤ y and y* ≤ x coincide (the
+    # involution reverses the order), so the relation is symmetric
+    cons_bad = []
+    for x, (a, b) in enumerate(slots):
+        bad = full & ~(3 << (x & ~1))
+        for v in iter_bits(b):
+            bad &= a_has[v]
+        for v in iter_bits(g.vertices & ~a):
+            bad &= b_miss[v]
+        cons_bad.append(bad)
 
-    # cons_bad[2i+oi]: bit mask over (j, oj) slots conflicting with (i, oi);
-    # x* <= y and y* <= x coincide (the involution reverses the order), so a
-    # single subset test decides the pair
-    cons_bad = [0] * (2 * m)
-    for i in range(m):
-        ai, bi = masks[i]
-        for oi in (0, 1):
-            xa, xb = (ai, bi) if oi == 0 else (bi, ai)
-            bad = 0
-            for j in range(m):
-                if j == i:
-                    continue
-                aj, bj = masks[j]
-                for oj in (0, 1):
-                    ya, yb = (aj, bj) if oj == 0 else (bj, aj)
-                    if not (xb & ~ya) and not (yb & ~xa):
-                        bad |= 1 << (2 * j + oj)
-            cons_bad[2 * i + oi] = bad
-
-    oriented_index = {}
-    for t in range(m):
-        a, b = masks[t]
-        oriented_index[(a, b)] = (t, 0)
-        oriented_index[(b, a)] = (t, 1)
-    # meet_hits[(i, oi, j, oj)] = (t, ot) when meet(x*, y*) is an orientation
-    # of a separation in S_k; choosing all three that way violates (P)
-    meet_hits = {}
-    for i in range(m):
-        ai, bi = masks[i]
-        for oi in (0, 1):
-            xa, xb = (ai, bi) if oi == 0 else (bi, ai)
-            for j in range(i, m):
-                aj, bj = masks[j]
-                for oj in (0, 1):
-                    ya, yb = (aj, bj) if oj == 0 else (bj, aj)
-                    hit = oriented_index.get((xb & yb, xa | ya))
-                    if hit is not None:
-                        meet_hits[(i, oi, j, oj)] = hit
-
-    results = []
-    chosen = [0] * m
-
-    def full_property_p(assignment):
-        sides = [
-            masks[i] if assignment[i] == 0 else (masks[i][1], masks[i][0])
-            for i in range(m)
+    # hits[x]: (partner y, target t) with x* ∧ y* = t ∈ S_k; choosing x, y
+    # and t together violates (P). Left out: pairs of orientations of one
+    # separation, which never coexist, and targets x* or y*, which are never
+    # chosen next to x and y (these are the pairs with x ≤ y or y ≤ x).
+    # Keys pack a slot (a, b) as a << n | b.
+    shift = g.n
+    slot_of = {(a << shift) | b: x for x, (a, b) in enumerate(slots)}.get
+    a_sides = [a for a, _ in slots]
+    b_keys = [b << shift for _, b in slots]
+    hits = [[] for _ in range(width)]
+    for x, (xa, xb) in enumerate(slots):
+        first = (x | 1) + 1
+        xb_key = xb << shift
+        targets = [
+            slot_of((xb_key & yb_key) | xa | ya)
+            for yb_key, ya in zip(b_keys[first:], a_sides[first:])
         ]
-        taken = set(sides)
-        for xa, xb in sides:
-            for ya, yb in sides:
-                if (xb & yb, xa | ya) in taken:
-                    return False
-        return True
+        for y, t in enumerate(targets, first):
+            if t is not None and t != x ^ 1 and t != y ^ 1:
+                hits[x].append((y, t))
+                hits[y].append((x, t))
 
-    def rec(d, badmask):
-        if d == m:
-            if full_property_p(chosen):
-                results.append(tuple(orient(i, chosen[i]) for i in range(m)))
-            return
-        for o in (0, 1):
-            if badmask >> (2 * d + o) & 1:
-                continue
-            ok = True
-            for j in range(d + 1):
-                hit = meet_hits.get((j, chosen[j] if j < d else o, d, o))
-                if hit is not None:
-                    t, ot = hit
-                    if (t < d and chosen[t] == ot) or (t == d and o == ot):
-                        ok = False
-                        break
-            if ok:
-                chosen[d] = o
-                rec(d + 1, badmask | cons_bad[2 * d + o])
-    rec(0, 0)
+    def choose(x, chosen, banned):
+        """Add slot x; None when the result violates (P)."""
+        chosen |= 1 << x
+        banned |= cons_bad[x]
+        for y, t in hits[x]:
+            if chosen >> y & 1:
+                if chosen >> t & 1:
+                    return None
+                banned |= 1 << t
+        return chosen, banned
 
-    profiles = [
-        Profile(k, ch) for ch in results if is_profile(g, k, ch, s_k=s_k)
-    ]
-    profiles.sort(key=lambda p: tuple(map(sep_sort_key, p.chosen)))
+    leaves = []
+
+    def rec(i, chosen, banned):
+        # forced separations extend the branch in place; only a separation
+        # with both orientations free opens a subtree
+        while i < m:
+            free = ~banned >> (2 * i) & 3
+            if free == 3:
+                for x in (2 * i, 2 * i + 1):
+                    state = choose(x, chosen, banned)
+                    if state is not None:
+                        rec(i + 1, *state)
+                return
+            if not free:
+                return
+            state = choose(2 * i + (free >> 1), chosen, banned)
+            if state is None:
+                return
+            chosen, banned = state
+            i += 1
+        leaves.append(chosen)
+
+    rec(0, 0, 0)
+
+    profiles = []
+    for chosen in leaves:
+        oriented = tuple(
+            Separation(*slots[x]) for x in range(width) if chosen >> x & 1
+        )
+        if not is_profile(g, k, oriented, s_k=s_k):
+            raise CertificationError("profile search reached a leaf that is not a profile")
+        profiles.append(Profile(k, oriented))
     return tuple(profiles)
 
 

@@ -28,6 +28,7 @@ from .core import (
     verify_universe,
     vertices_of,
 )
+from .errors import CapExceededError
 from .fixtures import FIXTURES
 from .profiles import (
     distinguishes,
@@ -279,7 +280,7 @@ def random_splinter_instances(seed: int, count: int, max_attempts: int = 4000):
             k = rng.randint(2, 3)
             try:
                 profs = enumerate_k_profiles(g, k, max_sk=40)
-            except Exception:
+            except CapExceededError:
                 continue
             fams = []
             for p, q in itertools.combinations(profs, 2):

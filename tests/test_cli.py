@@ -97,6 +97,45 @@ def test_usage_errors(capsys):
     assert run_cli(["profiles", "--graph", "/nonexistent/file", "--k", "2"], capsys)[0] == 2
 
 
+BAD_INPUTS = [
+    # (id, TANGLEFORGE_CAPS or None, argv; "{tmp}" is a scratch directory)
+    ("cap-not-integer", '{"max_n": "abc"}', ["separations", "--fixture", "FIX_P4", "--k", "2"]),
+    ("caps-not-object", "[16]", ["separations", "--fixture", "FIX_P4", "--k", "2"]),
+    ("k-zero", None, ["profiles", "--fixture", "FIX_P4", "--k", "0"]),
+    ("k-negative", None, ["profiles", "--fixture", "FIX_P4", "--k", "-3"]),
+    ("k-zero-graph", None, ["profiles", "--graph", "{tmp}/p4.txt", "--k", "0"]),
+    ("instance-missing", None, ["thin-splinter", "--instance", "{tmp}/missing.json"]),
+    ("instance-directory", None, ["thin-splinter", "--instance", "{tmp}"]),
+    ("instance-truncated", None, ["thin-splinter", "--instance", "{tmp}/truncated.json"]),
+    ("system-missing", None, ["profinite-splinter", "--system", "{tmp}/missing.json"]),
+    ("system-truncated", None, ["profinite-splinter", "--system", "{tmp}/truncated.json"]),
+]
+
+
+@pytest.mark.parametrize("env,argv", [c[1:] for c in BAD_INPUTS], ids=[c[0] for c in BAD_INPUTS])
+def test_bad_input_is_a_one_line_usage_error(env, argv, capsys, monkeypatch, tmp_path):
+    (tmp_path / "p4.txt").write_text("0 1\n1 2\n2 3\n")
+    (tmp_path / "truncated.json").write_text('{"elements": ["a", ')
+    if env is None:
+        monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
+    else:
+        monkeypatch.setenv("TANGLEFORGE_CAPS", env)
+    code = cli_main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_default_caps_run_every_fixture(name, capsys, monkeypatch):
+    monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
+    code, out = run_cli(["profiles", "--fixture", name], capsys)
+    assert code == 0, out
+
+
 def test_cap_exceeded_exit_code(capsys, tmp_path):
     path = tmp_path / "big.txt"
     path.write_text("".join(f"{i} {i + 1}\n" for i in range(17)))

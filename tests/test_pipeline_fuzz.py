@@ -8,6 +8,7 @@ import random
 
 from tangleforge import oracles
 from tangleforge.core import Graph, all_separations, is_nested
+from tangleforge.errors import CapExceededError
 from tangleforge.profiles import (
     distinguishes,
     efficient_distinguishers,
@@ -46,7 +47,7 @@ def test_pipeline_on_random_graphs():
         k = rng.choice((2, 2, 3))
         try:
             profiles = enumerate_k_profiles(g, k, max_sk=40)
-        except Exception:
+        except CapExceededError:
             continue
         universe = all_separations(g)
         eligible = [

@@ -4,19 +4,24 @@ shape lemma, distinguisher sets and the two corner-finding procedures."""
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tangleforge import oracles
+from tangleforge import profiles as profiles_module
 from tangleforge.core import (
     Graph,
     Separation,
     canonical,
     crosses,
+    enumerate_separations,
     join,
     mask_of,
     meet,
     star,
+    vertices_of,
 )
-from tangleforge.errors import CapExceededError, PreconditionError
+from tangleforge.errors import CapExceededError, CertificationError, PreconditionError
 from tangleforge.profiles import (
     DistinguisherSet,
     classify_irregular,
@@ -26,6 +31,7 @@ from tangleforge.profiles import (
     efficient_distinguishers,
     enumerate_k_profiles,
     is_consistent,
+    is_profile,
     profile_flags,
     satisfies_profile_property,
 )
@@ -74,6 +80,77 @@ def test_every_enumerated_profile_passes_independent_predicate(graphs):
             assert _full_profile_predicate(p.chosen)
             assert is_consistent(p.chosen)
             assert satisfies_profile_property(p.chosen)
+
+
+@st.composite
+def small_graphs(draw, max_n=7):
+    """A random graph on 1..max_n vertices and an order bound k in 1..3."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.integers(0, (1 << len(pairs)) - 1))
+    edges = [e for i, e in enumerate(pairs) if chosen >> i & 1]
+    return Graph.from_edges(n, edges), draw(st.integers(1, 3))
+
+
+DIFFERENTIAL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@DIFFERENTIAL
+@given(small_graphs())
+def test_enumeration_matches_oracle_on_random_graphs(case):
+    g, k = case
+    assume(len(enumerate_separations(g, k)) <= 24)
+    assert {p.chosen for p in enumerate_k_profiles(g, k)} == set(oracles.brute_profiles(g, k))
+
+
+def relabel(s, perm):
+    return Separation(*(mask_of(perm[v] for v in vertices_of(side)) for side in s))
+
+
+@DIFFERENTIAL
+@given(small_graphs(), st.randoms(use_true_random=False))
+def test_relabelling_maps_profiles_onto_profiles(case, rng):
+    g, k = case
+    assume(len(enumerate_separations(g, k)) <= 40)
+    images = list(range(g.n))
+    rng.shuffle(images)
+    perm = dict(enumerate(images))
+    mapped = {frozenset(relabel(x, perm) for x in p.chosen) for p in enumerate_k_profiles(g, k)}
+    relabelled = {frozenset(p.chosen) for p in enumerate_k_profiles(g.relabelled(perm), k)}
+    assert mapped == relabelled
+
+
+@DIFFERENTIAL
+@given(small_graphs(), st.data())
+def test_predicates_agree_with_oracle_on_random_orientations(case, data):
+    g, k = case
+    s_k = enumerate_separations(g, k)
+    assume(len(s_k) <= 24)
+    profiles = enumerate_k_profiles(g, k)
+    if profiles and data.draw(st.booleans()):
+        # a profile with a few orientations flipped: near misses of both properties
+        flips = data.draw(st.sets(st.sampled_from(profiles[0].chosen), max_size=3))
+        oriented = tuple(star(x) if x in flips else x for x in profiles[0].chosen)
+    else:
+        bits = data.draw(st.integers(0, (1 << len(s_k)) - 1))
+        oriented = tuple(star(s) if bits >> i & 1 else s for i, s in enumerate(s_k))
+    expected = oracles._full_profile_predicate(oriented)
+    assert (is_consistent(oriented) and satisfies_profile_property(oriented)) == expected
+
+
+def test_each_leaf_is_checked_once_and_a_failing_leaf_raises(graphs, monkeypatch):
+    g = graphs["FIX_2K4"]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return is_profile(*args, **kwargs)
+
+    monkeypatch.setattr(profiles_module, "is_profile", counting)
+    assert len(enumerate_k_profiles(g, 2)) == len(calls) == 9
+    monkeypatch.setattr(profiles_module, "is_profile", lambda *args, **kwargs: False)
+    with pytest.raises(CertificationError):
+        enumerate_k_profiles(g, 2)
 
 
 def test_two_k4_census(graphs):
