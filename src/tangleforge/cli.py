@@ -32,7 +32,8 @@ from .errors import (
     InputError,
     PreconditionError,
 )
-from .fixtures import FIXTURES, get_fixture
+from .fixtures import FIXTURES, PIPELINE_K, get_fixture
+from .jsonshape import require, rows, scalars
 from .profiles import efficient_distinguishers, enumerate_k_profiles, profile_flags
 from .profinite import (
     graph_restriction_system,
@@ -48,7 +49,6 @@ from .splinter import (
     thin_splinter,
 )
 from .treedec import build_totd, treeset_to_treedecomposition
-from .verify import PIPELINE_K, run_suites
 
 
 @dataclass
@@ -80,11 +80,13 @@ class RunConfig:
                     raise InputError(f"unknown cap {key!r} in TANGLEFORGE_CAPS")
                 try:
                     setattr(cfg, key, int(value))
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):
                     raise InputError(
                         f"cap {key!r} in TANGLEFORGE_CAPS must be an integer, got {value!r}"
                     ) from None
-        if getattr(args, "cap_n", None):
+        if getattr(args, "cap_n", None) is not None:
+            if args.cap_n < 0:
+                raise InputError(f"--cap-n must not be negative, got {args.cap_n}")
             cfg.max_n = args.cap_n
         if getattr(args, "seed", None) is not None:
             cfg.seed = args.seed
@@ -120,7 +122,7 @@ def load_graph(spec: str) -> Graph:
     text = _read_text(spec)
     if spec.endswith(".json") or text.lstrip().startswith("{"):
         obj = _parse_json(text, spec)
-        if "n" not in obj or "edges" not in obj:
+        if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
             raise InputError(f"{spec}: graph JSON needs 'n' and 'edges'")
         try:
             return Graph.from_edges(int(obj["n"]), [tuple(e) for e in obj["edges"]])
@@ -256,17 +258,37 @@ def cmd_splinter(args, cfg):
     }
 
 
-def instance_from_json(obj: dict) -> SplinterInstance:
-    elements = tuple(obj["elements"])
-    nested_pairs = {tuple(p) for p in obj["nested"]}
+def instance_from_json(obj) -> SplinterInstance:
+    """Load {"elements": [...], "nested": [[a, b], ...], "families":
+    [{"name": key, "order": int, "members": [...]}, ...]}; input of any
+    other shape raises InputError."""
+    require(isinstance(obj, dict), "instance JSON must be an object")
+    elements = tuple(scalars(obj.get("elements"), "instance 'elements'"))
+    names = set(elements)
+    nested_pairs = {tuple(p) for p in rows(obj.get("nested"), (names, names), "instance 'nested'")}
     nested_pairs |= {(b, a) for a, b in nested_pairs}
     nested_pairs |= {(e, e) for e in elements}
+    fams = obj.get("families")
+    require(
+        isinstance(fams, list)
+        and all(
+            isinstance(fam, dict)
+            and isinstance(fam.get("members"), list)
+            and not any(isinstance(m, (list, dict)) for m in fam["members"])
+            and not isinstance(fam.get("name"), (list, dict))
+            for fam in fams
+        ),
+        "instance 'families' must be a list of objects with a 'members' list",
+    )
     families = {}
     orders = {}
-    for idx, fam in enumerate(obj["families"]):
+    for idx, fam in enumerate(fams):
         key = fam.get("name", idx)
         families[key] = frozenset(fam["members"])
-        orders[key] = int(fam["order"])
+        try:
+            orders[key] = int(fam.get("order"))
+        except (TypeError, ValueError, OverflowError):
+            raise InputError(f"instance family {key!r} needs an integer 'order'") from None
     return SplinterInstance(
         elements=elements,
         families=families,
@@ -393,6 +415,8 @@ def cmd_totd(args, cfg):
 
 
 def cmd_verify(args, cfg):
+    from .verify import run_suites  # the suites and their oracles load for this verb only
+
     names = set(args.suite) if args.suite else None
     results = run_suites(seed=cfg.seed, names=names)
     for r in results:
@@ -515,7 +539,7 @@ def cli_main(argv) -> int:
     except CapExceededError as exc:
         _emit({"error": {"type": "cap", "message": str(exc)}}, args)
         return 3
-    except (InputError, KeyError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (HypothesisError, CertificationError, PreconditionError) as exc:

@@ -121,6 +121,11 @@ FIXTURES = {
 }
 
 
+# per-fixture profile scope: k values with documented census, and the k used
+# for the separator pipeline
+PIPELINE_K = {"FIX_P4": 2, "FIX_C4": 2, "FIX_2K4": 2, "FIX_GRID33": 3, "FIX_2K2": 1}
+
+
 def get_fixture(name: str) -> Fixture:
     if name not in FIXTURES:
         raise KeyError(f"unknown fixture {name!r}; known: {', '.join(sorted(FIXTURES))}")

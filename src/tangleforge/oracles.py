@@ -189,3 +189,50 @@ def find_automorphisms(g: Graph) -> tuple[dict, ...]:
 def brute_minimum_distinguishing_order(g: Graph, p_members, q_members):
     hits = brute_distinguishers(g, p_members, q_members)
     return hits[0].order if hits else None
+
+
+def brute_system_violations(sys) -> list:
+    """Every directedness, homomorphism and compatibility violation of an
+    inverse system, by recomputing each join and meet through the universe
+    callables on both sides of every map, for every ordered pair."""
+    violations = []
+    for pair in sys.poset.directedness_violations():
+        violations.append(("directedness", pair))
+    for p in sys.poset.points:
+        if p not in sys.universe_at:
+            violations.append(("universe-missing", p))
+    for q in sys.poset.points:
+        for p in sys.poset.strictly_below(q):
+            if (q, p) not in sys.maps:
+                violations.append(("map-missing", (q, p)))
+                continue
+            f = sys.maps[(q, p)]
+            uq, up = sys.universe_at[q], sys.universe_at[p]
+            elems_p = set(up.elements)
+            if set(f) != set(uq.elements):
+                violations.append(("map-domain", (q, p)))
+                continue
+            for x in uq.elements:
+                if f[x] not in elems_p:
+                    violations.append(("map-range", (q, p, x)))
+            for x in uq.elements:
+                if f.get(uq.star(x)) != up.star(f[x]):
+                    violations.append(("hom-star", (q, p, x)))
+            for x in uq.elements:
+                for y in uq.elements:
+                    if f.get(uq.join(x, y)) != up.join(f[x], f[y]):
+                        violations.append(("hom-join", (q, p, x, y)))
+                    if f.get(uq.meet(x, y)) != up.meet(f[x], f[y]):
+                        violations.append(("hom-meet", (q, p, x, y)))
+    for r in sys.poset.points:
+        for q in sys.poset.strictly_below(r):
+            for p in sys.poset.strictly_below(q):
+                frq = sys.maps.get((r, q))
+                fqp = sys.maps.get((q, p))
+                frp = sys.maps.get((r, p))
+                if frq is None or fqp is None or frp is None:
+                    continue
+                for x in sys.universe_at[r].elements:
+                    if frp[x] != fqp[frq[x]]:
+                        violations.append(("compatibility", (r, q, p, x)))
+    return violations

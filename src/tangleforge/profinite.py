@@ -12,10 +12,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import repeat
+from typing import NamedTuple, Optional
 
 from .core import Graph, Separation, UniverseView, graph_universe
-from .errors import CapExceededError, CertificationError, HypothesisError, PreconditionError
+from .errors import (
+    CapExceededError,
+    CertificationError,
+    HypothesisError,
+    PreconditionError,
+)
+from .jsonshape import members, require, rows, scalars
 from .splinter import FiniteSplinterFamily, splinters_check, _nested
 
 
@@ -92,39 +99,57 @@ class SystemReport:
 
 
 def validate_inverse_system(sys: InverseSystem) -> SystemReport:
-    """List every directedness, homomorphism and compatibility violation."""
+    """List every directedness, homomorphism and compatibility violation.
+
+    The homomorphism check is exhaustive: star on every x, join and meet on
+    every ordered pair (x, y) of every U_q. Each point that is the target of
+    a checked map is tabulated once as index tables (_tabulate), and each
+    map becomes an index list. The rows join_q(x, ·) and meet_q(x, ·) are
+    computed once per x for all maps out of q and dropped after use; each
+    row is compared whole with join_p(f x, f ·) and meet_p(f x, f ·), and
+    only a row that differs is walked pair by pair. The violations, their
+    payloads and their order are those of oracles.brute_system_violations.
+    """
     rep = SystemReport()
-    for pair in sys.poset.directedness_violations():
-        rep.violations.append(("directedness", pair))
-    for p in sys.poset.points:
-        if p not in sys.universe_at:
-            rep.violations.append(("universe-missing", p))
-    for q in sys.poset.points:
-        for p in sys.poset.strictly_below(q):
+    out = rep.violations
+    poset = sys.poset
+    out.extend(("directedness", pair) for pair in poset.directedness_violations())
+    out.extend(("universe-missing", p) for p in poset.points if p not in sys.universe_at)
+    bonds = []    # (q, p, f or None if f is not checked further, violations so far)
+    strays = {}   # p -> images outside U_p, in first-seen order
+    for q in poset.points:
+        for p in poset.strictly_below(q):
             if (q, p) not in sys.maps:
-                rep.violations.append(("map-missing", (q, p)))
+                bonds.append((q, p, None, [("map-missing", (q, p))]))
                 continue
             f = sys.maps[(q, p)]
             uq, up = sys.universe_at[q], sys.universe_at[p]
-            elems_p = set(up.elements)
             if set(f) != set(uq.elements):
-                rep.violations.append(("map-domain", (q, p)))
+                bonds.append((q, p, None, [("map-domain", (q, p))]))
                 continue
+            elems_p = set(up.elements)
+            stray = strays.setdefault(p, {})
+            found = []
             for x in uq.elements:
                 if f[x] not in elems_p:
-                    rep.violations.append(("map-range", (q, p, x)))
-            for x in uq.elements:
-                if f.get(uq.star(x)) != up.star(f[x]):
-                    rep.violations.append(("hom-star", (q, p, x)))
-            for x in uq.elements:
-                for y in uq.elements:
-                    if f.get(uq.join(x, y)) != up.join(f[x], f[y]):
-                        rep.violations.append(("hom-join", (q, p, x, y)))
-                    if f.get(uq.meet(x, y)) != up.meet(f[x], f[y]):
-                        rep.violations.append(("hom-meet", (q, p, x, y)))
-    for r in sys.poset.points:
-        for q in sys.poset.strictly_below(r):
-            for p in sys.poset.strictly_below(q):
+                    found.append(("map-range", (q, p, x)))
+                    stray[f[x]] = None
+            bonds.append((q, p, f, found))
+    tables = {}
+    for q, group in itertools.groupby(bonds, key=lambda bond: bond[0]):
+        group = list(group)
+        checked = [(p, f) for _, p, f, _ in group if f is not None]
+        for p, _ in checked:
+            if p not in tables:
+                tables[p] = _tabulate(sys.universe_at[p], strays[p])
+        homs = iter(_hom_violations(q, sys.universe_at[q], checked, tables))
+        for _, _, f, found in group:
+            out.extend(found)
+            if f is not None:
+                out.extend(next(homs))
+    for r in poset.points:
+        for q in poset.strictly_below(r):
+            for p in poset.strictly_below(q):
                 frq = sys.maps.get((r, q))
                 fqp = sys.maps.get((q, p))
                 frp = sys.maps.get((r, p))
@@ -132,8 +157,75 @@ def validate_inverse_system(sys: InverseSystem) -> SystemReport:
                     continue
                 for x in sys.universe_at[r].elements:
                     if frp[x] != fqp[frq[x]]:
-                        rep.violations.append(("compatibility", (r, q, p, x)))
+                        out.append(("compatibility", (r, q, p, x)))
     return rep
+
+
+class _Table(NamedTuple):
+    """A target universe over integer indices: its elements, then the
+    strays (images that maps send into it from outside it)."""
+
+    index: dict     # element or stray -> index, and None -> its code
+    star: list      # star[i]: index of star(elems[i])
+    join: list      # join[i][j]: index of join(elems[i], elems[j])
+    meet: list
+
+
+def _tabulate(u: UniverseView, strays) -> _Table:
+    """Index tables of u, filled through u's own callables. A result that is
+    not listed gets len(elems); None gets a code of its own unless listed,
+    because the oracle reads a q-side result off U_q as None through f.get,
+    which must equal a p-side None and nothing else."""
+    elems = (*u.elements, *strays)
+    index = {x: i for i, x in enumerate(elems)}
+    index.setdefault(None, len(elems) + 1)
+    off = len(elems)
+    return _Table(
+        index,
+        list(map(index.get, map(u.star, elems), repeat(off))),
+        [list(map(index.get, map(u.join, repeat(x), elems), repeat(off))) for x in elems],
+        [list(map(index.get, map(u.meet, repeat(x), elems), repeat(off))) for x in elems],
+    )
+
+
+def _hom_violations(q, uq: UniverseView, checked: list, tables: dict) -> list:
+    """For each (p, f) in checked, the hom-star, hom-join and hom-meet
+    violations of f : U_q -> U_p in the oracle's order: all stars, then
+    every x, y with join before meet."""
+    if not checked:
+        return []
+    elems = uq.elements
+    index = {x: i for i, x in enumerate(elems)}
+    off = len(elems)   # a result off U_q, which has no image: f.get reads None
+    star_q = list(map(index.get, map(uq.star, elems), repeat(off)))
+    maps = []
+    for p, f in checked:
+        tp = tables[p]
+        fi = [tp.index[f[x]] for x in elems]
+        fq = fi + [tp.index[None]]
+        stars = [
+            ("hom-star", (q, p, x))
+            for x, s, fx in zip(elems, star_q, fi)
+            if fq[s] != tp.star[fx]
+        ]
+        maps.append((p, fi, fq, tp, stars))
+    for i, x in enumerate(elems):
+        jrow = list(map(index.get, map(uq.join, repeat(x), elems), repeat(off)))
+        mrow = list(map(index.get, map(uq.meet, repeat(x), elems), repeat(off)))
+        for p, fi, fq, tp, found in maps:
+            fx = fi[i]
+            fj = list(map(fq.__getitem__, jrow))
+            fm = list(map(fq.__getitem__, mrow))
+            jp = list(map(tp.join[fx].__getitem__, fi))
+            mp = list(map(tp.meet[fx].__getitem__, fi))
+            if fj == jp and fm == mp:
+                continue
+            for y, a, b, c, d in zip(elems, fj, jp, fm, mp):
+                if a != b:
+                    found.append(("hom-join", (q, p, x, y)))
+                if c != d:
+                    found.append(("hom-meet", (q, p, x, y)))
+    return [found for *_, found in maps]
 
 
 def project(sys: InverseSystem, x, p):
@@ -427,13 +519,32 @@ def universe_to_json(u: UniverseView) -> dict:
     }
 
 
-def universe_from_json(obj: dict) -> UniverseView:
-    elements = tuple(obj["elements"])
-    star_tab = dict(zip(elements, obj["star"]))
-    order_tab = dict(zip(elements, obj["order"]))
-    leq_set = {tuple(x) for x in obj["leq"]}
-    join_tab = {(x, y): z for x, y, z in obj["join"]}
-    meet_tab = {(x, y): z for x, y, z in obj["meet"]}
+def universe_from_json(obj) -> UniverseView:
+    """Load {"elements": [...], "star": [...], "order": [...], "leq": [[x, y],
+    ...], "join": [[x, y, z], ...], "meet": [[x, y, z], ...]}; star, order,
+    join and meet must be total over the elements and land in them."""
+    require(isinstance(obj, dict), "a universe must be a JSON object")
+    elements = tuple(scalars(obj.get("elements"), "universe 'elements'"))
+    names = set(elements)
+    n = len(elements)
+    star = members(obj.get("star"), names, "universe 'star'")
+    order = obj.get("order")
+    require(len(star) == n, "universe 'star' must have one entry per element")
+    require(
+        isinstance(order, list) and len(order) == n,
+        "universe 'order' must be a list with one entry per element",
+    )
+    star_tab = dict(zip(elements, star))
+    order_tab = dict(zip(elements, order))
+    leq_set = {tuple(x) for x in rows(obj.get("leq"), (names, names), "universe 'leq'")}
+    join_tab, meet_tab = (
+        {(x, y): z for x, y, z in rows(obj.get(op), (names,) * 3, f"universe {op!r}")}
+        for op in ("join", "meet")
+    )
+    require(
+        len(join_tab) == len(meet_tab) == n * n,
+        "universe 'join' and 'meet' must cover every pair of elements",
+    )
     return UniverseView(
         elements=elements,
         leq=lambda x, y: (x, y) in leq_set,
@@ -447,25 +558,53 @@ def universe_from_json(obj: dict) -> UniverseView:
     )
 
 
-def system_from_json(obj: dict) -> tuple[InverseSystem, list]:
+def system_from_json(obj) -> tuple[InverseSystem, list]:
     """Load {"points": [...], "poset": [[lo, hi], ...], "universes": {...},
-    "maps": {"q->p": [[x, fx], ...]}, "families": [{point: [elems]}]}."""
-    points = tuple(obj["points"])
-    poset = DirectedPoset.from_pairs(points, [tuple(e) for e in obj["poset"]])
-    universes = {p: universe_from_json(obj["universes"][str(p)]) for p in points}
+    "maps": {"q->p": [[x, fx], ...]}, "families": [{point: [elems]}]}.
+
+    Input of any other shape raises InputError: points are distinct
+    scalars, every map sends each element of U_q to one of U_p, and every
+    family names a subset of U_p at every point."""
+    require(isinstance(obj, dict), "system JSON must be an object")
+    points = tuple(scalars(obj.get("points"), "system 'points'"))
+    by_name = {str(p): p for p in points}
+    require(len(by_name) == len(points), "system 'points' must have distinct names")
+    pairs = rows(obj.get("poset"), (set(points),) * 2, "system 'poset'")
+    poset = DirectedPoset.from_pairs(points, [tuple(e) for e in pairs])
+    universes = obj.get("universes")
+    require(
+        isinstance(universes, dict) and all(name in universes for name in by_name),
+        "system 'universes' must map every point name to a universe",
+    )
+    universes = {p: universe_from_json(universes[name]) for name, p in by_name.items()}
+    elements = {p: set(u.elements) for p, u in universes.items()}
     maps = {}
-    for key, pairs in obj["maps"].items():
-        q, p = key.split("->")
-        maps[(_coerce(q, points), _coerce(p, points))] = {x: fx for x, fx in pairs}
+    raw_maps = obj.get("maps")
+    require(isinstance(raw_maps, dict), "system 'maps' must be an object")
+    for key, pairs in raw_maps.items():
+        ends = key.split("->")
+        require(
+            len(ends) == 2 and all(end in by_name for end in ends),
+            f"map key {key!r} must read 'q->p' for two points q and p",
+        )
+        q, p = (by_name[end] for end in ends)
+        f = dict(rows(pairs, (elements[q], elements[p]), f"map {key!r}"))
+        require(len(f) == len(elements[q]), f"map {key!r} must send every element of {ends[0]}")
+        maps[(q, p)] = f
+    families = obj.get("families", [])
+    require(
+        isinstance(families, list)
+        and all(isinstance(fam, dict) and set(fam) == set(by_name) for fam in families),
+        "system 'families' must be a list of objects keyed by every point name",
+    )
     families = [
-        {_coerce(pt, points): frozenset(vals) for pt, vals in fam.items()}
-        for fam in obj.get("families", [])
+        {
+            by_name[name]: frozenset(
+                members(vals, elements[by_name[name]], f"family entry at {name!r}")
+            )
+            for name, vals in fam.items()
+        }
+        for fam in families
     ]
     return InverseSystem(poset, universes, maps), families
 
-
-def _coerce(token, points):
-    for p in points:
-        if str(p) == token:
-            return p
-    raise PreconditionError(f"unknown point {token!r} in system JSON")

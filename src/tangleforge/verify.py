@@ -29,7 +29,7 @@ from .core import (
     vertices_of,
 )
 from .errors import CapExceededError
-from .fixtures import FIXTURES
+from .fixtures import FIXTURES, PIPELINE_K
 from .profiles import (
     distinguishes,
     efficient_distinguishers,
@@ -81,9 +81,6 @@ def _suite(name):
     return wrap
 
 
-# per-fixture profile scope: k values with documented census, and the k used
-# for the separator pipeline
-PIPELINE_K = {"FIX_P4": 2, "FIX_C4": 2, "FIX_2K4": 2, "FIX_GRID33": 3, "FIX_2K2": 1}
 _PROFILE_CACHE: dict = {}
 
 
@@ -372,52 +369,61 @@ def suite_thin_splinter(seed):
 # ---------------------------------------------------------------------------
 # profinite random systems
 
+def random_candidate_system(rng: random.Random) -> InverseSystem:
+    """A chain of 1-4 points over one chain-product universe, bonded by
+    compositions of star-symmetric monotone chain maps."""
+    a = rng.choice((2, 3))
+    b = rng.choice((2, 3))
+    u = product_chain_universe(a, b)
+    npts = rng.randint(1, 4)
+    points = tuple(f"p{i}" for i in range(npts))
+    # chain poset with top at the last point
+    strict = [(points[i], points[j]) for i in range(npts) for j in range(i + 1, npts)]
+    poset = DirectedPoset.from_pairs(points, strict)
+    maps = {}
+
+    def chain_map(size):
+        mid = (size - 1) / 2
+        kind = rng.choice(("id", "mid"))
+        if kind == "id" or size % 2 == 0:
+            return lambda x: x
+        return lambda x: int(mid)
+
+    step = {}
+    for i in range(npts - 1, 0, -1):
+        fa, fb = chain_map(a), chain_map(b)
+        step[points[i]] = lambda e, fa=fa, fb=fb: (fa(e[0]), fb(e[1]))
+    for j in range(npts - 1, -1, -1):
+        for i in range(j - 1, -1, -1):
+            def compose(e, lo=i, hi=j):
+                for t in range(hi, lo, -1):
+                    e = step[points[t]](e)
+                return e
+
+            maps[(points[j], points[i])] = {e: compose(e) for e in u.elements}
+    return InverseSystem(poset, {p: u for p in points}, maps)
+
+
 def random_inverse_systems(seed: int, count: int, max_attempts: int = 3000):
+    """Up to `count` (system, families) pairs: valid random candidate systems
+    with 1-3 closed-form families that splinter at every point."""
     rng = random.Random(seed)
     found = []
     attempts = 0
     while len(found) < count and attempts < max_attempts:
         attempts += 1
-        a = rng.choice((2, 3))
-        b = rng.choice((2, 3))
-        u = product_chain_universe(a, b)
-        npts = rng.randint(1, 4)
-        points = tuple(f"p{i}" for i in range(npts))
-        # chain poset with top at the last point
-        strict = [(points[i], points[j]) for i in range(npts) for j in range(i + 1, npts)]
-        poset = DirectedPoset.from_pairs(points, strict)
-        maps = {}
-        ok = True
-        # bonding maps: compositions of star-symmetric monotone chain maps
-        def chain_map(size):
-            mid = (size - 1) / 2
-            kind = rng.choice(("id", "mid"))
-            if kind == "id" or size % 2 == 0:
-                return lambda x: x
-            return lambda x: int(mid)
-
-        step = {}
-        for i in range(npts - 1, 0, -1):
-            fa, fb = chain_map(a), chain_map(b)
-            step[points[i]] = lambda e, fa=fa, fb=fb: (fa(e[0]), fb(e[1]))
-        for j in range(npts - 1, -1, -1):
-            for i in range(j - 1, -1, -1):
-                def compose(e, lo=i, hi=j):
-                    for t in range(hi, lo, -1):
-                        e = step[points[t]](e)
-                    return e
-
-                maps[(points[j], points[i])] = {e: compose(e) for e in u.elements}
-        sys = InverseSystem(poset, {p: u for p in points}, maps)
+        sys = random_candidate_system(rng)
         if not validate_inverse_system(sys).ok:
             continue
+        points = sys.poset.points
         top = points[-1]
+        u = sys.universe_at[top]
         fams = []
         for _ in range(rng.randint(1, 3)):
             seedset = frozenset(rng.sample(list(u.elements), rng.randint(1, 3)))
             fam = {top: seedset}
             for p in points[:-1]:
-                fam[p] = frozenset(maps[(top, p)][x] for x in seedset)
+                fam[p] = frozenset(sys.maps[(top, p)][x] for x in seedset)
             fams.append(fam)
         splinters_everywhere = True
         for p in points:

@@ -7,8 +7,10 @@ import os
 import jsonschema
 import pytest
 
+from tangleforge import cli as cli_module
 from tangleforge.cli import cli_main, load_graph
 from tangleforge.fixtures import FIXTURES
+from tangleforge.profinite import product_chain_universe, universe_to_json
 
 
 SCHEMA_PATH = os.path.join(
@@ -97,25 +99,84 @@ def test_usage_errors(capsys):
     assert run_cli(["profiles", "--graph", "/nonexistent/file", "--k", "2"], capsys)[0] == 2
 
 
+def system_json(edit=None) -> str:
+    """A well-formed two-point system (the identity on the 2 x 2 chain
+    product), with `edit` applied to it."""
+    u_json = universe_to_json(product_chain_universe(2, 2))
+    system = {
+        "points": ["p0", "p1"],
+        "poset": [["p0", "p1"]],
+        "universes": {"p0": u_json, "p1": json.loads(json.dumps(u_json))},
+        "maps": {"p1->p0": [[i, i] for i in range(4)]},
+        "families": [{"p0": [0], "p1": [0]}],
+    }
+    if edit is not None:
+        edit(system)
+    return json.dumps(system)
+
+
+# files written to the scratch directory "{tmp}" before each bad-input case
+BAD_FILES = {
+    "p4.txt": "0 1\n1 2\n2 3\n",
+    "truncated.json": '{"elements": ["a", ',
+    "graph-list.json": "[1, 2]",
+    "instance-list.json": "[]",
+    "instance-order.json": json.dumps(
+        {"elements": ["a"], "nested": [], "families": [{"members": ["a"], "order": "one"}]}
+    ),
+    "instance-members.json": json.dumps(
+        {"elements": ["a"], "nested": [], "families": [{"members": "a", "order": 1}]}
+    ),
+    "system-points.json": '{"points": 3}',
+    "system-list.json": "[]",
+    "system-key-arrow.json": system_json(
+        lambda s: s.update(maps={"p1p0": s["maps"]["p1->p0"]})
+    ),
+    "system-key-point.json": system_json(
+        lambda s: s.update(maps={"p1->p9": s["maps"]["p1->p0"]})
+    ),
+    "system-star-short.json": system_json(lambda s: s["universes"]["p1"]["star"].pop()),
+    "system-join-short.json": system_json(lambda s: s["universes"]["p0"]["join"].pop()),
+    "system-meet-short.json": system_json(lambda s: s["universes"]["p1"]["meet"].pop()),
+    "system-meet-outside.json": system_json(
+        lambda s: s["universes"]["p1"]["meet"][0].__setitem__(2, 7)
+    ),
+    "system-map-short.json": system_json(lambda s: s["maps"]["p1->p0"].pop()),
+    "system-map-outside.json": system_json(lambda s: s["maps"]["p1->p0"].append([3, 9])),
+    "system-family-point.json": system_json(lambda s: s["families"][0].pop("p0")),
+    "system-universe-missing.json": system_json(lambda s: s["universes"].pop("p1")),
+}
+
 BAD_INPUTS = [
     # (id, TANGLEFORGE_CAPS or None, argv; "{tmp}" is a scratch directory)
     ("cap-not-integer", '{"max_n": "abc"}', ["separations", "--fixture", "FIX_P4", "--k", "2"]),
     ("caps-not-object", "[16]", ["separations", "--fixture", "FIX_P4", "--k", "2"]),
+    ("cap-infinite", '{"max_n": 1e999}', ["separations", "--fixture", "FIX_P4", "--k", "2"]),
     ("k-zero", None, ["profiles", "--fixture", "FIX_P4", "--k", "0"]),
     ("k-negative", None, ["profiles", "--fixture", "FIX_P4", "--k", "-3"]),
     ("k-zero-graph", None, ["profiles", "--graph", "{tmp}/p4.txt", "--k", "0"]),
+    ("cap-n-negative", None, ["separations", "--fixture", "FIX_P4", "--k", "2", "--cap-n", "-1"]),
+    ("graph-json-list", None, ["separations", "--graph", "{tmp}/graph-list.json", "--k", "2"]),
     ("instance-missing", None, ["thin-splinter", "--instance", "{tmp}/missing.json"]),
     ("instance-directory", None, ["thin-splinter", "--instance", "{tmp}"]),
     ("instance-truncated", None, ["thin-splinter", "--instance", "{tmp}/truncated.json"]),
     ("system-missing", None, ["profinite-splinter", "--system", "{tmp}/missing.json"]),
     ("system-truncated", None, ["profinite-splinter", "--system", "{tmp}/truncated.json"]),
+] + [
+    (name[: -len(".json")], None, [verb, flag, "{tmp}/" + name])
+    for name in BAD_FILES
+    if name.startswith(("instance-", "system-"))
+    for verb, flag in [
+        ("thin-splinter", "--instance") if name.startswith("instance-")
+        else ("profinite-splinter", "--system")
+    ]
 ]
 
 
 @pytest.mark.parametrize("env,argv", [c[1:] for c in BAD_INPUTS], ids=[c[0] for c in BAD_INPUTS])
 def test_bad_input_is_a_one_line_usage_error(env, argv, capsys, monkeypatch, tmp_path):
-    (tmp_path / "p4.txt").write_text("0 1\n1 2\n2 3\n")
-    (tmp_path / "truncated.json").write_text('{"elements": ["a", ')
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_text(text)
     if env is None:
         monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
     else:
@@ -127,6 +188,22 @@ def test_bad_input_is_a_one_line_usage_error(env, argv, capsys, monkeypatch, tmp
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert "Traceback" not in captured.err
+
+
+def test_bad_system_files_edit_a_well_formed_one(tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text(system_json())
+    code, out = run_cli(["profinite-splinter", "--system", str(path)], capsys)
+    assert code == 0, out
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    def broken(args, cfg):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(cli_module.COMMANDS, "fixtures", broken)
+    with pytest.raises(KeyError):
+        cli_main(["fixtures"])
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -157,6 +234,14 @@ def test_cap_n_flag(capsys):
         ["separations", "--fixture", "FIX_P4", "--k", "2", "--cap-n", "3"], capsys
     )
     assert code == 3
+
+
+def test_cap_n_zero_is_a_cap(capsys):
+    code, out = run_cli(
+        ["separations", "--fixture", "FIX_P4", "--k", "2", "--cap-n", "0"], capsys
+    )
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "cap"
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

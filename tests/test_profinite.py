@@ -1,12 +1,17 @@
 """Inverse systems: validation, limits, projections, and the profinite
 splinter procedure on graph-restriction systems and random abstract ones."""
 
+import dataclasses
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tangleforge.core import Separation, mask_of
+from tangleforge.core import Graph, Separation, graph_universe, mask_of
 from tangleforge.errors import HypothesisError, PreconditionError
+from tangleforge.oracles import brute_system_violations
 from tangleforge.profiles import efficient_distinguishers, enumerate_k_profiles
 from tangleforge.profinite import (
     DirectedPoset,
@@ -20,7 +25,7 @@ from tangleforge.profinite import (
     universe_to_json,
     validate_inverse_system,
 )
-from tangleforge.verify import random_inverse_systems
+from tangleforge.verify import random_candidate_system, random_inverse_systems
 
 
 def identity_system(n_points=3, a=2, b=3):
@@ -49,7 +54,7 @@ def test_identity_system_is_valid():
     assert validate_inverse_system(identity_system()).ok
 
 
-def test_non_commuting_triangle_flagged():
+def non_commuting_triangle():
     u = product_chain_universe(3, 1)  # a bare 3-chain
     points = ("p0", "p1", "p2")
     poset = DirectedPoset.from_pairs(points, [("p0", "p1"), ("p1", "p2"), ("p0", "p2")])
@@ -60,8 +65,11 @@ def test_non_commuting_triangle_flagged():
         ("p1", "p0"): ident,
         ("p2", "p0"): collapse,  # != ident ∘ ident
     }
-    sys_ = InverseSystem(poset, {p: u for p in points}, maps)
-    rep = validate_inverse_system(sys_)
+    return InverseSystem(poset, {p: u for p in points}, maps)
+
+
+def test_non_commuting_triangle_flagged():
+    rep = validate_inverse_system(non_commuting_triangle())
     assert any(kind == "compatibility" for kind, _ in rep.violations)
 
 
@@ -210,3 +218,120 @@ def test_universe_json_roundtrip():
         for y in u.elements:
             assert v.leq(names[x], names[y]) == u.leq(x, y)
             assert v.join(names[x], names[y]) == names[u.join(x, y)]
+
+
+# ---------------------------------------------------------------------------
+# differential gate: the tabulated validation against the definitional loop
+
+def violations_or_key_error(check, sys_):
+    """The violation list, or KeyError where the definitional loop indexes a
+    map outside its domain (a map that misses a key, or sends an element
+    outside the next map's domain, in a chain of three points)."""
+    try:
+        return check(sys_)
+    except KeyError:
+        return KeyError
+
+
+def assert_same_violations(sys_):
+    expected = violations_or_key_error(brute_system_violations, sys_)
+    found = violations_or_key_error(lambda s: validate_inverse_system(s).violations, sys_)
+    assert found == expected
+    return expected
+
+
+def with_image(sys_, key, x, image):
+    maps = {**sys_.maps, key: {**sys_.maps[key], x: image}}
+    return InverseSystem(sys_.poset, sys_.universe_at, maps)
+
+
+@st.composite
+def maybe_altered(draw, sys_, outside):
+    """sys_, or sys_ with one image of one map replaced by another element of
+    its target universe or by `outside`, which lies in no universe."""
+    if not sys_.maps or not draw(st.booleans()):
+        return sys_
+    key = draw(st.sampled_from(sorted(sys_.maps, key=repr)))
+    x = draw(st.sampled_from(sorted(sys_.maps[key], key=repr)))
+    image = draw(st.sampled_from(list(sys_.universe_at[key[1]].elements) + [outside]))
+    return with_image(sys_, key, x, image)
+
+
+@st.composite
+def random_candidates(draw):
+    sys_ = random_candidate_system(random.Random(draw(st.integers(0, 2**32))))
+    return draw(maybe_altered(sys_, outside=(5, -1)))
+
+
+@st.composite
+def restriction_systems(draw):
+    n = draw(st.integers(2, 4))
+    pairs = list(itertools.combinations(range(n), 2))
+    g = Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+    masks = draw(st.lists(st.integers(1, g.vertices), min_size=2, max_size=4))
+    return draw(maybe_altered(graph_restriction_system(g, masks), outside=Separation(0, 0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_candidates())
+def test_validation_matches_oracle_on_random_candidates(sys_):
+    assert_same_violations(sys_)
+
+
+@settings(max_examples=60, deadline=None)
+@given(restriction_systems())
+def test_validation_matches_oracle_on_restriction_systems(sys_):
+    assert_same_violations(sys_)
+
+
+def test_validation_matches_oracle_on_invalid_systems(graphs):
+    g = graphs["FIX_P4"]
+    half, top = mask_of([0, 1]), g.vertices
+    two = graph_restriction_system(g, [half, top])
+    x = two.universe_at[top].elements[3]
+    # an image outside U_p
+    assert ("map-range", (top, half, x)) in assert_same_violations(
+        with_image(two, (top, half), x, Separation(0, 0))
+    )
+    # a missing key
+    cut = {**two.maps[(top, half)]}
+    del cut[x]
+    missing_key = InverseSystem(two.poset, two.universe_at, {(top, half): cut})
+    assert assert_same_violations(missing_key) == [("map-domain", (top, half))]
+    # a missing map
+    no_map = InverseSystem(two.poset, two.universe_at, {})
+    assert assert_same_violations(no_map) == [("map-missing", (top, half))]
+    # a universe not closed under star: the star of (0, 0) is left out
+    chain = product_chain_universe(3, 1)
+    lower = dataclasses.replace(chain, elements=chain.elements[:2], closed=False)
+    poset = DirectedPoset.from_pairs(("p", "q"), [("p", "q")])
+    unstarred = InverseSystem(
+        poset, {"p": chain, "q": lower}, {("q", "p"): {x: x for x in lower.elements}}
+    )
+    assert ("hom-star", ("q", "p", (0, 0))) in assert_same_violations(unstarred)
+    # the non-commuting triangle
+    triangle = assert_same_violations(non_commuting_triangle())
+    assert [kind for kind, _ in triangle].count("compatibility") == 2
+
+
+def test_validation_matches_oracle_on_a_non_closed_universe(graphs):
+    """Joins and meets of order-1 separations leave U_q and U_p alike; such
+    a pair is still a violation, because f.get gives no image off U_q."""
+    g = graphs["FIX_P4"]
+    chain = [mask_of([0, 1, 2]), g.vertices]
+    full = graph_restriction_system(g, chain)
+    universes = {z: graph_universe(g.induced(z), max_order=1) for z in chain}
+    maps = {
+        key: {x: f[x] for x in universes[key[0]].elements} for key, f in full.maps.items()
+    }
+    truncated = InverseSystem(full.poset, universes, maps)
+    top, low = chain[1], chain[0]
+    uq, up, f = universes[top], universes[low], maps[(top, low)]
+    found = assert_same_violations(truncated)
+    assert [
+        (x, y)
+        for kind, payload in found
+        if kind == "hom-join"
+        for x, y in [payload[2:]]
+        if uq.join(x, y) not in uq.elements and up.join(f[x], f[y]) not in up.elements
+    ]
