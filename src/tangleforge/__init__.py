@@ -40,6 +40,7 @@ from .profiles import (
     corner_unequal_orders,
     efficient_distinguishers,
     enumerate_k_profiles,
+    pipeline_profiles,
     profile_flags,
 )
 from .profinite import (

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .core import (
     Graph,
     Separation,
+    all_separations,
     enumerate_separations,
     graph_to_json,
     mask_of,
@@ -34,7 +35,12 @@ from .errors import (
 )
 from .fixtures import FIXTURES, PIPELINE_K, get_fixture
 from .jsonshape import require, rows, scalars
-from .profiles import efficient_distinguishers, enumerate_k_profiles, profile_flags
+from .profiles import (
+    efficient_distinguishers,
+    enumerate_k_profiles,
+    pipeline_profiles,
+    profile_flags,
+)
 from .profinite import (
     graph_restriction_system,
     profinite_splinter,
@@ -112,11 +118,13 @@ def _parse_json(text: str, path: str):
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}") from exc
 
 
-def load_graph(spec: str) -> Graph:
-    """Fixture name, JSON file ({"n": int, "edges": [[u, v], ...]}) or
-    edge-list text (one 'u v' per line, '#' comments)."""
+def read_graph(spec: str) -> tuple[int, list]:
+    """(n, edges) of a fixture name, a JSON file ({"n": int, "edges":
+    [[u, v], ...]}) or edge-list text (one 'u v' per line, '#' comments).
+    Nothing is allocated per vertex, so a cap on n can be checked first."""
     if spec in FIXTURES:
-        return get_fixture(spec).graph
+        g = get_fixture(spec).graph
+        return g.n, list(g.edges())
     if not os.path.exists(spec):
         raise InputError(f"no fixture or file named {spec!r}")
     text = _read_text(spec)
@@ -125,8 +133,8 @@ def load_graph(spec: str) -> Graph:
         if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
             raise InputError(f"{spec}: graph JSON needs 'n' and 'edges'")
         try:
-            return Graph.from_edges(int(obj["n"]), [tuple(e) for e in obj["edges"]])
-        except (InputError, ValueError, TypeError) as exc:
+            return int(obj["n"]), [tuple(e) for e in obj["edges"]]
+        except (ValueError, TypeError) as exc:
             raise InputError(f"{spec}: {exc}") from exc
     edges = []
     max_v = -1
@@ -147,7 +155,7 @@ def load_graph(spec: str) -> Graph:
         max_v = max(max_v, u, v)
     if max_v < 0:
         raise InputError(f"{spec}: no edges found")
-    return Graph.from_edges(max_v + 1, edges)
+    return max_v + 1, edges
 
 
 def _resolve_graph_and_k(args, cfg) -> tuple[Graph, int, str]:
@@ -156,7 +164,13 @@ def _resolve_graph_and_k(args, cfg) -> tuple[Graph, int, str]:
         label = args.fixture
         k = args.k if args.k is not None else PIPELINE_K.get(args.fixture, 2)
     elif args.graph:
-        g = load_graph(args.graph)
+        n, edges = read_graph(args.graph)
+        if n > cfg.max_n:
+            raise CapExceededError(f"graph cap exceeded: n={n} (cap {cfg.max_n})")
+        try:
+            g = Graph.from_edges(n, edges)
+        except (InputError, ValueError, TypeError) as exc:
+            raise InputError(f"{args.graph}: {exc}") from exc
         label = args.graph
         if args.k is None:
             raise InputError("--k is required with --graph")
@@ -168,14 +182,9 @@ def _resolve_graph_and_k(args, cfg) -> tuple[Graph, int, str]:
     return g, k, label
 
 
-def _pipeline_profiles(g: Graph, k: int, cfg: RunConfig, principal_only=False):
+def _pipeline_profiles(g: Graph, k: int, cfg: RunConfig, principal=False):
     profs = enumerate_k_profiles(g, k, max_sk=cfg.max_sk, max_n=cfg.max_n, max_k=cfg.max_k)
-    out = []
-    for p in profs:
-        flags = profile_flags(g, p)
-        if flags.regular and flags.robust and (flags.principal or not principal_only):
-            out.append(p)
-    return tuple(out)
+    return pipeline_profiles(g, profs, principal)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +204,10 @@ def cmd_separations(args, cfg):
 def cmd_profiles(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
     profs = enumerate_k_profiles(g, k, max_sk=cfg.max_sk, max_n=cfg.max_n, max_k=cfg.max_k)
+    universe = all_separations(g) if profs else None
     entries = []
     for p in profs:
-        flags = profile_flags(g, p)
+        flags = profile_flags(g, p, universe=universe)
         entry = p.to_json()
         entry["flags"] = {
             "regular": flags.regular,
@@ -387,7 +397,7 @@ def cmd_nested_separators(args, cfg):
 
 def cmd_nested_separations(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
-    profs = _pipeline_profiles(g, k, cfg, principal_only=True)
+    profs = _pipeline_profiles(g, k, cfg, principal=True)
     nested = canonical_nested_separators(g, profs)
     seps = separators_to_separations(g, nested.separators, profs)
     return {
@@ -400,7 +410,7 @@ def cmd_nested_separations(args, cfg):
 
 def cmd_treedec(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
-    profs = _pipeline_profiles(g, k, cfg, principal_only=True)
+    profs = _pipeline_profiles(g, k, cfg, principal=True)
     nested = canonical_nested_separators(g, profs)
     seps = separators_to_separations(g, nested.separators, profs)
     td = treeset_to_treedecomposition(g, seps)
@@ -409,7 +419,7 @@ def cmd_treedec(args, cfg):
 
 def cmd_totd(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
-    profs = _pipeline_profiles(g, k, cfg, principal_only=True)
+    profs = _pipeline_profiles(g, k, cfg, principal=True)
     totd = build_totd(g, profs)
     return {"graph": label, "k": k, "totd": totd.to_json()}
 

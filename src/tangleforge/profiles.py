@@ -265,6 +265,22 @@ def profile_flags(g: Graph, p: Profile, universe=None) -> ProfileFlags:
     )
 
 
+def pipeline_profiles(g: Graph, profiles, principal: bool = False) -> tuple[Profile, ...]:
+    """The members of `profiles` that the separator pipeline runs on, in
+    input order: the regular robust ones, and with `principal` only the
+    principal ones among those. The universe of g is built once, and only
+    when some profile is regular."""
+    regular = [p for p in profiles if p.is_regular(g)]
+    if not regular:
+        return ()
+    universe = all_separations(g)
+    return tuple(
+        p
+        for p in regular
+        if is_robust(g, p, universe=universe) and (not principal or is_principal(g, p))
+    )
+
+
 # ---------------------------------------------------------------------------
 # irregular profiles
 

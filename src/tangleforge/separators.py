@@ -18,6 +18,8 @@ from .core import (
     Graph,
     Separation,
     canonical,
+    is_nested,
+    is_separation,
     iter_bits,
     join,
     sep_sort_key,
@@ -25,15 +27,14 @@ from .core import (
     subsets_of_size,
     vertices_of,
 )
-from .errors import CertificationError, HypothesisError, PreconditionError
+from .errors import CertificationError, PreconditionError
 from .profiles import (
     Profile,
     distinguishes,
     efficient_distinguishers,
     is_principal,
-    is_robust,
 )
-from .splinter import SplinterInstance, ThinSplinterResult, thin_splinter, thinly_splinters_check
+from .splinter import SplinterInstance, ThinSplinterResult, thin_splinter
 
 
 def separator_sort_key(mask: int) -> tuple:
@@ -125,14 +126,13 @@ def distinguishing_separators(g: Graph, p: Profile, q: Profile) -> tuple[Separat
     )
 
 
-def separator_crossing_number(
-    g: Graph, all_separators, x: int, k: int, certify: bool = True
-) -> int:
+def separator_crossing_number(g: Graph, all_separators, x: int, k: int) -> int:
     """Number of separators of size k in the collection crossing x.
 
-    When certifying, every crossing partner must minimally separate two
-    vertices of the other separator (the crossing/minimal-separator lemma);
-    a failure means the collection is not a genuine distinguisher family.
+    Every crossing partner must minimally separate two vertices of the
+    other separator (the crossing/minimal-separator lemma); a failure means
+    the collection is not a genuine distinguisher family and raises
+    CertificationError.
     """
     count = 0
     for y in all_separators:
@@ -141,13 +141,12 @@ def separator_crossing_number(
         if separator_nested(g, x, y):
             continue
         count += 1
-        if certify:
-            pairs = itertools.combinations(vertices_of(x), 2)
-            if not any(y in minimal_separators(g, v, w, y.bit_count()) for v, w in pairs):
-                raise CertificationError(
-                    f"separator {vertices_of(y)} crosses {vertices_of(x)} but minimally "
-                    "separates no pair of its vertices"
-                )
+        pairs = itertools.combinations(vertices_of(x), 2)
+        if not any(y in minimal_separators(g, v, w, y.bit_count()) for v, w in pairs):
+            raise CertificationError(
+                f"separator {vertices_of(y)} crosses {vertices_of(x)} but minimally "
+                "separates no pair of its vertices"
+            )
     return count
 
 
@@ -166,16 +165,13 @@ class SeparatorFamilies:
     instance: SplinterInstance
 
 
-def build_separator_instance(
-    g: Graph, profiles, check_flags: bool = True
-) -> SeparatorFamilies:
+def build_separator_instance(g: Graph, profiles) -> SeparatorFamilies:
+    """The separator families of every profile pair as a splinter instance.
+    The profiles must be regular, which is checked; robustness is the
+    caller's hypothesis (see `profiles.pipeline_profiles`)."""
     profiles = tuple(profiles)
-    if check_flags:
-        for p in profiles:
-            if not p.is_regular(g):
-                raise PreconditionError("profiles must be regular")
-            if not is_robust(g, p):
-                raise PreconditionError("profiles must be robust")
+    if not all(p.is_regular(g) for p in profiles):
+        raise PreconditionError("profiles must be regular")
     families = {}
     orders = {}
     witnesses = {}
@@ -227,24 +223,14 @@ class NestedSeparators:
     data: SeparatorFamilies
 
 
-def canonical_nested_separators(
-    g: Graph, profiles, check_flags: bool = True
-) -> NestedSeparators:
+def canonical_nested_separators(g: Graph, profiles) -> NestedSeparators:
     """Canonical nested set of separators efficiently distinguishing every
-    pair of the given (distinguishable, robust, regular) profiles."""
-    profiles = tuple(profiles)
-    if len(profiles) <= 1:
-        return NestedSeparators(
-            (), ThinSplinterResult((), ()), build_separator_instance(g, profiles, False)
-        )
-    data = build_separator_instance(g, profiles, check_flags)
-    report = thinly_splinters_check(data.instance)
-    if not report.ok:
-        raise HypothesisError(
-            "separator instance does not thinly splinter",
-            witness=tuple(report.violations[:3]),
-        )
-    result = thin_splinter(data.instance, precheck=False)
+    pair of the given (distinguishable, robust, regular) profiles.
+    Regularity is checked; robustness is the caller's hypothesis."""
+    data = build_separator_instance(g, profiles)
+    if len(data.profiles) <= 1:
+        return NestedSeparators((), ThinSplinterResult((), ()), data)
+    result = thin_splinter(data.instance)
     return NestedSeparators(
         tuple(sorted(result.nested_set, key=separator_sort_key)), result, data
     )
@@ -253,9 +239,7 @@ def canonical_nested_separators(
 # ---------------------------------------------------------------------------
 # separators -> separations
 
-def separators_to_separations(
-    g: Graph, nested_separators, profiles, certify: bool = True
-) -> tuple[Separation, ...]:
+def separators_to_separations(g: Graph, nested_separators, profiles) -> tuple[Separation, ...]:
     """Convert a nested separator set into a nested set of separations that
     still distinguishes every profile pair efficiently.
 
@@ -297,10 +281,9 @@ def separators_to_separations(
                 for d in loose:
                     if d & b:
                         grouped[tight_hits[0]] |= d
-        if certify:
-            for c, d in itertools.combinations(tight, 2):
-                if grouped[c] & grouped[d]:
-                    raise CertificationError("grouped component sets overlap")
+        for c, d in itertools.combinations(tight, 2):
+            if grouped[c] & grouped[d]:
+                raise CertificationError("grouped component sets overlap")
         for c in tight:
             block = c | grouped[c]
             new = canonical(Separation(block | x, verts & ~block))
@@ -308,23 +291,20 @@ def separators_to_separations(
                 emitted.append(new)
 
     out = tuple(sorted(emitted, key=sep_sort_key))
-    if certify:
-        from .core import is_nested, is_separation
-
-        for s in out:
-            if not is_separation(g, s):
-                raise CertificationError(f"emitted pair is not a separation: {s}")
-        for s, t in itertools.combinations(out, 2):
-            if not is_nested(s, t):
-                raise CertificationError(f"output not nested: {s} vs {t}")
-        for p, q in itertools.combinations(profiles, 2):
-            dset = efficient_distinguishers(g, p, q)
-            if dset.order is None:
-                continue
-            if not any(
-                s.order == dset.order and distinguishes(p, q, s) for s in out
-            ):
-                raise CertificationError(
-                    "a profile pair is not efficiently distinguished by the output"
-                )
+    for s in out:
+        if not is_separation(g, s):
+            raise CertificationError(f"emitted pair is not a separation: {s}")
+    for s, t in itertools.combinations(out, 2):
+        if not is_nested(s, t):
+            raise CertificationError(f"output not nested: {s} vs {t}")
+    for p, q in itertools.combinations(profiles, 2):
+        dset = efficient_distinguishers(g, p, q)
+        if dset.order is None:
+            continue
+        if not any(
+            s.order == dset.order and distinguishes(p, q, s) for s in out
+        ):
+            raise CertificationError(
+                "a profile pair is not efficiently distinguished by the output"
+            )
     return out

@@ -327,21 +327,21 @@ class ThinSplinterResult:
     levels: tuple[ThinSplinterLevel, ...]
 
 
-def thin_splinter(inst: SplinterInstance, precheck: bool = True) -> ThinSplinterResult:
+def thin_splinter(inst: SplinterInstance) -> ThinSplinterResult:
     """Canonical nested set meeting every family.
 
     Levelwise construction: at level k, for every family of order k, all
     elements nested with the previously built set that have minimum
     k-crossing number among those are added. The union over all levels is
-    returned together with per-level provenance. Output is certified
-    (pairwise nested, meets every family, levels monotone) before return.
+    returned together with per-level provenance. The thin-splinter
+    hypotheses are checked first, and the output is certified (pairwise
+    nested, meets every family, levels monotone) before return.
     """
-    if precheck:
-        rep = thinly_splinters_check(inst)
-        if not rep.ok:
-            raise HypothesisError(
-                "instance does not thinly splinter", witness=tuple(rep.violations[:3])
-            )
+    rep = thinly_splinters_check(inst)
+    if not rep.ok:
+        raise HypothesisError(
+            "instance does not thinly splinter", witness=tuple(rep.violations[:3])
+        )
     rank = {x: i for i, x in enumerate(inst.elements)}
     keys = inst.family_keys()
     nested_set: list = []

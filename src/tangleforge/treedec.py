@@ -322,11 +322,11 @@ class TreeOfTreeDecompositions:
         return emit(self.root)
 
 
-def build_totd(
-    g: Graph, profiles, check_flags: bool = True, certify: bool = True
-) -> TreeOfTreeDecompositions:
+def build_totd(g: Graph, profiles) -> TreeOfTreeDecompositions:
     """Canonical tree of tree-decompositions distinguishing the given
-    principal robust profiles.
+    principal robust profiles. Principality and regularity are checked;
+    robustness is the caller's hypothesis. The result is certified by
+    `certify_totd` before return.
 
     Level by level: the decomposition at depth d uses, inside each torso
     graph, the separations (C ∪ X, V(G_t)∖C) for subset-closed separators X
@@ -339,7 +339,7 @@ def build_totd(
     for idx, p in enumerate(profiles):
         if not is_principal(g, p):
             raise PreconditionError(f"profile {idx} is not principal")
-    nested = canonical_nested_separators(g, profiles, check_flags=check_flags)
+    nested = canonical_nested_separators(g, profiles)
     closure = sorted(
         {
             mask_of(sub)
@@ -385,8 +385,7 @@ def build_totd(
         totd.children.setdefault(t, [])
         totd.children[t] = tuple(totd.children[t])
 
-    if certify:
-        certify_totd(g, totd, closure, profiles)
+    certify_totd(g, totd, closure, profiles)
     return totd
 
 

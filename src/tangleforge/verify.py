@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from . import oracles
 from .core import (
     Graph,
+    all_separations,
     canonical,
     enumerate_separations,
     graph_universe,
@@ -34,8 +35,7 @@ from .profiles import (
     distinguishes,
     efficient_distinguishers,
     enumerate_k_profiles,
-    is_robust,
-    profile_flags,
+    pipeline_profiles,
 )
 from .profinite import (
     DirectedPoset,
@@ -43,7 +43,6 @@ from .profinite import (
     inverse_limits,
     product_chain_universe,
     profinite_splinter,
-    validate_inverse_system,
 )
 from .separators import canonical_nested_separators, separators_to_separations
 from .splinter import (
@@ -79,33 +78,6 @@ def _suite(name):
         return run
 
     return wrap
-
-
-_PROFILE_CACHE: dict = {}
-
-
-def fixture_profiles(name: str, k: int):
-    key = (name, k)
-    if key not in _PROFILE_CACHE:
-        g = FIXTURES[name].graph
-        _PROFILE_CACHE[key] = enumerate_k_profiles(g, k, max_sk=128)
-    return _PROFILE_CACHE[key]
-
-
-_PIPELINE_CACHE: dict = {}
-
-
-def pipeline_profiles(name: str):
-    """The regular robust profiles the separator pipeline runs on."""
-    if name not in _PIPELINE_CACHE:
-        g = FIXTURES[name].graph
-        universe = oracles.brute_separations(g, g.num_vertices + 1)
-        _PIPELINE_CACHE[name] = tuple(
-            p
-            for p in fixture_profiles(name, PIPELINE_K[name])
-            if p.is_regular(g) and is_robust(g, p, universe=universe)
-        )
-    return _PIPELINE_CACHE[name]
 
 
 @_suite("universe-axioms")
@@ -198,8 +170,11 @@ def suite_fish_corner(seed):
 def suite_profile_census(seed):
     for name, fx in FIXTURES.items():
         g = fx.graph
+        # robustness in pipeline_profiles is quantified over this universe
+        if set(all_separations(g)) != set(oracles.brute_separations(g, g.num_vertices + 1)):
+            raise AssertionError(f"{name}: all_separations != brute-force universe")
         for k, (total, regular) in sorted(fx.census.items()):
-            pruned = fixture_profiles(name, k)
+            pruned = enumerate_k_profiles(g, k, max_sk=128)
             if (len(pruned), sum(p.is_regular(g) for p in pruned)) != (total, regular):
                 raise AssertionError(f"{name} k={k}: census drifted from the locked table")
             s_k = enumerate_separations(g, k, max_n=16, max_k=6)
@@ -209,16 +184,14 @@ def suite_profile_census(seed):
             if {p.chosen for p in pruned} != set(unpruned):
                 raise AssertionError(f"{name} k={k}: pruned != unpruned census")
     g = FIXTURES["FIX_2K4"].graph
-    universe = oracles.brute_separations(g, 9)
-    rrp = [
-        p
-        for p in fixture_profiles("FIX_2K4", 2)
-        if (f := profile_flags(g, p, universe=universe)).regular and f.robust and f.principal
-    ]
+    rrp = pipeline_profiles(g, enumerate_k_profiles(g, 2), principal=True)
     # the third profile points at the bridge edge; see the census note in README
     if len(rrp) != 3:
         raise AssertionError(f"FIX_2K4@2 regular robust principal census = {len(rrp)}")
-    return "pruned == unpruned on all capped combos; FIX_2K4@2 rrp census = 3"
+    return (
+        "universe == brute-force universe on every fixture; "
+        "pruned == unpruned on all capped combos; FIX_2K4@2 rrp census = 3"
+    )
 
 
 @_suite("lattice-and-tightness")
@@ -227,7 +200,7 @@ def suite_lattice_tight(seed):
     for name, fx in FIXTURES.items():
         g = fx.graph
         for k in fx.census:
-            profs = fixture_profiles(name, k)
+            profs = enumerate_k_profiles(g, k, max_sk=128)
             for p, q in itertools.combinations(profs, 2):
                 dset = efficient_distinguishers(g, p, q)
                 if dset.order is None:
@@ -338,11 +311,11 @@ def suite_thin_splinter(seed):
         g = FIXTURES[name].graph
         autos = oracles.find_automorphisms(g)
         auto_counts[name] = len(autos)
-        profs = pipeline_profiles(name)
+        profs = pipeline_profiles(g, enumerate_k_profiles(g, PIPELINE_K[name]))
         if len(profs) < 2:
             nested_set = set()
         else:
-            res = canonical_nested_separators(g, profs, check_flags=False)
+            res = canonical_nested_separators(g, profs)
             inst = res.data.instance
             nested_set = set(res.separators)
             for key, fam in inst.families.items():
@@ -405,16 +378,15 @@ def random_candidate_system(rng: random.Random) -> InverseSystem:
 
 
 def random_inverse_systems(seed: int, count: int, max_attempts: int = 3000):
-    """Up to `count` (system, families) pairs: valid random candidate systems
-    with 1-3 closed-form families that splinter at every point."""
+    """Up to `count` (system, families) pairs: random candidate systems
+    (valid by construction) with 1-3 closed-form families that splinter at
+    every point."""
     rng = random.Random(seed)
     found = []
     attempts = 0
     while len(found) < count and attempts < max_attempts:
         attempts += 1
         sys = random_candidate_system(rng)
-        if not validate_inverse_system(sys).ok:
-            continue
         points = sys.poset.points
         top = points[-1]
         u = sys.universe_at[top]
@@ -466,14 +438,15 @@ def suite_profinite_random(seed):
 @_suite("canonical-separators-2k4")
 def suite_canonical_separators(seed):
     g = FIXTURES["FIX_2K4"].graph
-    res = canonical_nested_separators(g, pipeline_profiles("FIX_2K4"), check_flags=False)
+    res = canonical_nested_separators(g, pipeline_profiles(g, enumerate_k_profiles(g, 2)))
     if [vertices_of(m) for m in res.separators] != [(3,), (4,)]:
         raise AssertionError(f"unexpected separator set: {res.separators}")
     for name in FIXTURES:
-        profs = pipeline_profiles(name)
+        g = FIXTURES[name].graph
+        profs = pipeline_profiles(g, enumerate_k_profiles(g, PIPELINE_K[name]))
         if len(profs) < 2:
             continue
-        res = canonical_nested_separators(g=FIXTURES[name].graph, profiles=profs, check_flags=False)
+        res = canonical_nested_separators(g, profs)
         rep = thinly_splinters_check(res.data.instance)
         if not rep.ok:
             raise AssertionError(f"{name}: thinly-splinters check failed")
@@ -485,11 +458,11 @@ def suite_separations_from_separators(seed):
     details = []
     for name in FIXTURES:
         g = FIXTURES[name].graph
-        profs = pipeline_profiles(name)
+        profs = pipeline_profiles(g, enumerate_k_profiles(g, PIPELINE_K[name]))
         if len(profs) < 2:
             details.append(f"{name}: trivial")
             continue
-        res = canonical_nested_separators(g, profs, check_flags=False)
+        res = canonical_nested_separators(g, profs)
         out = separators_to_separations(g, res.separators, profs)
         for s, t in itertools.combinations(out, 2):
             if not is_nested(s, t):
@@ -541,8 +514,8 @@ def suite_treeset_roundtrip(seed):
 @_suite("totd-2k4")
 def suite_totd(seed):
     g = FIXTURES["FIX_2K4"].graph
-    profs = pipeline_profiles("FIX_2K4")
-    totd = build_totd(g, profs, check_flags=False)  # certified internally
+    profs = pipeline_profiles(g, enumerate_k_profiles(g, 2))
+    totd = build_totd(g, profs)  # certified internally
     root_bags = sorted(vertices_of(totd.td_at[0].bags[t]) for t in totd.td_at[0].nodes)
     if root_bags != [(0, 1, 2, 3), (3, 4), (4, 5, 6, 7)]:
         raise AssertionError(f"unexpected root decomposition: {root_bags}")

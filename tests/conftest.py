@@ -9,7 +9,7 @@ from tangleforge.fixtures import FIXTURES, doubled_bridge_ring, triangle_ring  #
 from tangleforge.profiles import (  # noqa: E402
     efficient_distinguishers,
     enumerate_k_profiles,
-    is_robust,
+    pipeline_profiles,
 )
 
 
@@ -27,11 +27,9 @@ def triring():
 def triring_profiles(triring):
     """The four regular robust 3-profiles of the triangle ring (slow to
     compute, shared across the corner/separator tests)."""
-    profs = enumerate_k_profiles(triring, 3, max_sk=128)
-    regular = [p for p in profs if p.is_regular(triring)]
-    robust = [p for p in regular if is_robust(triring, p)]
+    robust = pipeline_profiles(triring, enumerate_k_profiles(triring, 3, max_sk=128))
     assert len(robust) == 4
-    return tuple(robust)
+    return robust
 
 
 @pytest.fixture(scope="session")

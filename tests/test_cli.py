@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, determinism, schema validation,
 graph ingestion."""
 
+import hashlib
 import json
 import os
 
@@ -8,7 +9,8 @@ import jsonschema
 import pytest
 
 from tangleforge import cli as cli_module
-from tangleforge.cli import cli_main, load_graph
+from tangleforge.core import Graph
+from tangleforge.cli import cli_main, read_graph
 from tangleforge.fixtures import FIXTURES
 from tangleforge.profinite import product_chain_universe, universe_to_json
 
@@ -88,6 +90,73 @@ def test_dot_output(capsys):
     assert out.startswith("digraph totd {")
 
 
+# sha256 of stdout and the exit code of every graph verb on every fixture at
+# its PIPELINE_K under the default caps: the CLI's output is a byte-identical
+# contract, so a change here must be an intended change of output.
+# profinite-splinter on FIX_GRID33 is left out for its run time (about 8 s).
+GOLDEN = [
+    ("separations FIX_2K2", 0, "2748b174d89700fe6b86db548a5af6f9d803b4b09cc9a72c70744b2a4b137304"),
+    ("profiles FIX_2K2", 0, "c84726b8d81426fee349e2309642ec44aa8f0036dba38dcbbcea681f37040dad"),
+    ("distinguish FIX_2K2", 0, "2cebae127c8d3bde768188ab6439008b4de35ba591a8f4e68509236cb338d067"),
+    ("splinter FIX_2K2", 0, "2820c912484911cebe69d4a07f225db74feef48cb347d7ad92c6a7bc42228dbd"),
+    ("thin-splinter FIX_2K2", 0, "1f3e0fa45089d09111ec6d91e16ad5a40a34797f3b666baabad1edb777bbf618"),
+    ("profinite-splinter FIX_2K2", 0, "a1c81dec5a208065af758b6a5b7a11792f415200aa49394106ede9263ba434d5"),
+    ("nested-separators FIX_2K2", 0, "0993a379213e601ba51b4a6a55440c3618249fa323bcd80b0aee4b8e8a0aaa66"),
+    ("nested-separations FIX_2K2", 0, "b7fd6686375e9be0e2700cc114b6e2a38755c7d0a5667fab9ba7cf0eb74544cc"),
+    ("treedec FIX_2K2", 0, "f883b56abfd62a273facccfb856f7f2ad844297554b476c3c0bd6ab18edca512"),
+    ("totd FIX_2K2", 1, "f019e1cff42adc5a2d80170ac13ea95c5d793da6884d4bef5bad870b620e1e45"),
+    ("separations FIX_2K4", 0, "b527ea16de4580a51b082a8de62629f646b2f26d6b1647e2bedcfcc260e2a1f5"),
+    ("profiles FIX_2K4", 0, "08a037b48f397f5a6af22c7218229ce3cd2b6514710d110cfc64c555c6a440b9"),
+    ("distinguish FIX_2K4", 0, "f8daf6cc2001f9207b435258e320cc294c41e091ef9af9b8d2c9578d6c90847b"),
+    ("splinter FIX_2K4", 0, "dd8011a95e1b70db95cbaa10f9f27623a3b5be3e66f9912f4f8e49f731748341"),
+    ("thin-splinter FIX_2K4", 0, "1b4ae73cf6e27644172909c55663fb839970eae4c27c2bb10b90ae0e0f5e4aaa"),
+    ("profinite-splinter FIX_2K4", 0, "963978f1d4024a5b0d90387d38b804860898c9bed440f35c664ea5d1054d058e"),
+    ("nested-separators FIX_2K4", 0, "5bdd4e43bc7320b2b1d3a49fbf6cfbe6cf27adc58dd4e6cd5409d7d0f3bdb477"),
+    ("nested-separations FIX_2K4", 0, "2f432138eaa786fae659c988983430556513f29611e15300ba073d596f34d006"),
+    ("treedec FIX_2K4", 0, "43c078f568043552c71bb740c37016d23722d61657c134536726c8414934caae"),
+    ("totd FIX_2K4", 0, "fff8bf44808c37b84e817f8a5875c27b26a4c4b756502eabe67c2de9457b720d"),
+    ("separations FIX_C4", 0, "8d41b0cec0e62347f82206dea59bce1c25ede6dacbe0df79128c6d0bfc5db024"),
+    ("profiles FIX_C4", 0, "a9a97121e5ad67308e26f8766eb57698b62b525e90e9de3822f6f4249942ee07"),
+    ("distinguish FIX_C4", 0, "416416152b82165e61328996964252ebdc30cdb673f8c0954d3589b08be08339"),
+    ("splinter FIX_C4", 0, "2071983ff88c80053fcd7ff93092a033b35bb1417df7f7f301bc7543e1b9a607"),
+    ("thin-splinter FIX_C4", 0, "bca2a927efedb36de9c296f28289edcf249261805afc3b0263ba1baacf268b2c"),
+    ("profinite-splinter FIX_C4", 1, "efb95e21f273cb31cec3bdca18fae18b137c2c49b8ca578885c75419f11a375e"),
+    ("nested-separators FIX_C4", 0, "f2c60fc5d67c561655b5b048a34603cee8897199f629e7bd72d3cb9389da30a6"),
+    ("nested-separations FIX_C4", 0, "134f15135991432c8bf11dec432ac54eaea13ce3473d77ee6bd3e0984cc318e8"),
+    ("treedec FIX_C4", 0, "38514221519279a2e111384fd7fad7c0abd5af2491f5598a5dfffc459ebbdc7f"),
+    ("totd FIX_C4", 0, "3f07287ad3d1e812f7f33541d233ac75c7d85ec968bdc323b8649159d5ca16d4"),
+    ("separations FIX_GRID33", 0, "55415c54f7e7a1c1358900929a373e4f1ad5e78c16113468b5a9205df868c7f5"),
+    ("profiles FIX_GRID33", 0, "037b2b353f3f23b391402ede3efa1ed0b4c98330ba77686df74e71fecde0914c"),
+    ("distinguish FIX_GRID33", 0, "8bb62066f0867b8ebe790479975d0c5b382e78513e4c3041411fa52fccc79d86"),
+    ("splinter FIX_GRID33", 0, "694d6c3f8940a3482b83dcc3506ce52d3d23bbf092068b52d8feb7f8eecb58f5"),
+    ("thin-splinter FIX_GRID33", 0, "04563aa1959b9698a241698c1bf129fb511193f53955f2f364449d024f72b4ed"),
+    ("nested-separators FIX_GRID33", 0, "64d1fb15331145bfd437a58b8febac11b0aee609df2a5a3c85426643cc34091b"),
+    ("nested-separations FIX_GRID33", 0, "f58bb6c8dee870dbe6a80a64f65b7bacfc3ba726730f589ccb340c83aef7f4d0"),
+    ("treedec FIX_GRID33", 0, "e4c40495133bcdd9e54ed2a76388f15d63347a3faa12f641c38634fb7cc68ca6"),
+    ("totd FIX_GRID33", 0, "f6db89afa669f6cafdbcf589847a2cc7ab3bb8343142a7ce9a72a7fb9cb6f1c4"),
+    ("separations FIX_P4", 0, "6a6866641b300d54f582400dedca1746186ec908f97a96aa21e384b0319bcabf"),
+    ("profiles FIX_P4", 0, "00240c541b77eaaa6cb68dfbfd6ff3b39668eead0193e441e11fd932efbdae3b"),
+    ("distinguish FIX_P4", 0, "3d7e89f1a4ce444f6484e6ee62aefe4aac9253cd570a3896f3a6ae4a79d0498e"),
+    ("splinter FIX_P4", 0, "33d7adb6295951c415cee9df1535a12750cdaee829efc1095a9d0b3398a727af"),
+    ("thin-splinter FIX_P4", 0, "5fe0a4cc42445bce5e3ac71b6ab9e5ea7afa10a2ea6bd533e7e8cec0f4643629"),
+    ("profinite-splinter FIX_P4", 0, "4873e6a4ed881a2a1ac23a57d8a5727c6fb5329695718b1e8ef8a25225aa3240"),
+    ("nested-separators FIX_P4", 0, "7488e8fbac2790f55d66474b303d79693e2b54b9eb7bb532330229cef9965228"),
+    ("nested-separations FIX_P4", 0, "d769266a5305b7a0f34ace8cfc6ae8af480fb528d6a0ba12814a6ce3138e6332"),
+    ("treedec FIX_P4", 0, "a28ab34d0b019b4d26b54aab1419942d0fbd11207f4742f5a690ba68cc110b76"),
+    ("totd FIX_P4", 0, "f22606016da81dcc6da42c2a9a770b25c45a710c53080c650206b9e96d8c8773"),
+    ("treedec FIX_2K4 --format dot", 0, "8593fbe6f04e47587838985f528b2c04690ac8f95b4c468fa26f39753a4628b8"),
+    ("totd FIX_2K4 --format dot", 0, "5b78160267074e4c6d28fda715c5056b5c297709774488f000e84a6693f3f889"),
+]
+
+
+@pytest.mark.parametrize("spec,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_output_digest(spec, code, digest, capsys, monkeypatch):
+    monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
+    verb, fixture, *rest = spec.split()
+    got_code, out = run_cli([verb, "--fixture", fixture, *rest], capsys)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
 def test_dot_rejected_elsewhere(capsys):
     code, _ = run_cli(["profiles", "--fixture", "FIX_P4", "--k", "2", "--format", "dot"], capsys)
     assert code == 2
@@ -120,6 +189,10 @@ BAD_FILES = {
     "p4.txt": "0 1\n1 2\n2 3\n",
     "truncated.json": '{"elements": ["a", ',
     "graph-list.json": "[1, 2]",
+    "graph-edge-triple.json": json.dumps({"n": 4, "edges": [[0, 1, 2]]}),
+    "graph-edge-string.json": json.dumps({"n": 4, "edges": [["a", 1]]}),
+    "graph-edge-float.json": json.dumps({"n": 4, "edges": [[0.5, 1]]}),
+    "graph-n-negative.json": json.dumps({"n": -1, "edges": []}),
     "instance-list.json": "[]",
     "instance-order.json": json.dumps(
         {"elements": ["a"], "nested": [], "families": [{"members": ["a"], "order": "one"}]}
@@ -157,6 +230,11 @@ BAD_INPUTS = [
     ("k-zero-graph", None, ["profiles", "--graph", "{tmp}/p4.txt", "--k", "0"]),
     ("cap-n-negative", None, ["separations", "--fixture", "FIX_P4", "--k", "2", "--cap-n", "-1"]),
     ("graph-json-list", None, ["separations", "--graph", "{tmp}/graph-list.json", "--k", "2"]),
+] + [
+    (name[: -len(".json")], None, ["separations", "--graph", "{tmp}/" + name, "--k", "2"])
+    for name in BAD_FILES
+    if name.startswith("graph-") and name != "graph-list.json"
+] + [
     ("instance-missing", None, ["thin-splinter", "--instance", "{tmp}/missing.json"]),
     ("instance-directory", None, ["thin-splinter", "--instance", "{tmp}"]),
     ("instance-truncated", None, ["thin-splinter", "--instance", "{tmp}/truncated.json"]),
@@ -257,16 +335,38 @@ def test_out_flag_writes_file(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # graph ingestion
 
+P4_EDGES = [(0, 1), (1, 2), (2, 3)]
+
+
 def test_load_graph_fixture_and_edge_list(tmp_path):
     path = tmp_path / "p4.txt"
     path.write_text("# a path\n0 1\n1 2\n2 3\n")
-    assert load_graph(str(path)) == FIXTURES["FIX_P4"].graph
+    assert read_graph(str(path)) == (4, P4_EDGES)
+    assert read_graph("FIX_P4") == (4, P4_EDGES)
+    assert Graph.from_edges(*read_graph(str(path))) == FIXTURES["FIX_P4"].graph
 
 
 def test_load_graph_json_roundtrip(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))
-    assert load_graph(str(path)) == FIXTURES["FIX_P4"].graph
+    assert read_graph(str(path)) == (4, P4_EDGES)
+
+
+def test_graph_cap_is_checked_before_the_graph_is_built(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
+    build = Graph.from_edges
+
+    def guarded(n, edges):
+        assert n <= 64, f"Graph.from_edges({n}) ran before the cap check"
+        return build(n, edges)
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(guarded))
+    (tmp_path / "huge.json").write_text(json.dumps({"n": 10**12, "edges": [[0, 1]]}))
+    (tmp_path / "huge.txt").write_text(f"0 1\n1 {10**12 - 1}\n")
+    for name in ("huge.json", "huge.txt"):
+        code, out = run_cli(["separations", "--graph", str(tmp_path / name), "--k", "2"], capsys)
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "cap"
 
 
 def test_load_graph_rejects_self_loop(tmp_path):
@@ -275,7 +375,7 @@ def test_load_graph_rejects_self_loop(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 1\n2 2\n")
     with pytest.raises(InputError, match="bad.txt:2"):
-        load_graph(str(path))
+        read_graph(str(path))
 
 
 def test_load_graph_rejects_malformed_line(tmp_path):
@@ -284,7 +384,7 @@ def test_load_graph_rejects_malformed_line(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 1 2\n")
     with pytest.raises(InputError, match=":1"):
-        load_graph(str(path))
+        read_graph(str(path))
 
 
 # ---------------------------------------------------------------------------

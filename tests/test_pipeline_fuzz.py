@@ -1,20 +1,34 @@
 """End-to-end pipeline fuzz: random small graphs through profile
 enumeration, flags, the canonical separator set, separation emission, and
 decomposition building. Every stage self-certifies; this drives those
-certifications across graph shapes the targeted tests never construct."""
+certifications across graph shapes the targeted tests never construct.
+The pipeline's output must also commute with relabelling the graph."""
 
 import itertools
 import random
+from collections import Counter
+
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from tangleforge import oracles
-from tangleforge.core import Graph, all_separations, is_nested
+from tangleforge.core import (
+    Graph,
+    Separation,
+    canonical,
+    enumerate_separations,
+    is_nested,
+    mask_of,
+    vertices_of,
+)
 from tangleforge.errors import CapExceededError
 from tangleforge.profiles import (
+    DEFAULT_MAX_SK,
     distinguishes,
     efficient_distinguishers,
     enumerate_k_profiles,
     is_principal,
-    is_robust,
+    pipeline_profiles,
 )
 from tangleforge.separators import canonical_nested_separators, separators_to_separations
 from tangleforge.treedec import build_totd, induced_separations, treeset_to_treedecomposition, verify_treedecomposition
@@ -49,17 +63,11 @@ def test_pipeline_on_random_graphs():
             profiles = enumerate_k_profiles(g, k, max_sk=40)
         except CapExceededError:
             continue
-        universe = all_separations(g)
-        eligible = [
-            p
-            for p in profiles
-            if p.is_regular(g) and is_robust(g, p, universe=universe)
-        ]
-        family = distinguishable_subset(g, eligible)
+        family = distinguishable_subset(g, pipeline_profiles(g, profiles))
         if len(family) < 2:
             continue
 
-        nested = canonical_nested_separators(g, family, check_flags=False)
+        nested = canonical_nested_separators(g, family)
         inst = nested.data.instance
         chosen = set(nested.separators)
         assert all(fam & chosen for fam in inst.families.values())
@@ -81,9 +89,65 @@ def test_pipeline_on_random_graphs():
                 assert set(induced_separations(td)) == set(out)
                 assert verify_treedecomposition(g, td).ok
             if g.is_connected():
-                build_totd(g, family, check_flags=False)  # certifies internally
+                build_totd(g, family)  # certifies internally
                 ran_totd += 1
         ran_pipelines += 1
     # the stream must actually exercise the machinery, not skip everything
     assert ran_pipelines >= 15
     assert ran_totd >= 8
+
+
+@st.composite
+def connected_graphs(draw, max_n=7):
+    """A random connected graph on 2..max_n vertices (a random spanning tree
+    plus random extra edges), an order bound k in {2, 3} and a random vertex
+    permutation."""
+    n = draw(st.integers(2, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = draw(st.integers(0, (1 << len(pairs)) - 1))
+    edges |= {e for i, e in enumerate(pairs) if extra >> i & 1}
+    perm = dict(enumerate(draw(st.permutations(range(n)))))
+    return Graph.from_edges(n, sorted(edges)), draw(st.sampled_from((2, 3))), perm
+
+
+def triangle_ring3():
+    """Three triangles joined into a ring by bridges. Its distinguishing
+    separators cross, so the thin splinter's choice among tied candidates
+    shows in the output: a tie broken by vertex labels passes on the random
+    graphs with at most 7 vertices below, and fails on this ring."""
+    edges = [(3 * i + a, 3 * i + b) for i in range(3) for a, b in ((0, 1), (1, 2), (0, 2))]
+    return Graph.from_edges(9, edges + [(2, 3), (5, 6), (8, 0)])
+
+
+def pipeline(g, k):
+    """Separators, separations and totd (depth, bags) of the full pipeline."""
+    profiles = pipeline_profiles(g, enumerate_k_profiles(g, k), principal=True)
+    nested = canonical_nested_separators(g, profiles)
+    seps = separators_to_separations(g, nested.separators, profiles)
+    totd = build_totd(g, profiles)
+    levels = Counter(
+        (totd.depth[t], tuple(sorted(totd.td_at[t].bags.values()))) for t in totd.nodes
+    )
+    return set(nested.separators), set(seps), levels
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(connected_graphs())
+@example((triangle_ring3(), 3, {v: 8 - v for v in range(9)}))
+@example((triangle_ring3(), 3, {v: (v + 1) % 9 for v in range(9)}))
+def test_pipeline_commutes_with_relabelling(case):
+    g, k, perm = case
+    assume(len(enumerate_separations(g, k)) <= DEFAULT_MAX_SK)
+
+    def image(mask):
+        return mask_of(perm[v] for v in vertices_of(mask))
+
+    separators, seps, levels = pipeline(g, k)
+    assert pipeline(g.relabelled(perm), k) == (
+        {image(x) for x in separators},
+        {canonical(Separation(image(s.a), image(s.b))) for s in seps},
+        Counter(
+            {(d, tuple(sorted(map(image, bags)))): c for (d, bags), c in levels.items()}
+        ),
+    )

@@ -24,6 +24,8 @@ from tangleforge.core import (
 from tangleforge.errors import CapExceededError, CertificationError, PreconditionError
 from tangleforge.profiles import (
     DistinguisherSet,
+    Profile,
+    ProfileFlags,
     classify_irregular,
     corner_equal_orders,
     corner_unequal_orders,
@@ -32,6 +34,7 @@ from tangleforge.profiles import (
     enumerate_k_profiles,
     is_consistent,
     is_profile,
+    pipeline_profiles,
     profile_flags,
     satisfies_profile_property,
 )
@@ -206,6 +209,50 @@ def test_irregular_profile_is_not_regular(graphs):
     top = Separation(g.vertices, 0)
     p = next(p for p in enumerate_k_profiles(g, 1) if top in p)
     assert not profile_flags(g, p).regular
+
+
+@DIFFERENTIAL
+@given(small_graphs())
+def test_pipeline_profiles_match_flags_over_the_brute_universe(case):
+    g, k = case
+    assume(len(enumerate_separations(g, k)) <= 40)
+    profs = enumerate_k_profiles(g, k)
+    universe = oracles.brute_separations(g, g.num_vertices + 1)
+    flags = [profile_flags(g, p, universe=universe) for p in profs]
+    for principal in (False, True):
+        expected = tuple(
+            p
+            for p, f in zip(profs, flags)
+            if f.regular and f.robust and (f.principal or not principal)
+        )
+        assert pipeline_profiles(g, profs, principal) == expected
+
+
+def larger_side_last(g, k):
+    """The orientation of S_k that points every separation at its strictly
+    larger side, ties to the lexicographically first one. It is consistent
+    but breaks (P), so it is no profile."""
+    return Profile(
+        k,
+        tuple(
+            s if s.b.bit_count() > s.a.bit_count() else star(s)
+            for s in enumerate_separations(g, k)
+        ),
+    )
+
+
+def test_pipeline_profiles_drops_non_robust_and_non_principal_members(graphs):
+    # Every regular profile of a graph met so far is robust and principal
+    # (ROADMAP item 4), so each filter is pinned on an orientation instead.
+    claw = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    p = larger_side_last(claw, 2)
+    assert profile_flags(claw, p) == ProfileFlags(regular=True, robust=True, principal=False)
+    assert pipeline_profiles(claw, [p]) == (p,)
+    assert pipeline_profiles(claw, [p], principal=True) == ()
+    path = graphs["FIX_P4"]
+    q = larger_side_last(path, 3)
+    assert profile_flags(path, q) == ProfileFlags(regular=True, robust=False, principal=True)
+    assert pipeline_profiles(path, [q]) == ()
 
 
 def test_principal_implies_regular(graphs):

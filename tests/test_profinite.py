@@ -111,6 +111,7 @@ def test_inverse_limits_restricted_to_one_separation_family(graphs):
 
 def test_every_random_system_has_a_limit():
     for sys_, _fams in random_inverse_systems(seed=3, count=10):
+        assert validate_inverse_system(sys_).ok  # valid by construction
         assert inverse_limits(sys_)
 
 

@@ -254,7 +254,7 @@ def test_indistinguishable_profiles_rejected(graphs):
     k1 = [p for p in enumerate_k_profiles(g, 1) if p.is_regular(g)]
     k2 = [p for p in enumerate_k_profiles(g, 2) if p.is_regular(g)]
     with pytest.raises(PreconditionError):
-        canonical_nested_separators(g, [k1[0], k2[0]], check_flags=False)
+        canonical_nested_separators(g, [k1[0], k2[0]])
 
 
 def test_equivariance_under_automorphism_and_relabelling(graphs):
@@ -302,7 +302,7 @@ def test_thin_splinter_output_against_transversal_enumeration(graphs):
 
 
 def test_triangle_ring_pipeline(triring, triring_profiles):
-    res = canonical_nested_separators(triring, triring_profiles, check_flags=False)
+    res = canonical_nested_separators(triring, triring_profiles)
     assert [vertices_of(x) for x in res.separators] == [
         (0, 2),
         (3, 5),
@@ -316,7 +316,7 @@ def test_triangle_ring_pipeline(triring, triring_profiles):
 def test_separator_corner_oracle_returns_corners(triring, triring_profiles):
     from tangleforge.splinter import is_corner
 
-    data = build_separator_instance(triring, triring_profiles, check_flags=False)
+    data = build_separator_instance(triring, triring_profiles)
     inst = data.instance
     exercised = 0
     for ka, kb in itertools.combinations(inst.family_keys(), 2):
@@ -376,7 +376,7 @@ def test_output_efficiency_matches_brute_force(graphs, triring, triring_profiles
         (triring, triring_profiles),
     ]
     for g, profs in cases:
-        res = canonical_nested_separators(g, profs, check_flags=False)
+        res = canonical_nested_separators(g, profs)
         out = separators_to_separations(g, res.separators, profs)
         for x, y in itertools.combinations(out, 2):
             assert is_nested(x, y)
@@ -392,7 +392,7 @@ def test_pendant_ring_exercises_component_grouping(triring_pendant, triring_pend
     same separator."""
     g = triring_pendant
     profs = triring_pendant_profiles
-    res = canonical_nested_separators(g, profs, check_flags=False)
+    res = canonical_nested_separators(g, profs)
     out = separators_to_separations(g, res.separators, profs)
     by_separator = {}
     for s in out:
@@ -408,7 +408,7 @@ def test_two_level_pipeline_on_doubled_bridge_ring(k5ring, k5ring_profiles):
     construction must respect the level-2 choices when picking level 3, and
     the emission loop mixes separator sizes."""
     g = k5ring
-    data = build_separator_instance(g, k5ring_profiles, check_flags=False)
+    data = build_separator_instance(g, k5ring_profiles)
     orders = sorted(set(data.orders.values()))
     assert orders == [2, 3]
     inst = data.instance
@@ -422,7 +422,7 @@ def test_two_level_pipeline_on_doubled_bridge_ring(k5ring, k5ring_profiles):
                     cross_level += 1
     assert cross_level > 0  # property (2) of the hypothesis check is live
 
-    res = canonical_nested_separators(g, k5ring_profiles, check_flags=False)
+    res = canonical_nested_separators(g, k5ring_profiles)
     assert [vertices_of(x) for x in res.separators] == [
         (0, 9),
         (10, 12),

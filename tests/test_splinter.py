@@ -267,7 +267,7 @@ def test_both_engines_on_the_same_distinguisher_data(graphs):
     for x, y in itertools.combinations(picks, 2):
         assert is_nested(x, y)
 
-    inst = build_separator_instance(g, profs, check_flags=False).instance
+    inst = build_separator_instance(g, profs).instance
     res = thin_splinter(inst)
     for fam in inst.families.values():
         assert fam & set(res.nested_set)
@@ -278,7 +278,7 @@ def test_property3_corner_has_strictly_lower_crossing_number(triring, triring_pr
     admit corners whose level crossing number strictly drops."""
     from tangleforge.separators import build_separator_instance
 
-    inst = build_separator_instance(triring, triring_profiles, check_flags=False).instance
+    inst = build_separator_instance(triring, triring_profiles).instance
     keys = inst.family_keys()
     exercised = 0
     for ki, kj in itertools.combinations(keys, 2):

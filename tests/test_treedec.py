@@ -19,7 +19,7 @@ from tangleforge.profiles import (
     distinguishes,
     efficient_distinguishers,
     enumerate_k_profiles,
-    profile_flags,
+    pipeline_profiles,
 )
 from tangleforge.treedec import (
     build_totd,
@@ -215,12 +215,7 @@ def test_torso_completes_adhesion_sets(graphs):
 # trees of tree-decompositions
 
 def totd_profiles(g):
-    out = []
-    for p in enumerate_k_profiles(g, 2):
-        flags = profile_flags(g, p)
-        if flags.regular and flags.robust and flags.principal:
-            out.append(p)
-    return out
+    return pipeline_profiles(g, enumerate_k_profiles(g, 2), principal=True)
 
 
 def test_build_totd_two_k4(graphs):
@@ -285,7 +280,7 @@ def test_totd_distinguishes_every_pair(graphs):
 
 
 def test_totd_on_triangle_ring(triring, triring_profiles):
-    totd = build_totd(triring, triring_profiles, check_flags=False)
+    totd = build_totd(triring, triring_profiles)
     # separators have size 2, so levels run to depth 2 with the real
     # decompositions at depth 1
     assert max(totd.depth.values()) == 2
