@@ -22,6 +22,7 @@ from .core import (
     all_separations,
     enumerate_separations,
     graph_to_json,
+    graph_universe,
     mask_of,
     separation_to_json,
     vertices_of,
@@ -242,9 +243,10 @@ def cmd_distinguish(args, cfg):
 
 def cmd_splinter(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
-    from .core import graph_universe
-
-    profs = _pipeline_profiles(g, k, cfg)
+    profs = enumerate_k_profiles(g, k, max_sk=cfg.max_sk, max_n=cfg.max_n, max_k=cfg.max_k)
+    # the robustness scan and the splinter universe share one all_separations
+    universe = all_separations(g) if any(p.is_regular(g) for p in profs) else None
+    profs = pipeline_profiles(g, profs, universe=universe)
     fams = []
     fam_pairs = []
     for i, j in itertools.combinations(range(len(profs)), 2):
@@ -254,7 +256,7 @@ def cmd_splinter(args, cfg):
             fam_pairs.append([i, j])
     if not fams:
         return {"graph": label, "k": k, "families": 0, "transversal": []}
-    fam_obj = FiniteSplinterFamily(graph_universe(g), tuple(fams))
+    fam_obj = FiniteSplinterFamily(graph_universe(g, separations=universe), tuple(fams))
     ok, witness = splinters_check(fam_obj)
     if not ok:
         raise HypothesisError("distinguisher families do not splinter", witness=witness)

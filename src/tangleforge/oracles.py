@@ -17,6 +17,7 @@ from .core import (
     star,
     vertices_of,
 )
+from .errors import CertificationError, HypothesisError
 
 
 def brute_separations(g: Graph, k: int) -> tuple[Separation, ...]:
@@ -236,3 +237,135 @@ def brute_system_violations(sys) -> list:
                     if frp[x] != fqp[frq[x]]:
                         violations.append(("compatibility", (r, q, p, x)))
     return violations
+
+
+def _crossing_number(inst, a, k: int) -> int:
+    level = set()
+    for key, fam in inst.families.items():
+        if inst.orders[key] == k:
+            level |= fam
+    return sum(1 for x in level if not inst.nested(a, x))
+
+
+def _is_corner(inst, c, a, b) -> bool:
+    union = frozenset().union(*inst.families.values())
+    for x in union:
+        if not inst.nested(x, c) and inst.nested(x, a) and inst.nested(x, b):
+            return False
+    return True
+
+
+def brute_thin_splinter_report(inst) -> tuple[list, dict]:
+    """(violations, max_crossing) of the three thin-splinter properties,
+    with every crossing number and corner test re-evaluated through
+    `inst.nested` on each use; the list is in the order the production
+    check reports it."""
+    violations = []
+    max_crossing = {}
+    keys = sorted(inst.families, key=repr)
+    levels = sorted({inst.orders[k] for k in keys})
+    union = frozenset().union(*inst.families.values()) if inst.families else frozenset()
+    for k in levels:
+        max_crossing[k] = max((_crossing_number(inst, a, k) for a in union), default=0)
+
+    def oracle_check(a, b, key):
+        if inst.corner_oracle is None:
+            return
+        c = inst.corner_oracle(a, b, key)
+        if c is not None and not _is_corner(inst, c, a, b):
+            violations.append(("corner-oracle", (a, b, key, c)))
+
+    for ki in keys:
+        for kj in keys:
+            oi, oj = inst.orders[ki], inst.orders[kj]
+            if oi < oj:
+                for a in inst.families[ki]:
+                    for b in inst.families[kj]:
+                        if inst.nested(a, b):
+                            continue
+                        good = any(
+                            inst.nested(c, a) and _is_corner(inst, c, a, b)
+                            for c in inst.families[kj]
+                        )
+                        if not good:
+                            violations.append(("property-2", (ki, kj, a, b)))
+                        oracle_check(a, b, kj)
+            elif oi == oj and repr(ki) < repr(kj):
+                k = oi
+                for a in inst.families[ki]:
+                    for b in inst.families[kj]:
+                        if inst.nested(a, b):
+                            continue
+                        cn_a = _crossing_number(inst, a, k)
+                        cn_b = _crossing_number(inst, b, k)
+                        good = any(
+                            _crossing_number(inst, c, k) < cn_a and _is_corner(inst, c, a, b)
+                            for c in inst.families[ki]
+                        ) or any(
+                            _crossing_number(inst, c, k) < cn_b and _is_corner(inst, c, a, b)
+                            for c in inst.families[kj]
+                        )
+                        if not good:
+                            violations.append(("property-3", (ki, kj, a, b)))
+                        oracle_check(a, b, ki)
+    for ki in keys:
+        k = inst.orders[ki]
+        fam = sorted(inst.families[ki], key=repr)
+        for ia, a in enumerate(fam):
+            for b in fam[ia + 1 :]:
+                if inst.nested(a, b):
+                    continue
+                cn_a = _crossing_number(inst, a, k)
+                cn_b = _crossing_number(inst, b, k)
+                good = any(
+                    (_crossing_number(inst, c, k) < max(cn_a, cn_b))
+                    and _is_corner(inst, c, a, b)
+                    for c in inst.families[ki]
+                )
+                if not good:
+                    violations.append(("property-3", (ki, ki, a, b)))
+    return violations, max_crossing
+
+
+def brute_thin_splinter(inst) -> tuple[tuple, tuple]:
+    """The levelwise thin splinter straight from its definition: (nested
+    set, ((k, added), ...)). Raises HypothesisError or CertificationError
+    with the same message and witness as the production engine."""
+    violations, _ = brute_thin_splinter_report(inst)
+    if violations:
+        raise HypothesisError(
+            "instance does not thinly splinter", witness=tuple(violations[:3])
+        )
+    rank = {x: i for i, x in enumerate(inst.elements)}
+    keys = sorted(inst.families, key=repr)
+    nested_set: list = []
+    levels = []
+    for k in sorted({inst.orders[key] for key in keys}):
+        added = set()
+        for key in keys:
+            if inst.orders[key] != k:
+                continue
+            candidates = [
+                a
+                for a in sorted(inst.families[key], key=rank.__getitem__)
+                if all(inst.nested(a, x) for x in nested_set)
+            ]
+            if not candidates:
+                raise HypothesisError(
+                    f"family {key!r} has no element nested with the set built "
+                    "so far; the thin-splinter hypotheses cannot hold",
+                    witness=key,
+                )
+            best = min(_crossing_number(inst, a, k) for a in candidates)
+            added.update(a for a in candidates if _crossing_number(inst, a, k) == best)
+        new = [a for a in sorted(added, key=rank.__getitem__) if a not in nested_set]
+        levels.append((k, tuple(new)))
+        nested_set.extend(new)
+    for i, x in enumerate(nested_set):
+        for y in nested_set[i + 1 :]:
+            if not inst.nested(x, y):
+                raise CertificationError(f"thin splinter output not nested: {x!r} vs {y!r}")
+    for key in keys:
+        if not inst.families[key] & set(nested_set):
+            raise CertificationError(f"thin splinter output misses family {key!r}")
+    return tuple(nested_set), tuple(levels)

@@ -265,15 +265,19 @@ def profile_flags(g: Graph, p: Profile, universe=None) -> ProfileFlags:
     )
 
 
-def pipeline_profiles(g: Graph, profiles, principal: bool = False) -> tuple[Profile, ...]:
+def pipeline_profiles(
+    g: Graph, profiles, principal: bool = False, universe=None
+) -> tuple[Profile, ...]:
     """The members of `profiles` that the separator pipeline runs on, in
     input order: the regular robust ones, and with `principal` only the
-    principal ones among those. The universe of g is built once, and only
-    when some profile is regular."""
+    principal ones among those. Robustness is scanned over `universe`
+    (`all_separations(g)`), which is built here, once and only when some
+    profile is regular, unless the caller passes it."""
     regular = [p for p in profiles if p.is_regular(g)]
     if not regular:
         return ()
-    universe = all_separations(g)
+    if universe is None:
+        universe = all_separations(g)
     return tuple(
         p
         for p in regular

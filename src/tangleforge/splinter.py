@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .core import UniverseView
+from .core import UniverseView, iter_bits, mask_of
 from .errors import CertificationError, HypothesisError, PreconditionError
 
 
@@ -151,9 +151,11 @@ class SplinterInstance:
 
     elements: the ground set, in the deterministic order used for output
     assembly. families maps an index key to a non-empty subset; orders maps
-    the same keys to non-negative integers. nested is a reflexive symmetric
-    predicate on elements. corner_oracle, when present, is advisory: the
-    engine never calls it, the hypothesis checker uses it for diagnostics.
+    the same keys to non-negative integers. nested is a reflexive predicate
+    on elements, symmetric on the instances the lemma is about; it is read
+    once per ordered pair (see `crossing_table`). corner_oracle, when
+    present, is advisory: the engine never calls it, the hypothesis checker
+    uses it for diagnostics.
     """
 
     elements: tuple
@@ -209,22 +211,71 @@ def crossing_number(inst: SplinterInstance, a, k: int) -> int:
     return sum(1 for x in level if inst.crosses(a, x))
 
 
-def crossing_profile(inst: SplinterInstance) -> dict:
-    """The full table of crossing counts: (element, level) -> number of
-    level members crossing the element. Zero rows are included so that
-    'nested with everything at level k' is visible as an explicit 0."""
-    levels = sorted({inst.orders[k] for k in inst.families})
-    return {
-        (a, k): crossing_number(inst, a, k) for a in inst.elements for k in levels
-    }
-
-
 def is_corner(inst: SplinterInstance, c, a, b) -> bool:
     """c is a corner of a and b: every element crossing c crosses a or b."""
     for x in inst.union():
         if inst.crosses(x, c) and not (inst.crosses(x, a) or inst.crosses(x, b)):
             return False
     return True
+
+
+@dataclass(frozen=True)
+class CrossingTable:
+    """The crossing relation of an instance as bitmasks over element
+    indices, filled with one `nested` call per ordered pair of elements.
+
+    Bit j of rows[i] is set when e_i crosses e_j (not nested(e_i, e_j));
+    bit i of cols[j] records the same pair from the other end. The relation
+    need not be symmetric, so both are kept. fams maps each family key to
+    the mask of its members, levels each order to the union of its
+    families, and union is the union of all families.
+    """
+
+    index: dict
+    rows: tuple
+    cols: tuple
+    fams: dict
+    levels: dict
+    union: int
+
+    def crossing_number(self, i: int, k: int) -> int:
+        return (self.rows[i] & self.levels[k]).bit_count()
+
+    def outside(self, a: int, b: int) -> int:
+        """Family members crossing neither a nor b: a corner of a and b
+        is crossed by none of them."""
+        return self.union & ~(self.cols[a] | self.cols[b])
+
+
+def crossing_table(inst: SplinterInstance) -> CrossingTable:
+    """The crossing table of inst, from |E|² calls to `inst.nested`."""
+    index = {x: i for i, x in enumerate(inst.elements)}
+    rows = [0] * len(inst.elements)
+    cols = [0] * len(inst.elements)
+    for i, a in enumerate(inst.elements):
+        for j, b in enumerate(inst.elements):
+            if not inst.nested(a, b):
+                rows[i] |= 1 << j
+                cols[j] |= 1 << i
+    fams = {key: mask_of(index[x] for x in fam) for key, fam in inst.families.items()}
+    levels: dict = {}
+    union = 0
+    for key, m in fams.items():
+        levels[inst.orders[key]] = levels.get(inst.orders[key], 0) | m
+        union |= m
+    return CrossingTable(index, tuple(rows), tuple(cols), fams, levels, union)
+
+
+def crossing_profile(inst: SplinterInstance) -> dict:
+    """The full table of crossing counts: (element, level) -> number of
+    level members crossing the element. Zero rows are included so that
+    'nested with everything at level k' is visible as an explicit 0."""
+    t = crossing_table(inst)
+    return {
+        (a, k): t.crossing_number(t.index[a], k)
+        for a in inst.elements
+        for k in sorted(t.levels)
+    }
 
 
 @dataclass
@@ -237,7 +288,9 @@ class ThinSplinterReport:
         return not self.violations
 
 
-def thinly_splinters_check(inst: SplinterInstance) -> ThinSplinterReport:
+def thinly_splinters_check(
+    inst: SplinterInstance, table: Optional[CrossingTable] = None
+) -> ThinSplinterReport:
     """Verify the three thin-splinter properties.
 
     (1) is finiteness of crossing numbers, trivially true here; the maxima
@@ -245,21 +298,34 @@ def thinly_splinters_check(inst: SplinterInstance) -> ThinSplinterReport:
     higher family nested with the lower element. (3): crossing same-level
     pairs admit a corner in one of the two families with strictly lower
     crossing number at that level than the corresponding input.
+
+    Every pair is checked, against the instance's crossing table (built
+    here unless `table` is that of `inst`). A corner oracle answers with a
+    member of the family it is asked about, or None.
     """
+    t = crossing_table(inst) if table is None else table
+    index, rows, cols = t.index, t.rows, t.cols
     rep = ThinSplinterReport()
     keys = inst.family_keys()
-    levels = sorted({inst.orders[k] for k in keys})
-    union = inst.union()
-    for k in levels:
-        rep.max_crossing[k] = max(
-            (crossing_number(inst, a, k) for a in union), default=0
-        )
+    crossing = {
+        k: [t.crossing_number(i, k) for i in range(len(rows))] for k in sorted(t.levels)
+    }
+    for k, cn in crossing.items():
+        rep.max_crossing[k] = max(cn[i] for i in iter_bits(t.union))
+
+    members = {key: [index[x] for x in inst.families[key]] for key in keys}
+
+    def corners(key, a, b):
+        """Indices of the members of family `key` that are corners of the
+        elements indexed a and b."""
+        out = t.outside(a, b)
+        return [c for c in members[key] if not cols[c] & out]
 
     def oracle_check(a, b, key):
         if inst.corner_oracle is None:
             return
         c = inst.corner_oracle(a, b, key)
-        if c is not None and not is_corner(inst, c, a, b):
+        if c is not None and cols[index[c]] & t.outside(index[a], index[b]):
             rep.violations.append(("corner-oracle", (a, b, key, c)))
 
     for ki in keys:
@@ -267,50 +333,40 @@ def thinly_splinters_check(inst: SplinterInstance) -> ThinSplinterReport:
             oi, oj = inst.orders[ki], inst.orders[kj]
             if oi < oj:
                 for a in inst.families[ki]:
+                    ia = index[a]
                     for b in inst.families[kj]:
-                        if inst.nested(a, b):
+                        ib = index[b]
+                        if not rows[ia] >> ib & 1:
                             continue
-                        good = any(
-                            inst.nested(c, a) and is_corner(inst, c, a, b)
-                            for c in inst.families[kj]
-                        )
-                        if not good:
+                        if not any(not cols[ia] >> c & 1 for c in corners(kj, ia, ib)):
                             rep.violations.append(("property-2", (ki, kj, a, b)))
                         oracle_check(a, b, kj)
             elif oi == oj and repr(ki) < repr(kj):
-                k = oi
+                cn = crossing[oi]
                 for a in inst.families[ki]:
+                    ia = index[a]
                     for b in inst.families[kj]:
-                        if inst.nested(a, b):
+                        ib = index[b]
+                        if not rows[ia] >> ib & 1:
                             continue
-                        cn_a = crossing_number(inst, a, k)
-                        cn_b = crossing_number(inst, b, k)
-                        good = any(
-                            crossing_number(inst, c, k) < cn_a and is_corner(inst, c, a, b)
-                            for c in inst.families[ki]
-                        ) or any(
-                            crossing_number(inst, c, k) < cn_b and is_corner(inst, c, a, b)
-                            for c in inst.families[kj]
+                        good = any(cn[c] < cn[ia] for c in corners(ki, ia, ib)) or any(
+                            cn[c] < cn[ib] for c in corners(kj, ia, ib)
                         )
                         if not good:
                             rep.violations.append(("property-3", (ki, kj, a, b)))
                         oracle_check(a, b, ki)
     # same-level crossings inside one family also fall under property 3
     for ki in keys:
-        k = inst.orders[ki]
+        cn = crossing[inst.orders[ki]]
         fam = sorted(inst.families[ki], key=repr)
-        for ia, a in enumerate(fam):
-            for b in fam[ia + 1 :]:
-                if inst.nested(a, b):
+        for pos, a in enumerate(fam):
+            ia = index[a]
+            for b in fam[pos + 1 :]:
+                ib = index[b]
+                if not rows[ia] >> ib & 1:
                     continue
-                cn_a = crossing_number(inst, a, k)
-                cn_b = crossing_number(inst, b, k)
-                good = any(
-                    (crossing_number(inst, c, k) < max(cn_a, cn_b))
-                    and is_corner(inst, c, a, b)
-                    for c in inst.families[ki]
-                )
-                if not good:
+                worst = max(cn[ia], cn[ib])
+                if not any(cn[c] < worst for c in corners(ki, ia, ib)):
                     rep.violations.append(("property-3", (ki, ki, a, b)))
     return rep
 
@@ -337,24 +393,26 @@ def thin_splinter(inst: SplinterInstance) -> ThinSplinterResult:
     hypotheses are checked first, and the output is certified (pairwise
     nested, meets every family, levels monotone) before return.
     """
-    rep = thinly_splinters_check(inst)
+    table = crossing_table(inst)
+    rep = thinly_splinters_check(inst, table)
     if not rep.ok:
         raise HypothesisError(
             "instance does not thinly splinter", witness=tuple(rep.violations[:3])
         )
-    rank = {x: i for i, x in enumerate(inst.elements)}
+    index, rows = table.index, table.rows
     keys = inst.family_keys()
     nested_set: list = []
+    built = 0  # mask of nested_set
     levels = []
-    for k in sorted({inst.orders[key] for key in keys}):
+    for k in sorted(table.levels):
         added = set()
         for key in keys:
             if inst.orders[key] != k:
                 continue
             candidates = [
                 a
-                for a in sorted(inst.families[key], key=rank.__getitem__)
-                if all(inst.nested(a, x) for x in nested_set)
+                for a in sorted(inst.families[key], key=index.__getitem__)
+                if not rows[index[a]] & built
             ]
             if not candidates:
                 raise HypothesisError(
@@ -362,19 +420,19 @@ def thin_splinter(inst: SplinterInstance) -> ThinSplinterResult:
                     "so far; the thin-splinter hypotheses cannot hold",
                     witness=key,
                 )
-            best = min(crossing_number(inst, a, k) for a in candidates)
-            added.update(
-                a for a in candidates if crossing_number(inst, a, k) == best
-            )
-        new = [a for a in sorted(added, key=rank.__getitem__) if a not in nested_set]
+            cn = {a: table.crossing_number(index[a], k) for a in candidates}
+            best = min(cn.values())
+            added.update(a for a in candidates if cn[a] == best)
+        new = [a for a in sorted(added, key=index.__getitem__) if not built >> index[a] & 1]
         levels.append(ThinSplinterLevel(k, tuple(new)))
         nested_set.extend(new)
+        built |= mask_of(index[a] for a in new)
 
     for i, x in enumerate(nested_set):
         for y in nested_set[i + 1 :]:
-            if not inst.nested(x, y):
+            if rows[index[x]] >> index[y] & 1:
                 raise CertificationError(f"thin splinter output not nested: {x!r} vs {y!r}")
     for key in keys:
-        if not inst.families[key] & set(nested_set):
+        if not table.fams[key] & built:
             raise CertificationError(f"thin splinter output misses family {key!r}")
     return ThinSplinterResult(tuple(nested_set), tuple(levels))

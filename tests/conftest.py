@@ -2,6 +2,7 @@ import os
 import sys
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -11,6 +12,11 @@ from tangleforge.profiles import (  # noqa: E402
     enumerate_k_profiles,
     pipeline_profiles,
 )
+
+# Every property test draws the same examples on every run and writes no
+# example database; each test sets only its own max_examples.
+settings.register_profile("tangleforge", deadline=None, derandomize=True, database=None)
+settings.load_profile("tangleforge")
 
 
 @pytest.fixture(scope="session")

@@ -157,6 +157,26 @@ def test_golden_output_digest(spec, code, digest, capsys, monkeypatch):
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
+def test_splinter_builds_the_universe_once(capsys, monkeypatch):
+    """The robustness scan and the splinter universe share one
+    all_separations per splinter job."""
+    from tangleforge import core, profiles
+
+    calls = []
+    real = core.all_separations
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    for module in (core, profiles, cli_module):
+        monkeypatch.setattr(module, "all_separations", counted)
+    code, out = run_cli(["splinter", "--fixture", "FIX_2K4", "--k", "2"], capsys)
+    assert code == 0, out
+    assert json.loads(out)["result"]["families"] > 0
+    assert len(calls) == 1
+
+
 def test_dot_rejected_elsewhere(capsys):
     code, _ = run_cli(["profiles", "--fixture", "FIX_P4", "--k", "2", "--format", "dot"], capsys)
     assert code == 2

@@ -132,7 +132,7 @@ def pipeline(g, k):
     return set(nested.separators), set(seps), levels
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(connected_graphs())
 @example((triangle_ring3(), 3, {v: 8 - v for v in range(9)}))
 @example((triangle_ring3(), 3, {v: (v + 1) % 9 for v in range(9)}))

@@ -95,7 +95,7 @@ def small_graphs(draw, max_n=7):
     return Graph.from_edges(n, edges), draw(st.integers(1, 3))
 
 
-DIFFERENTIAL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+DIFFERENTIAL = settings(max_examples=60)
 
 
 @DIFFERENTIAL

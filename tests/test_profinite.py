@@ -273,13 +273,13 @@ def restriction_systems(draw):
     return draw(maybe_altered(graph_restriction_system(g, masks), outside=Separation(0, 0)))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(random_candidates())
 def test_validation_matches_oracle_on_random_candidates(sys_):
     assert_same_violations(sys_)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(restriction_systems())
 def test_validation_matches_oracle_on_restriction_systems(sys_):
     assert_same_violations(sys_)

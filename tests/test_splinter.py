@@ -1,19 +1,24 @@
 """Both splinter engines: the finite fix-and-restrict algorithm and the
 canonical levelwise thin splinter, plus their hypothesis checkers."""
 
+import dataclasses
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tangleforge import oracles
 from tangleforge.core import (
+    Graph,
     Separation,
     canonical,
     graph_universe,
     mask_of,
 )
-from tangleforge.errors import HypothesisError, PreconditionError
-from tangleforge.profiles import efficient_distinguishers, enumerate_k_profiles
+from tangleforge.errors import HypothesisError, PreconditionError, TangleforgeError
+from tangleforge.profiles import efficient_distinguishers, enumerate_k_profiles, pipeline_profiles
+from tangleforge.separators import build_separator_instance
 from tangleforge.splinter import (
     FiniteSplinterFamily,
     SplinterInstance,
@@ -256,7 +261,6 @@ def test_both_engines_on_the_same_distinguisher_data(graphs):
     """The two-K4 distinguisher families both splinter and thinly splinter;
     each engine returns a valid nested transversal of its own formulation."""
     from tangleforge.core import is_nested
-    from tangleforge.separators import build_separator_instance
 
     g = graphs["FIX_2K4"]
     profs = [p for p in enumerate_k_profiles(g, 2) if p.is_regular(g)]
@@ -276,8 +280,6 @@ def test_both_engines_on_the_same_distinguisher_data(graphs):
 def test_property3_corner_has_strictly_lower_crossing_number(triring, triring_profiles):
     """On the triangle ring separator instance, crossing same-level pairs
     admit corners whose level crossing number strictly drops."""
-    from tangleforge.separators import build_separator_instance
-
     inst = build_separator_instance(triring, triring_profiles).instance
     keys = inst.family_keys()
     exercised = 0
@@ -302,3 +304,100 @@ def test_property3_corner_has_strictly_lower_crossing_number(triring, triring_pr
                 )
                 exercised += 1
     assert exercised > 0
+
+
+# ---------------------------------------------------------------------------
+# the tabulated check and engine against the per-call definitions
+
+
+@st.composite
+def thin_instances(draw):
+    """A random instance: at most 10 elements, a reflexive nestedness
+    relation that need not be symmetric, 1 to 4 families with orders in
+    0..3 under int and tuple keys, and sometimes a corner oracle that
+    answers with a family member or None."""
+    n = draw(st.integers(1, 10))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    crossing = set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n))) if pairs else set()
+    if draw(st.booleans()):
+        crossing |= {(b, a) for a, b in crossing}
+    keys = draw(
+        st.lists(
+            st.one_of(st.integers(0, 5), st.tuples(st.integers(0, 3), st.integers(0, 3))),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    families = {key: draw(st.sets(st.integers(0, n - 1), min_size=1)) for key in keys}
+    orders = {key: draw(st.integers(0, 3)) for key in keys}
+
+    def corner_oracle(a, b, key):
+        members = sorted(families[key])
+        pick = (7 * a + b) % (len(members) + 1)
+        return members[pick] if pick < len(members) else None
+
+    return SplinterInstance(
+        elements=tuple(range(n)),
+        families=families,
+        orders=orders,
+        nested=lambda a, b: (a, b) not in crossing,
+        corner_oracle=corner_oracle if draw(st.booleans()) else None,
+    )
+
+
+def one_way_instance():
+    """b crosses a but a is nested with b. The check tests that pair from
+    the lower level and passes; the engine then finds no member of the
+    upper family nested with a."""
+    return SplinterInstance(
+        elements=("a", "b"),
+        families={"low": {"a"}, "high": {"b"}},
+        orders={"low": 0, "high": 1},
+        nested=lambda x, y: (x, y) != ("b", "a"),
+    )
+
+
+def outcome(run, inst):
+    """What a run of an engine on inst ends in: its result or its error."""
+    try:
+        return run(inst)
+    except TangleforgeError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+@settings(max_examples=300)
+@given(thin_instances())
+@example(chain_instance())
+@example(crossing_instance())
+@example(cornerless_instance())
+@example(one_way_instance())
+def test_tabulated_thin_splinter_matches_oracle(inst):
+    rep = thinly_splinters_check(inst)
+    violations, max_crossing = oracles.brute_thin_splinter_report(inst)
+    assert rep.violations == violations
+    assert rep.max_crossing == max_crossing
+
+    def engine(i):
+        res = thin_splinter(i)
+        return res.nested_set, tuple((lv.k, lv.added) for lv in res.levels)
+
+    assert outcome(engine, inst) == outcome(oracles.brute_thin_splinter, inst)
+
+
+def test_thin_splinter_calls_nested_once_per_ordered_pair():
+    """The check and the engine share one crossing table, filled with one
+    `nested` call per ordered pair of elements."""
+    edges = [(3 * i + a, 3 * i + b) for i in range(3) for a, b in ((0, 1), (1, 2), (0, 2))]
+    g = Graph.from_edges(9, edges + [(2, 3), (5, 6), (8, 0)])
+    inst = build_separator_instance(g, pipeline_profiles(g, enumerate_k_profiles(g, 3))).instance
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return inst.nested(a, b)
+
+    thin_splinter(dataclasses.replace(inst, nested=counted))
+    assert len(inst.elements) == 12
+    assert calls == len(inst.elements) ** 2
