@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .core import (
     Graph,
     Separation,
-    all_separations,
     enumerate_separations,
     graph_to_json,
     graph_universe,
@@ -133,9 +132,11 @@ def read_graph(spec: str) -> tuple[int, list]:
         obj = _parse_json(text, spec)
         if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
             raise InputError(f"{spec}: graph JSON needs 'n' and 'edges'")
+        n = obj["n"]
+        require(type(n) is int, f"{spec}: graph JSON 'n' must be an integer, got {n!r}")
         try:
-            return int(obj["n"]), [tuple(e) for e in obj["edges"]]
-        except (ValueError, TypeError) as exc:
+            return n, [tuple(e) for e in obj["edges"]]
+        except TypeError as exc:
             raise InputError(f"{spec}: {exc}") from exc
     edges = []
     max_v = -1
@@ -205,10 +206,9 @@ def cmd_separations(args, cfg):
 def cmd_profiles(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
     profs = enumerate_k_profiles(g, k, max_sk=cfg.max_sk, max_n=cfg.max_n, max_k=cfg.max_k)
-    universe = all_separations(g) if profs else None
     entries = []
     for p in profs:
-        flags = profile_flags(g, p, universe=universe)
+        flags = profile_flags(g, p)
         entry = p.to_json()
         entry["flags"] = {
             "regular": flags.regular,
@@ -243,10 +243,7 @@ def cmd_distinguish(args, cfg):
 
 def cmd_splinter(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
-    profs = enumerate_k_profiles(g, k, max_sk=cfg.max_sk, max_n=cfg.max_n, max_k=cfg.max_k)
-    # the robustness scan and the splinter universe share one all_separations
-    universe = all_separations(g) if any(p.is_regular(g) for p in profs) else None
-    profs = pipeline_profiles(g, profs, universe=universe)
+    profs = _pipeline_profiles(g, k, cfg)
     fams = []
     fam_pairs = []
     for i, j in itertools.combinations(range(len(profs)), 2):
@@ -256,7 +253,7 @@ def cmd_splinter(args, cfg):
             fam_pairs.append([i, j])
     if not fams:
         return {"graph": label, "k": k, "families": 0, "transversal": []}
-    fam_obj = FiniteSplinterFamily(graph_universe(g, separations=universe), tuple(fams))
+    fam_obj = FiniteSplinterFamily(graph_universe(g, max_order=k - 1), tuple(fams))
     ok, witness = splinters_check(fam_obj)
     if not ok:
         raise HypothesisError("distinguisher families do not splinter", witness=witness)

@@ -342,17 +342,14 @@ class UniverseView:
         return {x: i for i, x in enumerate(self.elements)}
 
 
-def graph_universe(
-    g: Graph, max_order: Optional[int] = None, name: str = "", separations=None
-) -> UniverseView:
+def graph_universe(g: Graph, max_order: Optional[int] = None, name: str = "") -> UniverseView:
     """The universe of separations of g, optionally truncated to order ≤ max_order.
 
     The untruncated universe is closed under joins and meets; a truncated one
-    is not (the operations still compute the ambient result). It is built
-    from `separations` (`all_separations(g)`) when the caller has it.
+    is not (the operations still compute the ambient result).
     """
     if max_order is None or max_order >= g.num_vertices:
-        elems = all_separations(g) if separations is None else separations
+        elems = all_separations(g)
         closed = True
     else:
         elems = enumerate_separations(

@@ -11,6 +11,7 @@ from .core import (
     Graph,
     Separation,
     canonical,
+    join,
     leq,
     meet,
     sep_sort_key,
@@ -106,6 +107,25 @@ def brute_profiles(g: Graph, k: int, scan_cap: int = 26) -> tuple[tuple[Separati
 
         rec(0)
     return tuple(sorted(results))
+
+
+def brute_is_robust(g: Graph, chosen) -> bool:
+    """Robustness of an orientation by its definition: no member r and
+    separation t of any order have |r ∨ t| < |r| and |r ∨ t*| < |r| with
+    neither join a member, scanned over every separation of the graph."""
+    members = set(chosen)
+    universe = brute_separations(g, g.num_vertices + 1)
+    for r in chosen:
+        for t in universe:
+            j1, j2 = join(r, t), join(r, star(t))
+            if (
+                j1.order < r.order
+                and j2.order < r.order
+                and j1 not in members
+                and j2 not in members
+            ):
+                return False
+    return True
 
 
 def brute_distinguishers(g: Graph, p_members, q_members) -> tuple[Separation, ...]:

@@ -9,7 +9,6 @@ from typing import Optional
 from .core import (
     Graph,
     Separation,
-    all_separations,
     canonical,
     enumerate_separations,
     iter_bits,
@@ -219,24 +218,37 @@ class ProfileFlags:
     principal: bool
 
 
-def is_robust(g: Graph, p: Profile, universe=None) -> bool:
-    """Robustness quantified over the whole universe of g (every separation
-    of any order; exact for finite graphs)."""
-    if universe is None:
-        universe = all_separations(g)
-    pairs = [(t.a, t.b) for t in universe]
-    for s in p.chosen:
-        sa, sb = s.a, s.b
-        so = s.order
-        for ta, tb in pairs:
-            # orders of s ∨ t and s ∨ t* without building objects
-            if ((sa | ta) & sb & tb).bit_count() < so and (
-                (sa | tb) & sb & ta
-            ).bit_count() < so:
-                j1 = Separation(sa | ta, sb & tb)
-                j2 = Separation(sa | tb, sb & ta)
-                if p.orients(j1) != j1 and p.orients(j2) != j2:
+def is_robust(g: Graph, p: Profile) -> bool:
+    """Robustness as defined by Diestel, Hundertmark & Lemanczyk, "Profiles
+    of separations: in graphs, matroids and beyond" (Combinatorica 2019): a
+    member r breaks it if some separation t of G has |r ∨ t| < |r| and
+    |r ∨ t*| < |r| while neither join lies in p. Exact, over p's members:
+
+    Lemma. Let r = (A, B), X = A ∩ B and (C, D) = (t.a ∩ B, t.b ∩ B), a
+    separation of G[B]; every separation of G[B] arises so. A breaking
+    r ∨ t = (A ∪ C, D) is x* for some x ∈ p with x* ≥ r and |x| < |r|, so
+    D = x.a, C ∖ A = x.b ∖ A, and C ∩ A lies between X ∖ D and X. So r
+    breaks robustness iff such a choice gives j2 = r ∨ t* = (A ∪ D, C) with
+    |j2| < |r| and j2* ∈ p: at most 2^(k−1) choices per pair of members.
+    `oracles.brute_is_robust` keeps the scan over the whole universe.
+    """
+    for a, b in p.chosen:
+        sep = a & b
+        order = sep.bit_count()
+        for x in p.chosen:
+            if x.order >= order or a & ~x.b or x.a & ~b:
+                continue
+            d, free = x.a, sep & x.a
+            forced = (x.b & ~a) | (sep & ~d)
+            extra = free
+            while True:
+                c = forced | extra
+                j2 = Separation(a | d, c)
+                if j2.order < order and star(j2) in p and not g.neighbours(c & ~d) & d & ~c:
                     return False
+                if not extra:
+                    break
+                extra = (extra - 1) & free
     return True
 
 
@@ -257,31 +269,22 @@ def is_principal(g: Graph, p: Profile) -> bool:
     return True
 
 
-def profile_flags(g: Graph, p: Profile, universe=None) -> ProfileFlags:
+def profile_flags(g: Graph, p: Profile) -> ProfileFlags:
     return ProfileFlags(
         regular=p.is_regular(g),
-        robust=is_robust(g, p, universe=universe),
+        robust=is_robust(g, p),
         principal=is_principal(g, p),
     )
 
 
-def pipeline_profiles(
-    g: Graph, profiles, principal: bool = False, universe=None
-) -> tuple[Profile, ...]:
+def pipeline_profiles(g: Graph, profiles, principal: bool = False) -> tuple[Profile, ...]:
     """The members of `profiles` that the separator pipeline runs on, in
     input order: the regular robust ones, and with `principal` only the
-    principal ones among those. Robustness is scanned over `universe`
-    (`all_separations(g)`), which is built here, once and only when some
-    profile is regular, unless the caller passes it."""
-    regular = [p for p in profiles if p.is_regular(g)]
-    if not regular:
-        return ()
-    if universe is None:
-        universe = all_separations(g)
+    principal ones among those."""
     return tuple(
         p
-        for p in regular
-        if is_robust(g, p, universe=universe) and (not principal or is_principal(g, p))
+        for p in profiles
+        if p.is_regular(g) and is_robust(g, p) and (not principal or is_principal(g, p))
     )
 
 
@@ -347,11 +350,11 @@ def distinguishes(p: Profile, q: Profile, s: Separation) -> bool:
 
 
 def efficient_distinguishers(g: Graph, p: Profile, q: Profile) -> DistinguisherSet:
+    """Minimum-order separations that p and q orient oppositely, read off p."""
     if p == q:
         raise PreconditionError("profiles must differ")
     k = min(p.k, q.k)
-    s_k = enumerate_separations(g, k, max_n=g.n, max_k=max(k, 1))
-    dist = [s for s in s_k if distinguishes(p, q, s)]
+    dist = [canonical(x) for x in p.chosen if x.order < k and star(x) in q]
     if not dist:
         return DistinguisherSet(p, q, None, ())
     best = min(s.order for s in dist)

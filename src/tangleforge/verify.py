@@ -170,7 +170,7 @@ def suite_fish_corner(seed):
 def suite_profile_census(seed):
     for name, fx in FIXTURES.items():
         g = fx.graph
-        # robustness in pipeline_profiles is quantified over this universe
+        # graph_restriction_system builds its point universes with all_separations
         if set(all_separations(g)) != set(oracles.brute_separations(g, g.num_vertices + 1)):
             raise AssertionError(f"{name}: all_separations != brute-force universe")
         for k, (total, regular) in sorted(fx.census.items()):

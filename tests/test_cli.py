@@ -2,8 +2,10 @@
 graph ingestion."""
 
 import hashlib
+import importlib.util
 import json
 import os
+import sys
 
 import jsonschema
 import pytest
@@ -157,24 +159,78 @@ def test_golden_output_digest(spec, code, digest, capsys, monkeypatch):
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
-def test_splinter_builds_the_universe_once(capsys, monkeypatch):
-    """The robustness scan and the splinter universe share one
-    all_separations per splinter job."""
-    from tangleforge import core, profiles
+# three triangles joined into a ring by bridges, the ring_decompose graph of
+# the benchmark
+TRIANGLE_RING3 = {
+    "n": 9,
+    "edges": [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [6, 7], [7, 8], [6, 8],
+              [2, 3], [5, 6], [8, 0]],
+}
+GRAPH_VERBS = [name for name in cli_module.COMMANDS if name not in ("verify", "fixtures")]
+# profinite-splinter runs about 10 s on FIX_GRID33 and on the ring
+COUNTED_JOBS = [
+    (verb, graph)
+    for graph in [*sorted(FIXTURES), "triangle_ring3"]
+    for verb in GRAPH_VERBS
+    if verb != "profinite-splinter" or graph not in ("FIX_GRID33", "triangle_ring3")
+]
 
-    calls = []
-    real = core.all_separations
 
-    def counted(g):
-        calls.append(g)
-        return real(g)
+def count_core_calls(monkeypatch, names) -> dict:
+    """Count calls of the named tangleforge.core functions through every
+    tangleforge module that binds them."""
+    from tangleforge import core
 
-    for module in (core, profiles, cli_module):
-        monkeypatch.setattr(module, "all_separations", counted)
-    code, out = run_cli(["splinter", "--fixture", "FIX_2K4", "--k", "2"], capsys)
-    assert code == 0, out
-    assert json.loads(out)["result"]["families"] > 0
-    assert len(calls) == 1
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(core, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("tangleforge") and (
+                getattr(module, name, None) is real
+            ):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("verb,graph", COUNTED_JOBS, ids=[" ".join(j) for j in COUNTED_JOBS])
+def test_each_job_builds_s_k_once(verb, graph, capsys, monkeypatch, tmp_path):
+    """S_k comes from the profile search and is read off the profiles after
+    it; only profinite-splinter builds whole universes, and splinter builds
+    its truncated universe."""
+    monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
+    if graph == "triangle_ring3":
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(TRIANGLE_RING3))
+        argv = [verb, "--graph", str(path), "--k", "3"]
+    else:
+        argv = [verb, "--fixture", graph]
+    calls = count_core_calls(monkeypatch, ("enumerate_separations", "all_separations"))
+    code, out = run_cli(argv, capsys)
+    assert code in (0, 1), out
+    if (verb, graph) == ("splinter", "FIX_2K4"):
+        assert json.loads(out)["result"]["families"] > 0  # the universe is built
+    assert calls["enumerate_separations"] <= (2 if verb == "splinter" else 1)
+    if verb != "profinite-splinter":
+        assert calls["all_separations"] == 0
+
+
+def test_every_traced_layer_name_is_a_library_callable():
+    """perfbench/spans.py wraps its LAYERS by module attribute, so a name
+    that is gone would drop out of a traced run without an error."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for layer, names in spans.LAYERS.items():
+        module = importlib.import_module(f"tangleforge.{layer}")
+        for name in names:
+            owner = module.Graph if name == "components" else module
+            assert callable(getattr(owner, name, None)), f"tangleforge.{layer}.{name}"
 
 
 def test_dot_rejected_elsewhere(capsys):
@@ -213,6 +269,10 @@ BAD_FILES = {
     "graph-edge-string.json": json.dumps({"n": 4, "edges": [["a", 1]]}),
     "graph-edge-float.json": json.dumps({"n": 4, "edges": [[0.5, 1]]}),
     "graph-n-negative.json": json.dumps({"n": -1, "edges": []}),
+    "graph-n-infinite.json": '{"n": 1e999, "edges": []}',
+    "graph-n-float.json": json.dumps({"n": 4.5, "edges": []}),
+    "graph-n-string.json": json.dumps({"n": "4", "edges": []}),
+    "graph-n-bool.json": json.dumps({"n": True, "edges": []}),
     "instance-list.json": "[]",
     "instance-order.json": json.dumps(
         {"elements": ["a"], "nested": [], "families": [{"members": ["a"], "order": "one"}]}

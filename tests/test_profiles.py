@@ -2,6 +2,7 @@
 shape lemma, distinguisher sets and the two corner-finding procedures."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,6 +35,7 @@ from tangleforge.profiles import (
     enumerate_k_profiles,
     is_consistent,
     is_profile,
+    is_robust,
     pipeline_profiles,
     profile_flags,
     satisfies_profile_property,
@@ -217,13 +219,14 @@ def test_pipeline_profiles_match_flags_over_the_brute_universe(case):
     g, k = case
     assume(len(enumerate_separations(g, k)) <= 40)
     profs = enumerate_k_profiles(g, k)
-    universe = oracles.brute_separations(g, g.num_vertices + 1)
-    flags = [profile_flags(g, p, universe=universe) for p in profs]
+    flags = [profile_flags(g, p) for p in profs]
+    robust = [oracles.brute_is_robust(g, p.chosen) for p in profs]
+    assert [f.robust for f in flags] == robust
     for principal in (False, True):
         expected = tuple(
             p
-            for p, f in zip(profs, flags)
-            if f.regular and f.robust and (f.principal or not principal)
+            for p, f, r in zip(profs, flags, robust)
+            if f.regular and r and (f.principal or not principal)
         )
         assert pipeline_profiles(g, profs, principal) == expected
 
@@ -239,6 +242,32 @@ def larger_side_last(g, k):
             for s in enumerate_separations(g, k)
         ),
     )
+
+
+def test_is_robust_matches_the_oracle_on_random_orientations():
+    # Genuine profiles are all robust, so most cases are random orientations
+    # of S_k, which break robustness often enough to tell a wrong check
+    # from a right one.
+    rng = random.Random(2019)
+    checked = non_robust = 0
+    while checked < 800:
+        n, k = rng.randint(2, 7), rng.randint(2, 4)
+        density = rng.random()
+        g = Graph.from_edges(
+            n, [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < density]
+        )
+        s_k = enumerate_separations(g, k)
+        if k > n or len(s_k) > 60:
+            continue
+        cases = [tuple(star(s) if rng.random() < 0.5 else s for s in s_k) for _ in range(3)]
+        cases.append(larger_side_last(g, k).chosen)
+        cases += [p.chosen for p in enumerate_k_profiles(g, k)[:2]]
+        for chosen in cases:
+            expected = oracles.brute_is_robust(g, chosen)
+            assert is_robust(g, Profile(k, chosen)) == expected, (g, k, chosen)
+            checked += 1
+            non_robust += not expected
+    assert non_robust >= checked / 10
 
 
 def test_pipeline_profiles_drops_non_robust_and_non_principal_members(graphs):
@@ -342,6 +371,19 @@ def test_distinguishability_symmetric_and_order_is_brute_minimum(graphs):
             assert d1.order == oracles.brute_minimum_distinguishing_order(
                 g, p.chosen, q.chosen
             )
+
+
+@DIFFERENTIAL
+@given(small_graphs())
+def test_efficient_distinguishers_match_the_oracle(case):
+    # profiles of S_k and of S_(k+1) together, so pairs of different k occur
+    g, k = case
+    assume(len(enumerate_separations(g, k + 1)) <= 40)
+    profs = enumerate_k_profiles(g, k) + enumerate_k_profiles(g, k + 1)
+    for p, q in itertools.permutations(profs, 2):
+        dset = efficient_distinguishers(g, p, q)
+        expected = oracles.brute_distinguishers(g, p.chosen, q.chosen)
+        assert (dset.seps, dset.order) == (expected, expected[0].order if expected else None)
 
 
 def test_lattice_closure_of_distinguisher_sets(graphs):
