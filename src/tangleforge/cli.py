@@ -60,7 +60,8 @@ from .treedec import build_totd, treeset_to_treedecomposition
 @dataclass
 class RunConfig:
     """Caps and reproducibility knobs; TANGLEFORGE_CAPS (a JSON object)
-    overrides individual fields."""
+    overrides individual caps: max_n, max_k, max_sk, profinite_union and
+    profinite_product."""
 
     max_n: int = 16
     max_k: int = 6
@@ -81,8 +82,9 @@ class RunConfig:
                 raise InputError(f"TANGLEFORGE_CAPS is not valid JSON: {exc}") from exc
             if not isinstance(overrides, dict):
                 raise InputError("TANGLEFORGE_CAPS must be a JSON object")
+            caps = ("max_n", "max_k", "max_sk", "profinite_union", "profinite_product")
             for key, value in overrides.items():
-                if not hasattr(cfg, key):
+                if key not in caps:
                     raise InputError(f"unknown cap {key!r} in TANGLEFORGE_CAPS")
                 try:
                     setattr(cfg, key, int(value))
@@ -184,9 +186,9 @@ def _resolve_graph_and_k(args, cfg) -> tuple[Graph, int, str]:
     return g, k, label
 
 
-def _pipeline_profiles(g: Graph, k: int, cfg: RunConfig, principal=False):
+def _pipeline_profiles(g: Graph, k: int, cfg: RunConfig):
     profs = enumerate_k_profiles(g, k, max_sk=cfg.max_sk, max_n=cfg.max_n, max_k=cfg.max_k)
-    return pipeline_profiles(g, profs, principal)
+    return pipeline_profiles(g, profs)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +398,7 @@ def cmd_nested_separators(args, cfg):
 
 def cmd_nested_separations(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
-    profs = _pipeline_profiles(g, k, cfg, principal=True)
+    profs = _pipeline_profiles(g, k, cfg)
     nested = canonical_nested_separators(g, profs)
     seps = separators_to_separations(g, nested.separators, profs)
     return {
@@ -409,7 +411,7 @@ def cmd_nested_separations(args, cfg):
 
 def cmd_treedec(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
-    profs = _pipeline_profiles(g, k, cfg, principal=True)
+    profs = _pipeline_profiles(g, k, cfg)
     nested = canonical_nested_separators(g, profs)
     seps = separators_to_separations(g, nested.separators, profs)
     td = treeset_to_treedecomposition(g, seps)
@@ -418,7 +420,7 @@ def cmd_treedec(args, cfg):
 
 def cmd_totd(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
-    profs = _pipeline_profiles(g, k, cfg, principal=True)
+    profs = _pipeline_profiles(g, k, cfg)
     totd = build_totd(g, profs)
     return {"graph": label, "k": k, "totd": totd.to_json()}
 
@@ -516,16 +518,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tangleforge",
         description="separation universes, profiles, splinter algorithms and certified tree-decompositions",
     )
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--fixture", choices=sorted(FIXTURES), help="built-in graph")
+    shared.add_argument("--graph", help="path to an edge-list or JSON graph file")
+    shared.add_argument("--k", type=int, help="order bound (profiles of S_k)")
+    shared.add_argument("--seed", type=int, help="seed for randomized verification")
+    shared.add_argument("--cap-n", type=int, dest="cap_n", help="override the vertex cap")
+    shared.add_argument("--format", choices=("json", "dot"), help="output format")
+    shared.add_argument("--out", help="write output to this file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--fixture", choices=sorted(FIXTURES), help="built-in graph")
-        p.add_argument("--graph", help="path to an edge-list or JSON graph file")
-        p.add_argument("--k", type=int, help="order bound (profiles of S_k)")
-        p.add_argument("--seed", type=int, help="seed for randomized verification")
-        p.add_argument("--cap-n", type=int, dest="cap_n", help="override the vertex cap")
-        p.add_argument("--format", choices=("json", "dot"), help="output format")
-        p.add_argument("--out", help="write output to this file instead of stdout")
+        p = sub.add_parser(name, parents=[shared])
         if name == "thin-splinter":
             p.add_argument("--instance", help="abstract instance JSON file")
         if name == "profinite-splinter":

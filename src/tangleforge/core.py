@@ -169,9 +169,6 @@ class Separation(NamedTuple):
     def separator(self) -> int:
         return self.a & self.b
 
-    def inverse(self) -> "Separation":
-        return Separation(self.b, self.a)
-
 
 def leq(x: Separation, y: Separation) -> bool:
     return not (x[0] & ~y[0]) and not (y[1] & ~x[1])
@@ -336,13 +333,9 @@ class UniverseView:
     order_of: Callable
     closed: bool = True
     submodular_claimed: bool = True
-    name: str = ""
-
-    def index(self) -> dict:
-        return {x: i for i, x in enumerate(self.elements)}
 
 
-def graph_universe(g: Graph, max_order: Optional[int] = None, name: str = "") -> UniverseView:
+def graph_universe(g: Graph, max_order: Optional[int] = None) -> UniverseView:
     """The universe of separations of g, optionally truncated to order ≤ max_order.
 
     The untruncated universe is closed under joins and meets; a truncated one
@@ -368,7 +361,6 @@ def graph_universe(g: Graph, max_order: Optional[int] = None, name: str = "") ->
         order_of=lambda s: s.order,
         closed=closed,
         submodular_claimed=True,
-        name=name or f"graph-universe(n={g.num_vertices}, max_order={max_order})",
     )
 
 

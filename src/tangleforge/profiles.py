@@ -254,7 +254,21 @@ def is_robust(g: Graph, p: Profile) -> bool:
 
 def is_principal(g: Graph, p: Profile) -> bool:
     """P contains (V∖C, C∪X) for some component C of G-X, for every X with
-    |X| < k. Subsets X = V(G) admit no such separation and are skipped."""
+    |X| < k. Subsets X = V(G) admit no such separation and are skipped.
+
+    Lemma (Diestel, Hundertmark & Lemanczyk, "Profiles of separations: in
+    graphs, matroids and beyond", Combinatorica 2019). Every regular
+    k-profile P of a graph is principal. Proof: suppose that for some X
+    with |X| < k, P contains no (V∖C, C∪X). Each such separation has
+    separator X, so it lies in S_k and P contains (C∪X, V∖C) for every
+    component C of G-X. For two members (C∪X, V∖C) and (D∪X, V∖D), (P)
+    forbids their inverses' meet (V∖(C∪D), C∪D∪X), so P contains
+    (C∪D∪X, V∖(C∪D)). By induction P contains (D∪X, V∖D) for every
+    union D of components, and for D = V∖X that is (V, X): P is not
+    regular. So `pipeline_profiles` needs no principality filter; the
+    preconditions of `separators_to_separations` and `build_totd` still
+    check it, for callers that pass orientations that are not profiles.
+    """
     verts = g.vertices
     for size in range(min(p.k, g.num_vertices)):
         for x in subsets_of_size(verts, size):
@@ -277,15 +291,11 @@ def profile_flags(g: Graph, p: Profile) -> ProfileFlags:
     )
 
 
-def pipeline_profiles(g: Graph, profiles, principal: bool = False) -> tuple[Profile, ...]:
+def pipeline_profiles(g: Graph, profiles) -> tuple[Profile, ...]:
     """The members of `profiles` that the separator pipeline runs on, in
-    input order: the regular robust ones, and with `principal` only the
-    principal ones among those."""
-    return tuple(
-        p
-        for p in profiles
-        if p.is_regular(g) and is_robust(g, p) and (not principal or is_principal(g, p))
-    )
+    input order: the regular robust ones. Regular profiles are principal
+    (see `is_principal`), so no principality filter is needed."""
+    return tuple(p for p in profiles if p.is_regular(g) and is_robust(g, p))
 
 
 # ---------------------------------------------------------------------------

@@ -83,11 +83,6 @@ class InverseSystem:
     universe_at: dict
     maps: dict
 
-    def bond(self, q, p) -> dict:
-        if q == p:
-            return {x: x for x in self.universe_at[p].elements}
-        return self.maps[(q, p)]
-
 
 @dataclass
 class SystemReport:
@@ -466,7 +461,6 @@ def product_chain_universe(a: int, b: int) -> UniverseView:
         order_of=ord_,
         closed=True,
         submodular_claimed=False,
-        name=f"chain-product({a},{b})",
     )
 
 
@@ -554,7 +548,6 @@ def universe_from_json(obj) -> UniverseView:
         order_of=lambda x: order_tab[x],
         closed=True,
         submodular_claimed=False,
-        name="json-universe",
     )
 
 

@@ -153,19 +153,7 @@ def separator_crossing_number(g: Graph, all_separators, x: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # canonical nested separator sets
 
-@dataclass(frozen=True)
-class SeparatorFamilies:
-    """The splinter instance data derived from a profile family."""
-
-    graph: Graph
-    profiles: tuple[Profile, ...]
-    families: dict            # (i, j) -> frozenset of separator masks
-    orders: dict              # (i, j) -> |P_i, P_j|
-    witnesses: dict           # (pair, mask) -> tuple of witnessing separations
-    instance: SplinterInstance
-
-
-def build_separator_instance(g: Graph, profiles) -> SeparatorFamilies:
+def build_separator_instance(g: Graph, profiles) -> SplinterInstance:
     """The separator families of every profile pair as a splinter instance.
     The profiles must be regular, which is checked; robustness is the
     caller's hypothesis (see `profiles.pipeline_profiles`)."""
@@ -174,7 +162,7 @@ def build_separator_instance(g: Graph, profiles) -> SeparatorFamilies:
         raise PreconditionError("profiles must be regular")
     families = {}
     orders = {}
-    witnesses = {}
+    witnesses: dict[int, dict] = {}  # mask -> its witnesses over all pairs, each once
     for i, j in itertools.combinations(range(len(profiles)), 2):
         seps = distinguishing_separators(g, profiles[i], profiles[j])
         if not seps:
@@ -183,10 +171,7 @@ def build_separator_instance(g: Graph, profiles) -> SeparatorFamilies:
         families[key] = frozenset(s.mask for s in seps)
         orders[key] = seps[0].mask.bit_count()
         for s in seps:
-            witnesses[(key, s.mask)] = s.witnesses
-    elements = tuple(
-        sorted(frozenset().union(*families.values()) if families else (), key=separator_sort_key)
-    )
+            witnesses.setdefault(s.mask, {}).update(dict.fromkeys(s.witnesses))
 
     def nested(a, b):
         return separator_nested(g, a, b)
@@ -194,45 +179,42 @@ def build_separator_instance(g: Graph, profiles) -> SeparatorFamilies:
     def corner_oracle(a, b, target_key):
         """Materialise corners from witnesses and return a separator of the
         target family that arises as the separator of a corner separation."""
-        wit_a = [w for (_, m), ws in witnesses.items() if m == a for w in ws]
-        wit_b = [w for (_, m), ws in witnesses.items() if m == b for w in ws]
         p, q = profiles[target_key[0]], profiles[target_key[1]]
         want_order = orders[target_key]
-        for wa in wit_a:
-            for wb in wit_b:
+        for wa in witnesses[a]:
+            for wb in witnesses[b]:
                 for c in (join(x, y) for x in (wa, star(wa)) for y in (wb, star(wb))):
                     if c.order == want_order and distinguishes(p, q, c):
                         if c.separator in families[target_key]:
                             return c.separator
         return None
 
-    instance = SplinterInstance(
-        elements=elements,
+    return SplinterInstance(
+        elements=tuple(sorted(witnesses, key=separator_sort_key)),
         families=families,
         orders=orders,
         nested=nested,
         corner_oracle=corner_oracle,
     )
-    return SeparatorFamilies(g, profiles, families, orders, witnesses, instance)
 
 
 @dataclass(frozen=True)
 class NestedSeparators:
     separators: tuple[int, ...]
     result: ThinSplinterResult
-    data: SeparatorFamilies
+    instance: SplinterInstance
 
 
 def canonical_nested_separators(g: Graph, profiles) -> NestedSeparators:
     """Canonical nested set of separators efficiently distinguishing every
     pair of the given (distinguishable, robust, regular) profiles.
     Regularity is checked; robustness is the caller's hypothesis."""
-    data = build_separator_instance(g, profiles)
-    if len(data.profiles) <= 1:
-        return NestedSeparators((), ThinSplinterResult((), ()), data)
-    result = thin_splinter(data.instance)
+    instance = build_separator_instance(g, profiles)
+    if not instance.families:
+        return NestedSeparators((), ThinSplinterResult((), ()), instance)
+    result = thin_splinter(instance)
     return NestedSeparators(
-        tuple(sorted(result.nested_set, key=separator_sort_key)), result, data
+        tuple(sorted(result.nested_set, key=separator_sort_key)), result, instance
     )
 
 

@@ -109,9 +109,6 @@ class TreeDecomposition:
     edges: tuple
     bags: dict  # node -> vertex mask
 
-    def bag(self, t) -> int:
-        return self.bags[t]
-
     def adjacency(self) -> dict:
         adj = {v: set() for v in self.nodes}
         for u, v in self.edges:
@@ -307,9 +304,6 @@ class TreeOfTreeDecompositions:
     td_at: dict
     torso_of: dict  # node -> td-node of the parent whose torso it is
 
-    def level(self, t) -> int:
-        return self.depth[t] + 1
-
     def to_json(self) -> dict:
         def emit(t):
             return {
@@ -406,11 +400,18 @@ def certify_totd(g: Graph, totd: TreeOfTreeDecompositions, closure, profiles):
     """Re-verify the construction invariants and the three stated
     properties of the finished tree of tree-decompositions."""
     depth_max = max(totd.depth.values(), default=0)
+    induced = {t: induced_separations(totd.td_at[t]) for t in totd.nodes}
+    torsos = {
+        (t, td_node): torso(totd.graph_at[t], totd.td_at[t], td_node)
+        for t in totd.nodes
+        for td_node in totd.td_at[t].nodes
+    }
+    components = {x: g.components(x) for x in closure if x.bit_count() <= depth_max}
 
     # every node's decomposition uses only separations of order depth+1
     for t in totd.nodes:
         d = totd.depth[t]
-        for s in induced_separations(totd.td_at[t]):
+        for s in induced[t]:
             if s.order != d + 1:
                 raise CertificationError(
                     f"node at depth {d} induces a separation of order {s.order}"
@@ -418,15 +419,10 @@ def certify_totd(g: Graph, totd: TreeOfTreeDecompositions, closure, profiles):
 
     # each large separator is contained in exactly one torso per depth
     for d in range(depth_max + 1):
-        torsos = []
-        for t in totd.nodes:
-            if totd.depth[t] != d:
-                continue
-            for td_node in totd.td_at[t].nodes:
-                torsos.append(torso(totd.graph_at[t], totd.td_at[t], td_node))
+        level = [h for (t, _), h in torsos.items() if totd.depth[t] == d]
         for x in closure:
             if x.bit_count() >= d + 2:
-                hits = sum(1 for h in torsos if not x & ~h.vertices)
+                hits = sum(1 for h in level if not x & ~h.vertices)
                 if hits != 1:
                     raise CertificationError(
                         f"separator {vertices_of(x)} lies in {hits} torsos at depth {d}"
@@ -440,8 +436,8 @@ def certify_totd(g: Graph, totd: TreeOfTreeDecompositions, closure, profiles):
             if x.bit_count() > d or x & ~gt.vertices:
                 continue
             for td_node in totd.td_at[t].nodes:
-                h = torso(gt, totd.td_at[t], td_node)
-                met = sum(1 for c in g.components(x) if c & h.vertices)
+                h = torsos[t, td_node]
+                met = sum(1 for c in components[x] if c & h.vertices)
                 if met > 1:
                     raise CertificationError(
                         f"torso at depth {d} meets {met} components of the "
@@ -460,8 +456,7 @@ def certify_totd(g: Graph, totd: TreeOfTreeDecompositions, closure, profiles):
                 f"node has {len(kids)} children but {len(totd.td_at[t].nodes)} torsos"
             )
         for c in kids:
-            expected = torso(totd.graph_at[t], totd.td_at[t], totd.torso_of[c])
-            if totd.graph_at[c] != expected:
+            if totd.graph_at[c] != torsos[t, totd.torso_of[c]]:
                 raise CertificationError("child graph is not the stated torso")
 
     # every profile pair is distinguished efficiently somewhere in the tree
@@ -474,7 +469,7 @@ def certify_totd(g: Graph, totd: TreeOfTreeDecompositions, closure, profiles):
             for t in totd.nodes:
                 vt = totd.graph_at[t].vertices
                 ind = canonical(Separation(s.a & vt, s.b & vt))
-                if ind in induced_separations(totd.td_at[t]):
+                if ind in induced[t]:
                     found = True
                     break
             if found:

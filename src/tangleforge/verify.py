@@ -35,6 +35,7 @@ from .profiles import (
     distinguishes,
     efficient_distinguishers,
     enumerate_k_profiles,
+    is_principal,
     pipeline_profiles,
 )
 from .profinite import (
@@ -184,10 +185,12 @@ def suite_profile_census(seed):
             if {p.chosen for p in pruned} != set(unpruned):
                 raise AssertionError(f"{name} k={k}: pruned != unpruned census")
     g = FIXTURES["FIX_2K4"].graph
-    rrp = pipeline_profiles(g, enumerate_k_profiles(g, 2), principal=True)
+    rrp = pipeline_profiles(g, enumerate_k_profiles(g, 2))
     # the third profile points at the bridge edge; see the census note in README
     if len(rrp) != 3:
         raise AssertionError(f"FIX_2K4@2 regular robust principal census = {len(rrp)}")
+    if not all(is_principal(g, p) for p in rrp):
+        raise AssertionError("FIX_2K4@2: a regular profile is not principal")
     return (
         "universe == brute-force universe on every fixture; "
         "pruned == unpruned on all capped combos; FIX_2K4@2 rrp census = 3"
@@ -316,7 +319,7 @@ def suite_thin_splinter(seed):
             nested_set = set()
         else:
             res = canonical_nested_separators(g, profs)
-            inst = res.data.instance
+            inst = res.instance
             nested_set = set(res.separators)
             for key, fam in inst.families.items():
                 if not fam & nested_set:
@@ -447,7 +450,7 @@ def suite_canonical_separators(seed):
         if len(profs) < 2:
             continue
         res = canonical_nested_separators(g, profs)
-        rep = thinly_splinters_check(res.data.instance)
+        rep = thinly_splinters_check(res.instance)
         if not rep.ok:
             raise AssertionError(f"{name}: thinly-splinters check failed")
     return "FIX_2K4 separators {3},{4}; all fixture instances thinly splinter"

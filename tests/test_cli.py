@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 from tangleforge import cli as cli_module
+from tangleforge import core, profiles
 from tangleforge.core import Graph
 from tangleforge.cli import cli_main, read_graph
 from tangleforge.fixtures import FIXTURES
@@ -176,14 +177,12 @@ COUNTED_JOBS = [
 ]
 
 
-def count_core_calls(monkeypatch, names) -> dict:
-    """Count calls of the named tangleforge.core functions through every
-    tangleforge module that binds them."""
-    from tangleforge import core
-
+def count_calls(monkeypatch, owner, names) -> dict:
+    """Count calls of the named functions of the module `owner` through
+    every tangleforge module that binds them."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        real = getattr(core, name)
+        real = getattr(owner, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
@@ -201,7 +200,8 @@ def count_core_calls(monkeypatch, names) -> dict:
 def test_each_job_builds_s_k_once(verb, graph, capsys, monkeypatch, tmp_path):
     """S_k comes from the profile search and is read off the profiles after
     it; only profinite-splinter builds whole universes, and splinter builds
-    its truncated universe."""
+    its truncated universe. Principality is checked once per profile, by
+    the preconditions of separators_to_separations and build_totd."""
     monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
     if graph == "triangle_ring3":
         path = tmp_path / "ring.json"
@@ -209,7 +209,8 @@ def test_each_job_builds_s_k_once(verb, graph, capsys, monkeypatch, tmp_path):
         argv = [verb, "--graph", str(path), "--k", "3"]
     else:
         argv = [verb, "--fixture", graph]
-    calls = count_core_calls(monkeypatch, ("enumerate_separations", "all_separations"))
+    calls = count_calls(monkeypatch, core, ("enumerate_separations", "all_separations"))
+    principal = count_calls(monkeypatch, profiles, ("is_principal",))
     code, out = run_cli(argv, capsys)
     assert code in (0, 1), out
     if (verb, graph) == ("splinter", "FIX_2K4"):
@@ -217,6 +218,8 @@ def test_each_job_builds_s_k_once(verb, graph, capsys, monkeypatch, tmp_path):
     assert calls["enumerate_separations"] <= (2 if verb == "splinter" else 1)
     if verb != "profinite-splinter":
         assert calls["all_separations"] == 0
+    if graph == "triangle_ring3" and verb in ("nested-separations", "treedec", "totd"):
+        assert principal["is_principal"] == 3  # one per regular robust 3-profile
 
 
 def test_every_traced_layer_name_is_a_library_callable():
@@ -305,6 +308,8 @@ BAD_INPUTS = [
     ("cap-not-integer", '{"max_n": "abc"}', ["separations", "--fixture", "FIX_P4", "--k", "2"]),
     ("caps-not-object", "[16]", ["separations", "--fixture", "FIX_P4", "--k", "2"]),
     ("cap-infinite", '{"max_n": 1e999}', ["separations", "--fixture", "FIX_P4", "--k", "2"]),
+    ("cap-fmt", '{"fmt": 1}', ["separations", "--fixture", "FIX_P4", "--k", "2"]),
+    ("cap-seed", '{"seed": 3}', ["separations", "--fixture", "FIX_P4", "--k", "2"]),
     ("k-zero", None, ["profiles", "--fixture", "FIX_P4", "--k", "0"]),
     ("k-negative", None, ["profiles", "--fixture", "FIX_P4", "--k", "-3"]),
     ("k-zero-graph", None, ["profiles", "--graph", "{tmp}/p4.txt", "--k", "0"]),

@@ -27,7 +27,6 @@ from tangleforge.profiles import (
     distinguishes,
     efficient_distinguishers,
     enumerate_k_profiles,
-    is_principal,
     pipeline_profiles,
 )
 from tangleforge.separators import canonical_nested_separators, separators_to_separations
@@ -68,29 +67,27 @@ def test_pipeline_on_random_graphs():
             continue
 
         nested = canonical_nested_separators(g, family)
-        inst = nested.data.instance
+        inst = nested.instance
         chosen = set(nested.separators)
         assert all(fam & chosen for fam in inst.families.values())
         for x, y in itertools.combinations(chosen, 2):
             assert inst.nested(x, y)
 
-        principal_family = [p for p in family if is_principal(g, p)]
-        if len(principal_family) == len(family):
-            out = separators_to_separations(g, nested.separators, family)
-            for s, t in itertools.combinations(out, 2):
-                assert is_nested(s, t)
-            for p, q in itertools.combinations(family, 2):
-                best = oracles.brute_minimum_distinguishing_order(g, p.chosen, q.chosen)
-                assert any(
-                    s.order == best and distinguishes(p, q, s) for s in out
-                )
-            if out:
-                td = treeset_to_treedecomposition(g, out)
-                assert set(induced_separations(td)) == set(out)
-                assert verify_treedecomposition(g, td).ok
-            if g.is_connected():
-                build_totd(g, family)  # certifies internally
-                ran_totd += 1
+        out = separators_to_separations(g, nested.separators, family)
+        for s, t in itertools.combinations(out, 2):
+            assert is_nested(s, t)
+        for p, q in itertools.combinations(family, 2):
+            best = oracles.brute_minimum_distinguishing_order(g, p.chosen, q.chosen)
+            assert any(
+                s.order == best and distinguishes(p, q, s) for s in out
+            )
+        if out:
+            td = treeset_to_treedecomposition(g, out)
+            assert set(induced_separations(td)) == set(out)
+            assert verify_treedecomposition(g, td).ok
+        if g.is_connected():
+            build_totd(g, family)  # certifies internally
+            ran_totd += 1
         ran_pipelines += 1
     # the stream must actually exercise the machinery, not skip everything
     assert ran_pipelines >= 15
@@ -122,7 +119,7 @@ def triangle_ring3():
 
 def pipeline(g, k):
     """Separators, separations and totd (depth, bags) of the full pipeline."""
-    profiles = pipeline_profiles(g, enumerate_k_profiles(g, k), principal=True)
+    profiles = pipeline_profiles(g, enumerate_k_profiles(g, k))
     nested = canonical_nested_separators(g, profiles)
     seps = separators_to_separations(g, nested.separators, profiles)
     totd = build_totd(g, profiles)

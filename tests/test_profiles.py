@@ -23,6 +23,7 @@ from tangleforge.core import (
     vertices_of,
 )
 from tangleforge.errors import CapExceededError, CertificationError, PreconditionError
+from tangleforge.fixtures import triangle_ring
 from tangleforge.profiles import (
     DistinguisherSet,
     Profile,
@@ -34,12 +35,15 @@ from tangleforge.profiles import (
     efficient_distinguishers,
     enumerate_k_profiles,
     is_consistent,
+    is_principal,
     is_profile,
     is_robust,
     pipeline_profiles,
     profile_flags,
     satisfies_profile_property,
 )
+from tangleforge.separators import separators_to_separations
+from tangleforge.treedec import build_totd
 
 K2 = Graph.from_edges(2, [(0, 1)])
 
@@ -88,13 +92,13 @@ def test_every_enumerated_profile_passes_independent_predicate(graphs):
 
 
 @st.composite
-def small_graphs(draw, max_n=7):
-    """A random graph on 1..max_n vertices and an order bound k in 1..3."""
+def small_graphs(draw, max_n=7, max_k=3):
+    """A random graph on 1..max_n vertices and an order bound k in 1..max_k."""
     n = draw(st.integers(1, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.integers(0, (1 << len(pairs)) - 1))
     edges = [e for i, e in enumerate(pairs) if chosen >> i & 1]
-    return Graph.from_edges(n, edges), draw(st.integers(1, 3))
+    return Graph.from_edges(n, edges), draw(st.integers(1, max_k))
 
 
 DIFFERENTIAL = settings(max_examples=60)
@@ -222,13 +226,8 @@ def test_pipeline_profiles_match_flags_over_the_brute_universe(case):
     flags = [profile_flags(g, p) for p in profs]
     robust = [oracles.brute_is_robust(g, p.chosen) for p in profs]
     assert [f.robust for f in flags] == robust
-    for principal in (False, True):
-        expected = tuple(
-            p
-            for p, f, r in zip(profs, flags, robust)
-            if f.regular and r and (f.principal or not principal)
-        )
-        assert pipeline_profiles(g, profs, principal) == expected
+    expected = tuple(p for p, f, r in zip(profs, flags, robust) if f.regular and r)
+    assert pipeline_profiles(g, profs) == expected
 
 
 def larger_side_last(g, k):
@@ -270,18 +269,46 @@ def test_is_robust_matches_the_oracle_on_random_orientations():
     assert non_robust >= checked / 10
 
 
-def test_pipeline_profiles_drops_non_robust_and_non_principal_members(graphs):
-    # Every regular profile of a graph met so far is robust and principal
-    # (ROADMAP item 4), so each filter is pinned on an orientation instead.
+def test_non_robust_and_non_principal_orientations_are_refused(graphs):
+    # Every regular profile of a graph met so far is robust, and every one
+    # is principal (the lemma in `is_principal`), so the robustness filter
+    # and the principality preconditions are pinned on orientations that
+    # are not profiles.
     claw = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     p = larger_side_last(claw, 2)
+    assert not is_profile(claw, 2, p.chosen)
     assert profile_flags(claw, p) == ProfileFlags(regular=True, robust=True, principal=False)
     assert pipeline_profiles(claw, [p]) == (p,)
-    assert pipeline_profiles(claw, [p], principal=True) == ()
+    with pytest.raises(PreconditionError, match="not principal"):
+        separators_to_separations(claw, (), [p])
+    with pytest.raises(PreconditionError, match="not principal"):
+        build_totd(claw, [p])
     path = graphs["FIX_P4"]
     q = larger_side_last(path, 3)
     assert profile_flags(path, q) == ProfileFlags(regular=True, robust=False, principal=True)
     assert pipeline_profiles(path, [q]) == ()
+
+
+@settings(max_examples=100)
+@given(small_graphs(max_k=4))
+def test_regular_profiles_are_the_principal_ones_on_random_graphs(case):
+    """The lemma in `is_principal`'s docstring (regular ⇒ principal) and
+    its converse, on every profile of the graph."""
+    g, k = case
+    assume(len(enumerate_separations(g, k)) <= 256)
+    for p in enumerate_k_profiles(g, k, max_sk=256):
+        assert is_principal(g, p) == p.is_regular(g)
+
+
+def test_regular_profiles_are_the_principal_ones_on_fixtures(graphs):
+    cases = [(g, k) for g in graphs.values() for k in range(1, 5)]
+    cases += [(triangle_ring(), 3), (triangle_ring(pendant=True), 3)]
+    checked = 0
+    for g, k in cases:
+        for p in enumerate_k_profiles(g, k, max_sk=256):
+            assert is_principal(g, p) == p.is_regular(g)
+            checked += 1
+    assert checked == 58
 
 
 def test_principal_implies_regular(graphs):

@@ -295,7 +295,7 @@ def test_thin_splinter_output_against_transversal_enumeration(graphs):
     g = graphs["FIX_2K4"]
     profs = [p for p in enumerate_k_profiles(g, 2) if p.is_regular(g)]
     res = canonical_nested_separators(g, profs)
-    valid = brute_nested_family_covers(res.data.instance)
+    valid = brute_nested_family_covers(res.instance)
     # on the two-K4 fixture the only nested cover is {{3},{4}}
     assert valid == [frozenset({m(3), m(4)})]
     assert frozenset(res.separators) in valid
@@ -309,15 +309,14 @@ def test_triangle_ring_pipeline(triring, triring_profiles):
         (6, 8),
         (9, 11),
     ]
-    rep = thinly_splinters_check(res.data.instance)
+    rep = thinly_splinters_check(res.instance)
     assert rep.ok
 
 
 def test_separator_corner_oracle_returns_corners(triring, triring_profiles):
     from tangleforge.splinter import is_corner
 
-    data = build_separator_instance(triring, triring_profiles)
-    inst = data.instance
+    inst = build_separator_instance(triring, triring_profiles)
     exercised = 0
     for ka, kb in itertools.combinations(inst.family_keys(), 2):
         for a in inst.families[ka]:
@@ -408,10 +407,9 @@ def test_two_level_pipeline_on_doubled_bridge_ring(k5ring, k5ring_profiles):
     construction must respect the level-2 choices when picking level 3, and
     the emission loop mixes separator sizes."""
     g = k5ring
-    data = build_separator_instance(g, k5ring_profiles)
-    orders = sorted(set(data.orders.values()))
+    inst = build_separator_instance(g, k5ring_profiles)
+    orders = sorted(set(inst.orders.values()))
     assert orders == [2, 3]
-    inst = data.instance
     cross_level = 0
     for ki, kj in itertools.combinations(inst.family_keys(), 2):
         if inst.orders[ki] == inst.orders[kj]:

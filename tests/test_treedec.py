@@ -2,6 +2,7 @@
 orientation-based realisation of regular tree sets, torsos, and the tree of
 tree-decompositions."""
 
+import copy
 import itertools
 import random
 
@@ -11,18 +12,21 @@ from tangleforge.core import (
     Graph,
     Separation,
     canonical,
+    iter_bits,
     mask_of,
     vertices_of,
 )
-from tangleforge.errors import PreconditionError
+from tangleforge.errors import CertificationError, PreconditionError
 from tangleforge.profiles import (
     distinguishes,
     efficient_distinguishers,
     enumerate_k_profiles,
     pipeline_profiles,
 )
+from tangleforge.separators import canonical_nested_separators, separator_sort_key
 from tangleforge.treedec import (
     build_totd,
+    certify_totd,
     edge_tree_set,
     induced_separations,
     torso,
@@ -215,7 +219,7 @@ def test_torso_completes_adhesion_sets(graphs):
 # trees of tree-decompositions
 
 def totd_profiles(g):
-    return pipeline_profiles(g, enumerate_k_profiles(g, 2), principal=True)
+    return pipeline_profiles(g, enumerate_k_profiles(g, 2))
 
 
 def test_build_totd_two_k4(graphs):
@@ -290,3 +294,40 @@ def test_totd_on_triangle_ring(triring, triring_profiles):
     assert len(depth1) == 1
     td1 = totd.td_at[depth1[0]]
     assert len(td1.nodes) == 5  # four triangles around a centre
+
+
+def test_certify_totd_refuses_corrupted_trees(graphs, triring, triring_profiles):
+    """Each check of certify_totd fires, with its message, on a finished tree
+    corrupted to break it."""
+    g, profs = triring, triring_profiles
+    totd = build_totd(g, profs)
+    separators = canonical_nested_separators(g, profs).separators  # all of size 2
+    closure = sorted(
+        {*separators, *(x & ~(1 << v) for x in separators for v in iter_bits(x))},
+        key=separator_sort_key,
+    )
+    certify_totd(g, totd, closure, profs)
+    pairs = [mask_of(e) for e in itertools.combinations(range(g.n), 2)]
+
+    def deeper(t):
+        return lambda x: x.depth.__setitem__(t, x.depth[t] + 1)
+
+    cases = [
+        (deeper(1), closure, "node at depth 2 induces a separation of order 2"),
+        (deeper(0), closure, r"separator \(0, 2\) lies in 0 torsos at depth 0"),
+        (lambda x: None, closure + pairs, "torso at depth 2 meets 2 components"),
+        (lambda x: x.children.__setitem__(1, x.children[1][:-1]), closure,
+         "node has 4 children but 5 torsos"),
+        (lambda x: x.graph_at.__setitem__(2, x.graph_at[x.parent[2]]), closure,
+         "child graph is not the stated torso"),
+    ]
+    for corrupt, cl, message in cases:
+        broken = copy.deepcopy(totd)
+        corrupt(broken)
+        with pytest.raises(CertificationError, match=message):
+            certify_totd(g, broken, cl, profs)
+    g = graphs["FIX_2K4"]
+    profs = enumerate_k_profiles(g, 2)
+    totd = build_totd(g, pipeline_profiles(g, profs))
+    with pytest.raises(CertificationError, match="a profile pair is not distinguished"):
+        certify_totd(g, totd, [mask_of([3]), mask_of([4])], profs)
