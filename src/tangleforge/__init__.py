@@ -54,7 +54,6 @@ from .profinite import (
 )
 from .separators import (
     canonical_nested_separators,
-    distinguishing_separators,
     minimal_separators,
     separator_nested,
     separators_to_separations,

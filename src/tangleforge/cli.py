@@ -398,9 +398,8 @@ def cmd_nested_separators(args, cfg):
 
 def cmd_nested_separations(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
-    profs = _pipeline_profiles(g, k, cfg)
-    nested = canonical_nested_separators(g, profs)
-    seps = separators_to_separations(g, nested.separators, profs)
+    nested = canonical_nested_separators(g, _pipeline_profiles(g, k, cfg))
+    seps = separators_to_separations(g, nested)
     return {
         "graph": label,
         "k": k,
@@ -411,24 +410,24 @@ def cmd_nested_separations(args, cfg):
 
 def cmd_treedec(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
-    profs = _pipeline_profiles(g, k, cfg)
-    nested = canonical_nested_separators(g, profs)
-    seps = separators_to_separations(g, nested.separators, profs)
-    td = treeset_to_treedecomposition(g, seps)
+    nested = canonical_nested_separators(g, _pipeline_profiles(g, k, cfg))
+    td = treeset_to_treedecomposition(g, separators_to_separations(g, nested))
     return {"graph": label, "k": k, "treedec": td.to_json()}
 
 
 def cmd_totd(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
-    profs = _pipeline_profiles(g, k, cfg)
-    totd = build_totd(g, profs)
+    totd = build_totd(g, _pipeline_profiles(g, k, cfg))
     return {"graph": label, "k": k, "totd": totd.to_json()}
 
 
 def cmd_verify(args, cfg):
-    from .verify import run_suites  # the suites and their oracles load for this verb only
+    from .verify import ALL_SUITES, run_suites  # the suites and their oracles load for this verb only
 
-    names = set(args.suite) if args.suite else None
+    names = set(args.suite or ())
+    unknown = sorted(names - {suite.suite_name for suite in ALL_SUITES})
+    if unknown:
+        raise InputError(f"unknown suite: {', '.join(unknown)}")
     results = run_suites(seed=cfg.seed, names=names)
     for r in results:
         status = "ok  " if r.ok else "FAIL"
@@ -546,60 +545,62 @@ def cli_main(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = RunConfig.from_env_and_args(args)
-        result = COMMANDS[args.command](args, cfg)
-    except CapExceededError as exc:
-        _emit({"error": {"type": "cap", "message": str(exc)}}, args)
-        return 3
+        code, text = _run(args)
+        if args.out:
+            _write_file(args.out, text)
+        else:
+            sys.stdout.write(text)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
+
+
+def _run(args) -> tuple[int, str]:
+    """Exit code and output text of a parsed command line; usage and input
+    errors raise InputError."""
+    try:
+        cfg = RunConfig.from_env_and_args(args)
+        result = COMMANDS[args.command](args, cfg)
+    except CapExceededError as exc:
+        return 3, _json({"error": {"type": "cap", "message": str(exc)}})
     except (HypothesisError, CertificationError, PreconditionError) as exc:
-        _emit(
+        return 1, _json(
             {
                 "error": {
                     "type": type(exc).__name__,
                     "message": str(exc),
                     "witness": repr(getattr(exc, "witness", None)),
                 }
-            },
-            args,
+            }
         )
-        return 1
 
-    payload = {
-        "command": args.command,
-        "seed": cfg.seed,
-        "caps": {"max_n": cfg.max_n, "max_k": cfg.max_k, "max_sk": cfg.max_sk},
-        "result": result,
-    }
-    if cfg.fmt == "dot":
-        if args.command == "treedec":
-            text = _dot_treedec(result["treedec"])
-        elif args.command == "totd":
-            text = _dot_totd(result["totd"])
-        else:
-            print("error: --format dot is only available for treedec and totd", file=sys.stderr)
-            return 2
-        _write(text, args)
-    else:
-        _emit(payload, args)
-    if args.command == "verify" and not result["ok"]:
-        return 1
-    return 0
+    code = 1 if args.command == "verify" and not result["ok"] else 0
+    if cfg.fmt == "json":
+        payload = {
+            "command": args.command,
+            "seed": cfg.seed,
+            "caps": {"max_n": cfg.max_n, "max_k": cfg.max_k, "max_sk": cfg.max_sk},
+            "result": result,
+        }
+        return code, _json(payload)
+    if args.command == "treedec":
+        return code, _dot_treedec(result["treedec"])
+    if args.command == "totd":
+        return code, _dot_totd(result["totd"])
+    raise InputError("--format dot is only available for treedec and totd")
 
 
-def _emit(obj, args):
-    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", args)
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write(text, args):
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _write_file(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def main():

@@ -1,5 +1,7 @@
 """k-profiles of small graphs: enumeration, flags, distinguisher sets and
-the two corner-finding procedures used by the splinter engines."""
+the two corner lemmas on distinguishers of crossing pairs (unequal and equal
+orders), stated as checked procedures; the splinter engines find their
+corners through the separator instance's corner oracle instead."""
 
 from __future__ import annotations
 

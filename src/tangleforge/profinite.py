@@ -284,7 +284,6 @@ def inverse_limits(
 class ProfiniteSplinterResult:
     nested_choice: dict          # point -> frozenset (the chosen N_p family)
     limits: tuple                # all limits through the choice: the set N
-    candidate_counts: dict       # point -> |N_p| candidates enumerated
 
 
 def _nested_subsets_meeting(u: UniverseView, family_projs, cap: int):
@@ -436,7 +435,6 @@ def profinite_splinter(
     return ProfiniteSplinterResult(
         nested_choice={p: frozenset(choice[p]) for p in points},
         limits=limits,
-        candidate_counts={p: len(candidates[p]) for p in points},
     )
 
 

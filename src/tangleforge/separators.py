@@ -28,12 +28,7 @@ from .core import (
     vertices_of,
 )
 from .errors import CertificationError, PreconditionError
-from .profiles import (
-    Profile,
-    distinguishes,
-    efficient_distinguishers,
-    is_principal,
-)
+from .profiles import Profile, efficient_distinguishers, is_principal
 from .splinter import SplinterInstance, ThinSplinterResult, thin_splinter
 
 
@@ -102,30 +97,6 @@ def strongly_nested(g: Graph, x: int, y: int) -> bool:
     return one_way(x, y) and one_way(y, x)
 
 
-# ---------------------------------------------------------------------------
-# distinguishing separators
-
-@dataclass(frozen=True)
-class Separator:
-    """A separator together with every witnessing separation for one pair."""
-
-    mask: int
-    witnesses: tuple[Separation, ...]
-
-
-def distinguishing_separators(g: Graph, p: Profile, q: Profile) -> tuple[Separator, ...]:
-    """Separator-level distinguisher set: all X of size |P,Q| admitting a
-    witness, each carrying all its witnesses."""
-    dset = efficient_distinguishers(g, p, q)
-    by_mask: dict[int, list] = {}
-    for s in dset.seps:
-        by_mask.setdefault(s.separator, []).append(s)
-    return tuple(
-        Separator(mask, tuple(sorted(by_mask[mask], key=sep_sort_key)))
-        for mask in sorted(by_mask, key=separator_sort_key)
-    )
-
-
 def separator_crossing_number(g: Graph, all_separators, x: int, k: int) -> int:
     """Number of separators of size k in the collection crossing x.
 
@@ -153,77 +124,86 @@ def separator_crossing_number(g: Graph, all_separators, x: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # canonical nested separator sets
 
-def build_separator_instance(g: Graph, profiles) -> SplinterInstance:
-    """The separator families of every profile pair as a splinter instance.
-    The profiles must be regular, which is checked; robustness is the
-    caller's hypothesis (see `profiles.pipeline_profiles`)."""
+def build_separator_instance(g: Graph, profiles) -> tuple[SplinterInstance, dict]:
+    """The separator families of every profile pair as a splinter instance,
+    together with the pairs' distinguisher sets, keyed (i, j) like the
+    families. The profiles must be regular, which is checked; robustness is
+    the caller's hypothesis (see `profiles.pipeline_profiles`)."""
     profiles = tuple(profiles)
     if not all(p.is_regular(g) for p in profiles):
         raise PreconditionError("profiles must be regular")
+    distinguishers = {}
     families = {}
     orders = {}
+    members = {}  # key -> the pair's distinguishers in both orientations
     witnesses: dict[int, dict] = {}  # mask -> its witnesses over all pairs, each once
     for i, j in itertools.combinations(range(len(profiles)), 2):
-        seps = distinguishing_separators(g, profiles[i], profiles[j])
-        if not seps:
+        dset = efficient_distinguishers(g, profiles[i], profiles[j])
+        if not dset:
             raise PreconditionError(f"profiles {i} and {j} are indistinguishable")
         key = (i, j)
-        families[key] = frozenset(s.mask for s in seps)
-        orders[key] = seps[0].mask.bit_count()
-        for s in seps:
-            witnesses.setdefault(s.mask, {}).update(dict.fromkeys(s.witnesses))
+        distinguishers[key] = dset
+        families[key] = frozenset(s.separator for s in dset.seps)
+        orders[key] = dset.order
+        members[key] = frozenset(dset.seps) | frozenset(map(star, dset.seps))
+        for s in dset.seps:
+            witnesses.setdefault(s.separator, {})[s] = None
 
     def nested(a, b):
         return separator_nested(g, a, b)
 
     def corner_oracle(a, b, target_key):
-        """Materialise corners from witnesses and return a separator of the
-        target family that arises as the separator of a corner separation."""
-        p, q = profiles[target_key[0]], profiles[target_key[1]]
-        want_order = orders[target_key]
+        """Materialise corners from witnesses and return the separator of
+        the first corner separation that distinguishes the target pair
+        efficiently."""
+        want = members[target_key]
         for wa in witnesses[a]:
             for wb in witnesses[b]:
                 for c in (join(x, y) for x in (wa, star(wa)) for y in (wb, star(wb))):
-                    if c.order == want_order and distinguishes(p, q, c):
-                        if c.separator in families[target_key]:
-                            return c.separator
+                    if c in want:
+                        return c.separator
         return None
 
-    return SplinterInstance(
+    instance = SplinterInstance(
         elements=tuple(sorted(witnesses, key=separator_sort_key)),
         families=families,
         orders=orders,
         nested=nested,
         corner_oracle=corner_oracle,
     )
+    return instance, distinguishers
 
 
 @dataclass(frozen=True)
 class NestedSeparators:
+    """The canonical nested separator set with the input it was built from:
+    the profiles and the distinguisher set of each pair, keyed (i, j)."""
+
     separators: tuple[int, ...]
     result: ThinSplinterResult
     instance: SplinterInstance
+    profiles: tuple[Profile, ...]
+    distinguishers: dict
 
 
 def canonical_nested_separators(g: Graph, profiles) -> NestedSeparators:
     """Canonical nested set of separators efficiently distinguishing every
     pair of the given (distinguishable, robust, regular) profiles.
     Regularity is checked; robustness is the caller's hypothesis."""
-    instance = build_separator_instance(g, profiles)
-    if not instance.families:
-        return NestedSeparators((), ThinSplinterResult((), ()), instance)
-    result = thin_splinter(instance)
-    return NestedSeparators(
-        tuple(sorted(result.nested_set, key=separator_sort_key)), result, instance
-    )
+    profiles = tuple(profiles)
+    instance, distinguishers = build_separator_instance(g, profiles)
+    result = thin_splinter(instance) if instance.families else ThinSplinterResult((), ())
+    separators = tuple(sorted(result.nested_set, key=separator_sort_key))
+    return NestedSeparators(separators, result, instance, profiles, distinguishers)
 
 
 # ---------------------------------------------------------------------------
 # separators -> separations
 
-def separators_to_separations(g: Graph, nested_separators, profiles) -> tuple[Separation, ...]:
+def separators_to_separations(g: Graph, nested: NestedSeparators) -> tuple[Separation, ...]:
     """Convert a nested separator set into a nested set of separations that
-    still distinguishes every profile pair efficiently.
+    still distinguishes every profile pair efficiently: each pair's
+    distinguisher set, as `nested` carries it, meets the output.
 
     Separators are processed in ascending size (ties by vertex order). For
     each separator the tight components of its complement receive one
@@ -234,8 +214,7 @@ def separators_to_separations(g: Graph, nested_separators, profiles) -> tuple[Se
     the empty separator in the set, and its emissions are precisely the
     component separations.
     """
-    profiles = tuple(profiles)
-    for idx, p in enumerate(profiles):
+    for idx, p in enumerate(nested.profiles):
         if not is_principal(g, p):
             raise PreconditionError(
                 f"profile {idx} is not principal; non-principal profiles do not "
@@ -244,7 +223,7 @@ def separators_to_separations(g: Graph, nested_separators, profiles) -> tuple[Se
     verts = g.vertices
     emitted: list[Separation] = []
 
-    for x in sorted(nested_separators, key=separator_sort_key):
+    for x in sorted(nested.separators, key=separator_sort_key):
         comps = g.components(x)
         tight = [c for c in comps if g.neighbours(c) == x]
         loose = [c for c in comps if g.neighbours(c) != x]
@@ -279,13 +258,8 @@ def separators_to_separations(g: Graph, nested_separators, profiles) -> tuple[Se
     for s, t in itertools.combinations(out, 2):
         if not is_nested(s, t):
             raise CertificationError(f"output not nested: {s} vs {t}")
-    for p, q in itertools.combinations(profiles, 2):
-        dset = efficient_distinguishers(g, p, q)
-        if dset.order is None:
-            continue
-        if not any(
-            s.order == dset.order and distinguishes(p, q, s) for s in out
-        ):
+    for dset in nested.distinguishers.values():
+        if set(dset.seps).isdisjoint(out):
             raise CertificationError(
                 "a profile pair is not efficiently distinguished by the output"
             )

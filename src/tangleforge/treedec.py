@@ -27,7 +27,7 @@ from .core import (
 )
 from .errors import CapExceededError, CertificationError, PreconditionError
 from .separators import canonical_nested_separators, separator_sort_key
-from .profiles import efficient_distinguishers, is_principal
+from .profiles import is_principal
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +379,7 @@ def build_totd(g: Graph, profiles) -> TreeOfTreeDecompositions:
         totd.children.setdefault(t, [])
         totd.children[t] = tuple(totd.children[t])
 
-    certify_totd(g, totd, closure, profiles)
+    certify_totd(g, totd, closure, nested.distinguishers.values())
     return totd
 
 
@@ -396,9 +396,11 @@ def _level_separations(gt: Graph, closure, size: int):
     return tuple(sorted(out, key=sep_sort_key))
 
 
-def certify_totd(g: Graph, totd: TreeOfTreeDecompositions, closure, profiles):
+def certify_totd(g: Graph, totd: TreeOfTreeDecompositions, closure, distinguishers):
     """Re-verify the construction invariants and the three stated
-    properties of the finished tree of tree-decompositions."""
+    properties of the finished tree of tree-decompositions; `distinguishers`
+    are the distinguisher sets of the profile pairs the tree must tell
+    apart."""
     depth_max = max(totd.depth.values(), default=0)
     induced = {t: induced_separations(totd.td_at[t]) for t in totd.nodes}
     torsos = {
@@ -460,10 +462,7 @@ def certify_totd(g: Graph, totd: TreeOfTreeDecompositions, closure, profiles):
                 raise CertificationError("child graph is not the stated torso")
 
     # every profile pair is distinguished efficiently somewhere in the tree
-    for p, q in itertools.combinations(profiles, 2):
-        dset = efficient_distinguishers(g, p, q)
-        if dset.order is None:
-            continue
+    for dset in distinguishers:
         found = False
         for s in dset.seps:
             for t in totd.nodes:

@@ -466,7 +466,7 @@ def suite_separations_from_separators(seed):
             details.append(f"{name}: trivial")
             continue
         res = canonical_nested_separators(g, profs)
-        out = separators_to_separations(g, res.separators, profs)
+        out = separators_to_separations(g, res)
         for s, t in itertools.combinations(out, 2):
             if not is_nested(s, t):
                 raise AssertionError(f"{name}: output not nested")

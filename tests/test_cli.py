@@ -167,6 +167,28 @@ TRIANGLE_RING3 = {
     "edges": [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [6, 7], [7, 8], [6, 8],
               [2, 3], [5, 6], [8, 0]],
 }
+# the same contract on the ring, read through a --graph file at k = 3
+RING_GOLDEN = [
+    ("thin-splinter", 0, "5ee9cb9bd95a5a138db26f53092635afc2b47952a991ee4ded74f7d488af52e2"),
+    ("nested-separators", 0, "d16eba9bc805376d17495af27ef8efbb0c932660c53bcc9149d6818d797a7417"),
+    ("nested-separations", 0, "f8fde0809850b73c43bb32966ed348f1aa362246c2724dc9c1cf8fd2385588ac"),
+    ("treedec", 0, "1c09ab36789583f1bcf69bc2babdfd91e7e99a6b1b965cc5c00525a53cc766a1"),
+    ("totd", 0, "317db22099fcedb9f682aa4973b60f0d49550a22d3f54eeecd28ba23b6b33699"),
+    ("treedec --format dot", 0, "00011bc7917d100da079e9590f171025709ed7b7ab2a6001eca844a81643201d"),
+    ("totd --format dot", 0, "9e5e95a730440464e5e7b838d147a0878073ec4b560de0692711222a97a46d7e"),
+]
+
+
+@pytest.mark.parametrize("spec,code,digest", RING_GOLDEN, ids=[g[0] for g in RING_GOLDEN])
+def test_golden_ring_digest(spec, code, digest, capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
+    monkeypatch.chdir(tmp_path)  # the envelope names the graph file as given
+    (tmp_path / "ring.json").write_text(json.dumps(TRIANGLE_RING3))
+    verb, *rest = spec.split()
+    got_code, out = run_cli([verb, "--graph", "ring.json", "--k", "3", *rest], capsys)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
 GRAPH_VERBS = [name for name in cli_module.COMMANDS if name not in ("verify", "fixtures")]
 # profinite-splinter runs about 10 s on FIX_GRID33 and on the ring
 COUNTED_JOBS = [
@@ -201,7 +223,8 @@ def test_each_job_builds_s_k_once(verb, graph, capsys, monkeypatch, tmp_path):
     """S_k comes from the profile search and is read off the profiles after
     it; only profinite-splinter builds whole universes, and splinter builds
     its truncated universe. Principality is checked once per profile, by
-    the preconditions of separators_to_separations and build_totd."""
+    the preconditions of separators_to_separations and build_totd, and each
+    pair's distinguisher set is computed once, by build_separator_instance."""
     monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
     if graph == "triangle_ring3":
         path = tmp_path / "ring.json"
@@ -210,7 +233,7 @@ def test_each_job_builds_s_k_once(verb, graph, capsys, monkeypatch, tmp_path):
     else:
         argv = [verb, "--fixture", graph]
     calls = count_calls(monkeypatch, core, ("enumerate_separations", "all_separations"))
-    principal = count_calls(monkeypatch, profiles, ("is_principal",))
+    per_profile = count_calls(monkeypatch, profiles, ("is_principal", "efficient_distinguishers"))
     code, out = run_cli(argv, capsys)
     assert code in (0, 1), out
     if (verb, graph) == ("splinter", "FIX_2K4"):
@@ -219,7 +242,8 @@ def test_each_job_builds_s_k_once(verb, graph, capsys, monkeypatch, tmp_path):
     if verb != "profinite-splinter":
         assert calls["all_separations"] == 0
     if graph == "triangle_ring3" and verb in ("nested-separations", "treedec", "totd"):
-        assert principal["is_principal"] == 3  # one per regular robust 3-profile
+        assert per_profile["is_principal"] == 3  # one per regular robust 3-profile
+        assert per_profile["efficient_distinguishers"] == 3  # one per pair of them
 
 
 def test_every_traced_layer_name_is_a_library_callable():
@@ -315,6 +339,11 @@ BAD_INPUTS = [
     ("k-zero-graph", None, ["profiles", "--graph", "{tmp}/p4.txt", "--k", "0"]),
     ("cap-n-negative", None, ["separations", "--fixture", "FIX_P4", "--k", "2", "--cap-n", "-1"]),
     ("graph-json-list", None, ["separations", "--graph", "{tmp}/graph-list.json", "--k", "2"]),
+    ("out-missing-dir", None, ["separations", "--fixture", "FIX_P4", "--out", "{tmp}/no/x.json"]),
+    ("out-is-directory", None, ["separations", "--fixture", "FIX_P4", "--out", "{tmp}"]),
+    ("out-cap-envelope", None, ["separations", "--fixture", "FIX_P4", "--cap-n", "0", "--out", "{tmp}"]),
+    ("out-diagnostic-envelope", None, ["totd", "--fixture", "FIX_2K2", "--out", "{tmp}/no/x.json"]),
+    ("suite-unknown", None, ["verify", "--suite", "nosuch"]),
 ] + [
     (name[: -len(".json")], None, ["separations", "--graph", "{tmp}/" + name, "--k", "2"])
     for name in BAD_FILES
@@ -351,6 +380,13 @@ def test_bad_input_is_a_one_line_usage_error(env, argv, capsys, monkeypatch, tmp
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert "Traceback" not in captured.err
+
+
+def test_unknown_suite_is_named(capsys):
+    code = cli_main(["verify", "--suite", "totd-2k4", "--suite", "nosuch"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: unknown suite: nosuch\n"
 
 
 def test_bad_system_files_edit_a_well_formed_one(tmp_path, capsys):

@@ -73,7 +73,7 @@ def test_pipeline_on_random_graphs():
         for x, y in itertools.combinations(chosen, 2):
             assert inst.nested(x, y)
 
-        out = separators_to_separations(g, nested.separators, family)
+        out = separators_to_separations(g, nested)
         for s, t in itertools.combinations(out, 2):
             assert is_nested(s, t)
         for p, q in itertools.combinations(family, 2):
@@ -121,7 +121,7 @@ def pipeline(g, k):
     """Separators, separations and totd (depth, bags) of the full pipeline."""
     profiles = pipeline_profiles(g, enumerate_k_profiles(g, k))
     nested = canonical_nested_separators(g, profiles)
-    seps = separators_to_separations(g, nested.separators, profiles)
+    seps = separators_to_separations(g, nested)
     totd = build_totd(g, profiles)
     levels = Counter(
         (totd.depth[t], tuple(sorted(totd.td_at[t].bags.values()))) for t in totd.nodes

@@ -42,7 +42,7 @@ from tangleforge.profiles import (
     profile_flags,
     satisfies_profile_property,
 )
-from tangleforge.separators import separators_to_separations
+from tangleforge.separators import canonical_nested_separators, separators_to_separations
 from tangleforge.treedec import build_totd
 
 K2 = Graph.from_edges(2, [(0, 1)])
@@ -280,7 +280,7 @@ def test_non_robust_and_non_principal_orientations_are_refused(graphs):
     assert profile_flags(claw, p) == ProfileFlags(regular=True, robust=True, principal=False)
     assert pipeline_profiles(claw, [p]) == (p,)
     with pytest.raises(PreconditionError, match="not principal"):
-        separators_to_separations(claw, (), [p])
+        separators_to_separations(claw, canonical_nested_separators(claw, [p]))
     with pytest.raises(PreconditionError, match="not principal"):
         build_totd(claw, [p])
     path = graphs["FIX_P4"]

@@ -2,6 +2,7 @@
 distinguishing separator sets, crossing numbers, the canonical nested
 separator set and its conversion to separations."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -13,22 +14,25 @@ from tangleforge.core import (
     canonical,
     is_nested,
     is_tight,
+    join,
     mask_of,
     star,
     vertices_of,
 )
-from tangleforge.errors import PreconditionError
+from tangleforge.errors import CertificationError, PreconditionError
 from tangleforge.profiles import (
     distinguishes,
+    efficient_distinguishers,
     enumerate_k_profiles,
+    pipeline_profiles,
 )
 from tangleforge.separators import (
     build_separator_instance,
     canonical_nested_separators,
-    distinguishing_separators,
     minimal_separators,
     separator_crossing_number,
     separator_nested,
+    separator_sort_key,
     separators_to_separations,
     strongly_nested,
 )
@@ -41,6 +45,16 @@ def sep(a, b):
 
 def m(*vertices):
     return mask_of(vertices)
+
+
+def witnesses_by_separator(g, p, q) -> dict:
+    """The efficient distinguishers of the pair grouped by separator:
+    separators in size-then-vertex order, each with its witnessing
+    separations in separation order."""
+    groups = {}
+    for s in efficient_distinguishers(g, p, q).seps:
+        groups.setdefault(s.separator, []).append(s)
+    return {x: groups[x] for x in sorted(groups, key=separator_sort_key)}
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +114,7 @@ def test_symmetry_on_genuine_distinguisher_collections(graphs, triring, triring_
     for g, profs in cases:
         separators = set()
         for p, q in itertools.combinations(profs, 2):
-            for s in distinguishing_separators(g, p, q):
-                separators.add(s.mask)
+            separators.update(witnesses_by_separator(g, p, q))
         for x, y in itertools.combinations(separators, 2):
             assert separator_nested(g, x, y) == separator_nested(g, y, x)
 
@@ -120,8 +133,7 @@ def test_nested_distinguishing_separators_are_strongly_nested(graphs, triring, t
     ):
         separators = set()
         for p, q in itertools.combinations(profs, 2):
-            for s in distinguishing_separators(g, p, q):
-                separators.add(s.mask)
+            separators.update(witnesses_by_separator(g, p, q))
         for x, y in itertools.combinations(sorted(separators), 2):
             if separator_nested(g, x, y):
                 assert strongly_nested(g, x, y)
@@ -131,7 +143,7 @@ def test_strongly_nested_closed_under_subsets(triring, triring_profiles):
     g = triring
     separators = set()
     for p, q in itertools.combinations(triring_profiles, 2):
-        separators |= {s.mask for s in distinguishing_separators(g, p, q)}
+        separators |= witnesses_by_separator(g, p, q).keys()
     pairs = [
         (x, y)
         for x, y in itertools.product(sorted(separators), repeat=2)
@@ -161,11 +173,11 @@ def test_two_k4_separator_sets(graphs):
     m2 = canonical(sep([0, 1, 2, 3, 4], [4, 5, 6, 7]))
     left = next(p for p in profs if p.orients(m1) == star(m1) and p.orients(m2) == star(m2))
     right = next(p for p in profs if p.orients(m1) == m1 and p.orients(m2) == m2)
-    seps = distinguishing_separators(g, left, right)
-    assert [s.mask for s in seps] == [m(3), m(4)]
-    assert [len(s.witnesses) for s in seps] == [1, 1]
-    assert seps[0].witnesses[0] == m1
-    assert seps[1].witnesses[0] == m2
+    groups = witnesses_by_separator(g, left, right)
+    assert list(groups) == [m(3), m(4)]
+    assert [len(w) for w in groups.values()] == [1, 1]
+    assert groups[m(3)][0] == m1
+    assert groups[m(4)][0] == m2
 
 
 def test_witnesses_are_tight(graphs, triring, triring_profiles):
@@ -174,8 +186,8 @@ def test_witnesses_are_tight(graphs, triring, triring_profiles):
         (triring, triring_profiles),
     ):
         for p, q in itertools.combinations(profs, 2):
-            for s in distinguishing_separators(g, p, q):
-                for w in s.witnesses:
+            for witnesses in witnesses_by_separator(g, p, q).values():
+                for w in witnesses:
                     assert is_tight(g, w)
 
 
@@ -183,8 +195,7 @@ def test_crossing_separators_meet_tight_components(triring, triring_profiles):
     g = triring
     separators = set()
     for p, q in itertools.combinations(triring_profiles, 2):
-        for s in distinguishing_separators(g, p, q):
-            separators.add(s.mask)
+        separators.update(witnesses_by_separator(g, p, q))
     crossing_pairs = [
         (x, y)
         for x, y in itertools.combinations(sorted(separators), 2)
@@ -207,13 +218,13 @@ def test_separator_crossing_numbers(graphs, triring, triring_profiles):
     profs = [p for p in enumerate_k_profiles(g, 2) if p.is_regular(g)]
     separators = set()
     for p, q in itertools.combinations(profs, 2):
-        separators |= {s.mask for s in distinguishing_separators(g, p, q)}
+        separators |= witnesses_by_separator(g, p, q).keys()
     for x in separators:
         assert separator_crossing_number(g, separators, x, 1) == 0
 
     ring_separators = set()
     for p, q in itertools.combinations(triring_profiles, 2):
-        ring_separators |= {s.mask for s in distinguishing_separators(triring, p, q)}
+        ring_separators |= witnesses_by_separator(triring, p, q).keys()
     bound_checked = 0
     for x in sorted(ring_separators):
         count = separator_crossing_number(triring, ring_separators, x, 2)
@@ -316,7 +327,7 @@ def test_triangle_ring_pipeline(triring, triring_profiles):
 def test_separator_corner_oracle_returns_corners(triring, triring_profiles):
     from tangleforge.splinter import is_corner
 
-    inst = build_separator_instance(triring, triring_profiles)
+    inst, _ = build_separator_instance(triring, triring_profiles)
     exercised = 0
     for ka, kb in itertools.combinations(inst.family_keys(), 2):
         for a in inst.families[ka]:
@@ -331,6 +342,53 @@ def test_separator_corner_oracle_returns_corners(triring, triring_profiles):
     assert exercised > 0
 
 
+def recomputed_corner_oracle(g, profiles):
+    """The corner oracle recomputed from the profiles: the separator of the
+    first of the four joins of a witness pair of a and b that has the
+    target pair's distinguishing order and distinguishes that pair."""
+    witnesses = {}
+    for p, q in itertools.combinations(profiles, 2):
+        for s in efficient_distinguishers(g, p, q).seps:
+            witnesses.setdefault(s.separator, {})[s] = None
+
+    def oracle(a, b, target):
+        p, q = profiles[target[0]], profiles[target[1]]
+        order = efficient_distinguishers(g, p, q).order
+        for wa in witnesses[a]:
+            for wb in witnesses[b]:
+                for x in (wa, star(wa)):
+                    for y in (wb, star(wb)):
+                        c = join(x, y)
+                        if c.order == order and distinguishes(p, q, c):
+                            return c.separator
+        return None
+
+    return oracle
+
+
+@pytest.mark.parametrize("case", ["triangle_ring", "pendant_ring", "FIX_GRID33"])
+def test_corner_oracle_matches_a_recomputation_from_the_profiles(
+    case, graphs, triring, triring_profiles, triring_pendant, triring_pendant_profiles
+):
+    g, profs = {
+        "triangle_ring": (triring, triring_profiles),
+        "pendant_ring": (triring_pendant, triring_pendant_profiles),
+        "FIX_GRID33": (
+            graphs["FIX_GRID33"],
+            pipeline_profiles(graphs["FIX_GRID33"], enumerate_k_profiles(graphs["FIX_GRID33"], 3)),
+        ),
+    }[case]
+    inst, _ = build_separator_instance(g, profs)
+    expected = recomputed_corner_oracle(g, profs)
+    answers = 0
+    for a, b in itertools.product(inst.elements, repeat=2):
+        for target in inst.families:
+            got = inst.corner_oracle(a, b, target)
+            assert got == expected(a, b, target), (a, b, target)
+            answers += got is not None
+    assert answers > 0
+
+
 # ---------------------------------------------------------------------------
 # separations from separators
 
@@ -338,24 +396,34 @@ def test_two_k4_separations(graphs):
     g = graphs["FIX_2K4"]
     profs = [p for p in enumerate_k_profiles(g, 2) if p.is_regular(g)]
     res = canonical_nested_separators(g, profs)
-    out = separators_to_separations(g, res.separators, profs)
+    out = separators_to_separations(g, res)
     assert set(out) == {
         canonical(sep([0, 1, 2, 3], [3, 4, 5, 6, 7])),
         canonical(sep([0, 1, 2, 3, 4], [4, 5, 6, 7])),
     }
 
 
+def test_conversion_certifies_every_pair_against_its_distinguisher_set(graphs):
+    g = graphs["FIX_2K4"]
+    profs = [p for p in enumerate_k_profiles(g, 2) if p.is_regular(g)]
+    res = canonical_nested_separators(g, profs)
+    assert len(res.distinguishers) == 3
+    with pytest.raises(CertificationError, match="not efficiently distinguished"):
+        separators_to_separations(g, dataclasses.replace(res, separators=(m(3),)))
+
+
 def test_empty_separator_set_gives_empty_output(graphs):
     g = graphs["FIX_2K4"]
     profs = [p for p in enumerate_k_profiles(g, 2) if p.is_regular(g)]
-    assert separators_to_separations(g, (), profs[:1]) == ()
+    assert separators_to_separations(g, canonical_nested_separators(g, profs[:1])) == ()
 
 
 def test_non_principal_profile_rejected(graphs):
     g = graphs["FIX_P4"]
     irregular = next(p for p in enumerate_k_profiles(g, 2) if not p.is_regular(g))
+    nested = dataclasses.replace(canonical_nested_separators(g, []), profiles=(irregular,))
     with pytest.raises(PreconditionError):
-        separators_to_separations(g, (), [irregular])
+        separators_to_separations(g, nested)
 
 
 def test_disconnected_two_k2(graphs):
@@ -363,7 +431,7 @@ def test_disconnected_two_k2(graphs):
     profs = list(enumerate_k_profiles(g, 1))
     res = canonical_nested_separators(g, profs)
     assert res.separators == (0,)  # the empty separator
-    out = separators_to_separations(g, res.separators, profs)
+    out = separators_to_separations(g, res)
     assert out == (canonical(sep([0, 1], [2, 3])),)
     p, q = profs
     assert any(distinguishes(p, q, s) for s in out)
@@ -376,7 +444,7 @@ def test_output_efficiency_matches_brute_force(graphs, triring, triring_profiles
     ]
     for g, profs in cases:
         res = canonical_nested_separators(g, profs)
-        out = separators_to_separations(g, res.separators, profs)
+        out = separators_to_separations(g, res)
         for x, y in itertools.combinations(out, 2):
             assert is_nested(x, y)
         for p, q in itertools.combinations(profs, 2):
@@ -392,7 +460,7 @@ def test_pendant_ring_exercises_component_grouping(triring_pendant, triring_pend
     g = triring_pendant
     profs = triring_pendant_profiles
     res = canonical_nested_separators(g, profs)
-    out = separators_to_separations(g, res.separators, profs)
+    out = separators_to_separations(g, res)
     by_separator = {}
     for s in out:
         by_separator.setdefault(s.separator, []).append(s)
@@ -407,7 +475,7 @@ def test_two_level_pipeline_on_doubled_bridge_ring(k5ring, k5ring_profiles):
     construction must respect the level-2 choices when picking level 3, and
     the emission loop mixes separator sizes."""
     g = k5ring
-    inst = build_separator_instance(g, k5ring_profiles)
+    inst, _ = build_separator_instance(g, k5ring_profiles)
     orders = sorted(set(inst.orders.values()))
     assert orders == [2, 3]
     cross_level = 0
@@ -430,13 +498,11 @@ def test_two_level_pipeline_on_doubled_bridge_ring(k5ring, k5ring_profiles):
     ]
     assert [lv.k for lv in res.result.levels] == [2, 3]
 
-    out = separators_to_separations(g, res.separators, k5ring_profiles)
+    out = separators_to_separations(g, res)
     assert sorted(s.order for s in out) == [2, 2, 2, 3, 3]
     for x, y in itertools.combinations(out, 2):
         assert is_nested(x, y)
     for p, q in itertools.combinations(k5ring_profiles, 2):
-        from tangleforge.profiles import efficient_distinguishers
-
         dset = efficient_distinguishers(g, p, q)
         assert any(s.order == dset.order and distinguishes(p, q, s) for s in out)
 

@@ -271,7 +271,7 @@ def test_both_engines_on_the_same_distinguisher_data(graphs):
     for x, y in itertools.combinations(picks, 2):
         assert is_nested(x, y)
 
-    inst = build_separator_instance(g, profs)
+    inst, _ = build_separator_instance(g, profs)
     res = thin_splinter(inst)
     for fam in inst.families.values():
         assert fam & set(res.nested_set)
@@ -280,7 +280,7 @@ def test_both_engines_on_the_same_distinguisher_data(graphs):
 def test_property3_corner_has_strictly_lower_crossing_number(triring, triring_profiles):
     """On the triangle ring separator instance, crossing same-level pairs
     admit corners whose level crossing number strictly drops."""
-    inst = build_separator_instance(triring, triring_profiles)
+    inst, _ = build_separator_instance(triring, triring_profiles)
     keys = inst.family_keys()
     exercised = 0
     for ki, kj in itertools.combinations(keys, 2):
@@ -390,7 +390,7 @@ def test_thin_splinter_calls_nested_once_per_ordered_pair():
     `nested` call per ordered pair of elements."""
     edges = [(3 * i + a, 3 * i + b) for i in range(3) for a, b in ((0, 1), (1, 2), (0, 2))]
     g = Graph.from_edges(9, edges + [(2, 3), (5, 6), (8, 0)])
-    inst = build_separator_instance(g, pipeline_profiles(g, enumerate_k_profiles(g, 3)))
+    inst, _ = build_separator_instance(g, pipeline_profiles(g, enumerate_k_profiles(g, 3)))
     calls = 0
 
     def counted(a, b):

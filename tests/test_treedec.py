@@ -301,12 +301,13 @@ def test_certify_totd_refuses_corrupted_trees(graphs, triring, triring_profiles)
     corrupted to break it."""
     g, profs = triring, triring_profiles
     totd = build_totd(g, profs)
-    separators = canonical_nested_separators(g, profs).separators  # all of size 2
+    nested = canonical_nested_separators(g, profs)
+    separators = nested.separators  # all of size 2
     closure = sorted(
         {*separators, *(x & ~(1 << v) for x in separators for v in iter_bits(x))},
         key=separator_sort_key,
     )
-    certify_totd(g, totd, closure, profs)
+    certify_totd(g, totd, closure, nested.distinguishers.values())
     pairs = [mask_of(e) for e in itertools.combinations(range(g.n), 2)]
 
     def deeper(t):
@@ -325,9 +326,10 @@ def test_certify_totd_refuses_corrupted_trees(graphs, triring, triring_profiles)
         broken = copy.deepcopy(totd)
         corrupt(broken)
         with pytest.raises(CertificationError, match=message):
-            certify_totd(g, broken, cl, profs)
+            certify_totd(g, broken, cl, nested.distinguishers.values())
     g = graphs["FIX_2K4"]
     profs = enumerate_k_profiles(g, 2)
     totd = build_totd(g, pipeline_profiles(g, profs))
+    every_pair = [efficient_distinguishers(g, p, q) for p, q in itertools.combinations(profs, 2)]
     with pytest.raises(CertificationError, match="a profile pair is not distinguished"):
-        certify_totd(g, totd, [mask_of([3]), mask_of([4])], profs)
+        certify_totd(g, totd, [mask_of([3]), mask_of([4])], every_pair)
