@@ -162,7 +162,17 @@ def read_graph(spec: str) -> tuple[int, list]:
     return max_v + 1, edges
 
 
+def _refuse_graph_args(args, source: str):
+    """Raise InputError when --fixture, --graph or --k is given to a
+    command whose input is `source`, which would silently ignore them."""
+    given = [f"--{name}" for name in ("fixture", "graph", "k") if getattr(args, name) is not None]
+    if given:
+        raise InputError(f"{source} takes no {', '.join(given)}")
+
+
 def _resolve_graph_and_k(args, cfg) -> tuple[Graph, int, str]:
+    if args.fixture and args.graph is not None:
+        raise InputError("give one of --fixture or --graph, not both")
     if args.fixture:
         g = get_fixture(args.fixture).graph
         label = args.fixture
@@ -310,6 +320,7 @@ def instance_from_json(obj) -> SplinterInstance:
 
 def cmd_thin_splinter(args, cfg):
     if args.instance:
+        _refuse_graph_args(args, "--instance")
         inst = instance_from_json(_parse_json(_read_text(args.instance), args.instance))
         res = thin_splinter(inst)
         return {
@@ -332,6 +343,7 @@ def cmd_thin_splinter(args, cfg):
 
 def cmd_profinite_splinter(args, cfg):
     if args.system:
+        _refuse_graph_args(args, "--system")
         sys_obj, families = system_from_json(_parse_json(_read_text(args.system), args.system))
         res = profinite_splinter(
             sys_obj, families, union_cap=cfg.profinite_union, limit_cap=cfg.profinite_product
@@ -424,6 +436,9 @@ def cmd_totd(args, cfg):
 def cmd_verify(args, cfg):
     from .verify import ALL_SUITES, run_suites  # the suites and their oracles load for this verb only
 
+    _refuse_graph_args(args, "verify")
+    if args.all and args.suite:
+        raise InputError("--all runs every suite; give it without --suite")
     names = set(args.suite or ())
     unknown = sorted(names - {suite.suite_name for suite in ALL_SUITES})
     if unknown:
@@ -445,6 +460,7 @@ def cmd_verify(args, cfg):
 
 
 def cmd_fixtures(args, cfg):
+    _refuse_graph_args(args, "fixtures")
     return {
         "fixtures": [
             {

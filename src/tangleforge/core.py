@@ -32,12 +32,10 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 def vertices_of(mask: int) -> tuple[int, ...]:
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -117,22 +115,24 @@ class Graph:
         return out & ~mask & self.vertices
 
     def components(self, removed: int = 0) -> tuple[int, ...]:
-        """Connected components of G - removed, as masks."""
+        """Connected components of G - removed, as masks, in the order of
+        their least vertices. Each grows by the neighbourhood of its newest
+        layer of vertices until it stops."""
+        adj = self.adj
         comps = []
-        seen = removed | ~self.vertices
-        for v in iter_bits(self.vertices & ~seen):
-            if seen >> v & 1:
-                continue
-            stack = [v]
-            seen |= 1 << v
-            comp = 0
-            while stack:
-                u = stack.pop()
-                comp |= 1 << u
-                fresh = self.adj[u] & ~seen
-                seen |= fresh
-                stack.extend(iter_bits(fresh))
+        todo = self.vertices & ~removed
+        while todo:
+            comp = layer = todo & -todo
+            while layer:
+                reach = 0
+                while layer:
+                    low = layer & -layer
+                    reach |= adj[low.bit_length() - 1]
+                    layer ^= low
+                layer = reach & todo & ~comp
+                comp |= layer
             comps.append(comp)
+            todo &= ~comp
         return tuple(comps)
 
     def is_connected(self) -> bool:
@@ -199,10 +199,17 @@ def side_key(mask: int) -> tuple[int, ...]:
 
 def canonical(s: Separation) -> Separation:
     """Canonical orientation: the side that is lexicographically least
-    (as a sorted vertex tuple) comes first."""
-    if side_key(s.a) <= side_key(s.b):
+    (as a sorted vertex tuple) comes first.
+
+    Read off the masks: the sides agree below the lowest bit `low` of
+    a ^ b, so the tuples first differ where one side has `low` and the
+    other has its next vertex, or has ended. The side holding `low` comes
+    first unless the other side has ended there."""
+    a, b = s
+    low = (a ^ b) & -(a ^ b)
+    if not low or (b >= low << 1 if a & low else a < low):
         return s
-    return star(s)
+    return Separation(b, a)
 
 
 def sep_sort_key(s: Separation) -> tuple:
@@ -257,13 +264,21 @@ DEFAULT_MAX_K = 6
 
 
 def enumerate_separations(
-    g: Graph, k: int, max_n: int = DEFAULT_MAX_N, max_k: int = DEFAULT_MAX_K
+    g: Graph,
+    k: int,
+    max_n: int = DEFAULT_MAX_N,
+    max_k: int = DEFAULT_MAX_K,
+    max_sk: Optional[int] = None,
 ) -> tuple[Separation, ...]:
     """All unoriented separations of order < k, canonically oriented and sorted.
 
     Works separator-first: a separation of order < k is a pair (X, S) of a
     separator X with |X| < k and a choice S of the components of G - X lying
-    on the a-side.
+    on the a-side. S and its complement give the same unoriented
+    separation, so X contributes 2^(c − 1) of them for c components, and
+    X = V(G) (no components) contributes (V, V) alone. That count is taken
+    from the components before any separation is built, and a count above
+    `max_sk` raises CapExceededError.
     """
     if k < 1:
         raise PreconditionError("k must be at least 1")
@@ -271,18 +286,24 @@ def enumerate_separations(
         raise CapExceededError(
             f"enumeration cap exceeded: n={g.num_vertices} (cap {max_n}), k={k} (cap {max_k})"
         )
-    out = set()
     verts = g.vertices
-    for size in range(min(k, g.num_vertices + 1)):
-        for x in subsets_of_size(verts, size):
-            comps = g.components(x)
-            for r in range(len(comps) + 1):
-                for chosen in itertools.combinations(comps, r):
-                    a = x
-                    for c in chosen:
-                        a |= c
-                    b = verts & ~(a & ~x)
-                    out.add(canonical(Separation(a, b)))
+    split = [
+        (x, g.components(x))
+        for size in range(min(k, g.num_vertices + 1))
+        for x in subsets_of_size(verts, size)
+    ]
+    m = sum(2 ** (len(comps) - 1) if comps else 1 for _, comps in split)
+    if max_sk is not None and m > max_sk:
+        raise CapExceededError(f"|S_k| = {m} exceeds the profile search cap {max_sk}")
+    out = set()
+    for x, comps in split:
+        for r in range(len(comps) + 1):
+            for chosen in itertools.combinations(comps, r):
+                a = x
+                for c in chosen:
+                    a |= c
+                b = verts & ~(a & ~x)
+                out.add(canonical(Separation(a, b)))
     return tuple(sorted(out, key=sep_sort_key))
 
 

@@ -20,7 +20,7 @@ from .core import (
     star,
     subsets_of_size,
 )
-from .errors import CapExceededError, CertificationError, HypothesisError, PreconditionError
+from .errors import CertificationError, HypothesisError, PreconditionError
 
 DEFAULT_MAX_SK = 64
 
@@ -92,6 +92,63 @@ def is_profile(g: Graph, k: int, chosen, s_k=None) -> bool:
     return is_consistent(chosen) and satisfies_profile_property(chosen)
 
 
+def _leaves_are_profiles(g: Graph, s_k, slots, leaves) -> bool:
+    """Definitional check of every leaf of a profile search at once.
+
+    `slots` lists both orientations of each separation of S_k (slot 2i and
+    its inverse 2i + 1) and a leaf is an int of slot bits. Every leaf must
+    hold exactly one slot of every separation, no two members x, y with
+    distinct underlying separations and x* ≤ y, and no members x, y with
+    x* ∧ y* again a member. Both relations are computed from the
+    separations, once per unordered pair of the union U of the leaves'
+    members, instead of once per leaf.
+    """
+    m = len(s_k)
+    width = 2 * m
+    if len(slots) != width or any(slots[x + 1] != slots[x][::-1] for x in range(0, width, 2)):
+        return False
+    if {canonical(Separation(*slots[x])) for x in range(0, width, 2)} != set(s_k):
+        return False
+    evens = (4**m - 1) // 3  # slot 2i of every separation i
+    if any((leaf | leaf >> 1) & evens != evens or leaf & leaf >> 1 & evens for leaf in leaves):
+        return False
+
+    union = 0
+    for leaf in leaves:
+        union |= leaf
+    members = list(iter_bits(union))
+    shift, verts = g.n, g.vertices
+    # coded as a << n | (V ∖ b), the meet (a ∩ c, b ∪ d) of two separations
+    # is the AND of their codes; the two slots of (V, V) share one code
+    code_bits = {}
+    for x, (a, b) in enumerate(slots):
+        code = (a << shift) | (verts & ~b)
+        code_bits[code] = code_bits.get(code, 0) | 1 << x
+    inverse = [(slots[x][1] << shift) | (verts & ~slots[x][0]) for x in members]
+    # x* ≤ y iff B(x) ⊆ A(y) and B(y) ⊆ A(x), iff the code of x* misses
+    # ((V ∖ A(y)) << n) | B(y)
+    outside = [((verts & ~slots[y][0]) << shift) | slots[y][1] for y in members]
+    # clash[x]: the members y > x of other separations with x* ≤ y (the
+    # relation is symmetric); meets[x]: (bit of y, bits of x* ∧ y*) for the
+    # members y ≥ x whose meet lies in U
+    clash = {}
+    meets = {}
+    for i, x in enumerate(members):
+        code = inverse[i]
+        clash[x] = sum(
+            1 << y
+            for y, out in zip(members[i + 1 :], outside[i + 1 :])
+            if not code & out and y != x ^ 1
+        )
+        targets = map(code_bits.get, [code & other for other in inverse[i:]])
+        meets[x] = [(1 << y, t) for y, t in zip(members[i:], targets) if t and t & union]
+    for leaf in leaves:
+        for x in iter_bits(leaf):
+            if leaf & clash[x] or any(leaf & y and leaf & t for y, t in meets[x]):
+                return False
+    return True
+
+
 def enumerate_k_profiles(
     g: Graph, k: int, max_sk: int = DEFAULT_MAX_SK, max_n: int = 16, max_k: int = 6
 ) -> tuple[Profile, ...]:
@@ -101,17 +158,16 @@ def enumerate_k_profiles(
     Depth-first search over the unoriented separations sorted by order.
     Separation i has the slots 2i (its orientation (a, b)) and 2i+1
     (orientation (b, a)); a partial orientation is an int of chosen slots
-    and an int of banned ones. Choosing a slot bans every slot inconsistent
-    with it and, for each chosen partner y, the slot x* ∧ y* when it lies in
-    S_k, so consistency and property (P) are both fully propagated and every
-    leaf is a profile. Each leaf is still checked against the full
-    definition; a failure means the pruning is wrong and raises
-    CertificationError.
+    and an int of banned ones. Choosing a slot x bans every slot
+    inconsistent with it and, for each slot y already on the branch, the
+    slot x* ∧ y* when it lies in S_k; a meet that is already chosen (x
+    included) ends the branch. So consistency and property (P) are both
+    fully propagated and every leaf is a profile. The leaves are still
+    checked against the full definition, all together; a failure means the
+    pruning is wrong and raises CertificationError.
     """
-    s_k = enumerate_separations(g, k, max_n=max_n, max_k=max_k)
+    s_k = enumerate_separations(g, k, max_n=max_n, max_k=max_k, max_sk=max_sk)
     m = len(s_k)
-    if m > max_sk:
-        raise CapExceededError(f"|S_k| = {m} exceeds the profile search cap {max_sk}")
     if k > g.num_vertices:
         # (V, V) ∈ S_k is its own inverse and its own meet with itself, so
         # every orientation of S_k violates (P)
@@ -119,8 +175,7 @@ def enumerate_k_profiles(
     # s_k is sorted by sep_sort_key; the stable sort keeps that within an order
     order = sorted(s_k, key=lambda s: s.order)
     slots = [side for s in order for side in ((s.a, s.b), (s.b, s.a))]
-    width = 2 * m
-    full = (1 << width) - 1
+    full = (1 << 2 * m) - 1
 
     # per-vertex columns over the slots: A contains v / B misses v
     a_has = [0] * g.n
@@ -142,37 +197,24 @@ def enumerate_k_profiles(
             bad &= b_miss[v]
         cons_bad.append(bad)
 
-    # hits[x]: (partner y, target t) with x* ∧ y* = t ∈ S_k; choosing x, y
-    # and t together violates (P). Left out: pairs of orientations of one
-    # separation, which never coexist, and targets x* or y*, which are never
-    # chosen next to x and y (these are the pairs with x ≤ y or y ≤ x).
-    # Keys pack a slot (a, b) as a << n | b.
-    shift = g.n
-    slot_of = {(a << shift) | b: x for x, (a, b) in enumerate(slots)}.get
-    a_sides = [a for a, _ in slots]
-    b_keys = [b << shift for _, b in slots]
-    hits = [[] for _ in range(width)]
-    for x, (xa, xb) in enumerate(slots):
-        first = (x | 1) + 1
-        xb_key = xb << shift
-        targets = [
-            slot_of((xb_key & yb_key) | xa | ya)
-            for yb_key, ya in zip(b_keys[first:], a_sides[first:])
-        ]
-        for y, t in enumerate(targets, first):
-            if t is not None and t != x ^ 1 and t != y ^ 1:
-                hits[x].append((y, t))
-                hits[y].append((x, t))
+    # a slot (a, b) is coded as a << n | (V ∖ b), so that the code of the
+    # meet x* ∧ y* = (B(x) ∩ B(y), A(x) ∪ A(y)) is the AND of the codes of
+    # x* and y*; `path` holds the codes of the inverses of the branch's slots
+    shift, verts = g.n, g.vertices
+    codes = [(a << shift) | (verts & ~b) for a, b in slots]
+    slot_bit = {code: 1 << x for x, code in enumerate(codes)}.get
+    path = []
 
     def choose(x, chosen, banned):
-        """Add slot x; None when the result violates (P)."""
+        """Add slot x to the branch; None when the result violates (P)."""
         chosen |= 1 << x
         banned |= cons_bad[x]
-        for y, t in hits[x]:
-            if chosen >> y & 1:
-                if chosen >> t & 1:
-                    return None
-                banned |= 1 << t
+        inverse = codes[x ^ 1]
+        for t in filter(None, map(slot_bit, [inverse & other for other in path])):
+            if chosen & t:
+                return None
+            banned |= t
+        path.append(inverse)
         return chosen, banned
 
     leaves = []
@@ -183,10 +225,12 @@ def enumerate_k_profiles(
         while i < m:
             free = ~banned >> (2 * i) & 3
             if free == 3:
+                depth = len(path)
                 for x in (2 * i, 2 * i + 1):
                     state = choose(x, chosen, banned)
                     if state is not None:
                         rec(i + 1, *state)
+                        del path[depth:]
                 return
             if not free:
                 return
@@ -199,15 +243,11 @@ def enumerate_k_profiles(
 
     rec(0, 0, 0)
 
-    profiles = []
-    for chosen in leaves:
-        oriented = tuple(
-            Separation(*slots[x]) for x in range(width) if chosen >> x & 1
-        )
-        if not is_profile(g, k, oriented, s_k=s_k):
-            raise CertificationError("profile search reached a leaf that is not a profile")
-        profiles.append(Profile(k, oriented))
-    return tuple(profiles)
+    if not _leaves_are_profiles(g, s_k, slots, leaves):
+        raise CertificationError("profile search reached a leaf that is not a profile")
+    return tuple(
+        Profile(k, tuple(Separation(*slots[x]) for x in iter_bits(chosen))) for chosen in leaves
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,19 @@ BAD_INPUTS = [
     ("out-cap-envelope", None, ["separations", "--fixture", "FIX_P4", "--cap-n", "0", "--out", "{tmp}"]),
     ("out-diagnostic-envelope", None, ["totd", "--fixture", "FIX_2K2", "--out", "{tmp}/no/x.json"]),
     ("suite-unknown", None, ["verify", "--suite", "nosuch"]),
+    ("all-with-suite", None, ["verify", "--all", "--suite", "totd-2k4"]),
+    (
+        "fixture-and-graph",
+        None,
+        ["separations", "--fixture", "FIX_P4", "--graph", "{tmp}/p4.txt", "--k", "2"],
+    ),
+    ("fixtures-graph-k", None, ["fixtures", "--k", "3", "--graph", "nothing"]),
+    ("fixtures-fixture", None, ["fixtures", "--fixture", "FIX_P4"]),
+    ("verify-fixture", None, ["verify", "--suite", "totd-2k4", "--fixture", "FIX_2K4"]),
+    ("verify-graph", None, ["verify", "--all", "--graph", "{tmp}/p4.txt"]),
+    ("verify-k", None, ["verify", "--k", "2"]),
+    ("instance-and-graph", None, ["thin-splinter", "--instance", "{tmp}/x.json", "--graph", "g"]),
+    ("system-and-k", None, ["profinite-splinter", "--system", "{tmp}/x.json", "--k", "2"]),
 ] + [
     (name[: -len(".json")], None, ["separations", "--graph", "{tmp}/" + name, "--k", "2"])
     for name in BAD_FILES
@@ -488,6 +501,38 @@ def test_graph_cap_is_checked_before_the_graph_is_built(tmp_path, capsys, monkey
         code, out = run_cli(["separations", "--graph", str(tmp_path / name), "--k", "2"], capsys)
         assert code == 3
         assert json.loads(out)["error"]["type"] == "cap"
+
+
+CAPPED_SEARCHES = [
+    # (id, graph JSON, k, |S_k|) against the default max_sk of 64
+    ("edgeless16-k1", {"n": 16, "edges": []}, 1, 32768),
+    ("star16-k2", {"n": 16, "edges": [[0, v] for v in range(1, 16)]}, 2, 16400),
+    ("k5-11-k6", {"n": 16, "edges": [[u, v] for u in range(5) for v in range(5, 16)]}, 6, 7908),
+]
+
+
+@pytest.mark.parametrize(
+    "graph,k,size", [c[1:] for c in CAPPED_SEARCHES], ids=[c[0] for c in CAPPED_SEARCHES]
+)
+def test_profile_search_cap_is_checked_before_any_separation_is_built(
+    graph, k, size, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
+    built = []
+    real = core.Separation
+
+    def counted(a, b):
+        built.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(core, "Separation", counted)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    code, out = run_cli(["profiles", "--graph", str(path), "--k", str(k)], capsys)
+    assert code == 3
+    message = json.loads(out)["error"]["message"]
+    assert message == f"|S_k| = {size} exceeds the profile search cap 64"
+    assert built == []
 
 
 def test_load_graph_rejects_self_loop(tmp_path):

@@ -3,6 +3,7 @@ lattice arithmetic, nestedness, corners, classification, tightness and the
 universe axiom checker."""
 
 import itertools
+import random
 
 import pytest
 
@@ -28,6 +29,7 @@ from tangleforge.core import (
     meet,
     separation_from_json,
     separation_to_json,
+    side_key,
     star,
     verify_universe,
     vertices_of,
@@ -60,6 +62,22 @@ def test_components_and_induced(graphs):
     sub = g.induced(mask_of([0, 1, 2, 3]))
     assert sub.vertices == mask_of([0, 1, 2, 3])
     assert sub.components() == (mask_of([0, 1, 2, 3]),)
+
+
+def test_components_are_the_reachability_classes_in_least_vertex_order():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3]
+        g = Graph.from_edges(n, edges)
+        removed = rng.getrandbits(n)
+        reach = {v: 1 << v for v in range(n) if not removed >> v & 1}
+        for _ in range(n):
+            for v in reach:
+                for w in vertices_of(g.adj[v] & ~removed):
+                    reach[v] |= reach[w]
+        classes = tuple(sorted(set(reach.values()), key=lambda c: c & -c))
+        assert g.components(removed) == classes
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +122,19 @@ def test_enumeration_output_is_canonical_and_sorted(graphs):
     seps = enumerate_separations(graphs["FIX_2K4"], 3, max_n=16, max_k=6)
     assert list(seps) == sorted(set(seps), key=lambda s: (vertices_of(s.a), vertices_of(s.b)))
     assert all(s == canonical(s) for s in seps)
+
+
+def test_canonical_orientation_matches_the_sorted_tuple_rule():
+    # every pair of vertex sets on at most eight vertices
+    for a in range(1 << 8):
+        for b in range(1 << 8):
+            expected = (a, b) if side_key(a) <= side_key(b) else (b, a)
+            assert canonical(Separation(a, b)) == expected, (a, b)
+
+
+def test_vertices_of_lists_the_set_bits_in_order():
+    for mask in range(1 << 12):
+        assert vertices_of(mask) == tuple(v for v in range(12) if mask >> v & 1)
 
 
 def test_enumeration_caps():

@@ -150,16 +150,86 @@ def test_predicates_agree_with_oracle_on_random_orientations(case, data):
 def test_each_leaf_is_checked_once_and_a_failing_leaf_raises(graphs, monkeypatch):
     g = graphs["FIX_2K4"]
     calls = []
+    certify = profiles_module._leaves_are_profiles
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return is_profile(*args, **kwargs)
+    def counting(g, s_k, slots, leaves):
+        calls.append(leaves)
+        return certify(g, s_k, slots, leaves)
 
-    monkeypatch.setattr(profiles_module, "is_profile", counting)
-    assert len(enumerate_k_profiles(g, 2)) == len(calls) == 9
-    monkeypatch.setattr(profiles_module, "is_profile", lambda *args, **kwargs: False)
+    monkeypatch.setattr(profiles_module, "_leaves_are_profiles", counting)
+    assert len(enumerate_k_profiles(g, 2)) == 9
+    assert len(calls) == 1 and len(calls[0]) == 9
+    monkeypatch.setattr(profiles_module, "_leaves_are_profiles", lambda *args: False)
     with pytest.raises(CertificationError):
         enumerate_k_profiles(g, 2)
+
+
+LEAF_KINDS = ("profile", "random", "flipped", "meet", "toggled")
+
+
+@DIFFERENTIAL
+@given(small_graphs(), st.data())
+def test_leaf_certifier_agrees_with_is_profile(case, data):
+    """The certifier over the union of the leaves decides each leaf as the
+    per-leaf definition does. Leaves are genuine profiles, random
+    orientations, profiles with one separation flipped, profiles that
+    take x* ∧ y* for two members x, y, and profiles with one slot bit
+    toggled (so a separation is oriented twice or not at all)."""
+    g, k = case
+    s_k = enumerate_separations(g, k)
+    assume(len(s_k) <= 40)
+    slots = [side for s in s_k for side in ((s.a, s.b), (s.b, s.a))]
+    slot_of = {sep: x for x, sep in enumerate(slots)}
+    profiles = [
+        sum(1 << slot_of[tuple(x)] for x in p.chosen) for p in enumerate_k_profiles(g, k)
+    ]
+    leaves = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        kind = data.draw(st.sampled_from(LEAF_KINDS if profiles else ("random",)))
+        if kind == "random":
+            bits = data.draw(st.integers(0, (1 << len(s_k)) - 1))
+            leaves.append(sum(1 << (2 * i + (bits >> i & 1)) for i in range(len(s_k))))
+            continue
+        leaf = data.draw(st.sampled_from(profiles))
+        members = [x for x in range(len(slots)) if leaf >> x & 1]
+        if kind == "flipped":
+            leaf ^= 3 << (data.draw(st.sampled_from(members)) & ~1)
+        elif kind == "toggled":
+            leaf ^= 1 << data.draw(st.integers(0, len(slots) - 1))
+        elif kind == "meet":
+            x, y = (slots[data.draw(st.sampled_from(members))] for _ in range(2))
+            t = slot_of.get((x[1] & y[1], x[0] | y[0]))
+            if t is not None:
+                leaf = leaf & ~(3 << (t & ~1)) | 1 << t
+        leaves.append(leaf)
+    oriented = [
+        tuple(Separation(*slots[x]) for x in range(len(slots)) if leaf >> x & 1) for leaf in leaves
+    ]
+    expected = all(is_profile(g, k, chosen, s_k=s_k) for chosen in oriented)
+    assert profiles_module._leaves_are_profiles(g, s_k, slots, leaves) == expected
+
+
+def test_leaf_certifier_agrees_with_is_profile_on_every_orientation():
+    """Every orientation of S_k, k ≤ 3, of every graph on at most three
+    vertices, one leaf at a time. On the edgeless graph with two vertices
+    at k = 2, x = ({0}, V) and y = ({1}, {0}) are consistent and
+    x* ∧ y* = x, so a meet equal to a member must count."""
+    for n in (1, 2, 3):
+        pairs = list(itertools.combinations(range(n), 2))
+        for edges in itertools.chain.from_iterable(
+            itertools.combinations(pairs, r) for r in range(len(pairs) + 1)
+        ):
+            g = Graph.from_edges(n, edges)
+            for k in range(1, 4):
+                s_k = enumerate_separations(g, k)
+                slots = [side for s in s_k for side in ((s.a, s.b), (s.b, s.a))]
+                for bits in range(1 << len(s_k)):
+                    leaf = sum(1 << (2 * i + (bits >> i & 1)) for i in range(len(s_k)))
+                    chosen = tuple(
+                        Separation(*slots[x]) for x in range(len(slots)) if leaf >> x & 1
+                    )
+                    certified = profiles_module._leaves_are_profiles(g, s_k, slots, [leaf])
+                    assert certified == is_profile(g, k, chosen, s_k=s_k), (edges, k, chosen)
 
 
 def test_two_k4_census(graphs):
