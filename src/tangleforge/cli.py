@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from .core import (
     Graph,
     Separation,
+    canonical,
     enumerate_separations,
     graph_to_json,
-    graph_universe,
     mask_of,
     separation_to_json,
+    separation_universe,
     vertices_of,
 )
 from .errors import (
@@ -265,7 +266,7 @@ def cmd_splinter(args, cfg):
             fam_pairs.append([i, j])
     if not fams:
         return {"graph": label, "k": k, "families": 0, "transversal": []}
-    fam_obj = FiniteSplinterFamily(graph_universe(g, max_order=k - 1), tuple(fams))
+    fam_obj = FiniteSplinterFamily(_s_k_universe(g, profs[0]), tuple(fams))
     ok, witness = splinters_check(fam_obj)
     if not ok:
         raise HypothesisError("distinguisher families do not splinter", witness=witness)
@@ -277,6 +278,13 @@ def cmd_splinter(args, cfg):
         "pairs": fam_pairs,
         "transversal": [separation_to_json(s) for s in picks],
     }
+
+
+def _s_k_universe(g: Graph, p):
+    """Both orientations of S_k, read off a k-profile p, which orients all
+    of S_k in S_k's order: graph_universe(g, max_order=p.k - 1), element
+    order included, without enumerating S_k again."""
+    return separation_universe(map(canonical, p.chosen), closed=p.k > g.num_vertices)
 
 
 def instance_from_json(obj) -> SplinterInstance:

@@ -363,16 +363,15 @@ def graph_universe(g: Graph, max_order: Optional[int] = None) -> UniverseView:
     is not (the operations still compute the ambient result).
     """
     if max_order is None or max_order >= g.num_vertices:
-        elems = all_separations(g)
-        closed = True
-    else:
-        elems = enumerate_separations(
-            g, max_order + 1, max_n=g.num_vertices, max_k=max_order + 1
-        )
-        closed = False
-    oriented = tuple(
-        sorted({s for e in elems for s in (e, star(e))}, key=sep_sort_key)
-    )
+        return separation_universe(all_separations(g), closed=True)
+    elems = enumerate_separations(g, max_order + 1, max_n=g.num_vertices, max_k=max_order + 1)
+    return separation_universe(elems, closed=False)
+
+
+def separation_universe(seps: Iterable[Separation], closed: bool) -> UniverseView:
+    """The universe of both orientations of the given separations, ordered
+    by sep_sort_key, with the lattice operations of separations."""
+    oriented = tuple(sorted({s for e in seps for s in (e, star(e))}, key=sep_sort_key))
     return UniverseView(
         elements=oriented,
         leq=leq,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple, Optional
 
-from .core import Graph, Separation, UniverseView, graph_universe
+from .core import Graph, Separation, UniverseView, graph_universe, join, meet
 from .errors import (
     CapExceededError,
     CertificationError,
@@ -101,9 +101,18 @@ def validate_inverse_system(sys: InverseSystem) -> SystemReport:
     a checked map is tabulated once as index tables (_tabulate), and each
     map becomes an index list. The rows join_q(x, ·) and meet_q(x, ·) are
     computed once per x for all maps out of q and dropped after use; each
-    row is compared whole with join_p(f x, f ·) and meet_p(f x, f ·), and
-    only a row that differs is walked pair by pair. The violations, their
-    payloads and their order are those of oracles.brute_system_violations.
+    row is compared whole with join_p(f x, f ·) and meet_p(f x, f ·), which
+    is gathered once per map and image f x, and only a row that differs is
+    walked pair by pair. The violations, their payloads and their order are
+    those of oracles.brute_system_violations.
+
+    Rows of graph universes are read off integer codes: a universe whose
+    join and meet are core.join and core.meet, and whose elements (and
+    strays, for a target) are all Separations with non-negative masks,
+    codes (a, b) as a << w | (full & ~b), the profile search's slot coding,
+    with w wide enough for every mask. Join is then | and meet is & of
+    codes, so no Python function runs per pair. Abstract universes, and
+    targets with a stray of another type, keep their own callables.
     """
     rep = SystemReport()
     out = rep.violations
@@ -166,20 +175,46 @@ class _Table(NamedTuple):
     meet: list
 
 
+def _op_rows(u: UniverseView, elems: tuple, index: dict, off: int) -> tuple:
+    """The functions i -> join row and i -> meet row of elems[i]: the index
+    of join(elems[i], y), resp. meet, for every y in elems, and off for a
+    result not in elems. Graph universes are read off the integer codes
+    described in validate_inverse_system; w is the widest mask of elems,
+    so the code is injective on them."""
+    coded = u.join is join and u.meet is meet and all(
+        type(x) is Separation and type(x.a) is int and type(x.b) is int and x.a >= 0 and x.b >= 0
+        for x in elems
+    )
+    if not coded:
+        return (
+            lambda i: list(map(index.get, map(u.join, repeat(elems[i]), elems), repeat(off))),
+            lambda i: list(map(index.get, map(u.meet, repeat(elems[i]), elems), repeat(off))),
+        )
+    w = max(((a | b).bit_length() for a, b in elems), default=0)
+    full = (1 << w) - 1
+    codes = [a << w | (full & ~b) for a, b in elems]
+    at = {c: i for i, c in enumerate(codes)}.get
+    return (
+        lambda i: list(map(at, map(codes[i].__or__, codes), repeat(off))),
+        lambda i: list(map(at, map(codes[i].__and__, codes), repeat(off))),
+    )
+
+
 def _tabulate(u: UniverseView, strays) -> _Table:
-    """Index tables of u, filled through u's own callables. A result that is
-    not listed gets len(elems); None gets a code of its own unless listed,
-    because the oracle reads a q-side result off U_q as None through f.get,
-    which must equal a p-side None and nothing else."""
+    """Index tables of u (rows by _op_rows). A result that is not listed
+    gets len(elems); None gets a code of its own unless listed, because the
+    oracle reads a q-side result off U_q as None through f.get, which must
+    equal a p-side None and nothing else."""
     elems = (*u.elements, *strays)
     index = {x: i for i, x in enumerate(elems)}
     index.setdefault(None, len(elems) + 1)
     off = len(elems)
+    join_row, meet_row = _op_rows(u, elems, index, off)
     return _Table(
         index,
         list(map(index.get, map(u.star, elems), repeat(off))),
-        [list(map(index.get, map(u.join, repeat(x), elems), repeat(off))) for x in elems],
-        [list(map(index.get, map(u.meet, repeat(x), elems), repeat(off))) for x in elems],
+        [join_row(i) for i in range(len(elems))],
+        [meet_row(i) for i in range(len(elems))],
     )
 
 
@@ -193,6 +228,7 @@ def _hom_violations(q, uq: UniverseView, checked: list, tables: dict) -> list:
     index = {x: i for i, x in enumerate(elems)}
     off = len(elems)   # a result off U_q, which has no image: f.get reads None
     star_q = list(map(index.get, map(uq.star, elems), repeat(off)))
+    join_row, meet_row = _op_rows(uq, elems, index, off)
     maps = []
     for p, f in checked:
         tp = tables[p]
@@ -203,16 +239,22 @@ def _hom_violations(q, uq: UniverseView, checked: list, tables: dict) -> list:
             for x, s, fx in zip(elems, star_q, fi)
             if fq[s] != tp.star[fx]
         ]
-        maps.append((p, fi, fq, tp, stars))
+        # fx -> (join_p(fx, f y), meet_p(fx, f y)) over every y, gathered once
+        targets = {}
+        maps.append((p, fi, fq, tp, targets, stars))
     for i, x in enumerate(elems):
-        jrow = list(map(index.get, map(uq.join, repeat(x), elems), repeat(off)))
-        mrow = list(map(index.get, map(uq.meet, repeat(x), elems), repeat(off)))
-        for p, fi, fq, tp, found in maps:
+        jrow = join_row(i)
+        mrow = meet_row(i)
+        for p, fi, fq, tp, targets, found in maps:
             fx = fi[i]
+            if fx not in targets:
+                targets[fx] = (
+                    list(map(tp.join[fx].__getitem__, fi)),
+                    list(map(tp.meet[fx].__getitem__, fi)),
+                )
+            jp, mp = targets[fx]
             fj = list(map(fq.__getitem__, jrow))
             fm = list(map(fq.__getitem__, mrow))
-            jp = list(map(tp.join[fx].__getitem__, fi))
-            mp = list(map(tp.meet[fx].__getitem__, fi))
             if fj == jp and fm == mp:
                 continue
             for y, a, b, c, d in zip(elems, fj, jp, fm, mp):

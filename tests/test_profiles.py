@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from tangleforge import oracles
 from tangleforge import profiles as profiles_module
+from tangleforge.cli import _s_k_universe
 from tangleforge.core import (
     Graph,
     Separation,
     canonical,
     crosses,
     enumerate_separations,
+    graph_universe,
     join,
     mask_of,
     meet,
@@ -110,6 +112,17 @@ def test_enumeration_matches_oracle_on_random_graphs(case):
     g, k = case
     assume(len(enumerate_separations(g, k)) <= 24)
     assert {p.chosen for p in enumerate_k_profiles(g, k)} == set(oracles.brute_profiles(g, k))
+
+
+@DIFFERENTIAL
+@given(small_graphs())
+def test_every_profile_reads_off_the_universe_of_s_k(case):
+    g, k = case
+    assume(len(enumerate_separations(g, k)) <= 24)
+    ref = graph_universe(g, max_order=k - 1)
+    for p in enumerate_k_profiles(g, k):
+        u = _s_k_universe(g, p)
+        assert (u.elements, u.closed) == (ref.elements, ref.closed)
 
 
 def relabel(s, perm):

@@ -4,11 +4,14 @@ splinter procedure on graph-restriction systems and random abstract ones."""
 import dataclasses
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tangleforge import core
+from tangleforge.cli import _demo_chain
 from tangleforge.core import Graph, Separation, graph_universe, mask_of
 from tangleforge.errors import HypothesisError, PreconditionError
 from tangleforge.oracles import brute_system_violations
@@ -336,3 +339,71 @@ def test_validation_matches_oracle_on_a_non_closed_universe(graphs):
         for x, y in [payload[2:]]
         if uq.join(x, y) not in uq.elements and up.join(f[x], f[y]) not in up.elements
     ]
+
+
+# ---------------------------------------------------------------------------
+# the integer-code kernel: graph universes validate without join or meet calls
+
+# a triangle with the path 2-3-4-5 hanging off it
+LOLLIPOP = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)])
+
+
+def demo_chain_system(graphs, name):
+    g = LOLLIPOP if name == "lollipop" else graphs[name]
+    return graph_restriction_system(g, _demo_chain(g))
+
+
+def join_meet_calls(run):
+    """run(), and the number of calls it made to core.join and core.meet,
+    counted on their code objects: a wrapper would not be core.join, so the
+    kernel would not take the coded path."""
+    counts = {core.join.__code__: 0, core.meet.__code__: 0}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counts:
+            counts[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, sum(counts.values())
+
+
+@pytest.mark.parametrize("name", ["FIX_P4", "FIX_C4", "FIX_2K4", "lollipop"])
+def test_validation_matches_oracle_on_demo_chains(graphs, name):
+    """Each demo chain unaltered, with one image of the map from the top to
+    the bottom point swapped for another element of its target, and with
+    one swapped for (0, 0), which lies in no graph universe. (The map to
+    the middle point would send x off the domain of the next map.)"""
+    sys_ = demo_chain_system(graphs, name)
+    assert assert_same_violations(sys_) == []
+    top, below = sys_.poset.points[-1], sys_.poset.points[0]
+    f = sys_.maps[(top, below)]
+    x = sys_.universe_at[top].elements[len(f) // 2]
+    other = next(y for y in sys_.universe_at[below].elements if y != f[x])
+    assert assert_same_violations(with_image(sys_, (top, below), x, other))
+    found = assert_same_violations(with_image(sys_, (top, below), x, Separation(0, 0)))
+    assert ("map-range", (top, below, x)) in found
+
+
+def test_graph_universes_validate_without_join_or_meet_calls(graphs):
+    rep, calls = join_meet_calls(
+        lambda: validate_inverse_system(demo_chain_system(graphs, "FIX_2K4"))
+    )
+    assert rep.ok
+    assert calls == 0
+
+
+def test_a_stray_that_is_no_separation_takes_the_callable_path(graphs):
+    """A plain tuple equals the Separation with the same masks but is not
+    one, so the target universe it strays into keeps its callables."""
+    sys_ = demo_chain_system(graphs, "FIX_P4")
+    top, below = sys_.poset.points[-1], sys_.poset.points[0]
+    x = sys_.universe_at[top].elements[0]
+    altered = with_image(sys_, (top, below), x, (0, 0))
+    found, calls = join_meet_calls(lambda: validate_inverse_system(altered).violations)
+    assert found == brute_system_violations(altered)
+    assert ("map-range", (top, below, x)) in found
+    assert calls > 0
