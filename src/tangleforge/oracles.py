@@ -215,7 +215,9 @@ def brute_minimum_distinguishing_order(g: Graph, p_members, q_members):
 def brute_system_violations(sys) -> list:
     """Every directedness, homomorphism and compatibility violation of an
     inverse system, by recomputing each join and meet through the universe
-    callables on both sides of every map, for every ordered pair."""
+    callables on both sides of every map, for every ordered pair. For r > q
+    > p, every x of U_r at which f_rp(x) and f_qp(f_rq(x)) are not both
+    defined and equal is a compatibility violation."""
     violations = []
     for pair in sys.poset.directedness_violations():
         violations.append(("directedness", pair))
@@ -254,7 +256,8 @@ def brute_system_violations(sys) -> list:
                 if frq is None or fqp is None or frp is None:
                     continue
                 for x in sys.universe_at[r].elements:
-                    if frp[x] != fqp[frq[x]]:
+                    defined = x in frp and x in frq and frq[x] in fqp
+                    if not defined or frp[x] != fqp[frq[x]]:
                         violations.append(("compatibility", (r, q, p, x)))
     return violations
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple, Optional
 
-from .core import Graph, Separation, UniverseView, graph_universe, join, meet
+from .core import Graph, Separation, UniverseView, graph_universe, iter_bits, join, meet
 from .errors import (
     CapExceededError,
     CertificationError,
@@ -96,15 +96,23 @@ class SystemReport:
 def validate_inverse_system(sys: InverseSystem) -> SystemReport:
     """List every directedness, homomorphism and compatibility violation.
 
-    The homomorphism check is exhaustive: star on every x, join and meet on
-    every ordered pair (x, y) of every U_q. Each point that is the target of
-    a checked map is tabulated once as index tables (_tabulate), and each
-    map becomes an index list. The rows join_q(x, ·) and meet_q(x, ·) are
-    computed once per x for all maps out of q and dropped after use; each
-    row is compared whole with join_p(f x, f ·) and meet_p(f x, f ·), which
-    is gathered once per map and image f x, and only a row that differs is
-    walked pair by pair. The violations, their payloads and their order are
-    those of oracles.brute_system_violations.
+    The homomorphism check is complete: star on every x, join and meet on
+    every ordered pair (x, y) of every U_q. The violations, their payloads
+    and their order are those of oracles.brute_system_violations.
+
+    Star, range, domain and compatibility are checked element by element;
+    an x of U_r at which f_rp(x) or f_qp(f_rq(x)) is undefined is a
+    compatibility violation. Join and meet are certified per source point q: when the lemma of
+    _preserves_joins_and_meets holds for every checked map out of q, which
+    takes O(|U_q|) per map and 2^|Z| component counts, no join or meet
+    violation exists and no pair is visited. Every other q goes through the
+    exhaustive kernel: each point that is the target of such a map is
+    tabulated once as index tables (_tabulate), and each map becomes an
+    index list. The rows join_q(x, ·) and meet_q(x, ·) are computed once
+    per x for all maps out of q and dropped after use; each row is compared
+    whole with join_p(f x, f ·) and meet_p(f x, f ·), which is gathered
+    once per map and image f x, and only a row that differs is walked pair
+    by pair.
 
     Rows of graph universes are read off integer codes: a universe whose
     join and meet are core.join and core.meet, and whose elements (and
@@ -138,15 +146,24 @@ def validate_inverse_system(sys: InverseSystem) -> SystemReport:
                 if f[x] not in elems_p:
                     found.append(("map-range", (q, p, x)))
                     stray[f[x]] = None
+            found.extend(
+                ("hom-star", (q, p, x))
+                for x in uq.elements
+                if f.get(uq.star(x)) != up.star(f[x])
+            )
             bonds.append((q, p, f, found))
     tables = {}
     for q, group in itertools.groupby(bonds, key=lambda bond: bond[0]):
         group = list(group)
+        uq = sys.universe_at[q]
         checked = [(p, f) for _, p, f, _ in group if f is not None]
-        for p, _ in checked:
-            if p not in tables:
-                tables[p] = _tabulate(sys.universe_at[p], strays[p])
-        homs = iter(_hom_violations(q, sys.universe_at[q], checked, tables))
+        if _preserves_joins_and_meets(uq, [(sys.universe_at[p], f) for p, f in checked]):
+            homs = repeat([])
+        else:
+            for p, _ in checked:
+                if p not in tables:
+                    tables[p] = _tabulate(sys.universe_at[p], strays[p])
+            homs = iter(_hom_violations(q, uq, checked, tables))
         for _, _, f, found in group:
             out.extend(found)
             if f is not None:
@@ -160,9 +177,90 @@ def validate_inverse_system(sys: InverseSystem) -> SystemReport:
                 if frq is None or fqp is None or frp is None:
                     continue
                 for x in sys.universe_at[r].elements:
-                    if frp[x] != fqp[frq[x]]:
+                    defined = x in frp and x in frq and frq[x] in fqp
+                    if not defined or frp[x] != fqp[frq[x]]:
                         out.append(("compatibility", (r, q, p, x)))
     return rep
+
+
+def _preserves_joins_and_meets(uq: UniverseView, maps: list) -> bool:
+    """True when a lemma shows that every f in maps, a list of (U_p, f) with
+    f : U_q -> U_p, has no hom-join and no hom-meet violation.
+
+    Lemma. Suppose (1) U_q's join and meet are core.join and core.meet and
+    U_q is closed under them, (2) U_p's join and meet are core.join and
+    core.meet, and (3) f(x) = (x.a & Y, x.b & Y) for every x in U_q, for
+    one mask Y. Then f(x ∨ y) = f(x) ∨ f(y) and f(x ∧ y) = f(x) ∧ f(y) for
+    every pair, because an AND mask distributes over | and &; and x ∨ y,
+    x ∧ y lie in U_q, so f is defined on them.
+
+    (1) holds when U_q is the full separation universe of a graph
+    (_is_full_graph_universe), and (3) is checked on every element, with Y
+    read off the image of the top separation (Z, Z). No pair is visited.
+    """
+    if not maps:
+        return True
+    if not all(up.join is join and up.meet is meet for up, _ in maps):
+        return False
+    if not _is_full_graph_universe(uq):
+        return False
+    elems = uq.elements
+    ground = elems[0].a | elems[0].b
+    for _, f in maps:
+        top = f[Separation(ground, ground)]
+        if type(top) is not Separation or type(top.a) is not int:
+            return False
+        y = top.a
+        if [Separation(a & y, b & y) for a, b in elems] != list(map(f.__getitem__, elems)):
+            return False
+    return True
+
+
+def _is_full_graph_universe(u: UniverseView) -> bool:
+    """True when u is closed under join and meet because it is the universe
+    of all oriented separations of one graph H; asks nothing but u.
+
+    - u's join and meet are core.join and core.meet, and its elements are
+      distinct Separations with non-negative int masks and one common
+      ground set Z = a | b.
+    - H is read off u itself: two vertices of Z are adjacent unless some
+      element puts them on opposite strict sides. Every element is then a
+      separation of H.
+    - An oriented separation of H is a separator X ⊆ Z and a side for each
+      component of H − X, so H has Σ_{X ⊆ Z} 2^c(H − X) of them. When |u|
+      equals that count, u is all of them, and the separations of a graph
+      are closed under ∨ and ∧.
+
+    The count takes 2^|Z| components() calls and stops once it exceeds |u|.
+    """
+    elems = u.elements
+    if not elems or not _coded(u, elems):
+        return False
+    ground = elems[0].a | elems[0].b
+    if any(a | b != ground for a, b in elems) or len(set(elems)) != len(elems):
+        return False
+    opposite = {}  # strict side of an element -> union of the strict sides facing it
+    for a, b in elems:
+        opposite[a & ~b] = opposite.get(a & ~b, 0) | (b & ~a)
+    apart = [0] * ground.bit_length()
+    for side, other in opposite.items():
+        for v in iter_bits(side):
+            apart[v] |= other
+        for v in iter_bits(other):
+            apart[v] |= side
+    h = Graph(
+        len(apart),
+        tuple(ground & ~apart[v] & ~(1 << v) if ground >> v & 1 else 0 for v in range(len(apart))),
+        ground,
+    )
+    total, x = 0, ground
+    while True:
+        total += 1 << len(h.components(x))
+        if total > len(elems):
+            return False
+        if not x:
+            return total == len(elems)
+        x = (x - 1) & ground
 
 
 class _Table(NamedTuple):
@@ -170,9 +268,17 @@ class _Table(NamedTuple):
     strays (images that maps send into it from outside it)."""
 
     index: dict     # element or stray -> index, and None -> its code
-    star: list      # star[i]: index of star(elems[i])
     join: list      # join[i][j]: index of join(elems[i], elems[j])
     meet: list
+
+
+def _coded(u: UniverseView, elems) -> bool:
+    """True when u's join and meet are core.join and core.meet and every
+    one of elems is a Separation with non-negative int masks."""
+    return u.join is join and u.meet is meet and all(
+        type(x) is Separation and type(x.a) is int and type(x.b) is int and x.a >= 0 and x.b >= 0
+        for x in elems
+    )
 
 
 def _op_rows(u: UniverseView, elems: tuple, index: dict, off: int) -> tuple:
@@ -181,11 +287,7 @@ def _op_rows(u: UniverseView, elems: tuple, index: dict, off: int) -> tuple:
     result not in elems. Graph universes are read off the integer codes
     described in validate_inverse_system; w is the widest mask of elems,
     so the code is injective on them."""
-    coded = u.join is join and u.meet is meet and all(
-        type(x) is Separation and type(x.a) is int and type(x.b) is int and x.a >= 0 and x.b >= 0
-        for x in elems
-    )
-    if not coded:
+    if not _coded(u, elems):
         return (
             lambda i: list(map(index.get, map(u.join, repeat(elems[i]), elems), repeat(off))),
             lambda i: list(map(index.get, map(u.meet, repeat(elems[i]), elems), repeat(off))),
@@ -208,40 +310,29 @@ def _tabulate(u: UniverseView, strays) -> _Table:
     elems = (*u.elements, *strays)
     index = {x: i for i, x in enumerate(elems)}
     index.setdefault(None, len(elems) + 1)
-    off = len(elems)
-    join_row, meet_row = _op_rows(u, elems, index, off)
+    join_row, meet_row = _op_rows(u, elems, index, len(elems))
     return _Table(
         index,
-        list(map(index.get, map(u.star, elems), repeat(off))),
         [join_row(i) for i in range(len(elems))],
         [meet_row(i) for i in range(len(elems))],
     )
 
 
 def _hom_violations(q, uq: UniverseView, checked: list, tables: dict) -> list:
-    """For each (p, f) in checked, the hom-star, hom-join and hom-meet
-    violations of f : U_q -> U_p in the oracle's order: all stars, then
-    every x, y with join before meet."""
-    if not checked:
-        return []
+    """For each (p, f) in checked, the hom-join and hom-meet violations of
+    f : U_q -> U_p in the oracle's order: every x, y with join before
+    meet."""
     elems = uq.elements
     index = {x: i for i, x in enumerate(elems)}
     off = len(elems)   # a result off U_q, which has no image: f.get reads None
-    star_q = list(map(index.get, map(uq.star, elems), repeat(off)))
     join_row, meet_row = _op_rows(uq, elems, index, off)
     maps = []
     for p, f in checked:
         tp = tables[p]
         fi = [tp.index[f[x]] for x in elems]
         fq = fi + [tp.index[None]]
-        stars = [
-            ("hom-star", (q, p, x))
-            for x, s, fx in zip(elems, star_q, fi)
-            if fq[s] != tp.star[fx]
-        ]
-        # fx -> (join_p(fx, f y), meet_p(fx, f y)) over every y, gathered once
-        targets = {}
-        maps.append((p, fi, fq, tp, targets, stars))
+        # targets: fx -> (join_p(fx, f y), meet_p(fx, f y)) over every y, gathered once
+        maps.append((p, fi, fq, tp, {}, []))
     for i, x in enumerate(elems):
         jrow = join_row(i)
         mrow = meet_row(i)

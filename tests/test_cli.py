@@ -14,7 +14,7 @@ from tangleforge import cli as cli_module
 from tangleforge import core, profiles
 from tangleforge.core import Graph
 from tangleforge.cli import cli_main, read_graph
-from tangleforge.fixtures import FIXTURES
+from tangleforge.fixtures import FIXTURES, triangle_ring
 from tangleforge.profinite import product_chain_universe, universe_to_json
 
 
@@ -189,6 +189,22 @@ def test_golden_ring_digest(spec, code, digest, capsys, monkeypatch, tmp_path):
     verb, *rest = spec.split()
     got_code, out = run_cli([verb, "--graph", "ring.json", "--k", "3", *rest], capsys)
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def test_profinite_splinter_on_the_four_triangle_ring_ends_on_the_union_cap(
+    capsys, monkeypatch, tmp_path
+):
+    """Its demo chain has universes of 193, 2,479 and 27,233 elements;
+    validation certifies them per element, so the run reaches the
+    transversal search and stops on its union cap in about a second."""
+    monkeypatch.setenv("TANGLEFORGE_CAPS", '{"max_sk": 128}')
+    g = triangle_ring()
+    path = tmp_path / "ring4.json"
+    path.write_text(json.dumps({"n": g.n, "edges": [list(e) for e in g.edges()]}))
+    code, out = run_cli(["profinite-splinter", "--graph", str(path), "--k", "3"], capsys)
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error == {"message": "union of projected families has 20 elements (cap 12)", "type": "cap"}
 
 
 GRAPH_VERBS = [name for name in cli_module.COMMANDS if name not in ("verify", "fixtures")]

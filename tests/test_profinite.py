@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tangleforge import core
+from tangleforge import core, profinite
 from tangleforge.cli import _demo_chain
 from tangleforge.core import Graph, Separation, graph_universe, mask_of
 from tangleforge.errors import HypothesisError, PreconditionError
+from tangleforge.fixtures import FIXTURES
 from tangleforge.oracles import brute_system_violations
 from tangleforge.profiles import efficient_distinguishers, enumerate_k_profiles
 from tangleforge.profinite import (
@@ -227,20 +228,9 @@ def test_universe_json_roundtrip():
 # ---------------------------------------------------------------------------
 # differential gate: the tabulated validation against the definitional loop
 
-def violations_or_key_error(check, sys_):
-    """The violation list, or KeyError where the definitional loop indexes a
-    map outside its domain (a map that misses a key, or sends an element
-    outside the next map's domain, in a chain of three points)."""
-    try:
-        return check(sys_)
-    except KeyError:
-        return KeyError
-
-
 def assert_same_violations(sys_):
-    expected = violations_or_key_error(brute_system_violations, sys_)
-    found = violations_or_key_error(lambda s: validate_inverse_system(s).violations, sys_)
-    assert found == expected
+    expected = brute_system_violations(sys_)
+    assert validate_inverse_system(sys_).violations == expected
     return expected
 
 
@@ -316,6 +306,23 @@ def test_validation_matches_oracle_on_invalid_systems(graphs):
     # the non-commuting triangle
     triangle = assert_same_violations(non_commuting_triangle())
     assert [kind for kind, _ in triangle].count("compatibility") == 2
+    # in a chain of three points, a stray image of the top-to-middle map lies
+    # off the domain of the middle-to-bottom map, and a key missing from the
+    # top-to-bottom map leaves that side undefined: both are compatibility
+    # violations at x
+    chain = demo_chain_system(graphs, "FIX_P4")
+    low, mid, top = chain.poset.points
+    x = chain.universe_at[top].elements[3]
+    found = assert_same_violations(with_image(chain, (top, mid), x, Separation(0, 0)))
+    assert ("map-range", (top, mid, x)) in found
+    assert ("compatibility", (top, mid, low, x)) in found
+    cut = {**chain.maps[(top, low)]}
+    del cut[x]
+    found = assert_same_violations(
+        InverseSystem(chain.poset, chain.universe_at, {**chain.maps, (top, low): cut})
+    )
+    assert ("map-domain", (top, low)) in found
+    assert ("compatibility", (top, mid, low, x)) in found
 
 
 def test_validation_matches_oracle_on_a_non_closed_universe(graphs):
@@ -346,10 +353,16 @@ def test_validation_matches_oracle_on_a_non_closed_universe(graphs):
 
 # a triangle with the path 2-3-4-5 hanging off it
 LOLLIPOP = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)])
+# three triangles joined into a ring by bridges
+TRIANGLE_RING3 = Graph.from_edges(
+    9,
+    [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7), (7, 8), (6, 8),
+     (2, 3), (5, 6), (8, 0)],
+)
 
 
 def demo_chain_system(graphs, name):
-    g = LOLLIPOP if name == "lollipop" else graphs[name]
+    g = {"lollipop": LOLLIPOP, "triangle_ring3": TRIANGLE_RING3}.get(name) or graphs[name]
     return graph_restriction_system(g, _demo_chain(g))
 
 
@@ -371,28 +384,55 @@ def join_meet_calls(run):
     return result, sum(counts.values())
 
 
+def kernel_runs(monkeypatch):
+    """Count the _Table builds and _hom_violations calls of the exhaustive
+    kernel."""
+    counts = {"_Table": 0, "_hom_violations": 0}
+    for name in counts:
+        real = getattr(profinite, name)
+
+        def counted(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(profinite, name, counted)
+    return counts
+
+
 @pytest.mark.parametrize("name", ["FIX_P4", "FIX_C4", "FIX_2K4", "lollipop"])
-def test_validation_matches_oracle_on_demo_chains(graphs, name):
+def test_validation_matches_oracle_on_demo_chains(graphs, name, monkeypatch):
     """Each demo chain unaltered, with one image of the map from the top to
     the bottom point swapped for another element of its target, and with
-    one swapped for (0, 0), which lies in no graph universe. (The map to
-    the middle point would send x off the domain of the next map.)"""
+    one swapped for (0, 0), which lies in no graph universe. A swapped
+    image sends the top point through the exhaustive kernel."""
     sys_ = demo_chain_system(graphs, name)
     assert assert_same_violations(sys_) == []
+    counts = kernel_runs(monkeypatch)
+    assert assert_same_violations(swapped_image(sys_))
+    assert counts["_hom_violations"] == 1
     top, below = sys_.poset.points[-1], sys_.poset.points[0]
-    f = sys_.maps[(top, below)]
-    x = sys_.universe_at[top].elements[len(f) // 2]
-    other = next(y for y in sys_.universe_at[below].elements if y != f[x])
-    assert assert_same_violations(with_image(sys_, (top, below), x, other))
+    x = sys_.universe_at[top].elements[len(sys_.maps[(top, below)]) // 2]
     found = assert_same_violations(with_image(sys_, (top, below), x, Separation(0, 0)))
     assert ("map-range", (top, below, x)) in found
 
 
+def swapped_image(sys_):
+    """sys_ with one image of the map from the top to the bottom point
+    swapped for another element of its target."""
+    top, below = sys_.poset.points[-1], sys_.poset.points[0]
+    f = sys_.maps[(top, below)]
+    x = sys_.universe_at[top].elements[len(f) // 2]
+    other = next(y for y in sys_.universe_at[below].elements if y != f[x])
+    return with_image(sys_, (top, below), x, other)
+
+
 def test_graph_universes_validate_without_join_or_meet_calls(graphs):
+    """A swapped image keeps the exhaustive kernel running on the top point,
+    over integer codes."""
     rep, calls = join_meet_calls(
-        lambda: validate_inverse_system(demo_chain_system(graphs, "FIX_2K4"))
+        lambda: validate_inverse_system(swapped_image(demo_chain_system(graphs, "FIX_2K4")))
     )
-    assert rep.ok
+    assert not rep.ok
     assert calls == 0
 
 
@@ -407,3 +447,87 @@ def test_a_stray_that_is_no_separation_takes_the_callable_path(graphs):
     assert found == brute_system_violations(altered)
     assert ("map-range", (top, below, x)) in found
     assert calls > 0
+
+
+# ---------------------------------------------------------------------------
+# the per-element certificate: full graph universes and mask restrictions
+
+
+@st.composite
+def graphs_up_to_six(draw):
+    n = draw(st.integers(1, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, itertools.compress(pairs, keep))
+
+
+@settings(max_examples=50)
+@given(graphs_up_to_six(), st.data())
+def test_full_universe_certificate_on_random_graphs(g, data):
+    """Accepts the universe of every induced subgraph; rejects it with an
+    element dropped, with an element duplicated in place of another, and
+    truncated by order."""
+    is_full = profinite._is_full_graph_universe
+    for z in range(1, g.vertices + 1):
+        h = g.induced(z)
+        u = graph_universe(h)
+        assert is_full(u)
+        elems = u.elements
+        i = data.draw(st.integers(0, len(elems) - 1))
+        j = data.draw(st.integers(0, len(elems) - 2))
+        dropped = elems[:i] + elems[i + 1:]
+        assert not is_full(dataclasses.replace(u, elements=dropped))
+        duplicated = dropped + (dropped[j],)
+        assert not is_full(dataclasses.replace(u, elements=duplicated))
+        for m in range(z.bit_count()):
+            truncated = graph_universe(h, max_order=m)
+            assert len(truncated.elements) < len(elems)
+            assert not is_full(truncated)
+
+
+def test_full_universe_certificate_rejects_other_universes(graphs):
+    is_full = profinite._is_full_graph_universe
+    assert not is_full(product_chain_universe(3, 3))
+    u = graph_universe(graphs["FIX_P4"])
+    assert not is_full(universe_from_json(universe_to_json(u)))
+    # a separation of the path 0-1-2-3 swapped for one that splits the edge
+    # 1-2: the graph read off the set loses that edge and has more separations
+    i = u.elements.index(Separation(mask_of([0, 1, 2]), mask_of([2, 3])))
+    crossing = Separation(mask_of([0, 1]), mask_of([2, 3]))
+    assert crossing not in u.elements
+    swapped = u.elements[:i] + (crossing,) + u.elements[i + 1:]
+    assert not is_full(dataclasses.replace(u, elements=swapped))
+
+
+@pytest.mark.parametrize("name", [*sorted(FIXTURES), "lollipop", "triangle_ring3"])
+def test_demo_chains_validate_without_the_exhaustive_kernel(graphs, name, monkeypatch):
+    sys_ = demo_chain_system(graphs, name)
+    counts = kernel_runs(monkeypatch)
+    assert validate_inverse_system(sys_).ok
+    assert counts == {"_Table": 0, "_hom_violations": 0}
+
+
+def test_the_certificate_refuses_what_it_cannot_prove(graphs, monkeypatch):
+    """A complete U_q whose map is a mask restriction on every element but
+    one, and a mask restriction into a universe whose join, or whose meet,
+    is not core's: each goes through the exhaustive kernel, which finds the
+    oracle's hom-join, resp. hom-meet, violations."""
+    g = graphs["FIX_P4"]
+    half, top = mask_of([0, 1]), g.vertices
+    two = graph_restriction_system(g, [half, top])
+    x = Separation(mask_of([0, 1, 2]), mask_of([2, 3]))
+    image = Separation(0, half)
+    assert two.maps[(top, half)][x] != image and image in two.universe_at[half].elements
+    up = two.universe_at[half]
+    cases = [(with_image(two, (top, half), x, image), "hom-join")] + [
+        (InverseSystem(two.poset, {**two.universe_at, half: twisted}, two.maps), kind)
+        for twisted, kind in [
+            (dataclasses.replace(up, join=core.meet), "hom-join"),
+            (dataclasses.replace(up, meet=core.join), "hom-meet"),
+        ]
+    ]
+    for sys_, kind in cases:
+        counts = kernel_runs(monkeypatch)
+        found = assert_same_violations(sys_)
+        assert any(k == kind for k, _ in found)
+        assert counts["_hom_violations"] == 1
