@@ -562,10 +562,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args keeps no state between calls, so one parser serves every call
+PARSER = build_parser()
+
+
 def cli_main(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -217,7 +217,9 @@ def brute_system_violations(sys) -> list:
     inverse system, by recomputing each join and meet through the universe
     callables on both sides of every map, for every ordered pair. For r > q
     > p, every x of U_r at which f_rp(x) and f_qp(f_rq(x)) are not both
-    defined and equal is a compatibility violation."""
+    defined and equal is a compatibility violation. Maps and triples that
+    touch a point without a universe are skipped; that point is reported as
+    universe-missing."""
     violations = []
     for pair in sys.poset.directedness_violations():
         violations.append(("directedness", pair))
@@ -226,6 +228,8 @@ def brute_system_violations(sys) -> list:
             violations.append(("universe-missing", p))
     for q in sys.poset.points:
         for p in sys.poset.strictly_below(q):
+            if q not in sys.universe_at or p not in sys.universe_at:
+                continue
             if (q, p) not in sys.maps:
                 violations.append(("map-missing", (q, p)))
                 continue
@@ -250,6 +254,8 @@ def brute_system_violations(sys) -> list:
     for r in sys.poset.points:
         for q in sys.poset.strictly_below(r):
             for p in sys.poset.strictly_below(q):
+                if any(point not in sys.universe_at for point in (r, q, p)):
+                    continue
                 frq = sys.maps.get((r, q))
                 fqp = sys.maps.get((q, p))
                 frp = sys.maps.get((r, p))

@@ -165,6 +165,18 @@ def enumerate_k_profiles(
     fully propagated and every leaf is a profile. The leaves are still
     checked against the full definition, all together; a failure means the
     pruning is wrong and raises CertificationError.
+
+    The search propagates before it branches. A branch ends as soon as
+    some undecided separation has both slots banned; an undecided
+    separation with one slot banned, anywhere in S_k, takes its other slot
+    (the lowest such first); only when neither applies does the search
+    branch, on the lowest undecided separation i, slot 2i before 2i+1. A
+    ban only excludes orientations that no profile extending the branch
+    holds, so no profile is lost. The leaf order is lexicographic: at a
+    branch point every separation below i is decided, so all leaves of the
+    branch agree below i, and the leaves under slot 2i precede those under
+    2i+1 in the order of the vectors; the order in which forced slots are
+    taken changes only the search tree, not which leaves it reaches.
     """
     s_k = enumerate_separations(g, k, max_n=max_n, max_k=max_k, max_sk=max_sk)
     m = len(s_k)
@@ -217,31 +229,37 @@ def enumerate_k_profiles(
         path.append(inverse)
         return chosen, banned
 
+    evens = full // 3  # slot 2i of every separation i
     leaves = []
 
-    def rec(i, chosen, banned):
-        # forced separations extend the branch in place; only a separation
-        # with both orientations free opens a subtree
-        while i < m:
-            free = ~banned >> (2 * i) & 3
-            if free == 3:
-                depth = len(path)
-                for x in (2 * i, 2 * i + 1):
-                    state = choose(x, chosen, banned)
-                    if state is not None:
-                        rec(i + 1, *state)
-                        del path[depth:]
+    def rec(chosen, banned):
+        # forced separations extend the branch in place, the lowest first;
+        # only a separation with both orientations free opens a subtree
+        while True:
+            undecided = evens & ~(chosen | chosen >> 1)
+            if banned & banned >> 1 & undecided:
                 return
-            if not free:
-                return
-            state = choose(2 * i + (free >> 1), chosen, banned)
+            forced = (banned ^ banned >> 1) & undecided
+            if not forced:
+                break
+            x = (forced & -forced).bit_length() - 1
+            # the slot of separation x // 2 that is not banned
+            state = choose(x | banned >> x & 1, chosen, banned)
             if state is None:
                 return
             chosen, banned = state
-            i += 1
-        leaves.append(chosen)
+        if not undecided:
+            leaves.append(chosen)
+            return
+        x = (undecided & -undecided).bit_length() - 1
+        depth = len(path)
+        for slot in (x, x + 1):
+            state = choose(slot, chosen, banned)
+            if state is not None:
+                rec(*state)
+                del path[depth:]
 
-    rec(0, 0, 0)
+    rec(0, 0)
 
     if not _leaves_are_profiles(g, s_k, slots, leaves):
         raise CertificationError("profile search reached a leaf that is not a profile")
@@ -273,20 +291,32 @@ def is_robust(g: Graph, p: Profile) -> bool:
     breaks robustness iff such a choice gives j2 = r ∨ t* = (A ∪ D, C) with
     |j2| < |r| and j2* ∈ p: at most 2^(k−1) choices per pair of members.
     `oracles.brute_is_robust` keeps the scan over the whole universe.
+
+    The members are sorted once by order, so the scan over x for a given r
+    stops at the first x with |x| ≥ |r|: the lemma needs |x| < |r|, and
+    every later x is at least as large. j2* = (C, A ∪ D) is looked up as a
+    plain pair in p's member set.
     """
-    for a, b in p.chosen:
+    members = p._members
+    ranked = sorted(((a & b).bit_count(), a, b) for a, b in p.chosen)
+    for order, a, b in ranked:
         sep = a & b
-        order = sep.bit_count()
-        for x in p.chosen:
-            if x.order >= order or a & ~x.b or x.a & ~b:
+        for x_order, xa, xb in ranked:
+            if x_order >= order:
+                break
+            if a & ~xb or xa & ~b:
                 continue
-            d, free = x.a, sep & x.a
-            forced = (x.b & ~a) | (sep & ~d)
+            d, free = xa, sep & xa
+            forced = (xb & ~a) | (sep & ~d)
             extra = free
             while True:
                 c = forced | extra
-                j2 = Separation(a | d, c)
-                if j2.order < order and star(j2) in p and not g.neighbours(c & ~d) & d & ~c:
+                # j2 = (a | d, c) and j2* = (c, a | d)
+                if (
+                    ((a | d) & c).bit_count() < order
+                    and (c, a | d) in members
+                    and not g.neighbours(c & ~d) & d & ~c
+                ):
                     return False
                 if not extra:
                     break

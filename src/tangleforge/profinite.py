@@ -102,7 +102,9 @@ def validate_inverse_system(sys: InverseSystem) -> SystemReport:
 
     Star, range, domain and compatibility are checked element by element;
     an x of U_r at which f_rp(x) or f_qp(f_rq(x)) is undefined is a
-    compatibility violation. Join and meet are certified per source point q: when the lemma of
+    compatibility violation. A map or triple that touches a point without a
+    universe is not checked; the point is reported as universe-missing.
+    Join and meet are certified per source point q: when the lemma of
     _preserves_joins_and_meets holds for every checked map out of q, which
     takes O(|U_q|) per map and 2^|Z| component counts, no join or meet
     violation exists and no pair is visited. Every other q goes through the
@@ -131,6 +133,8 @@ def validate_inverse_system(sys: InverseSystem) -> SystemReport:
     strays = {}   # p -> images outside U_p, in first-seen order
     for q in poset.points:
         for p in poset.strictly_below(q):
+            if q not in sys.universe_at or p not in sys.universe_at:
+                continue  # reported as universe-missing
             if (q, p) not in sys.maps:
                 bonds.append((q, p, None, [("map-missing", (q, p))]))
                 continue
@@ -171,6 +175,8 @@ def validate_inverse_system(sys: InverseSystem) -> SystemReport:
     for r in poset.points:
         for q in poset.strictly_below(r):
             for p in poset.strictly_below(q):
+                if not {r, q, p} <= sys.universe_at.keys():
+                    continue
                 frq = sys.maps.get((r, q))
                 fqp = sys.maps.get((q, p))
                 frp = sys.maps.get((r, p))

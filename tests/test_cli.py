@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 
 import jsonschema
@@ -480,6 +481,35 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0 and out == ""
     payload = json.loads(target.read_text())
     assert payload["command"] == "separations"
+
+
+def test_calls_in_one_process_match_calls_made_alone(tmp_path, capsys, monkeypatch):
+    """cli_main shares one parser between calls: each call's stdout, stderr
+    and exit code equal those of the same call in a fresh interpreter."""
+    monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
+    calls = [
+        ["profiles", "--fixture", "FIX_P4", "--k", "two"],  # usage error
+        ["profiles", "--fixture", "FIX_P4", "--k", "2"],
+        ["separations", "--fixture", "FIX_P4", "--k", "2", "--cap-n", "0"],  # cap error
+        ["separations", "--fixture", "FIX_P4", "--out", str(tmp_path / "no" / "x.json")],
+        ["totd", "--fixture", "FIX_2K4", "--format", "dot"],
+    ]
+    in_process = []
+    for argv in calls:
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        in_process.append((captured.out, captured.err, code))
+    assert [code for _, _, code in in_process] == [2, 0, 3, 2, 0]
+    env = {key: value for key, value in os.environ.items() if key != "TANGLEFORGE_CAPS"}
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    for argv, expected in zip(calls, in_process):
+        alone = subprocess.run(
+            [sys.executable, "-m", "tangleforge.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (alone.stdout, alone.stderr, alone.returncode) == expected, argv
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,12 @@ from tangleforge.core import (
     join,
     mask_of,
     meet,
+    sep_sort_key,
     star,
     vertices_of,
 )
 from tangleforge.errors import CapExceededError, CertificationError, PreconditionError
-from tangleforge.fixtures import triangle_ring
+from tangleforge.fixtures import doubled_bridge_ring, triangle_ring
 from tangleforge.profiles import (
     DistinguisherSet,
     Profile,
@@ -73,13 +74,32 @@ def two_k4_side_profiles(g):
 # ---------------------------------------------------------------------------
 # enumeration
 
+def relabel(s, perm):
+    return Separation(*(mask_of(perm[v] for v in vertices_of(side)) for side in s))
+
+
+def in_documented_order(profiles):
+    """Profiles, given as member tuples, in the lexicographic order of their
+    orientation vectors over S_k sorted by (order, sep_sort_key): slot 0 is
+    a separation's canonical orientation, slot 1 its inverse. S_k is read
+    off the members, since every profile orients all of it."""
+    if not profiles:
+        return []
+    s_k = sorted({canonical(x) for x in profiles[0]}, key=lambda s: (s.order, sep_sort_key(s)))
+    return sorted(profiles, key=lambda chosen: [s not in chosen for s in s_k])
+
+
+def assert_profiles_in_documented_order(g, k, reference, **caps):
+    found = tuple(p.chosen for p in enumerate_k_profiles(g, k, **caps))
+    assert found == tuple(in_documented_order(reference))
+
+
 @pytest.mark.parametrize(
     "name,k", [("FIX_P4", 1), ("FIX_P4", 2), ("FIX_C4", 2), ("FIX_2K4", 2), ("FIX_2K2", 2)]
 )
 def test_enumeration_matches_unpruned_oracle(graphs, name, k):
     g = graphs[name]
-    pruned = {p.chosen for p in enumerate_k_profiles(g, k)}
-    assert pruned == set(oracles.brute_profiles(g, k))
+    assert_profiles_in_documented_order(g, k, oracles.brute_profiles(g, k))
 
 
 def test_every_enumerated_profile_passes_independent_predicate(graphs):
@@ -111,7 +131,33 @@ DIFFERENTIAL = settings(max_examples=60)
 def test_enumeration_matches_oracle_on_random_graphs(case):
     g, k = case
     assume(len(enumerate_separations(g, k)) <= 24)
-    assert {p.chosen for p in enumerate_k_profiles(g, k)} == set(oracles.brute_profiles(g, k))
+    assert_profiles_in_documented_order(g, k, oracles.brute_profiles(g, k))
+
+
+@pytest.mark.parametrize("name", ["triangle_ring3", "doubled_bridge_ring"])
+def test_enumeration_order_on_relabelled_rings(name):
+    """20 seeded relabellings of each ring at k = 3. The reference set is
+    the identity labelling's, mapped: the unpruned oracle's on the
+    three-triangle ring, and the search's own on the 16-vertex ring, where
+    the oracle's scan over 4^16 side pairs is out of reach."""
+    if name == "triangle_ring3":
+        triangles = [(3 * i + a, 3 * i + b) for i in range(3) for a, b in ((0, 1), (1, 2), (0, 2))]
+        g = Graph.from_edges(9, triangles + [(2, 3), (5, 6), (8, 0)])
+        reference = oracles.brute_profiles(g, 3, scan_cap=64)
+    else:
+        g = doubled_bridge_ring()
+        reference = [p.chosen for p in enumerate_k_profiles(g, 3, max_sk=256)]
+    assert len(reference) == 3
+    rng = random.Random(name)
+    for _ in range(20):
+        images = list(range(g.n))
+        rng.shuffle(images)
+        perm = dict(enumerate(images))
+        mapped = [
+            tuple(sorted((relabel(x, perm) for x in chosen), key=sep_sort_key))
+            for chosen in reference
+        ]
+        assert_profiles_in_documented_order(g.relabelled(perm), 3, mapped, max_sk=256)
 
 
 @DIFFERENTIAL
@@ -123,10 +169,6 @@ def test_every_profile_reads_off_the_universe_of_s_k(case):
     for p in enumerate_k_profiles(g, k):
         u = _s_k_universe(g, p)
         assert (u.elements, u.closed) == (ref.elements, ref.closed)
-
-
-def relabel(s, perm):
-    return Separation(*(mask_of(perm[v] for v in vertices_of(side)) for side in s))
 
 
 @DIFFERENTIAL

@@ -325,6 +325,23 @@ def test_validation_matches_oracle_on_invalid_systems(graphs):
     assert ("compatibility", (top, mid, low, x)) in found
 
 
+def test_validation_matches_oracle_without_a_universe():
+    """A point without a universe is reported, and every map and triple
+    that touches it is skipped, so both return their report."""
+    for n_points in (2, 3):
+        full = identity_system(n_points, 2, 2)
+        for gone in full.poset.points:
+            universes = {p: u for p, u in full.universe_at.items() if p != gone}
+            sys_ = InverseSystem(full.poset, universes, full.maps)
+            assert assert_same_violations(sys_) == [("universe-missing", gone)]
+    # the bond between the two points that keep their universes is still checked
+    kept = {p: full.universe_at[p] for p in ("p0", "p2")}
+    sys_ = InverseSystem(full.poset, kept, full.maps)
+    found = assert_same_violations(with_image(sys_, ("p2", "p0"), (0, 0), (5, 5)))
+    assert found[0] == ("universe-missing", "p1")
+    assert ("map-range", ("p2", "p0", (0, 0))) in found
+
+
 def test_validation_matches_oracle_on_a_non_closed_universe(graphs):
     """Joins and meets of order-1 separations leave U_q and U_p alike; such
     a pair is still a violation, because f.get gives no image off U_q."""
