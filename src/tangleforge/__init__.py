@@ -8,9 +8,6 @@ from .core import (
     UniverseView,
     all_separations,
     canonical,
-    classify_separation,
-    corner_separations,
-    crosses,
     enumerate_separations,
     graph_universe,
     is_nested,
@@ -35,9 +32,6 @@ from .errors import (
 from .profiles import (
     DistinguisherSet,
     Profile,
-    classify_irregular,
-    corner_equal_orders,
-    corner_unequal_orders,
     efficient_distinguishers,
     enumerate_k_profiles,
     pipeline_profiles,
@@ -49,21 +43,16 @@ from .profinite import (
     graph_restriction_system,
     inverse_limits,
     profinite_splinter,
-    project,
     validate_inverse_system,
 )
 from .separators import (
     canonical_nested_separators,
-    minimal_separators,
     separator_nested,
     separators_to_separations,
-    strongly_nested,
 )
 from .splinter import (
     FiniteSplinterFamily,
     SplinterInstance,
-    crossing_number,
-    crossing_profile,
     splinter_finite,
     splinters_check,
     thin_splinter,
@@ -72,7 +61,6 @@ from .splinter import (
 from .treedec import (
     TreeDecomposition,
     build_totd,
-    edge_tree_set,
     induced_separations,
     torso,
     treeset_to_treedecomposition,

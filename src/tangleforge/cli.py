@@ -17,6 +17,8 @@ import sys
 from dataclasses import dataclass
 
 from .core import (
+    DEFAULT_MAX_K,
+    DEFAULT_MAX_N,
     Graph,
     Separation,
     canonical,
@@ -37,6 +39,7 @@ from .errors import (
 from .fixtures import FIXTURES, PIPELINE_K, get_fixture
 from .jsonshape import require, rows, scalars
 from .profiles import (
+    DEFAULT_MAX_SK,
     efficient_distinguishers,
     enumerate_k_profiles,
     pipeline_profiles,
@@ -64,9 +67,9 @@ class RunConfig:
     overrides individual caps: max_n, max_k, max_sk, profinite_union and
     profinite_product."""
 
-    max_n: int = 16
-    max_k: int = 6
-    max_sk: int = 64
+    max_n: int = DEFAULT_MAX_N
+    max_k: int = DEFAULT_MAX_K
+    max_sk: int = DEFAULT_MAX_SK
     profinite_union: int = 12
     profinite_product: int = 1_000_000
     seed: int = 7

@@ -222,22 +222,6 @@ def is_nested(r: Separation, s: Separation) -> bool:
     return leq(r, s) or leq(r, star(s)) or leq(star(r), s) or leq(star(r), star(s))
 
 
-def crosses(r: Separation, s: Separation) -> bool:
-    return not is_nested(r, s)
-
-
-def corner_separations(r: Separation, s: Separation) -> tuple[Separation, ...]:
-    """The four corners of r and s, as canonical unoriented separations
-    with duplicates removed, deterministically ordered."""
-    corners = {
-        canonical(join(r, s)),
-        canonical(join(r, star(s))),
-        canonical(join(star(r), s)),
-        canonical(join(star(r), star(s))),
-    }
-    return tuple(sorted(corners, key=sep_sort_key))
-
-
 def is_small(x: Separation) -> bool:
     return leq(x, star(x))
 
@@ -385,45 +369,6 @@ def separation_universe(seps: Iterable[Separation], closed: bool) -> UniverseVie
 
 
 # ---------------------------------------------------------------------------
-# classification
-
-@dataclass(frozen=True)
-class SeparationClass:
-    kind: str  # trivial | small | cosmall | regular
-    small: bool
-    cosmall: bool
-    trivial: bool
-    witness: object = None  # the r certifying triviality
-
-
-def classify_separation(u: UniverseView, x) -> SeparationClass:
-    """Classify x inside u.
-
-    x is trivial if some r in u with underlying separation different from x
-    satisfies x ≤ r and x ≤ r*. Every trivial element is small (x ≤ x*).
-    """
-    sm = u.leq(x, u.star(x))
-    co = u.leq(u.star(x), x)
-    witness = None
-    for r in u.elements:
-        if r == x or r == u.star(x):
-            continue
-        if u.leq(x, r) and u.leq(x, u.star(r)):
-            witness = r
-            break
-    trivial = witness is not None
-    if trivial:
-        kind = "trivial"
-    elif sm:
-        kind = "small"
-    elif co:
-        kind = "cosmall"
-    else:
-        kind = "regular"
-    return SeparationClass(kind, sm, co, trivial, witness)
-
-
-# ---------------------------------------------------------------------------
 # universe verification
 
 @dataclass
@@ -439,14 +384,17 @@ class UniverseReport:
         self.violations.append((axiom, detail))
 
 
-def verify_universe(u: UniverseView, lub_cap: int = 60, pair_cap: int = 4_000_000) -> UniverseReport:
+LUB_CAP = 60  # largest universe whose least/greatest-bound property is checked
+
+
+def verify_universe(u: UniverseView, pair_cap: int = 4_000_000) -> UniverseReport:
     """Exhaustively check the universe axioms on u.
 
     Checks: involution (self-inverse, order-reversing), order symmetry,
     join/meet upper/lower bound property on every pair, submodularity on
     every pair when claimed, and closure of the operations when declared.
     The least/greatest-bound property is cubic and only checked exhaustively
-    when |elements| ≤ lub_cap; the report records what ran.
+    when |elements| ≤ LUB_CAP; the report records what ran.
     """
     rep = UniverseReport()
     elems = u.elements
@@ -492,7 +440,7 @@ def verify_universe(u: UniverseView, lub_cap: int = 60, pair_cap: int = 4_000_00
     rep.checked["pairs"] = m * (m + 1) // 2
     rep.checked["submodularity-pairs"] = m * (m + 1) // 2 if u.submodular_claimed else 0
 
-    if m <= lub_cap:
+    if m <= LUB_CAP:
         for x in elems:
             for y in elems:
                 j = u.join(x, y)
@@ -504,7 +452,7 @@ def verify_universe(u: UniverseView, lub_cap: int = 60, pair_cap: int = 4_000_00
                         rep.add("lattice-greatest", f"meet({x},{y}) not greatest: {z}")
         rep.checked["least-upper-bound"] = "exhaustive"
     else:
-        rep.checked["least-upper-bound"] = f"skipped (> {lub_cap} elements)"
+        rep.checked["least-upper-bound"] = f"skipped (> {LUB_CAP} elements)"
     return rep
 
 

@@ -7,6 +7,8 @@ harness and the test suite compare engine outputs against these.
 
 from __future__ import annotations
 
+import itertools
+
 from .core import (
     Graph,
     Separation,
@@ -212,6 +214,24 @@ def brute_minimum_distinguishing_order(g: Graph, p_members, q_members):
     return hits[0].order if hits else None
 
 
+def minimal_separators(g: Graph, u: int, v: int, k: int) -> tuple[int, ...]:
+    """All ⊆-minimal u-v separators of size ≤ k, by scanning every vertex set
+    that avoids u and v, in `combinations` order: by size, then by vertices.
+    Adjacent endpoints have none."""
+
+    def separates(x):
+        return not any(c >> u & 1 and c >> v & 1 for c in g.components(x))
+
+    others = [w for w in vertices_of(g.vertices) if w not in (u, v)]
+    out = []
+    for size in range(k + 1):
+        for combo in itertools.combinations(others, size):
+            x = sum(1 << w for w in combo)
+            if separates(x) and not any(separates(x & ~(1 << w)) for w in combo):
+                out.append(x)
+    return tuple(out)
+
+
 def brute_system_violations(sys) -> list:
     """Every directedness, homomorphism and compatibility violation of an
     inverse system, by recomputing each join and meet through the universe
@@ -276,7 +296,8 @@ def _crossing_number(inst, a, k: int) -> int:
     return sum(1 for x in level if not inst.nested(a, x))
 
 
-def _is_corner(inst, c, a, b) -> bool:
+def is_corner(inst, c, a, b) -> bool:
+    """c is a corner of a and b: every family member crossing c crosses a or b."""
     union = frozenset().union(*inst.families.values())
     for x in union:
         if not inst.nested(x, c) and inst.nested(x, a) and inst.nested(x, b):
@@ -301,7 +322,7 @@ def brute_thin_splinter_report(inst) -> tuple[list, dict]:
         if inst.corner_oracle is None:
             return
         c = inst.corner_oracle(a, b, key)
-        if c is not None and not _is_corner(inst, c, a, b):
+        if c is not None and not is_corner(inst, c, a, b):
             violations.append(("corner-oracle", (a, b, key, c)))
 
     for ki in keys:
@@ -313,7 +334,7 @@ def brute_thin_splinter_report(inst) -> tuple[list, dict]:
                         if inst.nested(a, b):
                             continue
                         good = any(
-                            inst.nested(c, a) and _is_corner(inst, c, a, b)
+                            inst.nested(c, a) and is_corner(inst, c, a, b)
                             for c in inst.families[kj]
                         )
                         if not good:
@@ -328,10 +349,10 @@ def brute_thin_splinter_report(inst) -> tuple[list, dict]:
                         cn_a = _crossing_number(inst, a, k)
                         cn_b = _crossing_number(inst, b, k)
                         good = any(
-                            _crossing_number(inst, c, k) < cn_a and _is_corner(inst, c, a, b)
+                            _crossing_number(inst, c, k) < cn_a and is_corner(inst, c, a, b)
                             for c in inst.families[ki]
                         ) or any(
-                            _crossing_number(inst, c, k) < cn_b and _is_corner(inst, c, a, b)
+                            _crossing_number(inst, c, k) < cn_b and is_corner(inst, c, a, b)
                             for c in inst.families[kj]
                         )
                         if not good:
@@ -348,7 +369,7 @@ def brute_thin_splinter_report(inst) -> tuple[list, dict]:
                 cn_b = _crossing_number(inst, b, k)
                 good = any(
                     (_crossing_number(inst, c, k) < max(cn_a, cn_b))
-                    and _is_corner(inst, c, a, b)
+                    and is_corner(inst, c, a, b)
                     for c in inst.families[ki]
                 )
                 if not good:

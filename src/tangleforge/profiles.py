@@ -1,7 +1,4 @@
-"""k-profiles of small graphs: enumeration, flags, distinguisher sets and
-the two corner lemmas on distinguishers of crossing pairs (unequal and equal
-orders), stated as checked procedures; the splinter engines find their
-corners through the separator instance's corner oracle instead."""
+"""k-profiles of small graphs: enumeration, flags and distinguisher sets."""
 
 from __future__ import annotations
 
@@ -9,18 +6,19 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
+    DEFAULT_MAX_K,
+    DEFAULT_MAX_N,
     Graph,
     Separation,
     canonical,
     enumerate_separations,
     iter_bits,
-    join,
     sep_sort_key,
     separation_to_json,
     star,
     subsets_of_size,
 )
-from .errors import CertificationError, HypothesisError, PreconditionError
+from .errors import CertificationError, PreconditionError
 
 DEFAULT_MAX_SK = 64
 
@@ -150,7 +148,11 @@ def _leaves_are_profiles(g: Graph, s_k, slots, leaves) -> bool:
 
 
 def enumerate_k_profiles(
-    g: Graph, k: int, max_sk: int = DEFAULT_MAX_SK, max_n: int = 16, max_k: int = 6
+    g: Graph,
+    k: int,
+    max_sk: int = DEFAULT_MAX_SK,
+    max_n: int = DEFAULT_MAX_N,
+    max_k: int = DEFAULT_MAX_K,
 ) -> tuple[Profile, ...]:
     """All k-profiles of g, in the lexicographic order of their orientation
     vectors over S_k sorted by (order, sep_sort_key).
@@ -371,46 +373,6 @@ def pipeline_profiles(g: Graph, profiles) -> tuple[Profile, ...]:
 
 
 # ---------------------------------------------------------------------------
-# irregular profiles
-
-def is_cutvertex(g: Graph, v: int) -> bool:
-    own = next(c for c in g.components() if c >> v & 1)
-    return len(g.induced(own).components(1 << v)) > 1
-
-
-@dataclass(frozen=True)
-class IrregularShape:
-    kind: str  # "whole-graph" | "vertex"
-    vertex: Optional[int] = None
-
-
-def classify_irregular(g: Graph, p: Profile) -> IrregularShape:
-    """Match an irregular profile against the two shapes it can have:
-    {(V, ∅)} on a connected graph, or the orientation of S_k towards a
-    non-cutvertex x (all (A,B) with x ∈ B except ({x},V))."""
-    if p.is_regular(g):
-        raise PreconditionError("profile is regular")
-    verts = g.vertices
-    if g.is_connected() and set(p.chosen) == {Separation(verts, 0)}:
-        return IrregularShape("whole-graph")
-    for x in iter_bits(verts):
-        if is_cutvertex(g, x):
-            continue
-        expected = {
-            o
-            for s in p.chosen
-            for o in (s, star(s))
-            if o.b >> x & 1 and o != Separation(1 << x, verts)
-        }
-        if set(p.chosen) == expected:
-            return IrregularShape("vertex", x)
-    raise HypothesisError(
-        "irregular profile matches neither shape of the irregular-profile lemma",
-        witness=p,
-    )
-
-
-# ---------------------------------------------------------------------------
 # distinguishers
 
 @dataclass(frozen=True)
@@ -442,116 +404,3 @@ def efficient_distinguishers(g: Graph, p: Profile, q: Profile) -> DistinguisherS
     best = min(s.order for s in dist)
     seps = tuple(sorted((s for s in dist if s.order == best), key=sep_sort_key))
     return DistinguisherSet(p, q, best, seps)
-
-
-def _in_aset(g: Graph, dset: DistinguisherSet, s: Separation) -> bool:
-    """Membership of (the underlying separation of) s in the distinguisher
-    set: same order and oriented oppositely by the pair."""
-    return s.order == dset.order and distinguishes(dset.first, dset.second, s)
-
-
-def corner_unequal_orders(
-    g: Graph,
-    ab: Separation,
-    dset_p: DistinguisherSet,
-    cd: Separation,
-    dset_q: DistinguisherSet,
-) -> Separation:
-    """Given crossing efficient distinguishers ab (for the lower-order pair)
-    and cd (for the higher), return a corner of the two that efficiently
-    distinguishes the higher pair. Both profile pairs must be robust."""
-    if not _in_aset(g, dset_p, ab) or not _in_aset(g, dset_q, cd):
-        raise PreconditionError("inputs must belong to the stated distinguisher sets")
-    if ab.order >= cd.order:
-        raise PreconditionError("orders must satisfy |(A,B)| < |(C,D)|")
-    from .core import crosses
-
-    if not crosses(ab, cd):
-        raise PreconditionError("inputs must cross")
-    hits = [
-        c
-        for c in (join(x, y) for x in (ab, star(ab)) for y in (cd, star(cd)))
-        if _in_aset(g, dset_q, c)
-    ]
-    if not hits:
-        raise HypothesisError(
-            "no corner lies in the higher-order distinguisher set; "
-            "inputs cannot satisfy the stated preconditions",
-            witness=(ab, cd),
-        )
-    return min((canonical(c) for c in hits), key=sep_sort_key)
-
-
-@dataclass(frozen=True)
-class OppositeCornerResult:
-    """Outcome of the equal-order corner search.
-
-    kind == "split": `corner` is in the first pair's set and `opposite` in
-    the second's (one opposite-corner pair, one element each).
-    kind == "both": two opposite-corner pairs exist, `pair_first` fully
-    inside the first set and `pair_second` fully inside the second.
-    """
-
-    kind: str
-    corner: Separation
-    corner_in: str
-    opposite: Separation
-    opposite_in: str
-    pair_first: Optional[tuple[Separation, Separation]] = None
-    pair_second: Optional[tuple[Separation, Separation]] = None
-
-
-def corner_equal_orders(
-    g: Graph,
-    ab: Separation,
-    dset_p: DistinguisherSet,
-    cd: Separation,
-    dset_q: DistinguisherSet,
-) -> OppositeCornerResult:
-    """Equal-order case: locate opposite corner pairs inside the two
-    distinguisher sets, matching one of the two possible outcomes."""
-    if not _in_aset(g, dset_p, ab) or not _in_aset(g, dset_q, cd):
-        raise PreconditionError("inputs must belong to the stated distinguisher sets")
-    if ab.order != cd.order:
-        raise PreconditionError("orders must be equal")
-
-    opposite_pairs = (
-        (join(ab, cd), join(star(ab), star(cd))),
-        (join(ab, star(cd)), join(star(ab), cd)),
-    )
-
-    def side(c):
-        in_p = _in_aset(g, dset_p, c)
-        in_q = _in_aset(g, dset_q, c)
-        return in_p, in_q
-
-    # outcome 1: one opposite pair with one element per set
-    for c1, c2 in opposite_pairs:
-        p1, q1 = side(c1)
-        p2, q2 = side(c2)
-        if p1 and q2:
-            return OppositeCornerResult("split", canonical(c1), "first", canonical(c2), "second")
-        if q1 and p2:
-            return OppositeCornerResult("split", canonical(c2), "first", canonical(c1), "second")
-    # outcome 2: one pair fully in each set
-    pair_p = next(
-        ((c1, c2) for c1, c2 in opposite_pairs if side(c1)[0] and side(c2)[0]), None
-    )
-    pair_q = next(
-        ((c1, c2) for c1, c2 in opposite_pairs if side(c1)[1] and side(c2)[1]), None
-    )
-    if pair_p and pair_q:
-        return OppositeCornerResult(
-            "both",
-            canonical(pair_p[0]),
-            "first",
-            canonical(pair_q[0]),
-            "second",
-            pair_first=tuple(map(canonical, pair_p)),
-            pair_second=tuple(map(canonical, pair_q)),
-        )
-    raise HypothesisError(
-        "neither opposite-corner outcome realised; inputs cannot satisfy "
-        "the stated preconditions",
-        witness=(ab, cd),
-    )

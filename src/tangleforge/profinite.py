@@ -362,13 +362,6 @@ def _hom_violations(q, uq: UniverseView, checked: list, tables: dict) -> list:
     return [found for *_, found in maps]
 
 
-def project(sys: InverseSystem, x, p):
-    """Projection of a limit (dict point -> element) or of a set of limits."""
-    if isinstance(x, dict):
-        return x[p]
-    return frozenset(limit[p] for limit in x)
-
-
 def inverse_limits(
     sys: InverseSystem, restrict: Optional[dict] = None, cap: int = 1_000_000
 ) -> tuple:

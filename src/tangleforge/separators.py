@@ -20,11 +20,9 @@ from .core import (
     canonical,
     is_nested,
     is_separation,
-    iter_bits,
     join,
     sep_sort_key,
     star,
-    subsets_of_size,
     vertices_of,
 )
 from .errors import CertificationError, PreconditionError
@@ -37,39 +35,7 @@ def separator_sort_key(mask: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# minimal separators
-
-def minimal_separators(g: Graph, u: int, v: int, k: int) -> tuple[int, ...]:
-    """All ⊆-minimal u-v separators of size ≤ k, by exhaustive subset scan.
-
-    Adjacent (or equal-component-trivial) endpoints admit no separator at
-    all; adjacency yields the empty tuple by convention.
-    """
-    if u == v:
-        raise PreconditionError("endpoints must differ")
-    if g.adj[u] >> v & 1:
-        return ()
-    verts = g.vertices
-    candidates = verts & ~(1 << u) & ~(1 << v)
-
-    def separates(x):
-        for comp in g.components(x):
-            if comp >> u & 1:
-                return not comp >> v & 1
-        return False  # u inside x: cannot happen, x avoids u
-
-    out = []
-    for size in range(k + 1):
-        for x in subsets_of_size(candidates, size):
-            if not separates(x):
-                continue
-            if all(not separates(x & ~(1 << w)) for w in iter_bits(x)):
-                out.append(x)
-    return tuple(sorted(out, key=separator_sort_key))
-
-
-# ---------------------------------------------------------------------------
-# the separator nestedness relations
+# the separator nestedness relation
 
 def separator_nested(g: Graph, x: int, y: int) -> bool:
     """x is nested with y: x ⊆ C ∪ y for some component C of G - y.
@@ -82,43 +48,6 @@ def separator_nested(g: Graph, x: int, y: int) -> bool:
     if not x & ~y:
         return True
     return any(not x & ~(comp | y) for comp in g.components(y))
-
-
-def strongly_nested(g: Graph, x: int, y: int) -> bool:
-    """Both directions of containment in a component together with its
-    neighbourhood; x strongly nested with itself iff G - x has a tight
-    component."""
-
-    def one_way(a, b):
-        return any(
-            not b & ~(comp | g.neighbours(comp)) for comp in g.components(a)
-        )
-
-    return one_way(x, y) and one_way(y, x)
-
-
-def separator_crossing_number(g: Graph, all_separators, x: int, k: int) -> int:
-    """Number of separators of size k in the collection crossing x.
-
-    Every crossing partner must minimally separate two vertices of the
-    other separator (the crossing/minimal-separator lemma); a failure means
-    the collection is not a genuine distinguisher family and raises
-    CertificationError.
-    """
-    count = 0
-    for y in all_separators:
-        if y == x or y.bit_count() != k:
-            continue
-        if separator_nested(g, x, y):
-            continue
-        count += 1
-        pairs = itertools.combinations(vertices_of(x), 2)
-        if not any(y in minimal_separators(g, v, w, y.bit_count()) for v, w in pairs):
-            raise CertificationError(
-                f"separator {vertices_of(y)} crosses {vertices_of(x)} but minimally "
-                "separates no pair of its vertices"
-            )
-    return count
 
 
 # ---------------------------------------------------------------------------

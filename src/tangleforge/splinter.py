@@ -181,24 +181,6 @@ class SplinterInstance:
     def family_keys(self) -> list:
         return sorted(self.families, key=repr)
 
-    def union(self) -> frozenset:
-        return frozenset().union(*self.families.values()) if self.families else frozenset()
-
-    def crosses(self, a, b) -> bool:
-        return not self.nested(a, b)
-
-
-def validate_instance(inst: SplinterInstance) -> list:
-    """Sanity-check reflexivity/symmetry of the relation (full pair scan)."""
-    bad = []
-    for a in inst.elements:
-        if not inst.nested(a, a):
-            bad.append(("reflexivity", a))
-    for a in inst.elements:
-        for b in inst.elements:
-            if inst.nested(a, b) != inst.nested(b, a):
-                bad.append(("symmetry", (a, b)))
-    return bad
 
 
 def crossing_number(inst: SplinterInstance, a, k: int) -> int:
@@ -208,15 +190,7 @@ def crossing_number(inst: SplinterInstance, a, k: int) -> int:
     for key, fam in inst.families.items():
         if inst.orders[key] == k:
             level |= fam
-    return sum(1 for x in level if inst.crosses(a, x))
-
-
-def is_corner(inst: SplinterInstance, c, a, b) -> bool:
-    """c is a corner of a and b: every element crossing c crosses a or b."""
-    for x in inst.union():
-        if inst.crosses(x, c) and not (inst.crosses(x, a) or inst.crosses(x, b)):
-            return False
-    return True
+    return sum(1 for x in level if not inst.nested(a, x))
 
 
 @dataclass(frozen=True)
@@ -264,18 +238,6 @@ def crossing_table(inst: SplinterInstance) -> CrossingTable:
         levels[inst.orders[key]] = levels.get(inst.orders[key], 0) | m
         union |= m
     return CrossingTable(index, tuple(rows), tuple(cols), fams, levels, union)
-
-
-def crossing_profile(inst: SplinterInstance) -> dict:
-    """The full table of crossing counts: (element, level) -> number of
-    level members crossing the element. Zero rows are included so that
-    'nested with everything at level k' is visible as an explicit 0."""
-    t = crossing_table(inst)
-    return {
-        (a, k): t.crossing_number(t.index[a], k)
-        for a in inst.elements
-        for k in sorted(t.levels)
-    }
 
 
 @dataclass

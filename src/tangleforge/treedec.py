@@ -31,7 +31,7 @@ from .profiles import is_principal
 
 
 # ---------------------------------------------------------------------------
-# trees and edge tree sets
+# trees
 
 def _is_tree(nodes, edges) -> bool:
     if len(edges) != len(nodes) - 1:
@@ -66,38 +66,6 @@ def _tree_path(adj, a, b):
     while path[-1] != a:
         path.append(prev[path[-1]])
     return tuple(reversed(path))
-
-
-@dataclass(frozen=True)
-class EdgeTreeSet:
-    """Oriented edges of a tree in the natural partial order:
-    (v,w) ≤ (x,y) iff the v-y path meets both w and x."""
-
-    nodes: tuple
-    edges: tuple
-    oriented: tuple
-
-    def star(self, e):
-        return (e[1], e[0])
-
-    def leq(self, e, f) -> bool:
-        adj = {v: set() for v in self.nodes}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        path = _tree_path(adj, e[0], f[1])
-        return e[1] in path and f[0] in path
-
-
-def edge_tree_set(nodes, edges) -> EdgeTreeSet:
-    nodes = tuple(nodes)
-    edges = tuple(tuple(e) for e in edges)
-    if not _is_tree(nodes, edges):
-        raise PreconditionError("input is not a tree")
-    oriented = tuple(
-        sorted(itertools.chain(edges, (tuple(reversed(e)) for e in edges)))
-    )
-    return EdgeTreeSet(nodes, edges, oriented)
 
 
 # ---------------------------------------------------------------------------

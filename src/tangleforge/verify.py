@@ -237,14 +237,14 @@ def _random_graph(rng, n):
     return Graph.from_edges(n, edges)
 
 
-def random_splinter_instances(seed: int, count: int, max_attempts: int = 4000):
+def random_splinter_instances(seed: int, count: int):
     """Seeded stream of FiniteSplinterFamily instances passing the splinter
     check: distinguisher families of random graphs, plus random families
-    repaired by corner insertion."""
+    repaired by corner insertion; at most 4000 attempts."""
     rng = random.Random(seed)
     found = []
     attempts = 0
-    while len(found) < count and attempts < max_attempts:
+    while len(found) < count and attempts < 4000:
         attempts += 1
         n = rng.randint(4, 6)
         g = _random_graph(rng, n)
@@ -380,14 +380,14 @@ def random_candidate_system(rng: random.Random) -> InverseSystem:
     return InverseSystem(poset, {p: u for p in points}, maps)
 
 
-def random_inverse_systems(seed: int, count: int, max_attempts: int = 3000):
+def random_inverse_systems(seed: int, count: int):
     """Up to `count` (system, families) pairs: random candidate systems
     (valid by construction) with 1-3 closed-form families that splinter at
-    every point."""
+    every point, from at most 3000 attempts."""
     rng = random.Random(seed)
     found = []
     attempts = 0
-    while len(found) < count and attempts < max_attempts:
+    while len(found) < count and attempts < 3000:
         attempts += 1
         sys = random_candidate_system(rng)
         points = sys.poset.points

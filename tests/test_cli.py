@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, determinism, schema validation,
-graph ingestion."""
+graph ingestion, and the names the package exports."""
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -11,6 +12,7 @@ import sys
 import jsonschema
 import pytest
 
+import tangleforge
 from tangleforge import cli as cli_module
 from tangleforge import core, profiles
 from tangleforge.core import Graph
@@ -275,6 +277,39 @@ def test_every_traced_layer_name_is_a_library_callable():
         for name in names:
             owner = module.Graph if name == "components" else module
             assert callable(getattr(owner, name, None)), f"tangleforge.{layer}.{name}"
+
+
+def test_every_exported_name_is_used_by_the_library():
+    """Each name `tangleforge` exports is referenced by some module other
+    than `__init__` and `oracles`, outside the name's own definition, so
+    that no helper only the tests reach is offered as API. A reference is a
+    loaded Name or a `from ... import` alias."""
+    package = os.path.dirname(tangleforge.__file__)
+
+    def parse(name):
+        with open(os.path.join(package, name), "r", encoding="utf-8") as fh:
+            return ast.parse(fh.read())
+
+    exported = {
+        alias.asname or alias.name
+        for node in parse("__init__.py").body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name in ("__init__.py", "oracles.py"):
+            continue
+        for stmt in parse(name).body:
+            refs = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    refs.add(node.id)
+                elif isinstance(node, ast.ImportFrom):
+                    refs.update(alias.name for alias in node.names)
+            refs.discard(getattr(stmt, "name", None))  # a def or class does not use itself
+            used |= refs
+    assert sorted(exported - used) == []
 
 
 def test_dot_rejected_elsewhere(capsys):

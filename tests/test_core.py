@@ -14,9 +14,6 @@ from tangleforge.core import (
     UniverseView,
     all_separations,
     canonical,
-    classify_separation,
-    corner_separations,
-    crosses,
     enumerate_separations,
     graph_universe,
     is_nested,
@@ -115,7 +112,7 @@ def test_c4_k3_contains_crossing_diagonals(graphs):
     d1 = canonical(sep([0, 1, 2], [2, 3, 0]))
     d2 = canonical(sep([1, 2, 3], [3, 0, 1]))
     assert d1 in seps and d2 in seps
-    assert crosses(d1, d2)
+    assert not is_nested(d1, d2)
 
 
 def test_enumeration_output_is_canonical_and_sorted(graphs):
@@ -208,10 +205,15 @@ def test_crossing_means_all_orientation_pairs_incomparable():
             assert not leq(x, y) and not leq(y, x)
 
 
+def corners(r, s):
+    """The four corners r ∨ s, r ∨ s*, r* ∨ s and r* ∨ s*, canonically oriented."""
+    return {canonical(join(x, y)) for x in (r, star(r)) for y in (s, star(s))}
+
+
 def test_corners_of_crossing_c4_pair():
     d1 = sep([0, 1, 2], [2, 3, 0])
     d2 = sep([1, 2, 3], [3, 0, 1])
-    cs = corner_separations(d1, d2)
+    cs = corners(d1, d2)
     assert canonical(sep([0, 1, 2, 3], [0, 3])) in cs
     assert canonical(sep([0, 1, 2, 3], [1, 2])) in cs
 
@@ -219,7 +221,7 @@ def test_corners_of_crossing_c4_pair():
 def test_corners_of_nested_pair_stay_in_closure(graphs):
     r = sep([0, 1], [1, 2, 3])
     s = sep([0, 1, 2], [2, 3])
-    for c in corner_separations(r, s):
+    for c in corners(r, s):
         assert (
             c in (canonical(r), canonical(s))
             or is_small(c)
@@ -229,12 +231,13 @@ def test_corners_of_nested_pair_stay_in_closure(graphs):
 
 def test_corners_of_equal_pair():
     r = sep([0, 1], [1, 2, 3])
-    cs = corner_separations(r, r)
-    assert canonical(r) in cs
+    assert canonical(r) in corners(r, r)
 
 
 def test_fish_lemma_small_scale(graphs):
-    # exhaustive on the full universes of the order-4 fixtures
+    # a separation nested with two crossing separations is nested with all
+    # four of their corners; exhaustive on the full universes of the
+    # order-4 fixtures
     for name in ("FIX_C4", "FIX_2K2"):
         g = graphs[name]
         univ = all_separations(g)
@@ -243,7 +246,7 @@ def test_fish_lemma_small_scale(graphs):
                 continue
             for t in univ:
                 if is_nested(t, r) and is_nested(t, s):
-                    for c in corner_separations(r, s):
+                    for c in corners(r, s):
                         assert is_nested(t, c)
 
 
@@ -260,31 +263,37 @@ def test_corner_nestedness_small_scale(graphs):
 
 
 # ---------------------------------------------------------------------------
-# classification and tightness
+# small, trivial and regular separations and tightness
+
+def trivial_witnesses(u, x):
+    """The r other than x and x* with x ≤ r and x ≤ r*: each makes x trivial."""
+    return [
+        r
+        for r in u.elements
+        if r not in (x, star(x)) and leq(x, r) and leq(x, star(r))
+    ]
+
 
 def test_classify_trivial_small_cosmall_regular(graphs):
     g = graphs["FIX_P4"]
     u = graph_universe(g)
     empty = sep([], [0, 1, 2, 3])
-    cls = classify_separation(u, empty)
-    assert cls.kind == "trivial" and cls.small and cls.witness is not None
-    cls = classify_separation(u, star(empty))
-    assert cls.cosmall and cls.kind in ("cosmall", "small", "trivial")
-    assert not classify_separation(u, star(empty)).small or star(empty).a != g.vertices
-    cls = classify_separation(u, sep([0, 1], [1, 2, 3]))
-    assert cls.kind == "regular" and not cls.small and not cls.trivial
+    assert is_small(empty) and trivial_witnesses(u, empty)
+    # so (V, ∅) is co-small, and it is not small
+    assert not is_small(star(empty))
+    regular = sep([0, 1], [1, 2, 3])
+    assert not is_small(regular) and not is_small(star(regular))
+    assert not trivial_witnesses(u, regular)
 
 
 def test_trivial_witness_certifies_triviality(graphs):
+    # every trivial separation is small
     g = graphs["FIX_2K4"]
     u = graph_universe(g)
-    for x in u.elements:
-        cls = classify_separation(u, x)
-        if cls.trivial:
-            r = cls.witness
-            assert leq(x, r) and leq(x, star(r))
-            assert r != x and r != star(x)
-            assert cls.small  # every trivial separation is small
+    trivial = [x for x in u.elements if trivial_witnesses(u, x)]
+    assert trivial
+    for x in trivial:
+        assert is_small(x)
 
 
 def test_separation_json_roundtrip():

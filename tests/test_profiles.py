@@ -1,5 +1,6 @@
 """Profiles: enumeration against the unpruned oracle, flags, the irregular
-shape lemma, distinguisher sets and the two corner-finding procedures."""
+shape lemma, distinguisher sets and the two corner lemmas on crossing
+efficient distinguishers."""
 
 import itertools
 import random
@@ -15,9 +16,9 @@ from tangleforge.core import (
     Graph,
     Separation,
     canonical,
-    crosses,
     enumerate_separations,
     graph_universe,
+    is_nested,
     join,
     mask_of,
     meet,
@@ -28,12 +29,8 @@ from tangleforge.core import (
 from tangleforge.errors import CapExceededError, CertificationError, PreconditionError
 from tangleforge.fixtures import doubled_bridge_ring, triangle_ring
 from tangleforge.profiles import (
-    DistinguisherSet,
     Profile,
     ProfileFlags,
-    classify_irregular,
-    corner_equal_orders,
-    corner_unequal_orders,
     distinguishes,
     efficient_distinguishers,
     enumerate_k_profiles,
@@ -448,12 +445,33 @@ def test_principal_implies_regular(graphs):
 
 # ---------------------------------------------------------------------------
 # irregular shapes
+#
+# The irregular-profile lemma: an irregular k-profile of G is either {(V, ∅)}
+# on a connected G, or the orientation of S_k towards a vertex x that is not
+# a cutvertex: every (A, B) with x ∈ B except ({x}, V).
+
+def vertices_the_profile_points_to(g, p):
+    """The non-cutvertices x for which p is the orientation towards x."""
+    return [
+        x
+        for x in vertices_of(g.vertices)
+        if len(g.components(1 << x)) <= len(g.components())
+        and set(p.chosen)
+        == {
+            o
+            for s in p.chosen
+            for o in (s, star(s))
+            if o.b >> x & 1 and o != Separation(1 << x, g.vertices)
+        }
+    ]
+
 
 def test_irregular_whole_graph_shape(graphs):
     g = graphs["FIX_P4"]
     top = Separation(g.vertices, 0)
     p = next(p for p in enumerate_k_profiles(g, 1) if top in p)
-    assert classify_irregular(g, p).kind == "whole-graph"
+    assert not p.is_regular(g)
+    assert g.is_connected() and p.chosen == (top,)
 
 
 def test_irregular_vertex_shape_on_p4(graphs):
@@ -461,9 +479,8 @@ def test_irregular_vertex_shape_on_p4(graphs):
     shapes = []
     for p in enumerate_k_profiles(g, 2):
         if not p.is_regular(g):
-            shape = classify_irregular(g, p)
-            assert shape.kind == "vertex"
-            shapes.append(shape.vertex)
+            assert Separation(g.vertices, 0) not in p
+            shapes += vertices_the_profile_points_to(g, p)
     # the leaves are the only non-cutvertices of the path
     assert sorted(shapes) == [0, 3]
 
@@ -472,21 +489,16 @@ def test_every_fixture_irregular_profile_matches_a_lemma_shape(graphs):
     for name, g in graphs.items():
         for k in (1, 2):
             for p in enumerate_k_profiles(g, k):
-                if not p.is_regular(g):
-                    classify_irregular(g, p)  # raises on shape mismatch
+                if p.is_regular(g):
+                    continue
+                whole_graph = g.is_connected() and p.chosen == (Separation(g.vertices, 0),)
+                assert whole_graph or vertices_the_profile_points_to(g, p), (name, k, p)
 
 
 def test_two_k2_has_no_whole_graph_irregular(graphs):
     g = graphs["FIX_2K2"]
     for p in enumerate_k_profiles(g, 1):
         assert p.is_regular(g)
-
-
-def test_classify_irregular_rejects_regular_profiles(graphs):
-    g = graphs["FIX_P4"]
-    p = next(p for p in enumerate_k_profiles(g, 2) if p.is_regular(g))
-    with pytest.raises(PreconditionError):
-        classify_irregular(g, p)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +563,17 @@ def test_lattice_closure_of_distinguisher_sets(graphs):
 
 
 # ---------------------------------------------------------------------------
-# corner procedures
+# the corner lemmas
+
+def in_dset(dset, c):
+    """c is in the distinguisher set: of its order, and oriented oppositely
+    by its pair."""
+    return c.order == dset.order and distinguishes(dset.first, dset.second, c)
+
+
+def opposite_corner_pairs(x, y):
+    return ((join(x, y), join(star(x), star(y))), (join(x, star(y)), join(star(x), y)))
+
 
 def crossing_equal_order_pairs(g, profiles):
     dsets = {}
@@ -564,68 +586,37 @@ def crossing_equal_order_pairs(g, profiles):
             continue
         for x in da.seps:
             for y in db.seps:
-                if x != y and crosses(x, y):
+                if x != y and not is_nested(x, y):
                     out.append((da, x, db, y))
     return out
 
 
 def test_corner_equal_orders_on_triangle_ring(triring, triring_profiles):
+    """The equal-order corner lemma: for crossing x and y in two
+    distinguisher sets of equal order, either some opposite pair of corners
+    has one corner in each set ("split"), or one opposite pair lies in the
+    first set and one in the second ("both")."""
     cases = crossing_equal_order_pairs(triring, triring_profiles)
     assert len(cases) >= 100  # the ring's distinguishers cross massively
     kinds = set()
     for da, x, db, y in cases:
-        res = corner_equal_orders(triring, x, da, y, db)
-        kinds.add(res.kind)
-        if res.kind == "split":
-            assert res.corner.order == da.order
-            assert distinguishes(da.first, da.second, res.corner)
-            assert distinguishes(db.first, db.second, res.opposite)
-        else:
-            c1, c2 = res.pair_first
-            assert distinguishes(da.first, da.second, c1)
-            assert distinguishes(da.first, da.second, c2)
-            e1, e2 = res.pair_second
-            assert distinguishes(db.first, db.second, e1)
-            assert distinguishes(db.first, db.second, e2)
+        pairs = opposite_corner_pairs(x, y)
+        split = any(
+            in_dset(da, c1) and in_dset(db, c2) or in_dset(db, c1) and in_dset(da, c2)
+            for c1, c2 in pairs
+        )
+        both = any(in_dset(da, c1) and in_dset(da, c2) for c1, c2 in pairs) and any(
+            in_dset(db, c1) and in_dset(db, c2) for c1, c2 in pairs
+        )
+        assert split or both, (x, y)
+        kinds.add("split" if split else "both")
     assert kinds == {"split", "both"}
 
 
-def test_corner_equal_orders_degenerate_shared_distinguisher(triring, triring_profiles):
-    g = triring
-    da = efficient_distinguishers(g, triring_profiles[0], triring_profiles[1])
-    x = da.seps[0]
-    res = corner_equal_orders(g, x, da, x, da)
-    # both opposite corners of x with itself degenerate to x
-    assert res.corner == canonical(x) or res.opposite == canonical(x)
-
-
-def test_corner_unequal_orders_preconditions(graphs):
-    g = graphs["FIX_2K4"]
-    left, right = two_k4_side_profiles(g)
-    dset = efficient_distinguishers(g, left, right)
-    m1, m2 = dset.seps
-    with pytest.raises(PreconditionError):
-        # equal orders are rejected
-        corner_unequal_orders(g, m1, dset, m2, dset)
-
-
-def test_corner_unequal_orders_requires_crossing_inputs(triring, triring_profiles):
-    g = triring
-    da = efficient_distinguishers(g, triring_profiles[0], triring_profiles[1])
-    # fabricate an unequal-order situation with nested inputs: no fixture or
-    # ring pair crosses at different orders (see the scan below), so the
-    # precondition path is what is exercised
-    x = da.seps[0]
-    nested_partner = next(s for s in da.seps[1:] if not crosses(x, s))
-    fake = DistinguisherSet(da.first, da.second, x.order + 1, (nested_partner,))
-    with pytest.raises(PreconditionError):
-        corner_unequal_orders(g, x, da, nested_partner, fake)
-
-
 def test_opposite_corners_reduce_summed_crossing_numbers(triring, triring_profiles):
-    """For crossing equal-order inputs, the pair of opposite corners found
-    has strictly smaller summed level-crossing numbers: each corner is
-    nested with both inputs while the inputs cross each other."""
+    """For crossing equal-order inputs, every pair of opposite corners has
+    strictly smaller summed level-crossing numbers: each corner is nested
+    with both inputs while the inputs cross each other."""
     g = triring
     dsets = {}
     for i, j in itertools.combinations(range(len(triring_profiles)), 2):
@@ -633,21 +624,13 @@ def test_opposite_corners_reduce_summed_crossing_numbers(triring, triring_profil
     level = {s for d in dsets.values() for s in d.seps}
 
     def cn(x):
-        return sum(1 for y in level if y != x and crosses(x, y))
+        return sum(1 for y in level if y != x and not is_nested(x, y))
 
-    exercised = 0
-    for (ka, kb) in itertools.combinations(dsets, 2):
-        da, db = dsets[ka], dsets[kb]
-        for x in da.seps:
-            for y in db.seps:
-                if x == y or not crosses(x, y):
-                    continue
-                res = corner_equal_orders(g, x, da, y, db)
-                assert cn(res.corner) + cn(res.opposite) < cn(x) + cn(y)
-                exercised += 1
-                if exercised >= 60:
-                    return
-    assert exercised > 0
+    cases = crossing_equal_order_pairs(g, triring_profiles)
+    assert cases
+    for _, x, _, y in cases:
+        for c1, c2 in opposite_corner_pairs(x, y):
+            assert cn(c1) + cn(c2) < cn(x) + cn(y)
 
 
 def crossing_unequal_order_pairs(g, profiles):
@@ -662,32 +645,32 @@ def crossing_unequal_order_pairs(g, profiles):
         lo, hi = (da, db) if da.order < db.order else (db, da)
         for x in lo.seps:
             for y in hi.seps:
-                if crosses(x, y):
+                if not is_nested(x, y):
                     out.append((lo, x, hi, y))
     return out
 
 
 def test_corner_unequal_orders_on_doubled_bridge_ring(k5ring, k5ring_profiles):
-    """The doubled K5-K5 link forces an order-3 distinguisher pair whose
-    members cross the order-2 ring splits; every crossing case must yield a
-    corner inside the higher-order set."""
+    """The unequal-order corner lemma on the doubled K5-K5 link, which forces
+    an order-3 distinguisher pair whose members cross the order-2 ring
+    splits: for every crossing x (lower order) and y (higher), some join of
+    x or x* with y or y* has the higher set's order and distinguishes its
+    pair."""
+    from tangleforge.separators import separator_nested
+
     g = k5ring
     cases = crossing_unequal_order_pairs(g, k5ring_profiles)
     assert len(cases) >= 100
     for lo_set, x, hi_set, y in cases:
-        c = corner_unequal_orders(g, x, lo_set, y, hi_set)
-        assert c.order == hi_set.order
-        assert distinguishes(hi_set.first, hi_set.second, c)
-        # when the corner separator misses a tight side of the lower input,
+        hits = [c for pair in opposite_corner_pairs(x, y) for c in pair if in_dset(hi_set, c)]
+        assert hits, (x, y)
+        # when a corner's separator misses a tight side of the lower input,
         # it is nested with it at the separator level
-        from tangleforge.separators import separator_nested
-
         x_sep = x.separator
-        tight = [
-            comp for comp in g.components(x_sep) if g.neighbours(comp) == x_sep
-        ]
-        if any(not comp & c.separator for comp in tight):
-            assert separator_nested(g, c.separator, x_sep)
+        tight = [comp for comp in g.components(x_sep) if g.neighbours(comp) == x_sep]
+        for c in hits:
+            if any(not comp & c.separator for comp in tight):
+                assert separator_nested(g, c.separator, x_sep)
 
 
 def test_no_crossing_unequal_order_distinguishers_on_small_graphs(graphs, triring, triring_profiles):
@@ -708,6 +691,6 @@ def test_no_crossing_unequal_order_distinguishers_on_small_graphs(graphs, tririn
                 continue
             for x in da.seps:
                 for y in db.seps:
-                    if crosses(x, y):
+                    if not is_nested(x, y):
                         found.append((name, x, y))
     assert not found

@@ -24,7 +24,6 @@ from tangleforge.profinite import (
     inverse_limits,
     product_chain_universe,
     profinite_splinter,
-    project,
     universe_from_json,
     universe_to_json,
     validate_inverse_system,
@@ -117,16 +116,6 @@ def test_every_random_system_has_a_limit():
     for sys_, _fams in random_inverse_systems(seed=3, count=10):
         assert validate_inverse_system(sys_).ok  # valid by construction
         assert inverse_limits(sys_)
-
-
-def test_project_set_distributes_over_union():
-    sys_ = identity_system()
-    limits = inverse_limits(sys_)
-    half = limits[: len(limits) // 2]
-    rest = limits[len(limits) // 2 :]
-    p = sys_.poset.points[0]
-    assert project(sys_, limits, p) == project(sys_, half, p) | project(sys_, rest, p)
-    assert project(sys_, limits[0], p) == limits[0][p]
 
 
 # ---------------------------------------------------------------------------

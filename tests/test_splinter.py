@@ -23,13 +23,11 @@ from tangleforge.splinter import (
     FiniteSplinterFamily,
     SplinterInstance,
     crossing_number,
-    crossing_profile,
-    is_corner,
+    crossing_table,
     splinter_finite,
     splinters_check,
     thin_splinter,
     thinly_splinters_check,
-    validate_instance,
 )
 from tangleforge.verify import random_splinter_instances
 
@@ -160,19 +158,6 @@ def cornerless_instance():
     )
 
 
-def test_validate_instance_relation():
-    inst = chain_instance()
-    assert validate_instance(inst) == []
-    bad = SplinterInstance(
-        elements=("a", "b"),
-        families={"f": {"a"}},
-        orders={"f": 0},
-        nested=lambda x, y: (x, y) == ("a", "b"),
-    )
-    problems = validate_instance(bad)
-    assert ("reflexivity", "a") in problems
-
-
 def test_crossing_number_counts_level_members():
     inst = crossing_instance()
     assert crossing_number(inst, "a", 1) == 1  # b crosses a at level 1
@@ -188,15 +173,15 @@ def test_crossing_number_zero_for_fully_nested():
 
 
 def test_crossing_profile_table():
-    table = crossing_profile(crossing_instance())
-    assert table[("a", 1)] == 1 and table[("b", 1)] == 1 and table[("c", 1)] == 0
+    t = crossing_table(crossing_instance())
+    assert [t.crossing_number(t.index[x], 1) for x in "abc"] == [1, 1, 0]
 
 
 def test_is_corner_definition():
     inst = crossing_instance()
-    assert is_corner(inst, "c", "a", "b")
+    assert oracles.is_corner(inst, "c", "a", "b")
     # an input is always a corner of itself and anything else
-    assert is_corner(cornerless_instance(), "a", "a", "b")
+    assert oracles.is_corner(cornerless_instance(), "a", "a", "b")
 
 
 def test_thinly_splinters_check_reports():
@@ -297,7 +282,7 @@ def test_property3_corner_has_strictly_lower_crossing_number(triring, triring_pr
                     c
                     for fam in (inst.families[ki], inst.families[kj])
                     for c in fam
-                    if is_corner(inst, c, a, b)
+                    if oracles.is_corner(inst, c, a, b)
                 ]
                 assert any(
                     crossing_number(inst, c, k) < max(cn_a, cn_b) for c in corners

@@ -1,6 +1,5 @@
-"""Tree sets and tree-decompositions: the edge tree set order, the
-orientation-based realisation of regular tree sets, torsos, and the tree of
-tree-decompositions."""
+"""Tree sets and tree-decompositions: the orientation-based realisation of
+regular tree sets, torsos, and the tree of tree-decompositions."""
 
 import copy
 import itertools
@@ -18,7 +17,6 @@ from tangleforge.core import (
 )
 from tangleforge.errors import CertificationError, PreconditionError
 from tangleforge.profiles import (
-    distinguishes,
     efficient_distinguishers,
     enumerate_k_profiles,
     pipeline_profiles,
@@ -27,7 +25,6 @@ from tangleforge.separators import canonical_nested_separators, separator_sort_k
 from tangleforge.treedec import (
     build_totd,
     certify_totd,
-    edge_tree_set,
     induced_separations,
     torso,
     treeset_to_treedecomposition,
@@ -38,59 +35,6 @@ from tangleforge.verify import random_regular_tree_set
 
 def sep(a, b):
     return Separation(mask_of(a), mask_of(b))
-
-
-# ---------------------------------------------------------------------------
-# edge tree sets
-
-def test_edge_tree_set_of_path_is_a_chain():
-    ets = edge_tree_set((0, 1, 2), [(0, 1), (1, 2)])
-    assert ets.leq((0, 1), (1, 2))
-    assert not ets.leq((1, 2), (0, 1))
-    assert ets.leq((2, 1), (1, 0))
-
-
-def test_edge_tree_set_of_star():
-    ets = edge_tree_set((0, 1, 2, 3), [(0, 1), (0, 2), (0, 3)])
-    inward = [(1, 0), (2, 0), (3, 0)]
-    for e, f in itertools.combinations(inward, 2):
-        assert not ets.leq(e, f) and not ets.leq(f, e)
-        # but each inward edge sits below the others' reversals
-        assert ets.leq(e, (f[1], f[0]))
-
-
-def test_edge_tree_set_order_matches_path_membership_oracle():
-    nodes = (0, 1, 2, 3, 4)
-    edges = [(0, 1), (1, 2), (2, 3), (1, 4)]
-    ets = edge_tree_set(nodes, edges)
-    adj = {v: set() for v in nodes}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-
-    def path(a, b):
-        prev = {a: None}
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in prev:
-                    prev[y] = x
-                    stack.append(y)
-        out = [b]
-        while out[-1] != a:
-            out.append(prev[out[-1]])
-        return out
-
-    for e in ets.oriented:
-        for f in ets.oriented:
-            expected = e[1] in path(e[0], f[1]) and f[0] in path(e[0], f[1])
-            assert ets.leq(e, f) == expected
-
-
-def test_edge_tree_set_rejects_non_trees():
-    with pytest.raises(PreconditionError):
-        edge_tree_set((0, 1, 2), [(0, 1), (1, 2), (2, 0)])
 
 
 # ---------------------------------------------------------------------------
