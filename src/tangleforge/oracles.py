@@ -7,17 +7,17 @@ harness and the test suite compare engine outputs against these.
 
 from __future__ import annotations
 
-import itertools
-
 from .core import (
     Graph,
     Separation,
     canonical,
+    iter_bits,
     join,
     leq,
     meet,
     sep_sort_key,
     star,
+    subsets_of_size,
     vertices_of,
 )
 from .errors import CertificationError, HypothesisError
@@ -216,18 +216,16 @@ def brute_minimum_distinguishing_order(g: Graph, p_members, q_members):
 
 def minimal_separators(g: Graph, u: int, v: int, k: int) -> tuple[int, ...]:
     """All ⊆-minimal u-v separators of size ≤ k, by scanning every vertex set
-    that avoids u and v, in `combinations` order: by size, then by vertices.
+    that avoids u and v, by size and then in `subsets_of_size` order.
     Adjacent endpoints have none."""
 
     def separates(x):
         return not any(c >> u & 1 and c >> v & 1 for c in g.components(x))
 
-    others = [w for w in vertices_of(g.vertices) if w not in (u, v)]
     out = []
     for size in range(k + 1):
-        for combo in itertools.combinations(others, size):
-            x = sum(1 << w for w in combo)
-            if separates(x) and not any(separates(x & ~(1 << w)) for w in combo):
+        for x in subsets_of_size(g.vertices & ~(1 << u) & ~(1 << v), size):
+            if separates(x) and not any(separates(x & ~(1 << w)) for w in iter_bits(x)):
                 out.append(x)
     return tuple(out)
 
