@@ -193,10 +193,6 @@ def is_separation(g: Graph, s: Separation) -> bool:
     return not (g.neighbours(strict_a) & s.b & ~s.a)
 
 
-def side_key(mask: int) -> tuple[int, ...]:
-    return vertices_of(mask)
-
-
 def canonical(s: Separation) -> Separation:
     """Canonical orientation: the side that is lexicographically least
     (as a sorted vertex tuple) comes first.
@@ -212,9 +208,32 @@ def canonical(s: Separation) -> Separation:
     return Separation(b, a)
 
 
+# _REVERSED[i] is the byte i with its eight bits in reverse order
+_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
 def sep_sort_key(s: Separation) -> tuple:
-    c = canonical(s)
-    return (side_key(c.a), side_key(c.b))
+    """The total order on separations: by the sorted vertex tuples of the
+    canonical orientation's sides, compared lexicographically, and the
+    canonical orientation before its inverse.
+
+    Read off the masks. The gap set of S is the set of vertices below
+    max(S) missing from S; vertex tuples compare as (gap set, |S|), gap
+    sets compared as bit strings read from vertex 0 upward. Let d be the
+    lowest vertex of S ^ T, held by S. If T has a vertex above d, both gap
+    sets agree below d and only T's holds d, so S comes first either way.
+    Otherwise T's tuple is a proper prefix of S's, and S's gap set is T's
+    plus the vertices above max(T) missing from S: it is not smaller, and
+    when the two are equal, |T| < |S|. Little-endian bytes bit-reversed
+    through `_REVERSED` compare as those bit strings whatever their
+    widths, since a gap set's last byte is never zero.
+    """
+    a, b = s
+    ga = ((1 << a.bit_length()) - 1 >> 1) & ~a  # the gap sets of a and b
+    gb = ((1 << b.bit_length()) - 1 >> 1) & ~b
+    key_a = (ga.to_bytes((ga.bit_length() + 7) // 8, "little").translate(_REVERSED), a.bit_count())
+    key_b = (gb.to_bytes((gb.bit_length() + 7) // 8, "little").translate(_REVERSED), b.bit_count())
+    return (key_a, key_b, False) if key_a <= key_b else (key_b, key_a, True)
 
 
 def is_nested(r: Separation, s: Separation) -> bool:
@@ -461,10 +480,6 @@ def verify_universe(u: UniverseView, pair_cap: int = 4_000_000) -> UniverseRepor
 
 def separation_to_json(s: Separation) -> dict:
     return {"a": list(vertices_of(s.a)), "b": list(vertices_of(s.b)), "order": s.order}
-
-
-def separation_from_json(obj: dict) -> Separation:
-    return Separation(mask_of(obj["a"]), mask_of(obj["b"]))
 
 
 def graph_to_json(g: Graph) -> dict:

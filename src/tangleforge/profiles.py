@@ -25,14 +25,18 @@ DEFAULT_MAX_SK = 64
 
 @dataclass(frozen=True)
 class Profile:
-    """A consistent orientation of S_k satisfying the profile property."""
+    """A consistent orientation of S_k satisfying the profile property.
+
+    `chosen` keeps the order it is given, and equality compares that
+    order. `enumerate_k_profiles` gives the members in S_k order (that of
+    `enumerate_separations`), which is the order of `to_json`.
+    """
 
     k: int
     chosen: tuple[Separation, ...]
     _members: frozenset = field(compare=False, repr=False, hash=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "chosen", tuple(sorted(self.chosen, key=sep_sort_key)))
         object.__setattr__(self, "_members", frozenset(self.chosen))
 
     def __contains__(self, x: Separation) -> bool:
@@ -155,7 +159,8 @@ def enumerate_k_profiles(
     max_k: int = DEFAULT_MAX_K,
 ) -> tuple[Profile, ...]:
     """All k-profiles of g, in the lexicographic order of their orientation
-    vectors over S_k sorted by (order, sep_sort_key).
+    vectors over S_k sorted by (order, sep_sort_key), each listing its
+    members in S_k order.
 
     Depth-first search over the unoriented separations sorted by order.
     Separation i has the slots 2i (its orientation (a, b)) and 2i+1
@@ -186,30 +191,45 @@ def enumerate_k_profiles(
         # (V, V) ∈ S_k is its own inverse and its own meet with itself, so
         # every orientation of S_k violates (P)
         return ()
-    # s_k is sorted by sep_sort_key; the stable sort keeps that within an order
-    order = sorted(s_k, key=lambda s: s.order)
-    slots = [side for s in order for side in ((s.a, s.b), (s.b, s.a))]
+    # s_k is in S_k order, and the stable sort keeps that within an order;
+    # slot_of[j] is the slot 2i of s_k[j] (i runs over the inverse of
+    # `ranked`), so a leaf lists its members in S_k order
+    ranked = sorted(range(m), key=lambda j: s_k[j].order)
+    slot_of = [2 * i for i in sorted(range(m), key=ranked.__getitem__)]
+    slots = [x for j in ranked for x in (s_k[j], star(s_k[j]))]
     full = (1 << 2 * m) - 1
 
-    # per-vertex columns over the slots: A contains v / B misses v
-    a_has = [0] * g.n
-    b_miss = [full] * g.n
-    for x, (a, b) in enumerate(slots):
+    # per-vertex columns at bit 2i of separation i = (a, b): a holds v /
+    # b holds v; shifted by one they read the inverse slot 2i+1 = (b, a)
+    in_a = [0] * g.n
+    in_b = [0] * g.n
+    for x in range(0, 2 * m, 2):
+        a, b = slots[x]
         for v in iter_bits(a):
-            a_has[v] |= 1 << x
+            in_a[v] |= 1 << x
         for v in iter_bits(b):
-            b_miss[v] &= ~(1 << x)
+            in_b[v] |= 1 << x
+    # over all slots: A holds v / A holds v and B misses v
+    a_has = [ca | cb << 1 for ca, cb in zip(in_a, in_b)]
+    a_only = [(ca & ~cb) | (cb & ~ca) << 1 for ca, cb in zip(in_a, in_b)]
     # cons_bad[x]: the slots y of other separations with x* ≤ y, i.e.
     # B(x) ⊆ A(y) and B(y) ⊆ A(x); x* ≤ y and y* ≤ x coincide (the
-    # involution reverses the order), so the relation is symmetric
+    # involution reverses the order), so the relation is symmetric. For
+    # x = (a, b), a vertex of a ∩ b must lie in A(y), and one of b ∖ a in
+    # A(y) but not in B(y); the inverse slot swaps b ∖ a for a ∖ b, so both
+    # slots share the AND over a ∩ b
     cons_bad = []
-    for x, (a, b) in enumerate(slots):
-        bad = full & ~(3 << (x & ~1))
-        for v in iter_bits(b):
-            bad &= a_has[v]
-        for v in iter_bits(g.vertices & ~a):
-            bad &= b_miss[v]
-        cons_bad.append(bad)
+    for x in range(0, 2 * m, 2):
+        a, b = slots[x]
+        both = full & ~(3 << x)
+        for v in iter_bits(a & b):
+            both &= a_has[v]
+        bad, inv_bad = both, both
+        for v in iter_bits(b & ~a):
+            bad &= a_only[v]
+        for v in iter_bits(a & ~b):
+            inv_bad &= a_only[v]
+        cons_bad += (bad, inv_bad)
 
     # a slot (a, b) is coded as a << n | (V ∖ b), so that the code of the
     # meet x* ∧ y* = (B(x) ∩ B(y), A(x) ∪ A(y)) is the AND of the codes of
@@ -266,7 +286,7 @@ def enumerate_k_profiles(
     if not _leaves_are_profiles(g, s_k, slots, leaves):
         raise CertificationError("profile search reached a leaf that is not a profile")
     return tuple(
-        Profile(k, tuple(Separation(*slots[x]) for x in iter_bits(chosen))) for chosen in leaves
+        Profile(k, tuple(slots[x if leaf >> x & 1 else x + 1] for x in slot_of)) for leaf in leaves
     )
 
 

@@ -618,31 +618,6 @@ def graph_restriction_system(g: Graph, vertex_sets) -> InverseSystem:
 # ---------------------------------------------------------------------------
 # JSON forms (tiny abstract universes, fully tabulated)
 
-def universe_to_json(u: UniverseView) -> dict:
-    names = {x: i for i, x in enumerate(u.elements)}
-    return {
-        "elements": list(range(len(u.elements))),
-        "star": [names[u.star(x)] for x in u.elements],
-        "order": [u.order_of(x) for x in u.elements],
-        "leq": [
-            [names[x], names[y]]
-            for x in u.elements
-            for y in u.elements
-            if u.leq(x, y)
-        ],
-        "join": [
-            [names[x], names[y], names[u.join(x, y)]]
-            for x in u.elements
-            for y in u.elements
-        ],
-        "meet": [
-            [names[x], names[y], names[u.meet(x, y)]]
-            for x in u.elements
-            for y in u.elements
-        ],
-    }
-
-
 def universe_from_json(obj) -> UniverseView:
     """Load {"elements": [...], "star": [...], "order": [...], "leq": [[x, y],
     ...], "join": [[x, y, z], ...], "meet": [[x, y, z], ...]}; star, order,

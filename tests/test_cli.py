@@ -18,7 +18,9 @@ from tangleforge import core, profiles
 from tangleforge.core import Graph
 from tangleforge.cli import cli_main, read_graph
 from tangleforge.fixtures import FIXTURES, triangle_ring
-from tangleforge.profinite import product_chain_universe, universe_to_json
+from tangleforge.profinite import product_chain_universe
+
+from jsonforms import universe_to_json
 
 
 SCHEMA_PATH = os.path.join(
@@ -656,8 +658,6 @@ def test_thin_splinter_instance_file(tmp_path, capsys):
 
 
 def test_profinite_splinter_system_file(tmp_path, capsys):
-    from tangleforge.profinite import product_chain_universe, universe_to_json
-
     u = product_chain_universe(3, 3)
     u_json = universe_to_json(u)
     names = {x: i for i, x in enumerate(u.elements)}

@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tangleforge import oracles
 from tangleforge.core import (
@@ -24,14 +26,15 @@ from tangleforge.core import (
     leq,
     mask_of,
     meet,
-    separation_from_json,
+    sep_sort_key,
     separation_to_json,
-    side_key,
     star,
     verify_universe,
     vertices_of,
 )
 from tangleforge.errors import CapExceededError, InputError, PreconditionError
+
+from jsonforms import separation_from_json
 
 K2 = Graph.from_edges(2, [(0, 1)])
 
@@ -115,9 +118,21 @@ def test_c4_k3_contains_crossing_diagonals(graphs):
     assert not is_nested(d1, d2)
 
 
+def tuple_key(s):
+    """The reference order on separations: the sorted vertex tuples of the
+    two sides, the lexicographically least first. It ties s with s*."""
+    return tuple(sorted((vertices_of(s.a), vertices_of(s.b))))
+
+
+def reference_key(s):
+    """The tuple key, with the tie broken: the orientation whose first
+    side has the least tuple (the canonical one) before its inverse."""
+    return tuple_key(s), vertices_of(s.a) > vertices_of(s.b)
+
+
 def test_enumeration_output_is_canonical_and_sorted(graphs):
     seps = enumerate_separations(graphs["FIX_2K4"], 3, max_n=16, max_k=6)
-    assert list(seps) == sorted(set(seps), key=lambda s: (vertices_of(s.a), vertices_of(s.b)))
+    assert list(seps) == sorted(set(seps), key=tuple_key)
     assert all(s == canonical(s) for s in seps)
 
 
@@ -125,8 +140,30 @@ def test_canonical_orientation_matches_the_sorted_tuple_rule():
     # every pair of vertex sets on at most eight vertices
     for a in range(1 << 8):
         for b in range(1 << 8):
-            expected = (a, b) if side_key(a) <= side_key(b) else (b, a)
+            expected = (a, b) if vertices_of(a) <= vertices_of(b) else (b, a)
             assert canonical(Separation(a, b)) == expected, (a, b)
+
+
+# sides of every width up to 70 bits, so keys of different byte lengths meet
+sides = st.integers(0, 70).flatmap(lambda width: st.integers(0, (1 << width) - 1))
+
+
+# tuples that are prefixes of one another, and runs of vertices that end
+# at or next to a byte boundary
+RUNS = [(1 << w) - 1 for w in (0, 1, 2, 7, 8, 9, 16, 17)] + [0b1011, 0b101, 1 << 8, 1 << 9 | 1]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.builds(Separation, sides, sides), min_size=1, max_size=10))
+@example([Separation(a, b) for a in RUNS for b in RUNS[:4]])
+def test_sep_sort_key_orders_as_the_tuple_key(seps):
+    """On every pair the tuple key does not tie, sep_sort_key compares the
+    same way; of s and s*, the canonical orientation comes first."""
+    pool = seps + [star(s) for s in seps]
+    keys = [(s, sep_sort_key(s), reference_key(s)) for s in pool]
+    for (s, key_s, ref_s), (t, key_t, ref_t) in itertools.product(keys, repeat=2):
+        assert (key_s < key_t) == (ref_s < ref_t)
+        assert (key_s == key_t) == (s == t)
 
 
 def test_vertices_of_lists_the_set_bits_in_order():

@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tangleforge import oracles
@@ -23,6 +23,7 @@ from tangleforge.core import (
     mask_of,
     meet,
     sep_sort_key,
+    separation_universe,
     star,
     vertices_of,
 )
@@ -161,11 +162,40 @@ def test_enumeration_order_on_relabelled_rings(name):
 @given(small_graphs())
 def test_every_profile_reads_off_the_universe_of_s_k(case):
     g, k = case
-    assume(len(enumerate_separations(g, k)) <= 24)
+    s_k = enumerate_separations(g, k)
+    assume(len(s_k) <= 24)
     ref = graph_universe(g, max_order=k - 1)
     for p in enumerate_k_profiles(g, k):
+        assert tuple(map(canonical, p.chosen)) == s_k  # members in S_k order
         u = _s_k_universe(g, p)
         assert (u.elements, u.closed) == (ref.elements, ref.closed)
+
+
+@pytest.mark.parametrize("ring", [triangle_ring, doubled_bridge_ring])
+def test_ring_profiles_list_their_members_in_s_k_order(ring):
+    # S_k order interleaves the orders, which the search takes in turn
+    g = ring()
+    s_k = enumerate_separations(g, 3, max_sk=256)
+    assert [s.order for s in s_k] != sorted(s.order for s in s_k)
+    for p in enumerate_k_profiles(g, 3, max_sk=256):
+        assert tuple(map(canonical, p.chosen)) == s_k
+
+
+@DIFFERENTIAL
+@given(small_graphs(), st.randoms(use_true_random=False))
+# the one-vertex edgeless graph at k = 1: its second profile lists ({0}, ∅)
+# alone, the inverse of the canonical (∅, {0}), which it must follow
+@example((Graph.from_edges(1, []), 1), random.Random(0))
+def test_universe_order_does_not_depend_on_insertion_order(case, rng):
+    g, k = case
+    assume(len(enumerate_separations(g, k)) <= 24)
+    expected = graph_universe(g, max_order=k - 1).elements
+    lists = [list(p.chosen) for p in enumerate_k_profiles(g, k)]
+    for _ in range(3):
+        lists.append(list(expected))
+        rng.shuffle(lists[-1])
+    for seps in lists:
+        assert separation_universe(seps, closed=False).elements == expected
 
 
 @DIFFERENTIAL

@@ -25,10 +25,11 @@ from tangleforge.profinite import (
     product_chain_universe,
     profinite_splinter,
     universe_from_json,
-    universe_to_json,
     validate_inverse_system,
 )
 from tangleforge.verify import random_candidate_system, random_inverse_systems
+
+from jsonforms import universe_to_json
 
 
 def identity_system(n_points=3, a=2, b=3):
