@@ -104,6 +104,16 @@ def _leaves_are_profiles(g: Graph, s_k, slots, leaves) -> bool:
     x* ∧ y* again a member. Both relations are computed from the
     separations, once per unordered pair of the union U of the leaves'
     members, instead of once per leaf.
+
+    Pairs of two `free` members are skipped: a member (X, V) is free when
+    X lies inside no B of a member (V, B) of U, so X ≠ V, as (V, V) would
+    be such a member. Two members x = (X, V) and y = (Y, V) with X, Y ≠ V
+    never clash, since x* ≤ y needs V ⊆ Y. Their meet x* ∧ y* =
+    (V, X ∪ Y) can lie in a leaf only if it lies in U, as a member (V, B)
+    with X, Y ⊆ B = X ∪ Y, and then neither x nor y is free. A free
+    member also meets itself in (V, X), which is not in U. So a skipped pair never decides a leaf, whatever
+    the leaves are. A profile search at k ≥ 3 holds no (V, B) at all
+    (see `enumerate_k_profiles`), so every (X, V) of its leaves is free.
     """
     m = len(s_k)
     width = 2 * m
@@ -118,8 +128,15 @@ def _leaves_are_profiles(g: Graph, s_k, slots, leaves) -> bool:
     union = 0
     for leaf in leaves:
         union |= leaf
-    members = list(iter_bits(union))
     shift, verts = g.n, g.vertices
+    co_small = [slots[x][1] for x in iter_bits(union) if slots[x][0] == verts]
+    free, rest = [], []
+    for x in iter_bits(union):
+        a, b = slots[x]
+        is_free = b == verts and not any(not a & ~z for z in co_small)
+        (free if is_free else rest).append(x)
+    # the free members come first; a pair of two of them is skipped
+    members, n_free = free + rest, len(free)
     # coded as a << n | (V ∖ b), the meet (a ∩ c, b ∪ d) of two separations
     # is the AND of their codes; the two slots of (V, V) share one code
     code_bits = {}
@@ -132,18 +149,20 @@ def _leaves_are_profiles(g: Graph, s_k, slots, leaves) -> bool:
     outside = [((verts & ~slots[y][0]) << shift) | slots[y][1] for y in members]
     # clash[x]: the members y > x of other separations with x* ≤ y (the
     # relation is symmetric); meets[x]: (bit of y, bits of x* ∧ y*) for the
-    # members y ≥ x whose meet lies in U
+    # members y ≥ x whose meet lies in U; for a free x, y runs over `rest`
     clash = {}
     meets = {}
     for i, x in enumerate(members):
         code = inverse[i]
+        lo = max(i + 1, n_free)
         clash[x] = sum(
             1 << y
-            for y, out in zip(members[i + 1 :], outside[i + 1 :])
+            for y, out in zip(members[lo:], outside[lo:])
             if not code & out and y != x ^ 1
         )
-        targets = map(code_bits.get, [code & other for other in inverse[i:]])
-        meets[x] = [(1 << y, t) for y, t in zip(members[i:], targets) if t and t & union]
+        lo = max(i, n_free)
+        targets = map(code_bits.get, [code & other for other in inverse[lo:]])
+        meets[x] = [(1 << y, t) for y, t in zip(members[lo:], targets) if t and t & union]
     for leaf in leaves:
         for x in iter_bits(leaf):
             if leaf & clash[x] or any(leaf & y and leaf & t for y, t in meets[x]):
@@ -184,6 +203,30 @@ def enumerate_k_profiles(
     branch agree below i, and the leaves under slot 2i precede those under
     2i+1 in the order of the vectors; the order in which forced slots are
     taken changes only the search tree, not which leaves it reaches.
+
+    Lemma. Let n = |V| ≥ k. No k-profile holds a co-small separation
+    (V, Z) when |Z| ≥ 2 or when |Z| ≤ k − 2. Proof: a profile holding
+    (V, Z) holds no (V, X) with X ⊊ Z, because (Z, V) ≤ (V, X) makes the
+    two inconsistent. If |Z| ≥ 2, take a ≠ b in Z: the profile holds
+    (Z − a, V) and (Z − b, V), both of order < k, and the meet of their
+    inverses is (V, Z), against (P). If |Z| ≤ k − 2, some X ⊋ Z has
+    |X| = |Z| + 1 < k, and (V, Z) is inconsistent with both (X, V) and
+    (V, X). So at k ≥ 3 every profile holds (X, V) for every trivial
+    separation {X, V} of S_k, at k = 2 it holds (∅, V), and at k = 1 the
+    lemma forces nothing.
+
+    The search starts from these forced slots: they are chosen and their
+    inverses' codes are on the path, without a `choose` call each. That
+    loses no ban and no kill. A forced (X, V) is inconsistent only with
+    slots (V, D), D ⊊ X, whose separations are forced too, and the meet
+    (V, X ∪ Y) of two forced inverses is either outside S_k or the
+    unchosen slot of the forced {X ∪ Y, V}, since the forced set is
+    closed under unions of size < k. Every later `choose` still meets the
+    forced slots through the path. So the leaves, and their order, are
+    those of the search without the lemma. The consistency table is
+    built for the separations still undecided at the start only: every
+    test of the search is masked with the undecided separations, and
+    `choose` never tests it against chosen slots.
     """
     s_k = enumerate_separations(g, k, max_n=max_n, max_k=max_k, max_sk=max_sk)
     m = len(s_k)
@@ -198,30 +241,41 @@ def enumerate_k_profiles(
     slot_of = [2 * i for i in sorted(range(m), key=ranked.__getitem__)]
     slots = [x for j in ranked for x in (s_k[j], star(s_k[j]))]
     full = (1 << 2 * m) - 1
+    evens = full // 3  # slot 2i of every separation i
+    shift, verts = g.n, g.vertices
+    # the lemma's forced slots (X, V): those whose inverse (V, X) has
+    # |X| ≥ 2 or |X| ≤ k − 2; `open_evens` is the slot 2i of every other i
+    start = sum(
+        1 << x
+        for x, (a, b) in enumerate(slots)
+        if b == verts and not k - 2 < a.bit_count() < 2
+    )
+    open_evens = evens & ~(start | start >> 1)
+    open_slots = open_evens | open_evens << 1
 
-    # per-vertex columns at bit 2i of separation i = (a, b): a holds v /
-    # b holds v; shifted by one they read the inverse slot 2i+1 = (b, a)
+    # per-vertex columns at bit 2i of open separation i = (a, b): a holds
+    # v / b holds v; shifted by one they read the inverse slot 2i+1 = (b, a)
     in_a = [0] * g.n
     in_b = [0] * g.n
-    for x in range(0, 2 * m, 2):
+    for x in iter_bits(open_evens):
         a, b = slots[x]
         for v in iter_bits(a):
             in_a[v] |= 1 << x
         for v in iter_bits(b):
             in_b[v] |= 1 << x
-    # over all slots: A holds v / A holds v and B misses v
+    # over the open slots: A holds v / A holds v and B misses v
     a_has = [ca | cb << 1 for ca, cb in zip(in_a, in_b)]
     a_only = [(ca & ~cb) | (cb & ~ca) << 1 for ca, cb in zip(in_a, in_b)]
-    # cons_bad[x]: the slots y of other separations with x* ≤ y, i.e.
-    # B(x) ⊆ A(y) and B(y) ⊆ A(x); x* ≤ y and y* ≤ x coincide (the
+    # cons_bad[x]: the open slots y of other separations with x* ≤ y,
+    # i.e. B(x) ⊆ A(y) and B(y) ⊆ A(x); x* ≤ y and y* ≤ x coincide (the
     # involution reverses the order), so the relation is symmetric. For
     # x = (a, b), a vertex of a ∩ b must lie in A(y), and one of b ∖ a in
     # A(y) but not in B(y); the inverse slot swaps b ∖ a for a ∖ b, so both
-    # slots share the AND over a ∩ b
-    cons_bad = []
-    for x in range(0, 2 * m, 2):
+    # slots share the AND over a ∩ b. Decided separations get no rows.
+    cons_bad = [0] * (2 * m)
+    for x in iter_bits(open_evens):
         a, b = slots[x]
-        both = full & ~(3 << x)
+        both = open_slots & ~(3 << x)
         for v in iter_bits(a & b):
             both &= a_has[v]
         bad, inv_bad = both, both
@@ -229,15 +283,15 @@ def enumerate_k_profiles(
             bad &= a_only[v]
         for v in iter_bits(a & ~b):
             inv_bad &= a_only[v]
-        cons_bad += (bad, inv_bad)
+        cons_bad[x], cons_bad[x + 1] = bad, inv_bad
 
     # a slot (a, b) is coded as a << n | (V ∖ b), so that the code of the
     # meet x* ∧ y* = (B(x) ∩ B(y), A(x) ∪ A(y)) is the AND of the codes of
-    # x* and y*; `path` holds the codes of the inverses of the branch's slots
-    shift, verts = g.n, g.vertices
+    # x* and y*; `path` holds the codes of the inverses of the branch's
+    # slots, the forced ones first
     codes = [(a << shift) | (verts & ~b) for a, b in slots]
     slot_bit = {code: 1 << x for x, code in enumerate(codes)}.get
-    path = []
+    path = [codes[x ^ 1] for x in iter_bits(start)]
 
     def choose(x, chosen, banned):
         """Add slot x to the branch; None when the result violates (P)."""
@@ -251,7 +305,6 @@ def enumerate_k_profiles(
         path.append(inverse)
         return chosen, banned
 
-    evens = full // 3  # slot 2i of every separation i
     leaves = []
 
     def rec(chosen, banned):
@@ -281,7 +334,7 @@ def enumerate_k_profiles(
                 rec(*state)
                 del path[depth:]
 
-    rec(0, 0)
+    rec(start, 0)
 
     if not _leaves_are_profiles(g, s_k, slots, leaves):
         raise CertificationError("profile search reached a leaf that is not a profile")

@@ -8,6 +8,7 @@ import itertools
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -108,18 +109,19 @@ def connected_graphs(draw, max_n=7):
     return Graph.from_edges(n, sorted(edges)), draw(st.sampled_from((2, 3))), perm
 
 
-def triangle_ring3():
-    """Three triangles joined into a ring by bridges. Its distinguishing
-    separators cross, so the thin splinter's choice among tied candidates
-    shows in the output: a tie broken by vertex labels passes on the random
-    graphs with at most 7 vertices below, and fails on this ring."""
-    edges = [(3 * i + a, 3 * i + b) for i in range(3) for a, b in ((0, 1), (1, 2), (0, 2))]
-    return Graph.from_edges(9, edges + [(2, 3), (5, 6), (8, 0)])
+def triangle_ring_of(t):
+    """t triangles joined into a ring by bridges. The distinguishing
+    separators of the three-triangle ring cross, so the thin splinter's
+    choice among tied candidates shows in the output: a tie broken by
+    vertex labels passes on the random graphs with at most 7 vertices
+    below, and fails on this ring."""
+    edges = [(3 * i + a, 3 * i + b) for i in range(t) for a, b in ((0, 1), (1, 2), (0, 2))]
+    return Graph.from_edges(3 * t, edges + [(3 * i + 2, (3 * i + 3) % (3 * t)) for i in range(t)])
 
 
-def pipeline(g, k):
+def pipeline(g, k, max_sk=DEFAULT_MAX_SK):
     """Separators, separations and totd (depth, bags) of the full pipeline."""
-    profiles = pipeline_profiles(g, enumerate_k_profiles(g, k))
+    profiles = pipeline_profiles(g, enumerate_k_profiles(g, k, max_sk=max_sk))
     nested = canonical_nested_separators(g, profiles)
     seps = separators_to_separations(g, nested)
     totd = build_totd(g, profiles)
@@ -131,8 +133,8 @@ def pipeline(g, k):
 
 @settings(max_examples=100)
 @given(connected_graphs())
-@example((triangle_ring3(), 3, {v: 8 - v for v in range(9)}))
-@example((triangle_ring3(), 3, {v: (v + 1) % 9 for v in range(9)}))
+@example((triangle_ring_of(3), 3, {v: 8 - v for v in range(9)}))
+@example((triangle_ring_of(3), 3, {v: (v + 1) % 9 for v in range(9)}))
 def test_pipeline_commutes_with_relabelling(case):
     g, k, perm = case
     assume(len(enumerate_separations(g, k)) <= DEFAULT_MAX_SK)
@@ -147,4 +149,22 @@ def test_pipeline_commutes_with_relabelling(case):
         Counter(
             {(d, tuple(sorted(map(image, bags)))): c for (d, bags), c in levels.items()}
         ),
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pipeline_commutes_with_relabelling_the_five_triangle_ring(seed):
+    """n = 15 at k = 3: |S_3| is 121 trivial separations plus 40 proper
+    ones, above the default max_sk, so the cap is lifted."""
+    g = triangle_ring_of(5)
+    perm = dict(enumerate(random.Random(seed).sample(range(15), 15)))
+
+    def image(mask):
+        return mask_of(perm[v] for v in vertices_of(mask))
+
+    separators, seps, levels = pipeline(g, 3, max_sk=256)
+    assert pipeline(g.relabelled(perm), 3, max_sk=256) == (
+        {image(x) for x in separators},
+        {canonical(Separation(image(s.a), image(s.b))) for s in seps},
+        Counter({(d, tuple(sorted(map(image, bags)))): c for (d, bags), c in levels.items()}),
     )

@@ -4,6 +4,7 @@ efficient distinguishers."""
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -130,6 +131,54 @@ def test_enumeration_matches_oracle_on_random_graphs(case):
     g, k = case
     assume(len(enumerate_separations(g, k)) <= 24)
     assert_profiles_in_documented_order(g, k, oracles.brute_profiles(g, k))
+
+
+@DIFFERENTIAL
+@given(small_graphs(max_k=4))
+@example((Graph.from_edges(4, itertools.combinations(range(4), 2)), 4))
+@example((Graph.from_edges(5, itertools.combinations(range(5), 2)), 3))
+def test_no_profile_holds_a_co_small_separation_the_lemma_rules_out(case):
+    """The lemma of `enumerate_k_profiles`, on the unpruned oracle: for
+    |V| ≥ k no k-profile holds (V, Z) with |Z| ≥ 2 or |Z| ≤ k − 2, so at
+    k ≥ 3 every k-profile is regular."""
+    g, k = case
+    assume(g.num_vertices >= k and len(enumerate_separations(g, k)) <= 24)
+    for chosen in oracles.brute_profiles(g, k):
+        sizes = [x.b.bit_count() for x in chosen if x.a == g.vertices]
+        assert all(k - 2 < size < 2 for size in sizes), (chosen, sizes)
+        assert k < 3 or Profile(k, chosen).is_regular(g)
+
+
+def choose_calls(g, k, **caps):
+    """enumerate_k_profiles(g, k), and the number of calls to its nested
+    `choose`, counted on that function's code object."""
+    (code,) = (
+        c for c in enumerate_k_profiles.__code__.co_consts if getattr(c, "co_name", "") == "choose"
+    )
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = enumerate_k_profiles(g, k, **caps)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_forced_slots_are_not_chosen_one_by_one():
+    """On `doubled_bridge_ring()` 137 of the 149 separations of S_3, and 697
+    of the 887 of S_4, are trivial; the search starts with them oriented
+    as (X, V) and calls `choose` only for the others."""
+    g = doubled_bridge_ring()
+    profiles, calls = choose_calls(g, 3, max_sk=256)
+    assert (len(profiles), calls) == (3, 54)
+    profiles, calls = choose_calls(g, 4, max_sk=1024)
+    assert (len(profiles), calls) == (2, 437)
 
 
 @pytest.mark.parametrize("name", ["triangle_ring3", "doubled_bridge_ring"])
@@ -312,6 +361,33 @@ def test_leaf_certifier_agrees_with_is_profile_on_every_orientation():
                     )
                     certified = profiles_module._leaves_are_profiles(g, s_k, slots, [leaf])
                     assert certified == is_profile(g, k, chosen, s_k=s_k), (edges, k, chosen)
+
+
+def test_leaf_certifier_checks_the_small_members_below_a_co_small_one():
+    """K4 at k = 3: the only profile holds every (X, V). With ({0, 1}, V)
+    flipped to (V, {0, 1}) the leaf is consistent, and its only (P)
+    violation is the pair ({0}, V), ({1}, V), whose inverses meet in
+    (V, {0, 1}). A certificate that skipped every pair of small members
+    would pass it."""
+    g = Graph.from_edges(4, itertools.combinations(range(4), 2))
+    s_k = enumerate_separations(g, 3)
+    slots = [side for s in s_k for side in ((s.a, s.b), (s.b, s.a))]
+    (profile,) = enumerate_k_profiles(g, 3)
+    assert all(x.b == g.vertices for x in profile.chosen)
+    flipped = sep([0, 1], range(4))
+    chosen = tuple(star(x) if x == flipped else x for x in profile.chosen)
+    assert is_consistent(chosen)
+    violations = [(x, y) for x in chosen for y in chosen if meet(star(x), star(y)) in chosen]
+    small = sep([0], range(4)), sep([1], range(4))
+    assert violations == [small, small[::-1]]
+
+    def leaf(members):
+        return sum(1 << slots.index(x) for x in members)
+
+    certify = profiles_module._leaves_are_profiles
+    assert certify(g, s_k, slots, [leaf(profile.chosen)])
+    assert not certify(g, s_k, slots, [leaf(chosen)])
+    assert not certify(g, s_k, slots, [leaf(profile.chosen), leaf(chosen)])
 
 
 def test_two_k4_census(graphs):
