@@ -114,6 +114,10 @@ def _leaves_are_profiles(g: Graph, s_k, slots, leaves) -> bool:
     member also meets itself in (V, X), which is not in U. So a skipped pair never decides a leaf, whatever
     the leaves are. A profile search at k ≥ 3 holds no (V, B) at all
     (see `enumerate_k_profiles`), so every (X, V) of its leaves is free.
+
+    A meet x* ∧ y* whose slots in U are among x* and y* is not tested
+    either: a leaf that holds x and y and passed the one-slot check holds
+    neither x* nor y*, so it cannot hold that meet.
     """
     m = len(s_k)
     width = 2 * m
@@ -149,7 +153,8 @@ def _leaves_are_profiles(g: Graph, s_k, slots, leaves) -> bool:
     outside = [((verts & ~slots[y][0]) << shift) | slots[y][1] for y in members]
     # clash[x]: the members y > x of other separations with x* ≤ y (the
     # relation is symmetric); meets[x]: (bit of y, bits of x* ∧ y*) for the
-    # members y ≥ x whose meet lies in U; for a free x, y runs over `rest`
+    # members y ≥ x whose meet lies in U other than as x* or y*; for a free
+    # x, y runs over `rest`
     clash = {}
     meets = {}
     for i, x in enumerate(members):
@@ -162,7 +167,11 @@ def _leaves_are_profiles(g: Graph, s_k, slots, leaves) -> bool:
         )
         lo = max(i, n_free)
         targets = map(code_bits.get, [code & other for other in inverse[lo:]])
-        meets[x] = [(1 << y, t) for y, t in zip(members[lo:], targets) if t and t & union]
+        meets[x] = [
+            (1 << y, t)
+            for y, t in zip(members[lo:], targets)
+            if t and t & union & ~(1 << (x ^ 1) | 1 << (y ^ 1))
+        ]
     for leaf in leaves:
         for x in iter_bits(leaf):
             if leaf & clash[x] or any(leaf & y and leaf & t for y, t in meets[x]):
@@ -399,7 +408,17 @@ def is_robust(g: Graph, p: Profile) -> bool:
     return True
 
 
-def is_principal(g: Graph, p: Profile) -> bool:
+def _small_separator_components(g: Graph, k: int) -> list:
+    """(X, components of G - X) for every X with |X| < k, X ≠ V(G), in
+    ascending size."""
+    return [
+        (x, g.components(x))
+        for size in range(min(k, g.num_vertices))
+        for x in subsets_of_size(g.vertices, size)
+    ]
+
+
+def is_principal(g: Graph, p: Profile, cuts=None) -> bool:
     """P contains (V∖C, C∪X) for some component C of G-X, for every X with
     |X| < k. Subsets X = V(G) admit no such separation and are skipped.
 
@@ -415,19 +434,26 @@ def is_principal(g: Graph, p: Profile) -> bool:
     regular. So `pipeline_profiles` needs no principality filter; the
     preconditions of `separators_to_separations` and `build_totd` still
     check it, for callers that pass orientations that are not profiles.
+
+    `cuts` is `_small_separator_components(g, k)` for some k ≥ p.k, shared
+    by `principal_flags`; it is computed here when absent.
     """
-    verts = g.vertices
-    for size in range(min(p.k, g.num_vertices)):
-        for x in subsets_of_size(verts, size):
-            hit = False
-            for comp in g.components(x):
-                cand = Separation(verts & ~comp, comp | x)
-                if cand in p:
-                    hit = True
-                    break
-            if not hit:
-                return False
+    verts, members = g.vertices, p._members
+    for x, comps in _small_separator_components(g, p.k) if cuts is None else cuts:
+        if x.bit_count() >= p.k:
+            break
+        if not any((verts & ~comp, comp | x) in members for comp in comps):
+            return False
     return True
+
+
+def principal_flags(g: Graph, profiles) -> tuple[bool, ...]:
+    """`is_principal` of each profile, with the components of G - X
+    computed once per X with |X| < k for all of them, k the largest profile
+    order."""
+    profiles = tuple(profiles)
+    cuts = _small_separator_components(g, max((p.k for p in profiles), default=0))
+    return tuple(is_principal(g, p, cuts) for p in profiles)
 
 
 def profile_flags(g: Graph, p: Profile) -> ProfileFlags:

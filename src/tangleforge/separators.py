@@ -11,6 +11,7 @@ separations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -20,13 +21,12 @@ from .core import (
     canonical,
     is_nested,
     is_separation,
-    join,
     sep_sort_key,
     star,
     vertices_of,
 )
 from .errors import CertificationError, PreconditionError
-from .profiles import Profile, efficient_distinguishers, is_principal
+from .profiles import Profile, efficient_distinguishers, principal_flags
 from .splinter import SplinterInstance, ThinSplinterResult, thin_splinter
 
 
@@ -43,11 +43,18 @@ def separator_nested(g: Graph, x: int, y: int) -> bool:
     Equivalently, y does not properly separate two vertices of x. Symmetric
     when both sets genuinely distinguish profile pairs, not in general.
     """
-    if x & ~g.vertices or y & ~g.vertices:
+    if x & ~g.vertices:
         raise PreconditionError("separators must lie inside the graph")
-    if not x & ~y:
-        return True
-    return any(not x & ~(comp | y) for comp in g.components(y))
+    return _nested_with(g, y)(x)
+
+
+def _nested_with(g: Graph, y: int):
+    """The predicate x ↦ separator_nested(g, x, y) on separators x inside
+    the graph, from one `components` call."""
+    if y & ~g.vertices:
+        raise PreconditionError("separators must lie inside the graph")
+    sides = [comp | y for comp in g.components(y)]
+    return lambda x: not x & ~y or any(not x & ~side for side in sides)
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +91,16 @@ def build_separator_instance(g: Graph, profiles) -> tuple[SplinterInstance, dict
     def corner_oracle(a, b, target_key):
         """Materialise corners from witnesses and return the separator of
         the first corner separation that distinguishes the target pair
-        efficiently."""
+        efficiently. A corner is the join (xa ∪ ya, xb ∩ yb) of a witness
+        of a and one of b, each in both orientations, looked up in the
+        target's members as a plain pair."""
         want = members[target_key]
         for wa in witnesses[a]:
             for wb in witnesses[b]:
-                for c in (join(x, y) for x in (wa, star(wa)) for y in (wb, star(wb))):
-                    if c in want:
-                        return c.separator
+                for xa, xb in (wa, wa[::-1]):
+                    for ya, yb in (wb, wb[::-1]):
+                        if (xa | ya, xb & yb) in want:
+                            return (xa | ya) & xb & yb
         return None
 
     instance = SplinterInstance(
@@ -99,6 +109,7 @@ def build_separator_instance(g: Graph, profiles) -> tuple[SplinterInstance, dict
         orders=orders,
         nested=nested,
         corner_oracle=corner_oracle,
+        nested_with=functools.partial(_nested_with, g),  # checks each element as y
     )
     return instance, distinguishers
 
@@ -143,8 +154,8 @@ def separators_to_separations(g: Graph, nested: NestedSeparators) -> tuple[Separ
     the empty separator in the set, and its emissions are precisely the
     component separations.
     """
-    for idx, p in enumerate(nested.profiles):
-        if not is_principal(g, p):
+    for idx, principal in enumerate(principal_flags(g, nested.profiles)):
+        if not principal:
             raise PreconditionError(
                 f"profile {idx} is not principal; non-principal profiles do not "
                 "in general admit a nested distinguishing set of separations"

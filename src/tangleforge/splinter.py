@@ -152,10 +152,17 @@ class SplinterInstance:
     elements: the ground set, in the deterministic order used for output
     assembly. families maps an index key to a non-empty subset; orders maps
     the same keys to non-negative integers. nested is a reflexive predicate
-    on elements, symmetric on the instances the lemma is about; it is read
-    once per ordered pair (see `crossing_table`). corner_oracle, when
-    present, is advisory: the engine never calls it, the hypothesis checker
-    uses it for diagnostics.
+    on elements, symmetric on the instances the lemma is about.
+
+    nested_with, when present, maps an element b to the predicate
+    a ↦ nested(a, b), doing the work that depends on b alone once. The
+    crossing table then asks it once per element instead of asking
+    `nested` once per ordered pair (see `crossing_table`).
+
+    corner_oracle, when present, must be a pure function of (a, b, target
+    key). The engine never calls it. The hypothesis checker asks it once
+    per distinct triple and reports every answer that is not a corner of
+    a and b.
     """
 
     elements: tuple
@@ -163,6 +170,7 @@ class SplinterInstance:
     orders: dict
     nested: Callable
     corner_oracle: Optional[Callable] = None
+    nested_with: Optional[Callable] = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -196,7 +204,7 @@ def crossing_number(inst: SplinterInstance, a, k: int) -> int:
 @dataclass(frozen=True)
 class CrossingTable:
     """The crossing relation of an instance as bitmasks over element
-    indices, filled with one `nested` call per ordered pair of elements.
+    indices, filled one column per element by `crossing_table`.
 
     Bit j of rows[i] is set when e_i crosses e_j (not nested(e_i, e_j));
     bit i of cols[j] records the same pair from the other end. The relation
@@ -222,15 +230,23 @@ class CrossingTable:
 
 
 def crossing_table(inst: SplinterInstance) -> CrossingTable:
-    """The crossing table of inst, from |E|² calls to `inst.nested`."""
-    index = {x: i for i, x in enumerate(inst.elements)}
-    rows = [0] * len(inst.elements)
-    cols = [0] * len(inst.elements)
-    for i, a in enumerate(inst.elements):
-        for j, b in enumerate(inst.elements):
-            if not inst.nested(a, b):
-                rows[i] |= 1 << j
-                cols[j] |= 1 << i
+    """The crossing table of inst, one column per element b: one call to
+    `inst.nested_with(b)` when the instance has it, else one call to
+    `inst.nested` per ordered pair."""
+    elements = inst.elements
+    index = {x: i for i, x in enumerate(elements)}
+    rows = [0] * len(elements)
+    cols = []
+    for j, b in enumerate(elements):
+        if inst.nested_with is not None:
+            nested_b = inst.nested_with(b)
+        else:
+            def nested_b(a, b=b):
+                return inst.nested(a, b)
+        col = mask_of(i for i, a in enumerate(elements) if not nested_b(a))
+        for i in iter_bits(col):
+            rows[i] |= 1 << j
+        cols.append(col)
     fams = {key: mask_of(index[x] for x in fam) for key, fam in inst.families.items()}
     levels: dict = {}
     union = 0
@@ -250,6 +266,143 @@ class ThinSplinterReport:
         return not self.violations
 
 
+class _PairTests:
+    """The tests of `thinly_splinters_check` on one instance and its
+    crossing table. Each crossing pair (a, b) is seen through its corner
+    mask, computed once, and each corner oracle triple is answered once."""
+
+    def __init__(self, inst: SplinterInstance, t: CrossingTable):
+        self.inst, self.t = inst, t
+        self.keys = inst.family_keys()
+        self.orders = [inst.orders[key] for key in self.keys]
+        self.reprs = [repr(key) for key in self.keys]
+        self.fams = [t.fams[key] for key in self.keys]
+        self.families_of = [[] for _ in t.rows]  # per element, its families as positions in keys
+        for kx, mask in enumerate(self.fams):
+            for i in iter_bits(mask):
+                self.families_of[i].append(kx)
+        self.crossing = {
+            k: [t.crossing_number(i, k) for i in range(len(t.rows))] for k in sorted(t.levels)
+        }
+        self.below = {}  # below[k][x]: the elements whose crossing number at level k is below x
+        for k, cn in self.crossing.items():
+            masks = [0] * (max(cn) + 2)
+            for i, x in enumerate(cn):
+                masks[x + 1] |= 1 << i
+            for x in range(1, len(masks)):
+                masks[x] |= masks[x - 1]
+            self.below[k] = masks
+        self.corner_masks: dict = {}
+        self.answers: dict = {}
+
+    def corner_mask(self, ia: int, ib: int) -> int:
+        """The corners of the elements indexed ia and ib: the elements
+        crossed by no family member that crosses neither of them."""
+        mask = self.corner_masks.get((ia, ib))
+        if mask is None:
+            rows, crossed, out = self.t.rows, 0, self.t.outside(ia, ib)
+            while out:
+                low = out & -out
+                crossed |= rows[low.bit_length() - 1]
+                out ^= low
+            mask = self.corner_masks[ia, ib] = ((1 << len(rows)) - 1) & ~crossed
+        return mask
+
+    def oracle_misses(self, a, b, key, cmask: int) -> bool:
+        """The corner oracle's answer for (a, b, key) is not a corner."""
+        if self.inst.corner_oracle is None:
+            return False
+        if (a, b, key) not in self.answers:
+            self.answers[a, b, key] = self.inst.corner_oracle(a, b, key)
+        c = self.answers[a, b, key]
+        return c is not None and not cmask >> self.t.index[c] & 1
+
+    def pair_fails(self, ia: int, ib: int) -> bool:
+        """The cross-family walk reports something at the crossing pair
+        (a, b) of the elements indexed ia and ib."""
+        keys, orders, reprs, fams = self.keys, self.orders, self.reprs, self.fams
+        crossing, below = self.crossing, self.below
+        a, b = self.inst.elements[ia], self.inst.elements[ib]
+        cmask = self.corner_mask(ia, ib)
+        nested_corners = cmask & ~self.t.cols[ia]  # the corners nested with a
+        lowest = min(orders[ki] for ki in self.families_of[ia])
+        top, failing = {}, {}  # per order: the largest repr of b's families, of failing ones
+        for kj in self.families_of[ib]:
+            k, r = orders[kj], reprs[kj]
+            if k > lowest and (
+                not nested_corners & fams[kj] or self.oracle_misses(a, b, keys[kj], cmask)
+            ):
+                return True
+            top[k] = max(top.get(k, r), r)
+            if not cmask & fams[kj] & below[k][crossing[k][ib]]:
+                failing[k] = max(failing.get(k, r), r)
+        for ki in self.families_of[ia]:
+            k, r = orders[ki], reprs[ki]
+            if k in top and r < top[k]:
+                if self.oracle_misses(a, b, keys[ki], cmask):
+                    return True
+                if (
+                    k in failing
+                    and r < failing[k]
+                    and not cmask & fams[ki] & below[k][crossing[k][ia]]
+                ):
+                    return True
+        return False
+
+    def cross_family_fails(self) -> bool:
+        rows, union = self.t.rows, self.t.union
+        return any(
+            self.pair_fails(ia, ib) for ia in iter_bits(union) for ib in iter_bits(rows[ia] & union)
+        )
+
+    def walk_cross_family(self, violations: list) -> None:
+        """Report the violations between two families in the order of the
+        walk over (ki, kj), then a in ki, then b in kj."""
+        inst, t = self.inst, self.t
+        index, rows, cols, fams = t.index, t.rows, t.cols, t.fams
+        for ki in self.keys:
+            for kj in self.keys:
+                oi, oj = inst.orders[ki], inst.orders[kj]
+                if oi < oj:
+                    target = kj
+                elif oi == oj and repr(ki) < repr(kj):
+                    target = ki
+                else:
+                    continue
+                bl, cn = self.below[oi], self.crossing[oi]
+                for a in inst.families[ki]:
+                    ia = index[a]
+                    for b in inst.families[kj]:
+                        ib = index[b]
+                        if not rows[ia] >> ib & 1:
+                            continue
+                        cmask = self.corner_mask(ia, ib)
+                        if oi < oj:
+                            if not cmask & fams[kj] & ~cols[ia]:
+                                violations.append(("property-2", (ki, kj, a, b)))
+                        elif not cmask & (fams[ki] & bl[cn[ia]] | fams[kj] & bl[cn[ib]]):
+                            violations.append(("property-3", (ki, kj, a, b)))
+                        if self.oracle_misses(a, b, target, cmask):
+                            c = self.answers[a, b, target]
+                            violations.append(("corner-oracle", (a, b, target, c)))
+
+    def walk_within_families(self, violations: list) -> None:
+        """Report the same-level crossings inside one family, which also
+        fall under property 3."""
+        inst, index, rows, fams = self.inst, self.t.index, self.t.rows, self.t.fams
+        for ki in self.keys:
+            bl, cn = self.below[inst.orders[ki]], self.crossing[inst.orders[ki]]
+            fam = sorted(inst.families[ki], key=repr)
+            for pos, a in enumerate(fam):
+                ia = index[a]
+                for b in fam[pos + 1 :]:
+                    ib = index[b]
+                    if not rows[ia] >> ib & 1:
+                        continue
+                    if not self.corner_mask(ia, ib) & fams[ki] & bl[max(cn[ia], cn[ib])]:
+                        violations.append(("property-3", (ki, ki, a, b)))
+
+
 def thinly_splinters_check(
     inst: SplinterInstance, table: Optional[CrossingTable] = None
 ) -> ThinSplinterReport:
@@ -261,75 +414,42 @@ def thinly_splinters_check(
     pairs admit a corner in one of the two families with strictly lower
     crossing number at that level than the corresponding input.
 
-    Every pair is checked, against the instance's crossing table (built
-    here unless `table` is that of `inst`). A corner oracle answers with a
-    member of the family it is asked about, or None.
+    Every crossing pair is checked against the instance's crossing table
+    (built here unless `table` is that of `inst`). The corner mask of a
+    crossing pair (a, b), computed once, holds its corners. Property 2 at
+    a family kj then holds when the mask meets the members of kj nested
+    with a, and property 3 at (ki, kj) when it meets the members of ki
+    below a's crossing number or those of kj below b's. The corner oracle
+    is asked once per distinct (a, b, target) triple; an answer outside
+    the corner mask is reported wherever the walk meets its triple.
+
+    The violations are listed in the order of a walk over the family pairs
+    (ki, kj) with oi < oj, or oi = oj and repr(ki) < repr(kj), then over
+    the pairs inside one family. A decider settles, one crossing element
+    pair at a time, whether the cross-family part holds any violation, and
+    that part is walked only if it does. The decider is exact: for a fixed
+    crossing pair (a, b),
+    - property 2 fails at (ki, kj) iff kj's own test fails and oi < oj,
+      so it fails for some ki iff kj's test fails and a has a family of
+      order below oj;
+    - property 3 fails at (ki, kj) iff both tests fail, oi = oj and
+      repr(ki) < repr(kj). That index set is no product, so the fold
+      ∀ki ∀kj (P(ki) ∨ Q(kj)) ⇔ ∀ki P(ki) ∨ ∀kj Q(kj) does not apply to
+      it as it stands. It applies per ki: a failing ki has a failing
+      partner iff some failing kj of b at order oi has a repr above
+      repr(ki);
+    - an oracle answer passes or fails with its triple alone, so the
+      decider asks every triple the walk asks.
+    The pairs inside one family are always walked, last.
     """
     t = crossing_table(inst) if table is None else table
-    index, rows, cols = t.index, t.rows, t.cols
+    tests = _PairTests(inst, t)
     rep = ThinSplinterReport()
-    keys = inst.family_keys()
-    crossing = {
-        k: [t.crossing_number(i, k) for i in range(len(rows))] for k in sorted(t.levels)
-    }
-    for k, cn in crossing.items():
+    for k, cn in tests.crossing.items():
         rep.max_crossing[k] = max(cn[i] for i in iter_bits(t.union))
-
-    members = {key: [index[x] for x in inst.families[key]] for key in keys}
-
-    def corners(key, a, b):
-        """Indices of the members of family `key` that are corners of the
-        elements indexed a and b."""
-        out = t.outside(a, b)
-        return [c for c in members[key] if not cols[c] & out]
-
-    def oracle_check(a, b, key):
-        if inst.corner_oracle is None:
-            return
-        c = inst.corner_oracle(a, b, key)
-        if c is not None and cols[index[c]] & t.outside(index[a], index[b]):
-            rep.violations.append(("corner-oracle", (a, b, key, c)))
-
-    for ki in keys:
-        for kj in keys:
-            oi, oj = inst.orders[ki], inst.orders[kj]
-            if oi < oj:
-                for a in inst.families[ki]:
-                    ia = index[a]
-                    for b in inst.families[kj]:
-                        ib = index[b]
-                        if not rows[ia] >> ib & 1:
-                            continue
-                        if not any(not cols[ia] >> c & 1 for c in corners(kj, ia, ib)):
-                            rep.violations.append(("property-2", (ki, kj, a, b)))
-                        oracle_check(a, b, kj)
-            elif oi == oj and repr(ki) < repr(kj):
-                cn = crossing[oi]
-                for a in inst.families[ki]:
-                    ia = index[a]
-                    for b in inst.families[kj]:
-                        ib = index[b]
-                        if not rows[ia] >> ib & 1:
-                            continue
-                        good = any(cn[c] < cn[ia] for c in corners(ki, ia, ib)) or any(
-                            cn[c] < cn[ib] for c in corners(kj, ia, ib)
-                        )
-                        if not good:
-                            rep.violations.append(("property-3", (ki, kj, a, b)))
-                        oracle_check(a, b, ki)
-    # same-level crossings inside one family also fall under property 3
-    for ki in keys:
-        cn = crossing[inst.orders[ki]]
-        fam = sorted(inst.families[ki], key=repr)
-        for pos, a in enumerate(fam):
-            ia = index[a]
-            for b in fam[pos + 1 :]:
-                ib = index[b]
-                if not rows[ia] >> ib & 1:
-                    continue
-                worst = max(cn[ia], cn[ib])
-                if not any(cn[c] < worst for c in corners(ki, ia, ib)):
-                    rep.violations.append(("property-3", (ki, ki, a, b)))
+    if tests.cross_family_fails():
+        tests.walk_cross_family(rep.violations)
+    tests.walk_within_families(rep.violations)
     return rep
 
 

@@ -27,7 +27,7 @@ from .core import (
 )
 from .errors import CapExceededError, CertificationError, PreconditionError
 from .separators import canonical_nested_separators, separator_sort_key
-from .profiles import is_principal
+from .profiles import principal_flags
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +298,8 @@ def build_totd(g: Graph, profiles) -> TreeOfTreeDecompositions:
     if not g.is_connected():
         raise PreconditionError("graph must be connected")
     profiles = tuple(profiles)
-    for idx, p in enumerate(profiles):
-        if not is_principal(g, p):
+    for idx, principal in enumerate(principal_flags(g, profiles)):
+        if not principal:
             raise PreconditionError(f"profile {idx} is not principal")
     nested = canonical_nested_separators(g, profiles)
     closure = sorted(

@@ -542,16 +542,6 @@ def suite_totd(seed):
     return "3-bag root path, 3 torso children, certified, swap-equivariant"
 
 
-@_suite("finite-scale-statement")
-def suite_finite_scale(seed):
-    # the genuinely infinite phenomena have no finite witnesses; the suites
-    # above are their finite-scale substitutes (documented in the README)
-    return (
-        "infinite objects are out of scope by design; exhaustive finite "
-        "suites substitute for them"
-    )
-
-
 ALL_SUITES = [
     suite_universe_axioms,
     suite_fish_corner,
@@ -564,7 +554,6 @@ ALL_SUITES = [
     suite_separations_from_separators,
     suite_treeset_roundtrip,
     suite_totd,
-    suite_finite_scale,
 ]
 
 

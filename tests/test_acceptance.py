@@ -12,7 +12,6 @@ scan is authoritative here and the unit suite cross-checks it twice.
 
 from tangleforge.verify import (
     suite_fish_corner,
-    suite_finite_scale,
     suite_lattice_tight,
     suite_profile_census,
     suite_profinite_random,
@@ -79,10 +78,6 @@ def test_criterion_treeset_roundtrip():
 
 def test_criterion_totd():
     report(suite_totd(SEED), budget=10.0)
-
-
-def test_criterion_finite_scale_statement():
-    report(suite_finite_scale(SEED))
 
 
 def test_cli_verify_all_exits_zero(capsys):

@@ -196,6 +196,25 @@ def test_golden_ring_digest(spec, code, digest, capsys, monkeypatch, tmp_path):
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
+# the same contract on the ring of six triangles (n = 18) at k = 3 with the
+# caps lifted, where the thin-splinter check does most of the work
+SIX_RING_GOLDEN = [
+    ("nested-separations", "45deb9fcbb9a7acfed29b4f508885a9ab170f81bda917c177453892fccc6293f"),
+    ("totd", "2fd2f33ac73614dcedb56fe78b5b1fa88185d9e2636d70d7e5447d185a51cbee"),
+]
+
+
+@pytest.mark.parametrize("verb,digest", SIX_RING_GOLDEN, ids=[g[0] for g in SIX_RING_GOLDEN])
+def test_golden_six_triangle_ring_digest(verb, digest, capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("TANGLEFORGE_CAPS", '{"max_n":30,"max_sk":1024}')
+    monkeypatch.chdir(tmp_path)
+    edges = [[3 * i + a, 3 * i + b] for i in range(6) for a, b in ((0, 1), (1, 2), (0, 2))]
+    edges += [[3 * i + 2, (3 * i + 3) % 18] for i in range(6)]
+    (tmp_path / "ring6.json").write_text(json.dumps({"n": 18, "edges": edges}))
+    got_code, out = run_cli([verb, "--graph", "ring6.json", "--k", "3"], capsys)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
 def test_profinite_splinter_on_the_four_triangle_ring_ends_on_the_union_cap(
     capsys, monkeypatch, tmp_path
 ):

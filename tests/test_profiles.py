@@ -41,6 +41,7 @@ from tangleforge.profiles import (
     is_profile,
     is_robust,
     pipeline_profiles,
+    principal_flags,
     profile_flags,
     satisfies_profile_property,
 )
@@ -537,6 +538,19 @@ def test_regular_profiles_are_the_principal_ones_on_fixtures(graphs):
             assert is_principal(g, p) == p.is_regular(g)
             checked += 1
     assert checked == 58
+
+
+def test_principal_flags_read_one_cut_table_for_profiles_of_every_order(graphs):
+    """One `principal_flags` call over the profiles of every k ≤ 4 at once,
+    its components computed for the largest k and read by each profile up
+    to its own k, agrees with `is_principal` profile by profile."""
+    seen = set()
+    for g in graphs.values():
+        profs = [p for k in range(1, 5) for p in enumerate_k_profiles(g, k, max_sk=256)]
+        flags = principal_flags(g, profs)
+        assert flags == tuple(is_principal(g, p) for p in profs)
+        seen.update(flags)
+    assert seen == {True, False}
 
 
 def test_principal_implies_regular(graphs):

@@ -34,6 +34,7 @@ from tangleforge.separators import (
     separators_to_separations,
 )
 from tangleforge.splinter import thinly_splinters_check
+from tangleforge.treedec import build_totd
 
 
 def sep(a, b):
@@ -425,6 +426,21 @@ def test_non_principal_profile_rejected(graphs):
     nested = dataclasses.replace(canonical_nested_separators(g, []), profiles=(irregular,))
     with pytest.raises(PreconditionError):
         separators_to_separations(g, nested)
+
+
+def test_the_first_non_principal_profile_is_named(graphs):
+    """Both preconditions name the first profile that is not principal."""
+    g = graphs["FIX_P4"]
+    profs = enumerate_k_profiles(g, 2)
+    regular = next(p for p in profs if p.is_regular(g))
+    irregular = next(p for p in profs if not p.is_regular(g))
+    nested = dataclasses.replace(
+        canonical_nested_separators(g, []), profiles=(regular, irregular, irregular)
+    )
+    with pytest.raises(PreconditionError, match="^profile 1 is not principal"):
+        separators_to_separations(g, nested)
+    with pytest.raises(PreconditionError, match="^profile 1 is not principal"):
+        build_totd(g, (regular, irregular, irregular))
 
 
 def test_disconnected_two_k2(graphs):

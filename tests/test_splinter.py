@@ -3,6 +3,7 @@ canonical levelwise thin splinter, plus their hypothesis checkers."""
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from tangleforge.core import (
 )
 from tangleforge.errors import HypothesisError, PreconditionError, TangleforgeError
 from tangleforge.profiles import efficient_distinguishers, enumerate_k_profiles, pipeline_profiles
+from tangleforge import splinter as splinter_module
 from tangleforge.separators import build_separator_instance
 from tangleforge.splinter import (
     FiniteSplinterFamily,
@@ -370,19 +372,226 @@ def test_tabulated_thin_splinter_matches_oracle(inst):
     assert outcome(engine, inst) == outcome(oracles.brute_thin_splinter, inst)
 
 
+def ring_instance(t):
+    """The ring of t triangles joined by bridges, and the separator
+    instance of its regular robust 3-profiles."""
+    edges = [(3 * i + a, 3 * i + b) for i in range(t) for a, b in ((0, 1), (1, 2), (0, 2))]
+    g = Graph.from_edges(3 * t, edges + [(3 * i + 2, (3 * i + 3) % (3 * t)) for i in range(t)])
+    profiles = pipeline_profiles(g, enumerate_k_profiles(g, 3, max_sk=256))
+    return g, build_separator_instance(g, profiles)[0]
+
+
+def counted(calls, name, real):
+    """real, counting its calls under calls[name]."""
+
+    def wrapper(*args):
+        calls[name] += 1
+        return real(*args)
+
+    return wrapper
+
+
 def test_thin_splinter_calls_nested_once_per_ordered_pair():
-    """The check and the engine share one crossing table, filled with one
-    `nested` call per ordered pair of elements."""
-    edges = [(3 * i + a, 3 * i + b) for i in range(3) for a, b in ((0, 1), (1, 2), (0, 2))]
-    g = Graph.from_edges(9, edges + [(2, 3), (5, 6), (8, 0)])
-    inst, _ = build_separator_instance(g, pipeline_profiles(g, enumerate_k_profiles(g, 3)))
-    calls = 0
-
-    def counted(a, b):
-        nonlocal calls
-        calls += 1
-        return inst.nested(a, b)
-
-    thin_splinter(dataclasses.replace(inst, nested=counted))
+    """On an instance without `nested_with`, the check and the engine share
+    one crossing table, filled with one `nested` call per ordered pair of
+    elements."""
+    _, inst = ring_instance(3)
+    calls = {"nested": 0}
+    abstract = dataclasses.replace(
+        inst, nested=counted(calls, "nested", inst.nested), nested_with=None
+    )
+    thin_splinter(abstract)
     assert len(inst.elements) == 12
-    assert calls == len(inst.elements) ** 2
+    assert calls["nested"] == len(inst.elements) ** 2
+
+
+def test_separator_crossing_table_calls_components_once_per_element(monkeypatch):
+    """The separator instance fills its crossing table one column per
+    separator y, from the components of G - y, and never calls `nested`."""
+    _, inst = ring_instance(3)
+    calls = {"nested": 0, "components": 0}
+    monkeypatch.setattr(Graph, "components", counted(calls, "components", Graph.components))
+    thin_splinter(dataclasses.replace(inst, nested=counted(calls, "nested", inst.nested)))
+    assert calls == {"nested": 0, "components": 12}
+
+
+def test_five_triangle_ring_asks_the_corner_oracle_once_per_triple(monkeypatch):
+    """40 separators, so 40 `components` calls fill the table, and 1,760
+    distinct (a, b, target) triples of crossing pairs reach the corner
+    oracle (the per-family-pair walk asked it 5,510 times). The instance
+    thinly splinters, so the cross-family walk never runs."""
+    _, inst = ring_instance(5)
+    calls = {"components": 0, "oracle": 0, "walk": 0}
+    monkeypatch.setattr(Graph, "components", counted(calls, "components", Graph.components))
+    table = crossing_table(inst)
+    assert len(inst.elements) == calls["components"] == 40
+    walk = splinter_module._PairTests.walk_cross_family
+    monkeypatch.setattr(
+        splinter_module._PairTests, "walk_cross_family", counted(calls, "walk", walk)
+    )
+    oracle = dataclasses.replace(
+        inst, corner_oracle=counted(calls, "oracle", inst.corner_oracle)
+    )
+    assert thinly_splinters_check(oracle, table).ok
+    assert (calls["oracle"], calls["walk"]) == (1760, 0)
+
+
+def test_column_predicate_is_separator_nestedness():
+    """`nested_with(y)` of a separator instance holds at x exactly when x
+    meets at most one component of G - y (y separates no two vertices of
+    x), on every pair of vertex sets of at most three vertices of seeded
+    random graphs; it needs the graph only, not the profiles."""
+    rng = random.Random(16)
+    for _ in range(12):
+        n = rng.randint(4, 7)
+        g = Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        )
+        inst, _ = build_separator_instance(g, ())
+        small = [mask_of(c) for r in range(4) for c in itertools.combinations(range(n), r)]
+        for y in small:
+            nested_y = inst.nested_with(y)
+            met = [sum(1 for comp in g.components(y) if comp & x) for x in small]
+            assert [nested_y(x) for x in small] == [m <= 1 for m in met]
+    with pytest.raises(PreconditionError):
+        inst.nested_with(1 << n)
+
+
+def assert_column_table_is_pairwise(inst):
+    column = crossing_table(inst)
+    pairwise = crossing_table(dataclasses.replace(inst, nested_with=None))
+    assert (column.rows, column.cols) == (pairwise.rows, pairwise.cols)
+
+
+@pytest.mark.parametrize("t", [3, 4, 5])
+def test_column_crossing_table_equals_pairwise_table_on_rings(t):
+    assert_column_table_is_pairwise(ring_instance(t)[1])
+
+
+def test_column_crossing_table_equals_pairwise_table_on_random_graphs():
+    rng = random.Random(1616)
+    checked = 0
+    for _ in range(80):
+        n = rng.randint(5, 9)
+        g = Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
+        )
+        if not g.is_connected():
+            continue
+        profiles = []
+        for p in pipeline_profiles(g, enumerate_k_profiles(g, rng.choice((2, 3)), max_sk=256)):
+            if all(efficient_distinguishers(g, q, p) for q in profiles):
+                profiles.append(p)
+        if len(profiles) < 2:
+            continue
+        assert_column_table_is_pairwise(build_separator_instance(g, profiles)[0])
+        checked += 1
+    assert checked >= 10
+
+
+def perturbed(inst, rng):
+    """inst with one change: a member of least crossing number dropped from
+    a family or moved to another family, or the order of a family moved up
+    or down by one."""
+    families = {key: set(fam) for key, fam in inst.families.items()}
+    orders = dict(inst.orders)
+    keys = inst.family_keys()
+    ki = rng.choice(keys)
+    kind = rng.choice(("drop", "move", "order"))
+    if kind == "order" or len(families[ki]) < 2:
+        orders[ki] = max(0, orders[ki] + rng.choice((-1, 1)))
+    else:
+        member = min(
+            sorted(families[ki], key=repr),
+            key=lambda x: crossing_number(inst, x, inst.orders[ki]),
+        )
+        families[ki].discard(member)
+        if kind == "move":
+            families[rng.choice([key for key in keys if key != ki])].add(member)
+    return dataclasses.replace(inst, families=families, orders=orders)
+
+
+def memoised(nested):
+    table = {}
+
+    def lookup(a, b):
+        if (a, b) not in table:
+            table[a, b] = nested(a, b)
+        return table[a, b]
+
+    return lookup
+
+
+def engine(inst):
+    res = thin_splinter(inst)
+    return res.nested_set, tuple((lv.k, lv.added) for lv in res.levels)
+
+
+def test_check_matches_oracle_on_perturbed_separator_instances(graphs, k5ring, k5ring_profiles):
+    """Chains of perturbations of separator instances fail properties 2
+    and 3, so the cross-family walk runs. At every step the check (column
+    table, decider, walk) and the engine agree with the oracles, which
+    re-evaluate `nested` on every use."""
+    grid = graphs["FIX_GRID33"]
+    bases = [
+        ring_instance(3)[1],
+        build_separator_instance(k5ring, k5ring_profiles)[0],
+        build_separator_instance(grid, pipeline_profiles(grid, enumerate_k_profiles(grid, 3)))[0],
+    ]
+    rng = random.Random(9)
+    kinds = set()
+    for base in bases:
+        for _ in range(2):
+            inst = dataclasses.replace(base, nested=memoised(base.nested))
+            for _ in range(8):
+                inst = perturbed(inst, rng)
+                reference = dataclasses.replace(inst, nested_with=None)
+                rep = thinly_splinters_check(inst)
+                violations, max_crossing = oracles.brute_thin_splinter_report(reference)
+                assert (rep.violations, rep.max_crossing) == (violations, max_crossing)
+                assert outcome(engine, inst) == outcome(oracles.brute_thin_splinter, reference)
+                kinds |= {kind for kind, _ in violations}
+    assert kinds == {"property-2", "property-3"}
+
+
+def test_check_reports_an_oracle_answer_that_is_no_corner():
+    """a crosses b and c crosses d, which is nested with a and b, so c is
+    no corner of a and b. The oracle answers c for (a, b, f1), asked by
+    property 3 of (f1, f2), and None for (a, b, f3), asked by property 2
+    of (f1, f3): only the first answer is reported."""
+    crossing = {("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")}
+    answers = {("a", "b", "f1"): "c"}
+    inst = SplinterInstance(
+        elements=("a", "b", "c", "d", "e"),
+        families={"f1": {"a", "c"}, "f2": {"b", "d"}, "f3": {"b", "e"}},
+        orders={"f1": 1, "f2": 1, "f3": 2},
+        nested=lambda x, y: (x, y) not in crossing,
+        corner_oracle=lambda a, b, key: answers.get((a, b, key)),
+    )
+    rep = thinly_splinters_check(inst)
+    violations, max_crossing = oracles.brute_thin_splinter_report(inst)
+    assert (rep.violations, rep.max_crossing) == (violations, max_crossing)
+    assert ("corner-oracle", ("a", "b", "f1", "c")) in rep.violations
+    assert not any(v[1][2] == "f3" for v in rep.violations if v[0] == "corner-oracle")
+
+
+def test_decider_walks_nothing_when_one_side_of_property_3_holds(monkeypatch):
+    """a ∈ f1 crosses b ∈ f2 at one level. f1 holds no corner below a's
+    crossing number, but f2 holds c, nested with everything: property 3
+    holds through f2 alone, so the instance thinly splinters and the
+    decider leaves the cross-family walk out."""
+    crossing = {("a", "b"), ("b", "a")}
+    inst = SplinterInstance(
+        elements=("a", "b", "c"),
+        families={"f1": {"a"}, "f2": {"b", "c"}},
+        orders={"f1": 1, "f2": 1},
+        nested=lambda x, y: (x, y) not in crossing,
+    )
+    calls = {"walk": 0}
+    walk = splinter_module._PairTests.walk_cross_family
+    monkeypatch.setattr(
+        splinter_module._PairTests, "walk_cross_family", counted(calls, "walk", walk)
+    )
+    assert thinly_splinters_check(inst).ok
+    assert oracles.brute_thin_splinter_report(inst) == ([], {1: 1})
+    assert calls["walk"] == 0
