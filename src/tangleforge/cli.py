@@ -12,9 +12,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .core import (
     DEFAULT_MAX_K,
@@ -43,6 +45,7 @@ from .profiles import (
     efficient_distinguishers,
     enumerate_k_profiles,
     pipeline_profiles,
+    principal_flags,
     profile_flags,
 )
 from .profinite import (
@@ -51,13 +54,7 @@ from .profinite import (
     system_from_json,
 )
 from .separators import canonical_nested_separators, separators_to_separations
-from .splinter import (
-    FiniteSplinterFamily,
-    SplinterInstance,
-    splinter_finite,
-    splinters_check,
-    thin_splinter,
-)
+from .splinter import FiniteSplinterFamily, SplinterInstance, _transversal, thin_splinter
 from .treedec import build_totd, treeset_to_treedecomposition
 
 
@@ -223,8 +220,8 @@ def cmd_profiles(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
     profs = enumerate_k_profiles(g, k, max_sk=cfg.max_sk, max_n=cfg.max_n, max_k=cfg.max_k)
     entries = []
-    for p in profs:
-        flags = profile_flags(g, p)
+    for p, principal in zip(profs, principal_flags(g, profs)):
+        flags = profile_flags(g, p, principal)
         entry = p.to_json()
         entry["flags"] = {
             "regular": flags.regular,
@@ -270,10 +267,7 @@ def cmd_splinter(args, cfg):
     if not fams:
         return {"graph": label, "k": k, "families": 0, "transversal": []}
     fam_obj = FiniteSplinterFamily(_s_k_universe(g, profs[0]), tuple(fams))
-    ok, witness = splinters_check(fam_obj)
-    if not ok:
-        raise HypothesisError("distinguisher families do not splinter", witness=witness)
-    picks = splinter_finite(fam_obj)
+    picks = _transversal(fam_obj, "distinguisher families do not splinter")
     return {
         "graph": label,
         "k": k,
@@ -622,7 +616,71 @@ def _run(args) -> tuple[int, str]:
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte.
+    An indent makes json.dumps fall back to its pure-Python encoder, which
+    costs more than building the same string here."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(obj, newline: str) -> str:
+    """The indented JSON text of obj; `newline` is a newline followed by the
+    indent of obj's own line. Containers come first, as the most frequent;
+    the types json tells apart exclude each other except bool and int, so
+    testing bool first gives json's result. Whatever json.dumps refuses
+    raises TypeError."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            (encode_basestring_ascii(k) if isinstance(k, str) else _key(k)) + ": " + _encode(v, inner)
+            for k, v in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_encode(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    """A dict key that is no str as json writes it: float, bool, None and
+    int as their JSON text, quoted."""
+    if isinstance(key, float):
+        return '"' + _float(key) + '"'
+    if key is True or key is False or key is None:
+        return '"' + _encode(key, "") + '"'
+    if isinstance(key, int):
+        return '"' + int.__repr__(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 def _write_file(path: str, text: str):

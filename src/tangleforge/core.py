@@ -387,6 +387,19 @@ def separation_universe(seps: Iterable[Separation], closed: bool) -> UniverseVie
     )
 
 
+def codable(u: UniverseView, elems) -> bool:
+    """True when u's star, join and meet are those of separations and
+    every one of elems is a Separation with non-negative int masks.
+
+    Such elements are coded as ints: with w at least the bit length of
+    every mask involved, (A, B) ↦ A << w | (full & ~B), full = 2^w − 1, is
+    injective, join is | and meet is & on the codes."""
+    return u.star is star and u.join is join and u.meet is meet and all(
+        type(x) is Separation and type(x.a) is int and type(x.b) is int and x.a >= 0 and x.b >= 0
+        for x in elems
+    )
+
+
 # ---------------------------------------------------------------------------
 # universe verification
 

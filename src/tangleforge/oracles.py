@@ -176,6 +176,38 @@ def brute_nested_transversal_exists(universe, families) -> bool:
     return rec(0, [])
 
 
+def brute_splinters_check(universe, families) -> tuple:
+    """The splinter condition straight from its definition: (True, None),
+    or (False, (i, j, s, t)) for the first offending pair in the order
+    families i, j, then s in family i and t in family j in universe order.
+    A pair is skipped when s or s* lies in family j or t or t* in family i,
+    and offends when none of its corners s ∨ t, s ∨ t*, s* ∨ t, s* ∨ t*
+    lies in family i or j, or has its star there."""
+    u = universe
+    rank = {x: i for i, x in enumerate(u.elements)}
+
+    def unoriented_in(fam, x):
+        return x in fam or u.star(x) in fam
+
+    for i, fam_i in enumerate(families):
+        for j, fam_j in enumerate(families):
+            for s in sorted(fam_i, key=rank.__getitem__):
+                if unoriented_in(fam_j, s):
+                    continue
+                for t in sorted(fam_j, key=rank.__getitem__):
+                    if unoriented_in(fam_i, t):
+                        continue
+                    corners = (
+                        u.join(s, t),
+                        u.join(s, u.star(t)),
+                        u.join(u.star(s), t),
+                        u.join(u.star(s), u.star(t)),
+                    )
+                    if not any(unoriented_in(fam_i, c) or unoriented_in(fam_j, c) for c in corners):
+                        return False, (i, j, s, t)
+    return True, None
+
+
 def find_automorphisms(g: Graph) -> tuple[dict, ...]:
     """All automorphisms of g by backtracking over degree-compatible
     assignments."""

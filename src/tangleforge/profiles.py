@@ -456,11 +456,14 @@ def principal_flags(g: Graph, profiles) -> tuple[bool, ...]:
     return tuple(is_principal(g, p, cuts) for p in profiles)
 
 
-def profile_flags(g: Graph, p: Profile) -> ProfileFlags:
+def profile_flags(g: Graph, p: Profile, principal: Optional[bool] = None) -> ProfileFlags:
+    """The flags of p. `principal`, when given, is `is_principal(g, p)` as
+    the caller has it, say from one `principal_flags` call over many
+    profiles, which computes the components of each G − X once for all."""
     return ProfileFlags(
         regular=p.is_regular(g),
         robust=is_robust(g, p),
-        principal=is_principal(g, p),
+        principal=is_principal(g, p) if principal is None else principal,
     )
 
 

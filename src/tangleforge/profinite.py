@@ -15,7 +15,16 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple, Optional
 
-from .core import Graph, Separation, UniverseView, graph_universe, iter_bits, join, meet
+from .core import (
+    Graph,
+    Separation,
+    UniverseView,
+    codable,
+    graph_universe,
+    iter_bits,
+    join,
+    meet,
+)
 from .errors import (
     CapExceededError,
     CertificationError,
@@ -116,11 +125,10 @@ def validate_inverse_system(sys: InverseSystem) -> SystemReport:
     once per map and image f x, and only a row that differs is walked pair
     by pair.
 
-    Rows of graph universes are read off integer codes: a universe whose
-    join and meet are core.join and core.meet, and whose elements (and
-    strays, for a target) are all Separations with non-negative masks,
-    codes (a, b) as a << w | (full & ~b), the profile search's slot coding,
-    with w wide enough for every mask. Join is then | and meet is & of
+    Rows of graph universes are read off integer codes: a universe that
+    passes core.codable with its elements (and strays, for a target) codes
+    (a, b) as a << w | (full & ~b), the profile search's slot coding, with
+    w wide enough for every mask. Join is then | and meet is & of
     codes, so no Python function runs per pair. Abstract universes, and
     targets with a stray of another type, keep their own callables.
     """
@@ -226,9 +234,8 @@ def _is_full_graph_universe(u: UniverseView) -> bool:
     """True when u is closed under join and meet because it is the universe
     of all oriented separations of one graph H; asks nothing but u.
 
-    - u's join and meet are core.join and core.meet, and its elements are
-      distinct Separations with non-negative int masks and one common
-      ground set Z = a | b.
+    - u and its elements pass core.codable, and the elements are distinct
+      and have one common ground set Z = a | b.
     - H is read off u itself: two vertices of Z are adjacent unless some
       element puts them on opposite strict sides. Every element is then a
       separation of H.
@@ -240,7 +247,7 @@ def _is_full_graph_universe(u: UniverseView) -> bool:
     The count takes 2^|Z| components() calls and stops once it exceeds |u|.
     """
     elems = u.elements
-    if not elems or not _coded(u, elems):
+    if not elems or not codable(u, elems):
         return False
     ground = elems[0].a | elems[0].b
     if any(a | b != ground for a, b in elems) or len(set(elems)) != len(elems):
@@ -278,22 +285,13 @@ class _Table(NamedTuple):
     meet: list
 
 
-def _coded(u: UniverseView, elems) -> bool:
-    """True when u's join and meet are core.join and core.meet and every
-    one of elems is a Separation with non-negative int masks."""
-    return u.join is join and u.meet is meet and all(
-        type(x) is Separation and type(x.a) is int and type(x.b) is int and x.a >= 0 and x.b >= 0
-        for x in elems
-    )
-
-
 def _op_rows(u: UniverseView, elems: tuple, index: dict, off: int) -> tuple:
     """The functions i -> join row and i -> meet row of elems[i]: the index
     of join(elems[i], y), resp. meet, for every y in elems, and off for a
     result not in elems. Graph universes are read off the integer codes
     described in validate_inverse_system; w is the widest mask of elems,
     so the code is injective on them."""
-    if not _coded(u, elems):
+    if not codable(u, elems):
         return (
             lambda i: list(map(index.get, map(u.join, repeat(elems[i]), elems), repeat(off))),
             lambda i: list(map(index.get, map(u.meet, repeat(elems[i]), elems), repeat(off))),

@@ -13,10 +13,12 @@ k-crossing number. Keeping all minima is what makes the output canonical.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from typing import Callable, Optional
 
-from .core import UniverseView, iter_bits, mask_of
+from .core import UniverseView, codable, iter_bits, mask_of
 from .errors import CertificationError, HypothesisError, PreconditionError
 
 
@@ -53,93 +55,196 @@ def _nested(u: UniverseView, r, s) -> bool:
     )
 
 
-def _contains_unoriented(u: UniverseView, fam, x) -> bool:
-    return x in fam or u.star(x) in fam
+class _Splinters:
+    """The splinter condition of one instance, checked whole once and then
+    on each restriction that `splinter_finite` makes of it.
 
+    Codes. Every member x and its star x* get a non-negative int code, and
+    a corner of two codes is a code, or −1 when it is neither a member nor
+    the star of one. When the universe passes `core.codable` with the
+    members and their stars, the code of (A, B) is A << w | (full & ~B),
+    w the widest of their masks, and a corner is the | of two codes (its
+    masks are no wider). Any other universe numbers the members and stars
+    and makes corners with u.join. A family's unoriented codes are those
+    of its members and their stars, so "x or x* in the family" is one
+    lookup (star is an involution, as a UniverseView's must be).
 
-def _corners(u: UniverseView, r, s):
-    return (
-        u.join(r, s),
-        u.join(r, u.star(s)),
-        u.join(u.star(r), s),
-        u.join(u.star(r), u.star(s)),
-    )
+    Witnesses. The whole check keeps, for each pair (s, t) of members of
+    families i ≠ j that it tests, one of its corners that lies in the two
+    families, unoriented: its witness. A restriction keeps the members
+    nested with a pick. That relation does not change under star, so a
+    member survives exactly when its star does: a surviving s lies in
+    family j, unoriented, after the restriction exactly when it did
+    before, and every surviving pair keeps its skip conditions. A surviving
+    pair passes while its witness is still in family i or j; otherwise the
+    witness is a code that left one of them. So a restriction re-tests only
+    the pairs whose witness is among the codes that left, in the families
+    that lost members, and gives each pair that passes a new witness for
+    the next restriction (a code that left one family but is still in the
+    other just gets re-tested). The pairs are visited in the order of the
+    whole check, (i, j), then s, then t in universe order, so the first
+    pair that fails is the one a check of the restricted families from
+    scratch would report.
+    """
+
+    def __init__(self, u: UniverseView, families: tuple):
+        stars = {x: u.star(x) for fam in families for x in fam}
+        both = (*stars, *stars.values())
+        if codable(u, both):
+            w = max(((x.a | x.b).bit_length() for x in both), default=0)
+            full = (1 << w) - 1
+            code = {x: x.a << w | (full & ~x.b) for x in both}
+            self.corner = operator.or_
+        else:
+            code = {x: i for i, x in enumerate(dict.fromkeys(both))}
+            listed = list(code)
+            self.corner = lambda a, b: code.get(u.join(listed[a], listed[b]), -1)
+        rank = {x: i for i, x in enumerate(u.elements)}
+        # per family: its members in universe order as (x, code of x, code of x*)
+        self.members = [
+            [(x, code[x], code[stars[x]]) for x in sorted(fam, key=rank.__getitem__)]
+            for fam in families
+        ]
+        unoriented = [self.unoriented(fam) for fam in self.members]
+        # (i, j) -> rows [s, cs, cs*, witness per column] and columns (t, ct, ct*):
+        # the members of i and of j that the check does not skip
+        self.pairs = {
+            (i, j): (
+                [[s, cs, css, None] for s, cs, css in fam_i if cs not in unoriented[j]],
+                [m for m in fam_j if m[1] not in unoriented[i]],
+            )
+            for i, fam_i in enumerate(self.members)
+            for j, fam_j in enumerate(self.members)
+            if i != j
+        }
+        self.failure = self.check(dict(enumerate(families)), set(range(len(families))), set())
+
+    @staticmethod
+    def unoriented(fam) -> dict:
+        """The unoriented codes of a family's (x, cx, cx*) members, each
+        mapped to itself, so that a witness holds the dict's int object."""
+        return {c: c for _, cx, cxs in fam for c in (cx, cxs)}
+
+    def restrict(self, active: dict):
+        """The first failing (i, j, s, t) of the restriction `active` (family
+        index -> the members that survived, in index order), or None. Each
+        restriction's families are subsets of the previous one's."""
+        changed, removed = set(), set()
+        for k, fam in active.items():
+            gone = [m for m in self.members[k] if m[0] not in fam]
+            if gone:
+                changed.add(k)
+                removed.update(c for _, cx, cxs in gone for c in (cx, cxs))
+                self.members[k] = [m for m in self.members[k] if m[0] in fam]
+        return self.check(active, changed, removed)
+
+    def check(self, active: dict, changed: set, removed: set):
+        """The first failing (i, j, s, t) of the families `active`, or None.
+        Only the pairs of families i, j of which one is in `changed` (lost
+        members since the last check) are visited. There a pair is tested
+        when its witness is −1 or in `removed` (the codes that left); a row
+        without witnesses first takes the corners s ∨ t, and a tested pair
+        the first of its corners that lies in the two families."""
+        corner, stale = self.corner, {-1, *removed}
+        unoriented = {k: self.unoriented(self.members[k]) for k in active}
+        for i, fam_i in active.items():
+            for j, fam_j in active.items():
+                if i == j or not (i in changed or j in changed):
+                    continue
+                rows, cols = self.pairs[i, j]
+                rows = [row for row in rows if row[0] in fam_i]
+                live = [p for p, m in enumerate(cols) if m[0] in fam_j]
+                self.pairs[i, j] = rows, cols
+                get = {**unoriented[i], **unoriented[j]}.get
+                for row in rows:
+                    s, cs, css, wit = row
+                    if wit is None:
+                        wit = row[3] = list(
+                            map(get, map(corner, repeat(cs), [m[1] for m in cols]), repeat(-1))
+                        )
+                    if stale.isdisjoint(wit):
+                        continue
+                    for p in compress(live, map(stale.__contains__, map(wit.__getitem__, live))):
+                        t, ct, cts = cols[p]
+                        c = get(corner(cs, cts), -1)
+                        if c == -1:
+                            c = get(corner(css, ct), -1)
+                        if c == -1:
+                            c = get(corner(css, cts), -1)
+                        if c == -1:
+                            c = get(corner(cs, ct), -1)
+                        if c == -1:
+                            return i, j, s, t
+                        wit[p] = c
+        return None
 
 
 def splinters_check(f: FiniteSplinterFamily):
     """Check the splinter condition for every pair of families.
 
     Returns (True, None) or (False, witness) where witness is the first
-    offending (i, j, s, t) in deterministic order.
+    offending (i, j, s, t): families i, then j, then s in family i and t in
+    family j in universe order. A pair (s, t) with s or s* in family j, or
+    t or t* in family i, is skipped; any other pair offends when none of
+    its corners s ∨ t, s ∨ t*, s* ∨ t, s* ∨ t* lies in family i or j,
+    unoriented. `_Splinters` runs the check.
     """
-    u = f.universe
-    fams = f.families
-    elem_order = {x: i for i, x in enumerate(u.elements)}
-
-    def ordered(fam):
-        return sorted(fam, key=elem_order.__getitem__)
-
-    for i, fam_i in enumerate(fams):
-        for j, fam_j in enumerate(fams):
-            for s in ordered(fam_i):
-                if _contains_unoriented(u, fam_j, s):
-                    continue
-                for t in ordered(fam_j):
-                    if _contains_unoriented(u, fam_i, t):
-                        continue
-                    if not any(
-                        _contains_unoriented(u, fam_i, c) or _contains_unoriented(u, fam_j, c)
-                        for c in _corners(u, s, t)
-                    ):
-                        return False, (i, j, s, t)
-    return True, None
+    failure = _Splinters(f.universe, f.families).failure
+    return failure is None, failure
 
 
 def splinter_finite(f: FiniteSplinterFamily) -> tuple:
     """Pick one element from each family so that the picks are pairwise
-    nested. Requires the splinter condition; it is re-checked on every
-    restricted sub-instance and a failure raises HypothesisError."""
+    nested. Requires the splinter condition; it is checked on the whole
+    instance and on every restricted sub-instance, and a failure raises
+    HypothesisError."""
+    return _transversal(f, "splinter condition failed on a restricted sub-instance")
+
+
+def _transversal(f: FiniteSplinterFamily, failure: str) -> tuple:
+    """`splinter_finite`, raising HypothesisError(failure) when the whole
+    instance does not splinter. The whole instance is checked once, and
+    each restriction only on the pairs whose witness it removed (see
+    `_Splinters`)."""
     u = f.universe
+    check = _Splinters(u, f.families)
+    if check.failure is not None:
+        raise HypothesisError(failure, witness=check.failure)
     elem_order = {x: i for i, x in enumerate(u.elements)}
     picks: dict[int, object] = {}
-
-    def solve(active: dict):
-        if not active:
-            return
-        ok, witness = splinters_check(
-            FiniteSplinterFamily(u, tuple(active.values()))
-        )
-        if not ok:
-            keys = list(active.keys())
-            i, j, s, t = witness
+    active = dict(enumerate(f.families))
+    while active:
+        active = _pick(u, active, elem_order, picks)
+        if active and (witness := check.restrict(active)) is not None:
             raise HypothesisError(
-                "splinter condition failed on a restricted sub-instance",
-                witness=(keys[i], keys[j], s, t),
+                "splinter condition failed on a restricted sub-instance", witness=witness
             )
-        for idx in sorted(active):
-            others = [fam for k, fam in active.items() if k != idx]
-            for cand in sorted(active[idx], key=elem_order.__getitem__):
-                if all(any(_nested(u, cand, x) for x in fam) for fam in others):
-                    picks[idx] = cand
-                    rest = {
-                        k: frozenset(x for x in fam if _nested(u, cand, x))
-                        for k, fam in active.items()
-                        if k != idx
-                    }
-                    solve(rest)
-                    return
-        raise HypothesisError(
-            "no family member is nested with an element of every other family",
-            witness=tuple(sorted(active)),
-        )
-
-    solve({i: fam for i, fam in enumerate(f.families)})
     out = tuple(picks[i] for i in range(len(f.families)))
     for i, x in enumerate(out):
         for y in out[i + 1 :]:
             if not _nested(u, x, y):
                 raise CertificationError(f"transversal not nested: {x} vs {y}")
     return out
+
+
+def _pick(u: UniverseView, active: dict, elem_order: dict, picks: dict) -> dict:
+    """Pick, for the first family that has one, its first member nested with
+    an element of every other family, and record it in picks; return the
+    other families restricted to the members nested with the pick."""
+    for idx in sorted(active):
+        others = [fam for k, fam in active.items() if k != idx]
+        for cand in sorted(active[idx], key=elem_order.__getitem__):
+            if all(any(_nested(u, cand, x) for x in fam) for fam in others):
+                picks[idx] = cand
+                return {
+                    k: frozenset(x for x in fam if _nested(u, cand, x))
+                    for k, fam in active.items()
+                    if k != idx
+                }
+    raise HypothesisError(
+        "no family member is nested with an element of every other family",
+        witness=tuple(sorted(active)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tangleforge
 from tangleforge import cli as cli_module
@@ -165,6 +167,54 @@ def test_golden_output_digest(spec, code, digest, capsys, monkeypatch):
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
+# the JSON envelope is json.dumps(..., sort_keys=True, indent=2) byte for byte
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text(), children)
+    | st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), st.none()), children, max_size=1)
+    | st.dictionaries(st.integers(), children),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200)
+@given(JSON_VALUES)
+@example({"a": [], "b": {}, "c": [[], {}], "d": [1, 2, 3], "é\n": float("nan")})
+@example([float("inf"), float("-inf"), -0.0, 1e300, True, 1, None, (1, 2)])
+def test_json_envelope_matches_json_dumps(value):
+    assert cli_module._json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1: 0, "a": 0}, {(1, 2): 0}, [set()], {"a": object()}, b"x"])
+def test_json_envelope_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        cli_module._json(value)
+
+
+def test_json_envelope_of_every_golden_payload(capsys, monkeypatch):
+    monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
+    payloads = []
+    real = cli_module._json
+    monkeypatch.setattr(cli_module, "_json", lambda obj: payloads.append(obj) or real(obj))
+    for spec, _, _ in GOLDEN:
+        verb, fixture, *rest = spec.split()
+        run_cli([verb, "--fixture", fixture, *rest], capsys)
+    assert len(payloads) == len(GOLDEN) - 2  # the two DOT outputs are no JSON
+    for obj in payloads:
+        assert real(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 # three triangles joined into a ring by bridges, the ring_decompose graph of
 # the benchmark
 TRIANGLE_RING3 = {
@@ -213,6 +263,77 @@ def test_golden_six_triangle_ring_digest(verb, digest, capsys, monkeypatch, tmp_
     (tmp_path / "ring6.json").write_text(json.dumps({"n": 18, "edges": edges}))
     got_code, out = run_cli([verb, "--graph", "ring6.json", "--k", "3"], capsys)
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
+def ring_of_triangles(t: int) -> dict:
+    """Graph JSON of t triangles joined into a ring by bridges (n = 3t)."""
+    n = 3 * t
+    edges = [[3 * i + a, 3 * i + b] for i in range(t) for a, b in ((0, 1), (1, 2), (0, 2))]
+    edges += [[3 * i + 2, (3 * i + 3) % n] for i in range(t)]
+    return {"n": n, "edges": edges}
+
+
+# the finite splinter lemma on the ring of five triangles (n = 15) at k = 3
+# with the caps lifted: 10 distinguisher families, 9 restrictions
+FIVE_RING_SPLINTER_GOLDEN = "c27809384ab5aad8505451e1f728bc9d2cf4d24dbf337c626ae947fafbc147f9"
+
+
+def test_golden_five_triangle_ring_splinter_digest(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("TANGLEFORGE_CAPS", '{"max_n":30,"max_sk":1024}')
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ring5.json").write_text(json.dumps(ring_of_triangles(5)))
+    got_code, out = run_cli(["splinter", "--graph", "ring5.json", "--k", "3"], capsys)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (0, FIVE_RING_SPLINTER_GOLDEN)
+
+
+def test_splinter_checks_the_whole_instance_once(capsys, monkeypatch, tmp_path):
+    """The splinter verb runs one whole splinter check; each of the 9
+    restrictions of the five-ring's 10 families is checked only on the
+    pairs whose witness it removed, and splinters_check is not called."""
+    from tangleforge import splinter
+
+    counts = {"whole": 0, "restrict": 0}
+    real_init, real_restrict = splinter._Splinters.__init__, splinter._Splinters.restrict
+
+    def init(self, *args):
+        counts["whole"] += 1
+        real_init(self, *args)
+
+    def restrict(self, *args):
+        counts["restrict"] += 1
+        return real_restrict(self, *args)
+
+    monkeypatch.setattr(splinter._Splinters, "__init__", init)
+    monkeypatch.setattr(splinter._Splinters, "restrict", restrict)
+    calls = count_calls(monkeypatch, splinter, ("splinters_check",))
+    monkeypatch.setenv("TANGLEFORGE_CAPS", '{"max_n":30,"max_sk":1024}')
+    path = tmp_path / "ring5.json"
+    path.write_text(json.dumps(ring_of_triangles(5)))
+    code, out = run_cli(["splinter", "--graph", str(path), "--k", "3"], capsys)
+    assert code == 0 and json.loads(out)["result"]["families"] == 10
+    assert counts == {"whole": 1, "restrict": 9}
+    assert calls == {"splinters_check": 0}
+
+
+def test_profiles_reads_principality_off_one_cut_table(capsys, monkeypatch, tmp_path):
+    """On the three-triangle ring at k = 3, the profile search enumerates
+    S_3 with one components() call per separator X, |X| < 3 (46), and
+    principality of all three profiles reads one table of the same 46 cuts,
+    where one table per profile took 3 × 46."""
+    monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
+    calls = [0]
+    real = core.Graph.components
+
+    def components(self, *args):
+        calls[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(core.Graph, "components", components)
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(TRIANGLE_RING3))
+    code, out = run_cli(["profiles", "--graph", str(path), "--k", "3"], capsys)
+    assert code == 0 and json.loads(out)["result"]["count"] == 3
+    assert calls[0] == 46 + 46
 
 
 def test_profinite_splinter_on_the_four_triangle_ring_ends_on_the_union_cap(

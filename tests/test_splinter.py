@@ -1,6 +1,7 @@
 """Both splinter engines: the finite fix-and-restrict algorithm and the
 canonical levelwise thin splinter, plus their hypothesis checkers."""
 
+import collections
 import dataclasses
 import itertools
 import random
@@ -10,15 +11,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tangleforge import oracles
+from tangleforge.cli import _s_k_universe
 from tangleforge.core import (
     Graph,
     Separation,
+    UniverseView,
     canonical,
     graph_universe,
     mask_of,
 )
-from tangleforge.errors import HypothesisError, PreconditionError, TangleforgeError
+from tangleforge.errors import (
+    CertificationError,
+    HypothesisError,
+    PreconditionError,
+    TangleforgeError,
+)
 from tangleforge.profiles import efficient_distinguishers, enumerate_k_profiles, pipeline_profiles
+from tangleforge.profinite import product_chain_universe, universe_from_json
 from tangleforge import splinter as splinter_module
 from tangleforge.separators import build_separator_instance
 from tangleforge.splinter import (
@@ -31,7 +40,9 @@ from tangleforge.splinter import (
     thin_splinter,
     thinly_splinters_check,
 )
-from tangleforge.verify import random_splinter_instances
+from tangleforge.verify import _random_graph, random_splinter_instances
+
+from jsonforms import universe_to_json
 
 
 def sep(a, b):
@@ -122,6 +133,156 @@ def test_random_instances_property(graphs):
         for x, y in itertools.combinations(picks, 2):
             assert _nested(u, x, y)
         assert oracles.brute_nested_transversal_exists(u, inst.families)
+
+
+# ---------------------------------------------------------------------------
+# the coded check and its restrictions against the definition
+
+
+def tabulated_universe(rng, n):
+    """n elements (n even) with star x ↦ x ^ 1 and a random reflexive leq
+    and join: no lattice, so corners land anywhere and restrictions can
+    break pairs that the whole instance let pass."""
+    elements = tuple(range(n))
+    leq = {(x, y) for x in elements for y in elements if x == y or rng.random() < 0.2}
+    join = {(x, y): rng.randrange(n) for x in elements for y in elements}
+    return UniverseView(
+        elements=elements,
+        leq=lambda x, y: (x, y) in leq,
+        star=lambda x: x ^ 1,
+        join=lambda x, y: join[x, y],
+        meet=lambda x, y: join[y, x],
+        order_of=lambda x: 0,
+        closed=True,
+        submodular_claimed=False,
+    )
+
+
+def perturbed_families(u, fams, rng):
+    """fams with members dropped, flipped to their star or added from u."""
+    out = [set(f) for f in fams]
+    elements = list(u.elements)
+    for _ in range(rng.randint(1, 3)):
+        fam = rng.choice(out)
+        x = rng.choice(sorted(fam, key=elements.index))
+        move = rng.choice(("drop", "flip", "add"))
+        if move == "drop" and len(fam) > 1:
+            fam.discard(x)
+        elif move == "flip":
+            fam.discard(x)
+            fam.add(u.star(x))
+        else:
+            fam.add(rng.choice(elements))
+    return tuple(frozenset(f) for f in out)
+
+
+def splinter_universes(rng):
+    """(universe, families) pairs: full graph universes and the truncated
+    S_k universe of the splinter verb with distinguisher families, and
+    product chains, their JSON form and tabulated universes with random
+    families."""
+    while True:
+        kind = rng.choice(("graph", "s_k", "chain", "json", "tabulated"))
+        if kind in ("graph", "s_k"):
+            g = _random_graph(rng, rng.randint(4, 7))
+            k = rng.randint(2, 3)
+            profs = pipeline_profiles(g, enumerate_k_profiles(g, k, max_sk=512))
+            fams = [frozenset(efficient_distinguishers(g, p, q).seps) for p, q in itertools.combinations(profs, 2)]
+            fams = [f for f in fams if f]
+            if not fams:
+                continue
+            u = graph_universe(g) if kind == "graph" else _s_k_universe(g, profs[0])
+        else:
+            if kind == "tabulated":
+                u = tabulated_universe(rng, 2 * rng.randint(2, 5))
+            else:
+                u = product_chain_universe(rng.randint(2, 4), rng.randint(2, 4))
+                if kind == "json":
+                    u = universe_from_json(universe_to_json(u))
+            elements = list(u.elements)
+            fams = [frozenset(rng.sample(elements, rng.randint(1, 3))) for _ in range(rng.randint(2, 4))]
+        yield kind, u, tuple(fams)
+
+
+def test_splinters_check_matches_oracle_on_perturbed_families():
+    rng = random.Random(17)
+    seen = collections.Counter()
+    universes = splinter_universes(rng)
+    while min(seen[kind, ok] for kind in ("graph", "s_k", "chain", "json", "tabulated") for ok in (True, False)) < 10:
+        kind, u, fams = next(universes)
+        for families in (fams, perturbed_families(u, fams, rng), perturbed_families(u, fams, rng)):
+            expected = oracles.brute_splinters_check(u, families)
+            assert splinters_check(FiniteSplinterFamily(u, families)) == expected, (kind, families)
+            seen[kind, expected[0]] += 1
+
+
+def restated_splinter_finite(u, families):
+    """splinter_finite as it was before witnesses: the brute-force check on
+    the whole instance and again on every restricted sub-instance."""
+    nested = splinter_module._nested
+    rank = {x: i for i, x in enumerate(u.elements)}
+    picks = {}
+    active = dict(enumerate(families))
+    while active:
+        ok, witness = oracles.brute_splinters_check(u, tuple(active.values()))
+        if not ok:
+            keys = list(active)
+            i, j, s, t = witness
+            raise HypothesisError(
+                "splinter condition failed on a restricted sub-instance",
+                witness=(keys[i], keys[j], s, t),
+            )
+        for idx in sorted(active):
+            others = [fam for k, fam in active.items() if k != idx]
+            cands = [
+                c
+                for c in sorted(active[idx], key=rank.__getitem__)
+                if all(any(nested(u, c, x) for x in fam) for fam in others)
+            ]
+            if cands:
+                picks[idx] = cands[0]
+                active = {
+                    k: frozenset(x for x in fam if nested(u, cands[0], x))
+                    for k, fam in active.items()
+                    if k != idx
+                }
+                break
+        else:
+            raise HypothesisError(
+                "no family member is nested with an element of every other family",
+                witness=tuple(sorted(active)),
+            )
+    out = tuple(picks[i] for i in range(len(families)))
+    for x, y in itertools.combinations(out, 2):
+        if not nested(u, x, y):
+            raise CertificationError(f"transversal not nested: {x} vs {y}")
+    return out
+
+
+def run_outcome(run, *args):
+    try:
+        return "ok", run(*args)
+    except TangleforgeError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+
+
+def test_splinter_finite_matches_the_restated_recursion():
+    """Picks, or the error and its witness, equal those of the recursion
+    that checks every restricted sub-instance from scratch; tabulated
+    universes give sub-instances that fail after the whole one passed."""
+    rng = random.Random(5)
+    failed_restrictions = 0
+    universes = splinter_universes(rng)
+    while failed_restrictions < 15:
+        kind, u, fams = next(universes)
+        for families in (fams, perturbed_families(u, fams, rng)):
+            expected = run_outcome(restated_splinter_finite, u, families)
+            assert run_outcome(splinter_finite, FiniteSplinterFamily(u, families)) == expected, (
+                kind,
+                families,
+            )
+            if expected[0] == "HypothesisError" and oracles.brute_splinters_check(u, families)[0]:
+                failed_restrictions += expected[1].startswith("splinter condition")
 
 
 # ---------------------------------------------------------------------------
