@@ -278,10 +278,11 @@ def enumerate_separations(
     Works separator-first: a separation of order < k is a pair (X, S) of a
     separator X with |X| < k and a choice S of the components of G - X lying
     on the a-side. S and its complement give the same unoriented
-    separation, so X contributes 2^(c − 1) of them for c components, and
-    X = V(G) (no components) contributes (V, V) alone. That count is taken
-    from the components before any separation is built, and a count above
-    `max_sk` raises CapExceededError.
+    separation, so S ranges over the sets of components that miss the last
+    one: X contributes 2^(c − 1) separations for c components, each built
+    once, and X = V(G) (no components) contributes (V, V) alone. That count
+    is taken from the components before any separation is built, and a
+    count above `max_sk` raises CapExceededError.
     """
     if k < 1:
         raise PreconditionError("k must be at least 1")
@@ -298,15 +299,15 @@ def enumerate_separations(
     m = sum(2 ** (len(comps) - 1) if comps else 1 for _, comps in split)
     if max_sk is not None and m > max_sk:
         raise CapExceededError(f"|S_k| = {m} exceeds the profile search cap {max_sk}")
-    out = set()
+    out = []
     for x, comps in split:
-        for r in range(len(comps) + 1):
-            for chosen in itertools.combinations(comps, r):
+        rest = comps[:-1]
+        for r in range(len(rest) + 1):
+            for chosen in itertools.combinations(rest, r):
                 a = x
                 for c in chosen:
                     a |= c
-                b = verts & ~(a & ~x)
-                out.add(canonical(Separation(a, b)))
+                out.append(canonical(Separation(a, verts & ~(a & ~x))))
     return tuple(sorted(out, key=sep_sort_key))
 
 

@@ -101,23 +101,43 @@ def _leaves_are_profiles(g: Graph, s_k, slots, leaves) -> bool:
     its inverse 2i + 1) and a leaf is an int of slot bits. Every leaf must
     hold exactly one slot of every separation, no two members x, y with
     distinct underlying separations and x* ≤ y, and no members x, y with
-    x* ∧ y* again a member. Both relations are computed from the
-    separations, once per unordered pair of the union U of the leaves'
-    members, instead of once per leaf.
+    x* ∧ y* again a member. Both relations are symmetric in x and y. They
+    are computed once for the union U of the leaves' members, instead of
+    once per leaf, as pairs (p, q) of slot masks: a leaf fails when it
+    holds a slot of p and one of q.
 
-    Pairs of two `free` members are skipped: a member (X, V) is free when
-    X lies inside no B of a member (V, B) of U, so X ≠ V, as (V, V) would
-    be such a member. Two members x = (X, V) and y = (Y, V) with X, Y ≠ V
-    never clash, since x* ≤ y needs V ⊆ Y. Their meet x* ∧ y* =
-    (V, X ∪ Y) can lie in a leaf only if it lies in U, as a member (V, B)
-    with X, Y ⊆ B = X ∪ Y, and then neither x nor y is free. A free
-    member also meets itself in (V, X), which is not in U. So a skipped pair never decides a leaf, whatever
-    the leaves are. A profile search at k ≥ 3 holds no (V, B) at all
+    A member (X, V) of U is free when X lies inside no B of a member
+    (V, B) of U, so X ≠ V, as (V, V) would be such a member; every other
+    member is proper. A profile search at k ≥ 3 holds no (V, B) at all
     (see `enumerate_k_profiles`), so every (X, V) of its leaves is free.
 
-    A meet x* ∧ y* whose slots in U are among x* and y* is not tested
-    either: a leaf that holds x and y and passed the one-slot check holds
-    neither x* nor y*, so it cannot hold that meet.
+    Two free members are never paired. Members x = (X, V) and y = (Y, V)
+    with X, Y ≠ V never clash, since x* ≤ y needs V ⊆ Y. Their meet
+    x* ∧ y* = (V, X ∪ Y) can lie in a leaf only if it lies in U, as a
+    member (V, B) with X, Y ⊆ B = X ∪ Y, and then neither x nor y is free.
+    A free member also meets itself in (V, X), which is not in U.
+
+    Free against proper, through vertex columns. Lemma: let x = (X, V) be
+    free and y = (A, B) a member. (1) x* ≤ y iff A = V and B ⊆ X, since
+    x* = (V, X) ≤ (A, B) means V ⊆ A and B ⊆ X. (2) x* ∧ y* =
+    (V ∩ B, X ∪ A) = (B, A ∪ X), so it lies in U exactly when U holds a
+    member z = (B, D) with D = A ∪ X, that is, with A ⊆ D and
+    D ∖ A ⊆ X ⊆ D. When D = A, z is y* as a pair: a leaf that holds y and
+    passed the one-slot check holds no other slot of y's separation,
+    unless y = (V, V), whose two slots are both y*; such a leaf already
+    fails on the proper pair (y, y), as y* ∧ y* = y. So for a proper y,
+    the free partners that clash with it are those whose X holds every
+    vertex of B (when A = V), and those that meet it into a member z =
+    (B, D), D ⊋ A, are those whose X holds every vertex of D ∖ A and
+    misses every vertex outside D. Each is one AND of per-vertex columns
+    over the free members, O(n) int operations per (y, z) instead of one
+    test per free member. A partner x with y = x* or z = x* never fails a
+    leaf that passed the one-slot check, so it needs no exclusion.
+
+    Two proper members keep a test per pair. A meet x* ∧ y* whose slots
+    in U are among x* and y* is not tested: a leaf that holds x and y and
+    passed the one-slot check holds neither x* nor y*, so it cannot hold
+    that meet.
     """
     m = len(s_k)
     width = 2 * m
@@ -133,48 +153,70 @@ def _leaves_are_profiles(g: Graph, s_k, slots, leaves) -> bool:
     for leaf in leaves:
         union |= leaf
     shift, verts = g.n, g.vertices
-    co_small = [slots[x][1] for x in iter_bits(union) if slots[x][0] == verts]
-    free, rest = [], []
-    for x in iter_bits(union):
+    members = list(iter_bits(union))
+    co_small = [slots[x][1] for x in members if slots[x][0] == verts]
+    # holds[v]: the free members (X, V) with v ∈ X; by_a[A]: (B, slot bit)
+    # for the members (A, B) of U. Coded as a << n | (V ∖ b), the meet
+    # (a ∩ c, b ∪ d) of two separations is the AND of their codes;
+    # code_bits maps a code to the slot bits of the members that have it
+    # (the two slots of (V, V) share one code)
+    free, proper, holds, by_a, code_bits = 0, [], [0] * shift, {}, {}
+    for x in members:
         a, b = slots[x]
-        is_free = b == verts and not any(not a & ~z for z in co_small)
-        (free if is_free else rest).append(x)
-    # the free members come first; a pair of two of them is skipped
-    members, n_free = free + rest, len(free)
-    # coded as a << n | (V ∖ b), the meet (a ∩ c, b ∪ d) of two separations
-    # is the AND of their codes; the two slots of (V, V) share one code
-    code_bits = {}
-    for x, (a, b) in enumerate(slots):
+        bit = 1 << x
+        if b == verts and not any(not a & ~z for z in co_small):
+            free |= bit
+            for v in iter_bits(a):
+                holds[v] |= bit
+        else:
+            proper.append(x)
+        by_a.setdefault(a, []).append((b, bit))
         code = (a << shift) | (verts & ~b)
-        code_bits[code] = code_bits.get(code, 0) | 1 << x
-    inverse = [(slots[x][1] << shift) | (verts & ~slots[x][0]) for x in members]
+        code_bits[code] = code_bits.get(code, 0) | bit
+    inverse = [(slots[x][1] << shift) | (verts & ~slots[x][0]) for x in proper]
     # x* ≤ y iff B(x) ⊆ A(y) and B(y) ⊆ A(x), iff the code of x* misses
     # ((V ∖ A(y)) << n) | B(y)
-    outside = [((verts & ~slots[y][0]) << shift) | slots[y][1] for y in members]
-    # clash[x]: the members y > x of other separations with x* ≤ y (the
-    # relation is symmetric); meets[x]: (bit of y, bits of x* ∧ y*) for the
-    # members y ≥ x whose meet lies in U other than as x* or y*; for a free
-    # x, y runs over `rest`
-    clash = {}
-    meets = {}
-    for i, x in enumerate(members):
-        code = inverse[i]
-        lo = max(i + 1, n_free)
-        clash[x] = sum(
+    outside = [((verts & ~slots[y][0]) << shift) | slots[y][1] for y in proper]
+    # pairs[x], for a proper member x: the members y > x of other
+    # separations with x* ≤ y and the free y that clash with x come as
+    # (bit of x, their bits); each proper y ≥ x whose meet with x lies in U
+    # other than as x* or y* as (bit of y, bits of x* ∧ y*); the free y that
+    # meet x into a member z as (bit of z, their bits)
+    pairs = {}
+    for i, x in enumerate(proper):
+        code, bit = inverse[i], 1 << x
+        clash = sum(
             1 << y
-            for y, out in zip(members[lo:], outside[lo:])
+            for y, out in zip(proper[i + 1 :], outside[i + 1 :])
             if not code & out and y != x ^ 1
         )
-        lo = max(i, n_free)
-        targets = map(code_bits.get, [code & other for other in inverse[lo:]])
-        meets[x] = [
+        targets = map(code_bits.get, [code & other for other in inverse[i:]])
+        rows = [
             (1 << y, t)
-            for y, t in zip(members[lo:], targets)
-            if t and t & union & ~(1 << (x ^ 1) | 1 << (y ^ 1))
+            for y, t in zip(proper[i:], targets)
+            if t and t & ~(1 << (x ^ 1) | 1 << (y ^ 1))
         ]
+        a, b = slots[x]
+        if a == verts:
+            partners = free
+            for v in iter_bits(b):
+                partners &= holds[v]
+            clash |= partners
+        for d, z in by_a.get(b, ()):
+            if d != a and not a & ~d:
+                partners = free
+                for v in iter_bits(d & ~a):
+                    partners &= holds[v]
+                for v in iter_bits(verts & ~d):
+                    partners &= ~holds[v]
+                if partners:
+                    rows.append((z, partners))
+        if clash:
+            rows.append((bit, clash))
+        pairs[x] = rows
     for leaf in leaves:
-        for x in iter_bits(leaf):
-            if leaf & clash[x] or any(leaf & y and leaf & t for y, t in meets[x]):
+        for x in iter_bits(leaf & ~free):
+            if any(leaf & p and leaf & q for p, q in pairs[x]):
                 return False
     return True
 

@@ -13,12 +13,13 @@ k-crossing number. Keeping all minima is what makes the output canonical.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import Callable, Optional
 
-from .core import UniverseView, codable, iter_bits, mask_of
+from .core import UniverseView, codable, iter_bits, leq, mask_of
 from .errors import CertificationError, HypothesisError, PreconditionError
 
 
@@ -55,6 +56,12 @@ def _nested(u: UniverseView, r, s) -> bool:
     )
 
 
+def _nested_codes(r: int, rs: int, s: int, ss: int) -> bool:
+    """`_nested` on the codes of r, r*, s and s*: r ≤ s, r ≤ s*, r* ≤ s or
+    s ≤ r (the last is r* ≤ s*)."""
+    return r | s == s or r | ss == ss or rs | s == s or s | r == r
+
+
 class _Splinters:
     """The splinter condition of one instance, checked whole once and then
     on each restriction that `splinter_finite` makes of it.
@@ -68,6 +75,11 @@ class _Splinters:
     and makes corners with u.join. A family's unoriented codes are those
     of its members and their stars, so "x or x* in the family" is one
     lookup (star is an involution, as a UniverseView's must be).
+
+    Nestedness. `nested(r, s)` is `_nested(u, r, s)` for two members. When
+    the members are coded as separations and u.leq is `core.leq`, it reads
+    the codes: (A, B) ≤ (C, D) iff A ⊆ C and D ⊆ B, iff the code of (A, B)
+    lies inside that of (C, D), and r* ≤ s* iff s ≤ r.
 
     Witnesses. The whole check keeps, for each pair (s, t) of members of
     families i ≠ j that it tests, one of its corners that lies in the two
@@ -90,11 +102,15 @@ class _Splinters:
     def __init__(self, u: UniverseView, families: tuple):
         stars = {x: u.star(x) for fam in families for x in fam}
         both = (*stars, *stars.values())
+        self.nested = functools.partial(_nested, u)
         if codable(u, both):
             w = max(((x.a | x.b).bit_length() for x in both), default=0)
             full = (1 << w) - 1
             code = {x: x.a << w | (full & ~x.b) for x in both}
             self.corner = operator.or_
+            if u.leq is leq:
+                pair = {x: (code[x], code[sx]) for x, sx in stars.items()}
+                self.nested = lambda r, s: _nested_codes(*pair[r], *pair[s])
         else:
             code = {x: i for i, x in enumerate(dict.fromkeys(both))}
             listed = list(code)
@@ -214,7 +230,7 @@ def _transversal(f: FiniteSplinterFamily, failure: str) -> tuple:
     picks: dict[int, object] = {}
     active = dict(enumerate(f.families))
     while active:
-        active = _pick(u, active, elem_order, picks)
+        active = _pick(check.nested, active, elem_order, picks)
         if active and (witness := check.restrict(active)) is not None:
             raise HypothesisError(
                 "splinter condition failed on a restricted sub-instance", witness=witness
@@ -227,17 +243,18 @@ def _transversal(f: FiniteSplinterFamily, failure: str) -> tuple:
     return out
 
 
-def _pick(u: UniverseView, active: dict, elem_order: dict, picks: dict) -> dict:
+def _pick(nested: Callable, active: dict, elem_order: dict, picks: dict) -> dict:
     """Pick, for the first family that has one, its first member nested with
     an element of every other family, and record it in picks; return the
-    other families restricted to the members nested with the pick."""
+    other families restricted to the members nested with the pick.
+    `nested(r, s)` tells whether two members are nested."""
     for idx in sorted(active):
         others = [fam for k, fam in active.items() if k != idx]
         for cand in sorted(active[idx], key=elem_order.__getitem__):
-            if all(any(_nested(u, cand, x) for x in fam) for fam in others):
+            if all(any(nested(cand, x) for x in fam) for fam in others):
                 picks[idx] = cand
                 return {
-                    k: frozenset(x for x in fam if _nested(u, cand, x))
+                    k: frozenset(x for x in fam if nested(cand, x))
                     for k, fam in active.items()
                     if k != idx
                 }

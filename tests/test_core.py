@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tangleforge import oracles
+from tangleforge import core, oracles
 from tangleforge.core import (
     Graph,
     Separation,
@@ -33,6 +33,7 @@ from tangleforge.core import (
     vertices_of,
 )
 from tangleforge.errors import CapExceededError, InputError, PreconditionError
+from tangleforge.verify import _random_graph
 
 from jsonforms import separation_from_json
 
@@ -90,6 +91,36 @@ def test_components_are_the_reachability_classes_in_least_vertex_order():
 def test_enumeration_matches_pair_scan_oracle(graphs, name, k):
     g = graphs[name]
     assert enumerate_separations(g, k) == oracles.brute_separations(g, k)
+
+
+def test_each_separation_is_built_once(monkeypatch):
+    """On seeded random graphs, S_k has exactly the m separations that the
+    cap counts from the components of G − X, each canonically oriented
+    once (so none is built twice and merged), and equals the pair-scan
+    oracle."""
+    rng = random.Random(29)
+    built = [0]
+
+    def counting(s):
+        built[0] += 1
+        return canonical(s)
+
+    monkeypatch.setattr(core, "canonical", counting)
+    for _ in range(40):
+        g = _random_graph(rng, rng.randint(1, 6))
+        for k in range(1, g.n + 2):
+            m = sum(
+                2 ** (len(comps) - 1) if comps else 1
+                for size in range(min(k, g.n + 1))
+                for x in map(mask_of, itertools.combinations(range(g.n), size))
+                for comps in [g.components(x)]
+            )
+            built[0] = 0
+            seps = enumerate_separations(g, k, max_k=k, max_sk=m)
+            assert len(seps) == built[0] == m
+            assert seps == oracles.brute_separations(g, k)
+            with pytest.raises(CapExceededError):
+                enumerate_separations(g, k, max_k=k, max_sk=m - 1)
 
 
 def test_p4_s2_census(graphs):

@@ -2,6 +2,7 @@
 shape lemma, distinguisher sets and the two corner lemmas on crossing
 efficient distinguishers."""
 
+import collections
 import itertools
 import random
 import sys
@@ -20,6 +21,7 @@ from tangleforge.core import (
     enumerate_separations,
     graph_universe,
     is_nested,
+    iter_bits,
     join,
     mask_of,
     meet,
@@ -389,6 +391,110 @@ def test_leaf_certifier_checks_the_small_members_below_a_co_small_one():
     assert certify(g, s_k, slots, [leaf(profile.chosen)])
     assert not certify(g, s_k, slots, [leaf(chosen)])
     assert not certify(g, s_k, slots, [leaf(profile.chosen), leaf(chosen)])
+
+
+def test_leaf_certifier_meets_a_free_member_with_a_proper_one():
+    """Vertex 2 isolated, k = 2. The profile that holds (V, {2}), with that
+    separation flipped to x = ({2}, V), is consistent, and its only (P)
+    violation is the pair of x and y = ({0, 1, 3}, {2}): x* ∧ y* = x. No
+    member (V, B) of the leaf has 2 ∈ B, so x is free and the certificate
+    meets it with y only through the vertex columns."""
+    g = Graph.from_edges(4, [(0, 1), (0, 3)])
+    s_k = enumerate_separations(g, 2)
+    slots = [side for s in s_k for side in ((s.a, s.b), (s.b, s.a))]
+    x, y = sep([2], range(4)), sep([0, 1, 3], [2])
+    (profile,) = [p for p in enumerate_k_profiles(g, 2) if star(x) in p]
+    chosen = tuple(x if z == star(x) else z for z in profile.chosen)
+    assert y in chosen and is_consistent(chosen)
+    assert not any(z.a == g.vertices and z.b & x.a for z in chosen)
+    violations = [(a, b) for a in chosen for b in chosen if meet(star(a), star(b)) in chosen]
+    assert sorted(violations) == sorted([(x, y), (y, x)])
+    assert meet(star(x), star(y)) == x
+
+    def leaf(members):
+        return sum(1 << slots.index(z) for z in members)
+
+    certify = profiles_module._leaves_are_profiles
+    assert certify(g, s_k, slots, [leaf(profile.chosen)])
+    assert not certify(g, s_k, slots, [leaf(chosen)])
+    assert not certify(g, s_k, slots, [leaf(profile.chosen), leaf(chosen)])
+
+
+def certificate_batches(g, k, rng, batches):
+    """Seeded batches of leaves over S_k of g: genuine profiles, and
+    profiles with one to three separations flipped, with one slot bit
+    toggled, or with a meet x* ∧ y* taken in place of the other slot of
+    its separation. The meet is (B, A ∪ X) for a member x = (X, V) and a
+    member y = (A, B), A, B ≠ V, when such a meet lies in S_k (at k ≥ 3 a
+    profile holds no (V, B), so such an x is free; on 2-connected graphs
+    the meet has order ≥ 3, so it lies in S_k only from k = 4 on), and
+    x* ∧ y* for any two members otherwise. Yields (s_k, slots, leaves,
+    kinds)."""
+    s_k = enumerate_separations(g, k, max_sk=1024)
+    slots = [side for s in s_k for side in ((s.a, s.b), (s.b, s.a))]
+    slot_of = {side: x for x, side in enumerate(slots)}
+    profiles = [
+        sum(1 << slot_of[tuple(x)] for x in p.chosen)
+        for p in enumerate_k_profiles(g, k, max_sk=1024)
+    ]
+    verts = g.vertices
+    for _ in range(batches):
+        leaves, kinds = [], []
+        for _ in range(rng.randint(1, 3)):
+            leaf = rng.choice(profiles)
+            members = [slots[x] for x in iter_bits(leaf)]
+            kind = rng.choice(("profile", "flipped", "toggled", "meet"))
+            if kind == "flipped":
+                for x in rng.sample(list(iter_bits(leaf)), rng.randint(1, 3)):
+                    leaf ^= 3 << (x & ~1)
+            elif kind == "toggled":
+                leaf ^= 1 << rng.randrange(len(slots))
+            elif kind == "meet":
+                free = [x for x, b in members if b == verts]
+                proper = [(a, b) for a, b in members if verts not in (a, b)]
+                meets = [(b, a | x) for x in free for a, b in proper if x & ~a]
+                if not any(z in slot_of for z in meets):
+                    meets = [(xb & yb, xa | ya) for xa, xb in members for ya, yb in members]
+                t = rng.choice(
+                    [slot_of[z] for z in meets if z in slot_of and not leaf >> slot_of[z] & 1]
+                )
+                leaf = leaf & ~(3 << (t & ~1)) | 1 << t
+            leaves.append(leaf)
+            kinds.append(kind)
+        yield s_k, slots, leaves, kinds
+
+
+def three_triangle_ring():
+    """Three triangles joined into a ring by bridges."""
+    edges = [(3 * i + a, 3 * i + b) for i in range(3) for a, b in ((0, 1), (1, 2), (0, 2))]
+    return Graph.from_edges(9, edges + [(2, 3), (5, 6), (8, 0)])
+
+
+@pytest.mark.parametrize(
+    "name,k,batches",
+    [("doubled_bridge_ring", 3, 60), ("doubled_bridge_ring", 4, 6), ("triangle_ring3", 3, 60)],
+)
+def test_leaf_certifier_agrees_with_is_profile_at_scale(name, k, batches):
+    """`test_leaf_certifier_agrees_with_is_profile` sees no S_k above 40
+    separations; here S_k has 149, 887 and 58, most of them trivial, which
+    the certificate meets with the proper members through its vertex
+    columns. Each batch is
+    certified at once, and each of its leaves alone, against `is_profile`
+    leaf by leaf."""
+    g = doubled_bridge_ring() if name == "doubled_bridge_ring" else three_triangle_ring()
+    rng = random.Random(f"{name} {k}")
+    certify = profiles_module._leaves_are_profiles
+    seen = collections.Counter()
+    for s_k, slots, leaves, kinds in certificate_batches(g, k, rng, batches):
+        verdicts = [
+            is_profile(g, k, tuple(Separation(*slots[x]) for x in iter_bits(leaf)), s_k=s_k)
+            for leaf in leaves
+        ]
+        assert certify(g, s_k, slots, leaves) == all(verdicts), (kinds, leaves)
+        for leaf, kind, verdict in zip(leaves, kinds, verdicts):
+            assert certify(g, s_k, slots, [leaf]) == verdict, (kind, leaf)
+        seen.update(zip(kinds, verdicts))
+    assert seen["meet", False] and seen["profile", True]
 
 
 def test_two_k4_census(graphs):

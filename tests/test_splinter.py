@@ -18,6 +18,7 @@ from tangleforge.core import (
     UniverseView,
     canonical,
     graph_universe,
+    leq,
     mask_of,
 )
 from tangleforge.errors import (
@@ -71,16 +72,41 @@ def test_crossing_singletons_without_corners_fail(graphs):
     assert {s, t} == {d1, d2}
 
 
-def test_grid_distinguisher_families_splinter(graphs):
-    g = graphs["FIX_GRID33"]
+def grid_distinguisher_families(g):
     profs = enumerate_k_profiles(g, 3, max_sk=64)
     fams = []
     for p, q in itertools.combinations(profs, 2):
         d = efficient_distinguishers(g, p, q)
         if d.seps:
             fams.append(frozenset(d.seps))
-    ok, _ = splinters_check(FiniteSplinterFamily(graph_universe(g), tuple(fams)))
+    return tuple(fams)
+
+
+def test_grid_distinguisher_families_splinter(graphs):
+    g = graphs["FIX_GRID33"]
+    fams = grid_distinguisher_families(g)
+    ok, _ = splinters_check(FiniteSplinterFamily(graph_universe(g), fams))
     assert ok
+
+
+def test_picks_on_a_graph_universe_read_nestedness_off_the_codes(graphs, monkeypatch):
+    """On a graph universe the picks test nestedness on the members' codes,
+    so `_nested` runs only in the final check of the transversal, once per
+    pair of picks. A universe with a leq of its own keeps `_nested` for the
+    picks, and picks the same members."""
+    g = graphs["FIX_GRID33"]
+    fams = grid_distinguisher_families(g)
+    calls = collections.Counter()
+    monkeypatch.setattr(
+        splinter_module, "_nested", counted(calls, "_nested", splinter_module._nested)
+    )
+    u = graph_universe(g)
+    picks = splinter_finite(FiniteSplinterFamily(u, fams))
+    assert calls["_nested"] == len(fams) * (len(fams) - 1) // 2
+    calls.clear()
+    own_leq = dataclasses.replace(u, leq=lambda x, y: leq(x, y))
+    assert splinter_finite(FiniteSplinterFamily(own_leq, fams)) == picks
+    assert calls["_nested"] > len(fams) * (len(fams) - 1) // 2
 
 
 def test_empty_family_rejected(graphs):
