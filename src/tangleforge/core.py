@@ -365,17 +365,41 @@ def graph_universe(g: Graph, max_order: Optional[int] = None) -> UniverseView:
 
     The untruncated universe is closed under joins and meets; a truncated one
     is not (the operations still compute the ambient result).
+
+    The elements are those of separation_universe on the same separations,
+    in the same order, listed in one walk over the sorted canonical list
+    (all_separations, or enumerate_separations when truncated): each s,
+    then s*, except (Z, Z), which is its own star and is listed once.
+
+    Lemma. For canonical s ≠ s*, sep_sort_key(s) and sep_sort_key(s*) share
+    their first two components, the keys of the two sides in ascending
+    order, and differ only in the final flag. That flag is False for s,
+    because canonical puts the side with the lesser vertex tuple first and
+    the side keys compare as those tuples. Distinct unoriented separations
+    differ in those two components. So s* sorts right after s and no other
+    separation sorts between them.
     """
     if max_order is None or max_order >= g.num_vertices:
-        return separation_universe(all_separations(g), closed=True)
-    elems = enumerate_separations(g, max_order + 1, max_n=g.num_vertices, max_k=max_order + 1)
-    return separation_universe(elems, closed=False)
+        seps, closed = all_separations(g), True
+    else:
+        seps = enumerate_separations(g, max_order + 1, max_n=g.num_vertices, max_k=max_order + 1)
+        closed = False
+    oriented = []
+    for s in seps:
+        oriented.append(s)
+        if s.a != s.b:
+            oriented.append(Separation(s.b, s.a))
+    return _separation_view(tuple(oriented), closed)
 
 
 def separation_universe(seps: Iterable[Separation], closed: bool) -> UniverseView:
     """The universe of both orientations of the given separations, ordered
     by sep_sort_key, with the lattice operations of separations."""
     oriented = tuple(sorted({s for e in seps for s in (e, star(e))}, key=sep_sort_key))
+    return _separation_view(oriented, closed)
+
+
+def _separation_view(oriented: tuple, closed: bool) -> UniverseView:
     return UniverseView(
         elements=oriented,
         leq=leq,

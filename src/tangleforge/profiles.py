@@ -422,6 +422,15 @@ def is_robust(g: Graph, p: Profile) -> bool:
     stops at the first x with |x| ≥ |r|: the lemma needs |x| < |r|, and
     every later x is at least as large. j2* = (C, A ∪ D) is looked up as a
     plain pair in p's member set.
+
+    Order slack. Write sep = A ∩ B and (xa, xb) = x, so D = xa and
+    C = (xb ∖ A) ∪ (sep ∖ xa) ∪ E for some E ⊆ sep ∩ xa. The three parts
+    of (A ∪ xa) ∩ C are disjoint: (xa ∩ xb) ∖ A lies outside A, and
+    sep ∖ xa and E lie in A, on either side of xa. So
+    |r ∨ t*| = |sep ∖ xa| + |E| + |(xa ∩ xb) ∖ A|, and |j2| < |r| iff
+    |E| < |sep ∩ xa| − |(xa ∩ xb) ∖ A|, the slack. An x without slack is
+    skipped, and the walk over the subsets E of sep ∩ xa tests only those
+    smaller than the slack: one popcount of E in place of the order of j2.
     """
     members = p._members
     ranked = sorted(((a & b).bit_count(), a, b) for a, b in p.chosen)
@@ -432,16 +441,19 @@ def is_robust(g: Graph, p: Profile) -> bool:
                 break
             if a & ~xb or xa & ~b:
                 continue
-            d, free = xa, sep & xa
-            forced = (xb & ~a) | (sep & ~d)
+            free = sep & xa
+            slack = free.bit_count() - (xa & xb & ~a).bit_count()
+            if slack <= 0:
+                continue
+            forced = (xb & ~a) | (sep & ~xa)
             extra = free
             while True:
                 c = forced | extra
-                # j2 = (a | d, c) and j2* = (c, a | d)
+                # j2 = (a | xa, c) and j2* = (c, a | xa)
                 if (
-                    ((a | d) & c).bit_count() < order
-                    and (c, a | d) in members
-                    and not g.neighbours(c & ~d) & d & ~c
+                    extra.bit_count() < slack
+                    and (c, a | xa) in members
+                    and not g.neighbours(c & ~xa) & xa & ~c
                 ):
                     return False
                 if not extra:
@@ -538,13 +550,21 @@ def distinguishes(p: Profile, q: Profile, s: Separation) -> bool:
 
 
 def efficient_distinguishers(g: Graph, p: Profile, q: Profile) -> DistinguisherSet:
-    """Minimum-order separations that p and q orient oppositely, read off p."""
+    """Minimum-order separations that p and q orient oppositely, read off p:
+    the members (A, B) of p with |A ∩ B| < k whose inverse (B, A), a plain
+    pair, lies in q. Only the kept members of minimum order are made
+    canonical."""
     if p == q:
         raise PreconditionError("profiles must differ")
     k = min(p.k, q.k)
-    dist = [canonical(x) for x in p.chosen if x.order < k and star(x) in q]
+    theirs = q._members
+    dist = [
+        (order, x)
+        for x in p.chosen
+        if (order := (x[0] & x[1]).bit_count()) < k and (x[1], x[0]) in theirs
+    ]
     if not dist:
         return DistinguisherSet(p, q, None, ())
-    best = min(s.order for s in dist)
-    seps = tuple(sorted((s for s in dist if s.order == best), key=sep_sort_key))
+    best = min(order for order, _ in dist)
+    seps = tuple(sorted((canonical(x) for order, x in dist if order == best), key=sep_sort_key))
     return DistinguisherSet(p, q, best, seps)

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -24,6 +26,7 @@ from .core import (
     iter_bits,
     join,
     meet,
+    star,
 )
 from .errors import (
     CapExceededError,
@@ -33,6 +36,9 @@ from .errors import (
 )
 from .jsonshape import members, require, rows, scalars
 from .splinter import FiniteSplinterFamily, splinters_check, _nested
+
+_side_a, _side_b = itemgetter(0), itemgetter(1)
+_new_separation = partial(tuple.__new__, Separation)   # a pair -> the Separation of its masks
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,11 @@ def validate_inverse_system(sys: InverseSystem) -> SystemReport:
     an x of U_r at which f_rp(x) or f_qp(f_rq(x)) is undefined is a
     compatibility violation. A map or triple that touches a point without a
     universe is not checked; the point is reported as universe-missing.
+    Each map's images are gathered once, in the order of U_q, and serve
+    domain (its keys against one element set per universe), range (one
+    superset test, walked only when it fails), star (on plain pairs when
+    both stars are core.star) and the lemma below.
+
     Join and meet are certified per source point q: when the lemma of
     _preserves_joins_and_meets holds for every checked map out of q, which
     takes O(|U_q|) per map and 2^|Z| component counts, no join or meet
@@ -135,48 +146,61 @@ def validate_inverse_system(sys: InverseSystem) -> SystemReport:
     rep = SystemReport()
     out = rep.violations
     poset = sys.poset
+    universes = sys.universe_at
     out.extend(("directedness", pair) for pair in poset.directedness_violations())
-    out.extend(("universe-missing", p) for p in poset.points if p not in sys.universe_at)
-    bonds = []    # (q, p, f or None if f is not checked further, violations so far)
+    out.extend(("universe-missing", p) for p in poset.points if p not in universes)
+    bonds = []    # (q, p, f, its images, violations so far); f is None if not checked further
     strays = {}   # p -> images outside U_p, in first-seen order
+    element_sets = {p: set(universes[p].elements) for p in poset.points if p in universes}
     for q in poset.points:
+        star_keys = None   # x* for every x of U_q, as plain pairs, built on first use
         for p in poset.strictly_below(q):
-            if q not in sys.universe_at or p not in sys.universe_at:
+            if q not in universes or p not in universes:
                 continue  # reported as universe-missing
             if (q, p) not in sys.maps:
-                bonds.append((q, p, None, [("map-missing", (q, p))]))
+                bonds.append((q, p, None, None, [("map-missing", (q, p))]))
                 continue
             f = sys.maps[(q, p)]
-            uq, up = sys.universe_at[q], sys.universe_at[p]
-            if set(f) != set(uq.elements):
-                bonds.append((q, p, None, [("map-domain", (q, p))]))
+            uq, up = universes[q], universes[p]
+            if f.keys() != element_sets[q]:
+                bonds.append((q, p, None, None, [("map-domain", (q, p))]))
                 continue
-            elems_p = set(up.elements)
+            elems = uq.elements
+            images = list(map(f.__getitem__, elems))
             stray = strays.setdefault(p, {})
             found = []
-            for x in uq.elements:
-                if f[x] not in elems_p:
-                    found.append(("map-range", (q, p, x)))
-                    stray[f[x]] = None
-            found.extend(
-                ("hom-star", (q, p, x))
-                for x in uq.elements
-                if f.get(uq.star(x)) != up.star(f[x])
-            )
-            bonds.append((q, p, f, found))
+            elems_p = element_sets[p]
+            if not elems_p.issuperset(images):
+                for x, fx in zip(elems, images):
+                    if fx not in elems_p:
+                        found.append(("map-range", (q, p, x)))
+                        stray[fx] = None
+            if uq.star is star and up.star is star:
+                if star_keys is None:
+                    star_keys = [(x[1], x[0]) for x in elems]
+                pulled = list(map(f.get, star_keys))
+                pushed = [(fx[1], fx[0]) for fx in images]
+            else:
+                pulled = [f.get(uq.star(x)) for x in elems]
+                pushed = list(map(up.star, images))
+            if pulled != pushed:
+                found.extend(
+                    ("hom-star", (q, p, x)) for x, a, b in zip(elems, pulled, pushed) if a != b
+                )
+            bonds.append((q, p, f, images, found))
     tables = {}
     for q, group in itertools.groupby(bonds, key=lambda bond: bond[0]):
         group = list(group)
-        uq = sys.universe_at[q]
-        checked = [(p, f) for _, p, f, _ in group if f is not None]
-        if _preserves_joins_and_meets(uq, [(sys.universe_at[p], f) for p, f in checked]):
+        uq = universes[q]
+        checked = [(p, f, images) for _, p, f, images, _ in group if f is not None]
+        if _preserves_joins_and_meets(uq, [(universes[p], f, images) for p, f, images in checked]):
             homs = repeat([])
         else:
-            for p, _ in checked:
+            for p, _, _ in checked:
                 if p not in tables:
-                    tables[p] = _tabulate(sys.universe_at[p], strays[p])
-            homs = iter(_hom_violations(q, uq, checked, tables))
-        for _, _, f, found in group:
+                    tables[p] = _tabulate(universes[p], strays[p])
+            homs = iter(_hom_violations(q, uq, [(p, f) for p, f, _ in checked], tables))
+        for _, _, f, _, found in group:
             out.extend(found)
             if f is not None:
                 out.extend(next(homs))
@@ -198,8 +222,9 @@ def validate_inverse_system(sys: InverseSystem) -> SystemReport:
 
 
 def _preserves_joins_and_meets(uq: UniverseView, maps: list) -> bool:
-    """True when a lemma shows that every f in maps, a list of (U_p, f) with
-    f : U_q -> U_p, has no hom-join and no hom-meet violation.
+    """True when a lemma shows that every f in maps, a list of (U_p, f,
+    images) with f : U_q -> U_p and images = [f(x) for x in U_q], has no
+    hom-join and no hom-meet violation.
 
     Lemma. Suppose (1) U_q's join and meet are core.join and core.meet and
     U_q is closed under them, (2) U_p's join and meet are core.join and
@@ -209,23 +234,25 @@ def _preserves_joins_and_meets(uq: UniverseView, maps: list) -> bool:
     x ∧ y lie in U_q, so f is defined on them.
 
     (1) holds when U_q is the full separation universe of a graph
-    (_is_full_graph_universe), and (3) is checked on every element, with Y
-    read off the image of the top separation (Z, Z). No pair is visited.
+    (_is_full_graph_universe), and (3) is checked on every element, as the
+    plain pairs (a & Y, b & Y) against the image list, with Y read off the
+    image of the top separation (Z, Z). No pair is visited.
     """
     if not maps:
         return True
-    if not all(up.join is join and up.meet is meet for up, _ in maps):
+    if not all(up.join is join and up.meet is meet for up, _, _ in maps):
         return False
     if not _is_full_graph_universe(uq):
         return False
     elems = uq.elements
     ground = elems[0].a | elems[0].b
-    for _, f in maps:
+    sides_a, sides_b = list(map(_side_a, elems)), list(map(_side_b, elems))
+    for _, f, images in maps:
         top = f[Separation(ground, ground)]
         if type(top) is not Separation or type(top.a) is not int:
             return False
         y = top.a
-        if [Separation(a & y, b & y) for a, b in elems] != list(map(f.__getitem__, elems)):
+        if list(zip(map(y.__and__, sides_a), map(y.__and__, sides_b))) != images:
             return False
     return True
 
@@ -604,12 +631,10 @@ def graph_restriction_system(g: Graph, vertex_sets) -> InverseSystem:
     poset = DirectedPoset.from_pairs(points, [(p, q) for q, p in strict])
     universes = {z: graph_universe(g.induced(z)) for z in points}
     maps = {}
-    for q in points:
-        for p in points:
-            if p != q and not (p & ~q):
-                maps[(q, p)] = {
-                    s: Separation(s.a & p, s.b & p) for s in universes[q].elements
-                }
+    for q, p in strict:
+        elems = universes[q].elements
+        images = zip(map(p.__and__, map(_side_a, elems)), map(p.__and__, map(_side_b, elems)))
+        maps[(q, p)] = dict(zip(elems, map(_new_separation, images)))
     return InverseSystem(poset, universes, maps)
 
 

@@ -123,6 +123,28 @@ def test_each_separation_is_built_once(monkeypatch):
                 enumerate_separations(g, k, max_k=k, max_sk=m - 1)
 
 
+def test_graph_universe_walk_gives_the_sorted_order():
+    """graph_universe lists s, then s*, in one walk over the sorted canonical
+    list. On seeded random graphs and induced subgraphs that is the order in
+    which separation_universe sorts both orientations, in the full branch
+    and in the truncated branch at every order m < n."""
+    rng = random.Random(41)
+    for _ in range(300):
+        g = _random_graph(rng, rng.randint(1, 7))
+        if rng.random() < 0.5:
+            g = g.induced(rng.randint(1, g.vertices))
+        n = g.num_vertices
+        full = graph_universe(g)
+        assert full.closed
+        assert full.elements == core.separation_universe(all_separations(g), True).elements
+        for m in range(n):
+            truncated = graph_universe(g, max_order=m)
+            assert not truncated.closed
+            assert truncated.elements == core.separation_universe(
+                enumerate_separations(g, m + 1, max_n=n, max_k=m + 1), False
+            ).elements
+
+
 def test_p4_s2_census(graphs):
     # the exhaustive pair scan yields 7 unoriented separations of order < 2
     # on the path: {∅,V}, the four {{v},V}, and the two proper cuts

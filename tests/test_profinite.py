@@ -456,6 +456,53 @@ def test_a_stray_that_is_no_separation_takes_the_callable_path(graphs):
     assert calls > 0
 
 
+@pytest.mark.parametrize("name", ["FIX_P4", "lollipop"])
+def test_validation_paths_match_the_oracle_on_demo_chains(graphs, name):
+    """Four alterations of one image, each on the next bonding map in turn,
+    are reported as the oracle reports them: an image replaced by its own
+    star (the star check fails while the range check holds), the image of
+    x* changed, an image outside every universe, and a plain tuple that
+    equals no element."""
+    sys_ = demo_chain_system(graphs, name)
+    points = sys_.poset.points
+    keys = sorted(sys_.maps, key=lambda key: (points.index(key[0]), points.index(key[1])))
+    kinds = ["own star", "x* changed", "outside", "plain tuple"]
+    for kind, (q, p) in zip(kinds, itertools.cycle(keys)):
+        f, up = sys_.maps[(q, p)], sys_.universe_at[p]
+        x = next(x for x in sys_.universe_at[q].elements[len(f) // 3:] if f[x].a != f[x].b)
+        x_star = core.star(x)
+        at, image = {
+            "own star": (x, core.star(f[x])),
+            "x* changed": (x_star, next(y for y in up.elements if y != f[x_star])),
+            "outside": (x, Separation(0, 0)),
+            "plain tuple": (x, (0, 0)),
+        }[kind]
+        found = assert_same_violations(with_image(sys_, (q, p), at, image))
+        if kind in ("own star", "x* changed"):
+            assert ("hom-star", (q, p, x)) in found and ("hom-star", (q, p, x_star)) in found
+            assert not any(k == "map-range" for k, _ in found)
+        else:
+            assert ("map-range", (q, p, x)) in found
+
+
+def test_building_the_demo_system_sorts_each_point_universe_once(monkeypatch):
+    """Building the lollipop demo system calls sep_sort_key once per
+    unoriented separation of each point universe: in the sort of
+    all_separations, and never in graph_universe, which walks that sorted
+    list."""
+    chain = _demo_chain(LOLLIPOP)
+    expected = sum(len(core.all_separations(LOLLIPOP.induced(z))) for z in chain)
+    real, calls = core.sep_sort_key, [0]
+
+    def counting(s):
+        calls[0] += 1
+        return real(s)
+
+    monkeypatch.setattr(core, "sep_sort_key", counting)
+    graph_restriction_system(LOLLIPOP, chain)
+    assert calls[0] == expected
+
+
 # ---------------------------------------------------------------------------
 # the per-element certificate: full graph universes and mask restrictions
 
