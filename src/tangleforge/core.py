@@ -315,26 +315,32 @@ def all_separations(g: Graph) -> tuple[Separation, ...]:
     """Every unoriented separation of G (any order), canonically oriented.
 
     Enumerated by assigning each vertex to A-only / B-only / both, skipping
-    assignments that put adjacent vertices on opposite strict sides.
+    assignments that put adjacent vertices on opposite strict sides. While
+    every vertex so far lies on both sides (a == b), a vertex goes to both
+    sides or to A only, never to B only. So each unoriented separation is
+    reached once: for (A, B) ≠ (B, A), the first vertex outside A ∩ B lies
+    on exactly one strict side, and only the orientation with it in A is
+    reached; (V, V) is the one assignment with every vertex on both sides.
     """
-    seps = set()
+    seps = []
     adj = g.adj
     order = vertices_of(g.vertices)
 
     def rec(i, a, b):
         if i == len(order):
-            seps.add(canonical(Separation(a, b)))
+            seps.append(canonical(Separation(a, b)))
             return
         v = order[i]
         bit = 1 << v
         rec(i + 1, a | bit, b | bit)
         if not (adj[v] & b & ~a):
             rec(i + 1, a | bit, b)
-        if not (adj[v] & a & ~b):
+        if a != b and not (adj[v] & a & ~b):
             rec(i + 1, a, b | bit)
 
     rec(0, 0, 0)
-    return tuple(sorted(seps, key=sep_sort_key))
+    seps.sort(key=sep_sort_key)
+    return tuple(seps)
 
 
 # ---------------------------------------------------------------------------

@@ -266,18 +266,36 @@ def enumerate_k_profiles(
     separation {X, V} of S_k, at k = 2 it holds (∅, V), and at k = 1 the
     lemma forces nothing.
 
-    The search starts from these forced slots: they are chosen and their
-    inverses' codes are on the path, without a `choose` call each. That
-    loses no ban and no kill. A forced (X, V) is inconsistent only with
-    slots (V, D), D ⊊ X, whose separations are forced too, and the meet
-    (V, X ∪ Y) of two forced inverses is either outside S_k or the
-    unchosen slot of the forced {X ∪ Y, V}, since the forced set is
-    closed under unions of size < k. Every later `choose` still meets the
-    forced slots through the path. So the leaves, and their order, are
-    those of the search without the lemma. The consistency table is
-    built for the separations still undecided at the start only: every
-    test of the search is masked with the undecided separations, and
-    `choose` never tests it against chosen slots.
+    The search starts from these forced slots: they are chosen without a
+    `choose` call each, and kept off the path. That loses no ban and no
+    kill. A forced (X, V) is inconsistent only with slots (V, D), D ⊊ X,
+    whose separations are forced too, and the meet (V, X ∪ Y) of two
+    forced inverses is either outside S_k or the unchosen slot of the
+    forced {X ∪ Y, V}, since the forced set is closed under unions of
+    size < k. Every later `choose` meets the forced slots through one
+    static mask:
+
+    Lemma. Let x = (A, B) be an open slot and y = (X, V) a forced one.
+    Then x* ∧ y* = (B ∩ V, A ∪ X) = (B, A ∪ X). So the slots that x meets
+    the forced inverses into are exactly the slots t = (B, D) of S_k with
+    A ⊆ D and D ∖ A ⊆ X ⊆ D for some forced X: D = A ∪ X gives these,
+    and conversely they give A ∪ X = D. Proof that the test is one
+    popcount: every X of size < k gives a separation (X, V) of S_k (as
+    k ≤ n, X ≠ V), so the forced X are all the vertex sets of a forced
+    size, and the forced sizes (those s < k with s ≥ 2 or s ≤ k − 2) are
+    0, ..., k − 1 at k ≥ 3, 0 at k = 2 and none at k = 1, an interval
+    from 0. Between D ∖ A and D lies a set of every size from |D ∖ A| to
+    |D|, so some forced X lies there iff |D ∖ A| is at most the largest
+    forced size. `fixed[x]`, the mask of these t, is built once per open
+    slot from the slots whose first side is B. `choose(x)` ends the branch when a chosen slot (x included) is
+    in `fixed[x]` and bans `fixed[x]` otherwise, as the meets with the
+    forced inverses one at a time would; the forced slots are chosen
+    before every open one, so the path holds only the open slots chosen
+    on the branch. So the leaves, and their order, are those of the
+    search without the lemma. The consistency table is built for the
+    separations still undecided at the start only: every test of the
+    search is masked with the undecided separations, and `choose` never
+    tests it against chosen slots.
     """
     s_k = enumerate_separations(g, k, max_n=max_n, max_k=max_k, max_sk=max_sk)
     m = len(s_k)
@@ -294,12 +312,12 @@ def enumerate_k_profiles(
     full = (1 << 2 * m) - 1
     evens = full // 3  # slot 2i of every separation i
     shift, verts = g.n, g.vertices
-    # the lemma's forced slots (X, V): those whose inverse (V, X) has
-    # |X| ≥ 2 or |X| ≤ k − 2; `open_evens` is the slot 2i of every other i
+    # the lemma's forced slots (X, V): those with |X| ≤ `top`, the largest
+    # forced size (−1 when none is forced); `open_evens` is the slot 2i of
+    # every other i
+    top = k - 1 if k >= 3 else k - 2
     start = sum(
-        1 << x
-        for x, (a, b) in enumerate(slots)
-        if b == verts and not k - 2 < a.bit_count() < 2
+        1 << x for x, (a, b) in enumerate(slots) if b == verts and a.bit_count() <= top
     )
     open_evens = evens & ~(start | start >> 1)
     open_slots = open_evens | open_evens << 1
@@ -336,18 +354,32 @@ def enumerate_k_profiles(
             inv_bad &= a_only[v]
         cons_bad[x], cons_bad[x + 1] = bad, inv_bad
 
+    # fixed[x]: the slots (B, D) that an open slot x = (A, B) meets the
+    # forced inverses into (the lemma): A ⊆ D and |D ∖ A| ≤ `top`
+    by_first = {}
+    for t, (a, b) in enumerate(slots):
+        by_first.setdefault(a, []).append((b, 1 << t))
+    fixed = [0] * (2 * m)
+    for x in iter_bits(open_slots):
+        a, b = slots[x]
+        fixed[x] = sum(
+            bit for d, bit in by_first[b] if not a & ~d and (d & ~a).bit_count() <= top
+        )
+
     # a slot (a, b) is coded as a << n | (V ∖ b), so that the code of the
     # meet x* ∧ y* = (B(x) ∩ B(y), A(x) ∪ A(y)) is the AND of the codes of
-    # x* and y*; `path` holds the codes of the inverses of the branch's
-    # slots, the forced ones first
+    # x* and y*; `path` holds the codes of the inverses of the open slots
+    # chosen on the branch
     codes = [(a << shift) | (verts & ~b) for a, b in slots]
     slot_bit = {code: 1 << x for x, code in enumerate(codes)}.get
-    path = [codes[x ^ 1] for x in iter_bits(start)]
+    path = []
 
     def choose(x, chosen, banned):
         """Add slot x to the branch; None when the result violates (P)."""
         chosen |= 1 << x
-        banned |= cons_bad[x]
+        if chosen & fixed[x]:
+            return None
+        banned |= cons_bad[x] | fixed[x]
         inverse = codes[x ^ 1]
         for t in filter(None, map(slot_bit, [inverse & other for other in path])):
             if chosen & t:

@@ -123,6 +123,37 @@ def test_each_separation_is_built_once(monkeypatch):
                 enumerate_separations(g, k, max_k=k, max_sk=m - 1)
 
 
+def test_all_separations_builds_each_separation_once(monkeypatch):
+    """all_separations orients each unoriented separation canonically once
+    (none is reached as both (A, B) and (B, A)), on the three graphs of the
+    lollipop's demo chain and on seeded random graphs, where it equals the
+    pair-scan oracle over every order."""
+    from tangleforge.cli import _demo_chain
+
+    built = [0]
+
+    def counting(s):
+        built[0] += 1
+        return canonical(s)
+
+    monkeypatch.setattr(core, "canonical", counting)
+    lollipop = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)])
+    sizes = []
+    for z in _demo_chain(lollipop):
+        built[0] = 0
+        sizes.append(len(all_separations(lollipop.induced(z))))
+        assert built[0] == sizes[-1]
+    assert sizes == [8, 19, 108]
+    rng = random.Random(43)
+    for _ in range(200):
+        g = _random_graph(rng, rng.randint(0, 7))
+        built[0] = 0
+        seps = all_separations(g)
+        assert built[0] == len(seps) == len(set(seps))
+        assert set(seps) == set(oracles.brute_separations(g, g.n + 1))
+        assert list(seps) == sorted(seps, key=sep_sort_key)
+
+
 def test_graph_universe_walk_gives_the_sorted_order():
     """graph_universe lists s, then s*, in one walk over the sorted canonical
     list. On seeded random graphs and induced subgraphs that is the order in

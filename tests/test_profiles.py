@@ -136,6 +136,36 @@ def test_enumeration_matches_oracle_on_random_graphs(case):
     assert_profiles_in_documented_order(g, k, oracles.brute_profiles(g, k))
 
 
+def test_search_matches_the_oracle_on_a_seeded_sweep():
+    """A seeded sweep of graphs with n ≤ 8 (edgeless, sparse, dense and
+    complete) at k = 1 to 4, each against the unpruned oracle: k = 1
+    forces no slot, k = 2 forces (∅, V) only, and k ≥ 3 forces every
+    trivial separation. S_k stays within the oracle's scan cap; sizes 13
+    to 16 are left out because there the oracle scans all 2^|S_k|
+    orientation vectors (up to a second each), while above 16 it walks a
+    pruned tree. The sweep must include edgeless and disconnected graphs,
+    graphs with n = k, and graphs with k-profiles at k = 3 and 4."""
+    rng = random.Random(53)
+    seen = collections.Counter()
+    for _ in range(100):
+        n = rng.randint(1, 8)
+        p = rng.choice((0.0, 0.3, 0.6, 1.0))
+        g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        for k in range(1, 5):
+            m = len(enumerate_separations(g, k))
+            if m > 26 or 12 < m <= 16:
+                continue
+            reference = oracles.brute_profiles(g, k)
+            assert_profiles_in_documented_order(g, k, reference)
+            seen[k] += 1
+            seen[k, "found"] += bool(reference)
+            seen["edgeless"] += not g.edges()
+            seen["disconnected"] += len(g.components()) > 1
+            seen["n = k"] += n == k
+    kinds = (1, 2, 3, 4, (3, "found"), (4, "found"), "edgeless", "disconnected", "n = k")
+    assert min(seen[kind] for kind in kinds) >= 4, seen
+
+
 @DIFFERENTIAL
 @given(small_graphs(max_k=4))
 @example((Graph.from_edges(4, itertools.combinations(range(4), 2)), 4))
@@ -208,6 +238,25 @@ def test_enumeration_order_on_relabelled_rings(name):
             for chosen in reference
         ]
         assert_profiles_in_documented_order(g.relabelled(perm), 3, mapped, max_sk=256)
+
+
+def test_enumeration_order_on_relabelled_doubled_bridge_ring_at_k4():
+    """5 seeded relabellings of `doubled_bridge_ring()` at k = 4, where 697
+    of the 887 separations of S_4 are forced, against the identity
+    labelling's two profiles, mapped."""
+    g = doubled_bridge_ring()
+    reference = [p.chosen for p in enumerate_k_profiles(g, 4, max_sk=1024)]
+    assert len(reference) == 2
+    rng = random.Random("doubled_bridge_ring k4")
+    for _ in range(5):
+        images = list(range(g.n))
+        rng.shuffle(images)
+        perm = dict(enumerate(images))
+        mapped = [
+            tuple(sorted((relabel(x, perm) for x in chosen), key=sep_sort_key))
+            for chosen in reference
+        ]
+        assert_profiles_in_documented_order(g.relabelled(perm), 4, mapped, max_sk=1024)
 
 
 @DIFFERENTIAL
