@@ -62,7 +62,9 @@ from .treedec import build_totd, treeset_to_treedecomposition
 class RunConfig:
     """Caps and reproducibility knobs; TANGLEFORGE_CAPS (a JSON object)
     overrides individual caps: max_n, max_k, max_sk, profinite_union and
-    profinite_product."""
+    profinite_product; the last bounds the choices a limit enumeration walks
+    at the maximal points (|U_t| after restriction at the greatest point
+    t), checked before the walk."""
 
     max_n: int = DEFAULT_MAX_N
     max_k: int = DEFAULT_MAX_K

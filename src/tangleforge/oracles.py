@@ -7,6 +7,8 @@ harness and the test suite compare engine outputs against these.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .core import (
     Graph,
     Separation,
@@ -20,7 +22,7 @@ from .core import (
     subsets_of_size,
     vertices_of,
 )
-from .errors import CertificationError, HypothesisError
+from .errors import CapExceededError, CertificationError, HypothesisError
 
 
 def brute_separations(g: Graph, k: int) -> tuple[Separation, ...]:
@@ -316,6 +318,53 @@ def brute_system_violations(sys) -> list:
                     if not defined or frp[x] != fqp[frq[x]]:
                         violations.append(("compatibility", (r, q, p, x)))
     return violations
+
+
+def brute_inverse_limits(
+    sys, restrict: Optional[dict] = None, cap: int = 1_000_000
+) -> tuple:
+    """All limits, by exhaustive backtracking along a fixed point order.
+
+    restrict optionally narrows the candidate set at each point. Limits are
+    returned as dicts point -> element, deterministically ordered.
+    """
+    points = list(sys.poset.points)
+    domains = []
+    size = 1
+    for p in points:
+        dom = list(sys.universe_at[p].elements)
+        if restrict is not None and p in restrict:
+            allowed = set(restrict[p])
+            dom = [x for x in dom if x in allowed]
+        domains.append(dom)
+        size *= max(len(dom), 1)
+        if size > cap:
+            raise CapExceededError(f"limit search space exceeds cap {cap}")
+    out = []
+    choice: dict = {}
+
+    def rec(i):
+        if i == len(points):
+            out.append(dict(choice))
+            return
+        p = points[i]
+        for x in domains[i]:
+            ok = True
+            for j in range(i):
+                q = points[j]
+                if sys.poset.leq(p, q) and p != q and sys.maps[(q, p)][choice[q]] != x:
+                    ok = False
+                    break
+                if sys.poset.leq(q, p) and p != q and sys.maps[(p, q)][x] != choice[q]:
+                    ok = False
+                    break
+            if ok:
+                choice[p] = x
+                rec(i + 1)
+                del choice[p]
+
+    rec(0)
+    return tuple(out)
 
 
 def _crossing_number(inst, a, k: int) -> int:

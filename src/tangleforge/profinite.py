@@ -11,6 +11,7 @@ f_qp(O_q) ⊆ O_p; the family itself is the set of limits through these.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
@@ -57,13 +58,8 @@ class DirectedPoset:
         points = tuple(points)
         rel = {(p, p) for p in points}
         rel.update(tuple(x) for x in strict_pairs)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b), (c, d) in itertools.product(list(rel), list(rel)):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
+        for m in points:   # Warshall: close through each point in turn
+            rel |= {(a, d) for a, b in rel if b == m for c, d in rel if c == m}
         return DirectedPoset(points, frozenset(rel))
 
     def __post_init__(self):
@@ -207,12 +203,8 @@ def validate_inverse_system(sys: InverseSystem) -> SystemReport:
     for r in poset.points:
         for q in poset.strictly_below(r):
             for p in poset.strictly_below(q):
-                if not {r, q, p} <= sys.universe_at.keys():
-                    continue
-                frq = sys.maps.get((r, q))
-                fqp = sys.maps.get((q, p))
-                frp = sys.maps.get((r, p))
-                if frq is None or fqp is None or frp is None:
+                frq, fqp, frp = map(sys.maps.get, ((r, q), (q, p), (r, p)))
+                if not {r, q, p} <= sys.universe_at.keys() or None in (frq, fqp, frp):
                     continue
                 for x in sys.universe_at[r].elements:
                     defined = x in frp and x in frq and frq[x] in fqp
@@ -390,47 +382,44 @@ def _hom_violations(q, uq: UniverseView, checked: list, tables: dict) -> list:
 def inverse_limits(
     sys: InverseSystem, restrict: Optional[dict] = None, cap: int = 1_000_000
 ) -> tuple:
-    """All limits, by exhaustive backtracking along a fixed point order.
+    """All limits: one x_p per point, in U_p and in restrict[p] where
+    restrict names p, with f_qp(x_q) = x_p for every q > p; as dicts.
 
-    restrict optionally narrows the candidate set at each point. Limits are
-    returned as dicts point -> element, deterministically ordered.
+    Lemma. In a finite poset every point p lies at or below a maximal point
+    m, and a limit has x_p = f_mp(x_m); so a limit is fixed by its values at
+    the maximal points, and a choice of them extends to at most one limit.
+    A directed poset has one maximal point t, its greatest, and in a valid
+    system f_qp ∘ f_tq = f_tp, so each x in U_t with allowed images is one.
+    The pass extends each allowed choice at the maximal points and keeps it
+    when every image is allowed and every comparable pair agrees: exact on
+    any system, validated or not. Limits come in itertools.product order of
+    the maximal points' values, each in universe order; cap bounds the
+    number of those choices and is checked before the pass.
     """
-    points = list(sys.poset.points)
-    domains = []
-    size = 1
-    for p in points:
-        dom = list(sys.universe_at[p].elements)
-        if restrict is not None and p in restrict:
-            allowed = set(restrict[p])
-            dom = [x for x in dom if x in allowed]
-        domains.append(dom)
-        size *= max(len(dom), 1)
-        if size > cap:
-            raise CapExceededError(f"limit search space exceeds cap {cap}")
+    points = sys.poset.points
+
+    def allowed(p):   # U_p ∩ restrict[p], in universe order
+        elems = sys.universe_at[p].elements
+        if restrict is None or p not in restrict:
+            return elems
+        return list(filter(set(restrict[p]).__contains__, elems))
+
+    pairs = [(q, p, sys.maps[(q, p)]) for p, q in sys.poset.relation if p != q]
+    tops = [t for t in points if all(p != t for _, p, _ in pairs)]
+    down = {p: (t, f, set(allowed(p))) for t, p, f in pairs if t in tops}  # via a maximal t
+    domains = [allowed(t) for t in tops]
+    if math.prod(map(len, domains)) > cap:
+        raise CapExceededError(f"choices at the maximal points exceed cap {cap}")
     out = []
-    choice: dict = {}
-
-    def rec(i):
-        if i == len(points):
-            out.append(dict(choice))
-            return
-        p = points[i]
-        for x in domains[i]:
-            ok = True
-            for j in range(i):
-                q = points[j]
-                if sys.poset.leq(p, q) and p != q and sys.maps[(q, p)][choice[q]] != x:
-                    ok = False
-                    break
-                if sys.poset.leq(q, p) and p != q and sys.maps[(p, q)][x] != choice[q]:
-                    ok = False
-                    break
-            if ok:
-                choice[p] = x
-                rec(i + 1)
-                del choice[p]
-
-    rec(0)
+    for values in itertools.product(*domains):
+        lim = dict(zip(tops, values))
+        for p, (t, f, keep) in down.items():
+            lim[p] = x = f[lim[t]]
+            if x not in keep:
+                break
+        else:
+            if all(f[lim[q]] == lim[p] for q, p, f in pairs):
+                out.append({p: lim[p] for p in points})
     return tuple(out)
 
 
@@ -461,9 +450,7 @@ def _nested_subsets_meeting(u: UniverseView, family_projs, cap: int):
             sset = frozenset(combo)
             if not all(sset & proj for proj in family_projs):
                 continue
-            if all(
-                _nested(u, x, y) for x, y in itertools.combinations(combo, 2)
-            ):
+            if all(_nested(u, x, y) for x, y in itertools.combinations(combo, 2)):
                 out.append(sset)
     return tuple(out)
 
@@ -479,9 +466,10 @@ def profinite_splinter(
     families: one dict per family, point -> subset of U_p (closed form).
     Per point, the projections must splinter; the per-point nested
     transversal candidates form an inverse system of non-empty finite sets,
-    a canonical (lexicographically least) limit of which is taken. The
-    returned limit set is certified nested at every projection and is
-    checked to meet every family.
+    a canonical (lexicographically least) limit of which is taken: one min
+    over the candidates at the greatest point, by the lemma of
+    inverse_limits. The returned limits are certified nested at every
+    projection and to meet every family, through inverse_limits.
     """
     rep = validate_inverse_system(sys)
     if not rep.ok:
@@ -490,8 +478,7 @@ def profinite_splinter(
     for fam in families:
         for q in points:
             for p in sys.poset.strictly_below(q):
-                img = {sys.maps[(q, p)][x] for x in fam[q]}
-                if not img <= set(fam[p]):
+                if not set(fam[p]).issuperset(map(sys.maps[(q, p)].__getitem__, fam[q])):
                     raise PreconditionError(
                         f"family not in closed form: image at {(q, p)} leaves O_p"
                     )
@@ -516,83 +503,43 @@ def profinite_splinter(
     for q in points:
         for p in sys.poset.strictly_below(q):
             f = sys.maps[(q, p)]
-            cand_p = set(candidates[p])
-            for nq in candidates[q]:
-                if frozenset(f[x] for x in nq) not in cand_p:
-                    raise CertificationError(
-                        f"image of a nested transversal at {q!r} is not one at {p!r}"
-                    )
+            images = (frozenset(map(f.__getitem__, nq)) for nq in candidates[q])
+            if not set(candidates[p]).issuperset(images):
+                raise CertificationError(
+                    f"image of a nested transversal at {q!r} is not one at {p!r}"
+                )
 
-    # enumerate limits of the candidate system, pick the lexicographically least
-    elem_rank = {
-        p: {e: i for i, e in enumerate(sys.universe_at[p].elements)} for p in points
-    }
+    # the least limit of the candidate system: by the lemma of inverse_limits
+    # its limits are the N_t at the greatest point t carried down by f_tp,
+    # since their images are candidates (above) and compatible (validation)
+    rank = {p: {e: i for i, e in enumerate(sys.universe_at[p].elements)} for p in points}
+    top = next((t for t in points if all(sys.poset.leq(p, t) for p in points)), None)
+
+    def carried(nt):
+        return {
+            p: nt if p == top else frozenset(map(sys.maps[(top, p)].__getitem__, nt))
+            for p in points
+        }
 
     def encode(choice):
-        return tuple(
-            tuple(sorted(elem_rank[p][x] for x in choice[p])) for p in points
-        )
+        return [sorted(map(rank[p].__getitem__, choice[p])) for p in points]
 
-    total = 1
-    for p in points:
-        total *= len(candidates[p])
-        if total > limit_cap:
-            raise CapExceededError("candidate limit search exceeds cap")
-    best = None
-    stack: dict = {}
-
-    def rec(i):
-        nonlocal best
-        if i == len(points):
-            enc = encode(stack)
-            if best is None or enc < best[0]:
-                best = (enc, dict(stack))
-            return
-        p = points[i]
-        for np_ in candidates[p]:
-            ok = True
-            for j in range(i):
-                q = points[j]
-                if p != q and sys.poset.leq(p, q):
-                    if frozenset(sys.maps[(q, p)][x] for x in stack[q]) != np_:
-                        ok = False
-                        break
-                if p != q and sys.poset.leq(q, p):
-                    if frozenset(sys.maps[(p, q)][x] for x in np_) != stack[q]:
-                        ok = False
-                        break
-            if ok:
-                stack[p] = np_
-                rec(i + 1)
-                del stack[p]
-
-    rec(0)
-    if best is None:
-        raise CertificationError("candidate system has no limit (bug)")
-    choice = best[1]
-
+    choice = min(map(carried, candidates[top]), key=encode) if points else {}
     limits = inverse_limits(sys, restrict=choice, cap=limit_cap)
     if not limits:
         raise CertificationError("chosen nested sets admit no limit (bug)")
 
     # certify: projections nested, every family met
     for p in points:
-        u = sys.universe_at[p]
-        proj = {lim[p] for lim in limits}
-        for x, y in itertools.combinations(proj, 2):
-            if not _nested(u, x, y):
-                raise CertificationError(f"projection at {p!r} not nested")
+        proj = itertools.combinations({lim[p] for lim in limits}, 2)
+        if not all(_nested(sys.universe_at[p], x, y) for x, y in proj):
+            raise CertificationError(f"projection at {p!r} not nested")
     for i, fam in enumerate(families):
-        meet_restrict = {p: frozenset(choice[p]) & frozenset(fam[p]) for p in points}
-        if any(not s for s in meet_restrict.values()) or not inverse_limits(
-            sys, restrict=meet_restrict, cap=limit_cap
-        ):
+        meets = {p: choice[p] & frozenset(fam[p]) for p in points}
+        if not inverse_limits(sys, restrict=meets, cap=limit_cap):
             raise CertificationError(f"output misses family {i} (bug)")
 
-    return ProfiniteSplinterResult(
-        nested_choice={p: frozenset(choice[p]) for p in points},
-        limits=limits,
-    )
+    return ProfiniteSplinterResult(nested_choice=choice, limits=limits)
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +570,7 @@ def graph_restriction_system(g: Graph, vertex_sets) -> InverseSystem:
     """Inverse system of the universes of the induced subgraphs G[Z] over a
     collection of vertex sets ordered by inclusion, with the restriction
     maps (A, B) -> (A ∩ Y, B ∩ Y)."""
-    masks = sorted({m & g.vertices for m in vertex_sets})
-    points = tuple(masks)
+    points = tuple(sorted({m & g.vertices for m in vertex_sets}))
     strict = [
         (q, p) for q in points for p in points if p != q and not (p & ~q)
     ]

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -350,6 +351,32 @@ def test_profinite_splinter_on_the_four_triangle_ring_ends_on_the_union_cap(
     assert code == 3
     error = json.loads(out)["error"]
     assert error == {"message": "union of projected families has 20 elements (cap 12)", "type": "cap"}
+
+
+# a triangle on {0, 1, 2} with the path 2-3-4-5 hanging off it, the
+# profinite_demo graph of the benchmark
+LOLLIPOP_EDGES = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)]
+
+
+def test_profinite_splinter_demo_chain_depends_on_labels(capsys, monkeypatch, tmp_path):
+    """The demo chain of a --graph input is cut from vertex-label prefixes
+    (cli._demo_chain), so its points are not canonical: under seeded
+    relabellings of the lollipop at k = 2, the points pulled back to the
+    original labels differ, while the limit count stays 3."""
+    monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
+    path = tmp_path / "lollipop.json"
+    pulled_back = set()
+    for seed in range(8):
+        perm = random.Random(seed).sample(range(6), 6)
+        path.write_text(json.dumps({"n": 6, "edges": [[perm[u], perm[v]] for u, v in LOLLIPOP_EDGES]}))
+        code, out = run_cli(["profinite-splinter", "--graph", str(path), "--k", "2"], capsys)
+        assert code == 0, out
+        result = json.loads(out)["result"]
+        assert result["limit_count"] == 3
+        pulled_back.add(
+            tuple(tuple(sorted(perm.index(v) for v in point)) for point in result["points"])
+        )
+    assert len(pulled_back) >= 2
 
 
 GRAPH_VERBS = [name for name in cli_module.COMMANDS if name not in ("verify", "fixtures")]

@@ -152,6 +152,28 @@ def test_pipeline_commutes_with_relabelling(case):
     )
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="separators_to_separations groups loose components by label order (ROADMAP item 1)",
+)
+def test_separations_commute_with_relabelling_two_separators_sharing_a_vertex():
+    """Separators {0, 2} and {2, 3} share vertex 2, and the component {5}
+    of G - {0, 2} hangs off 2 alone. The relabelling 0 -> 1 -> 2 -> 3 -> 0
+    puts {2, 3} first, and the pipeline emits 3 separations in one
+    labelling and 4 in the other."""
+    g = Graph.from_edges(
+        7, [(0, 1), (0, 2), (0, 3), (0, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4)]
+    )
+    perm = {0: 1, 1: 2, 2: 3, 3: 0, 4: 4, 5: 5, 6: 6}
+
+    def image(mask):
+        return mask_of(perm[v] for v in vertices_of(mask))
+
+    _, seps, _ = pipeline(g, 3)
+    _, relabelled, _ = pipeline(g.relabelled(perm), 3)
+    assert relabelled == {canonical(Separation(image(s.a), image(s.b))) for s in seps}
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_pipeline_commutes_with_relabelling_the_five_triangle_ring(seed):
     """n = 15 at k = 3: |S_3| is 121 trivial separations plus 40 proper

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from tangleforge import core, profinite
 from tangleforge.cli import _demo_chain
 from tangleforge.core import Graph, Separation, graph_universe, mask_of
-from tangleforge.errors import HypothesisError, PreconditionError
+from tangleforge.errors import CapExceededError, HypothesisError, PreconditionError
 from tangleforge.fixtures import FIXTURES
-from tangleforge.oracles import brute_system_violations
+from tangleforge.oracles import brute_inverse_limits, brute_system_violations
 from tangleforge.profiles import efficient_distinguishers, enumerate_k_profiles
 from tangleforge.profinite import (
     DirectedPoset,
@@ -117,6 +117,113 @@ def test_every_random_system_has_a_limit():
     for sys_, _fams in random_inverse_systems(seed=3, count=10):
         assert validate_inverse_system(sys_).ok  # valid by construction
         assert inverse_limits(sys_)
+
+
+# ---------------------------------------------------------------------------
+# differential gate: the pass over the maximal points against backtracking
+
+def two_tops():
+    """Points a and b above c, with no upper bound of a and b: a poset that
+    is not directed, so the limits are read off both maximal points."""
+    u = product_chain_universe(3, 1)
+    poset = DirectedPoset.from_pairs(("a", "b", "c"), [("c", "a"), ("c", "b")])
+    ident = {x: x for x in u.elements}
+    to_middle = {x: (min(x[0], 1), 0) for x in u.elements}  # (2, 0) -> (1, 0)
+    return InverseSystem(poset, {p: u for p in "abc"}, {("a", "c"): ident, ("b", "c"): to_middle})
+
+
+def random_restrict(rng, sys_):
+    """Random subsets at random points, each with a stray that lies in no
+    universe."""
+    return {
+        p: {*rng.sample(list(u.elements), rng.randint(0, len(u.elements))), ("stray", p)}
+        for p, u in sys_.universe_at.items()
+        if rng.random() < 0.7
+    }
+
+
+def maximal_points(sys_):
+    poset = sys_.poset
+    return [t for t in poset.points if not any(t != q and poset.leq(t, q) for q in poset.points)]
+
+
+def assert_same_limits(sys_, restrict=None):
+    """Equal to the backtracking oracle as a set of limits, and listed in
+    product order of the values at the maximal points."""
+    got = inverse_limits(sys_, restrict=restrict)
+    as_set = lambda limits: {frozenset(lim.items()) for lim in limits}
+    assert len(got) == len(as_set(got))
+    assert as_set(got) == as_set(brute_inverse_limits(sys_, restrict=restrict))
+    tops = maximal_points(sys_)
+    rank = {t: {x: i for i, x in enumerate(sys_.universe_at[t].elements)} for t in tops}
+    keys = [tuple(rank[t][lim[t]] for t in tops) for lim in got]
+    assert keys == sorted(keys)
+    return got
+
+
+def test_limits_match_the_oracle_on_random_systems():
+    rng = random.Random(11)
+    systems = random_inverse_systems(seed=5, count=20)
+    assert len(systems) == 20
+    for sys_, fams in systems:
+        assert assert_same_limits(sys_)
+        for fam in fams:
+            assert_same_limits(sys_, restrict=fam)
+        assert_same_limits(sys_, restrict=random_restrict(rng, sys_))
+
+
+def test_limits_match_the_oracle_on_identity_chains():
+    rng = random.Random(12)
+    for n_points, a, b in [(1, 2, 2), (2, 3, 2), (3, 2, 3), (4, 3, 3)]:
+        sys_ = identity_system(n_points, a, b)
+        assert len(assert_same_limits(sys_)) == a * b
+        for _ in range(5):
+            assert_same_limits(sys_, restrict=random_restrict(rng, sys_))
+
+
+def test_limits_match_the_oracle_on_invalid_and_undirected_systems():
+    """The non-commuting triangle keeps only the choices that pass every
+    comparable pair; two maximal points are read off together."""
+    rng = random.Random(13)
+    triangle = non_commuting_triangle()
+    assert [lim["p2"] for lim in assert_same_limits(triangle)] == [(1, 0)]
+    top_b = {"b": {(0, 0), (2, 0)}}
+    assert len(assert_same_limits(two_tops(), restrict=top_b)) == 2
+    for sys_ in (triangle, two_tops()):
+        assert_same_limits(sys_)
+        for _ in range(10):
+            assert_same_limits(sys_, restrict=random_restrict(rng, sys_))
+    assert maximal_points(two_tops()) == ["a", "b"]
+    # a at 2 has no partner at b; b at 2 meets a at 1
+    assert [(lim["a"][0], lim["b"][0], lim["c"][0]) for lim in inverse_limits(two_tops())] == [
+        (0, 0, 0),
+        (1, 1, 1),
+        (1, 2, 1),
+    ]
+
+
+def test_restrict_keeps_only_elements_of_each_universe():
+    sys_ = identity_system(2, 2, 2)
+    strays = {p: {(5, 5), "x"} for p in sys_.poset.points}
+    assert inverse_limits(sys_, restrict=strays) == brute_inverse_limits(sys_, restrict=strays) == ()
+    one = {"p1": {(0, 1), (5, 5)}}
+    assert inverse_limits(sys_, restrict=one) == ({"p0": (0, 1), "p1": (0, 1)},)
+
+
+def test_the_cap_bounds_the_choices_at_the_maximal_points():
+    """A three-point identity chain of six-element universes has 6 limits,
+    enumerated through 6 choices at its top, within a cap of 10; the
+    backtracking oracle bounds the 6^3 product over all points instead."""
+    sys_ = identity_system(3, 2, 3)
+    assert len(inverse_limits(sys_, cap=10)) == 6
+    with pytest.raises(CapExceededError):
+        brute_inverse_limits(sys_, cap=10)
+    top_four = {"p2": sys_.universe_at["p2"].elements[:4]}
+    assert len(inverse_limits(sys_, restrict=top_four, cap=4)) == 4
+    with pytest.raises(CapExceededError):
+        inverse_limits(sys_, restrict=top_four, cap=3)
+    with pytest.raises(CapExceededError):
+        inverse_limits(two_tops(), cap=8)  # 3 x 3 choices at a and b
 
 
 # ---------------------------------------------------------------------------
