@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -203,8 +204,12 @@ def validate_inverse_system(sys: InverseSystem) -> SystemReport:
     for r in poset.points:
         for q in poset.strictly_below(r):
             for p in poset.strictly_below(q):
-                frq, fqp, frp = map(sys.maps.get, ((r, q), (q, p), (r, p)))
-                if not {r, q, p} <= sys.universe_at.keys() or None in (frq, fqp, frp):
+                if not {r, q, p} <= sys.universe_at.keys():
+                    continue
+                frq = sys.maps.get((r, q))
+                fqp = sys.maps.get((q, p))
+                frp = sys.maps.get((r, p))
+                if frq is None or fqp is None or frp is None:
                     continue
                 for x in sys.universe_at[r].elements:
                     defined = x in frp and x in frq and frq[x] in fqp
@@ -394,7 +399,8 @@ def inverse_limits(
     when every image is allowed and every comparable pair agrees: exact on
     any system, validated or not. Limits come in itertools.product order of
     the maximal points' values, each in universe order; cap bounds the
-    number of those choices and is checked before the pass.
+    number of those choices and is checked before the pass. Only .elements
+    of each universe is read, so any system of finite sets will do.
     """
     points = sys.poset.points
 
@@ -432,14 +438,12 @@ class ProfiniteSplinterResult:
     limits: tuple                # all limits through the choice: the set N
 
 
-def _nested_subsets_meeting(u: UniverseView, family_projs, cap: int):
+def _nested_subsets_meeting(u: UniverseView, rank: dict, family_projs, cap: int):
     """All nested subsets of the union of the projected families that meet
-    every projection. Enumerated over the union only: any nested transversal
+    every projection, the union taken in universe order (rank: element ->
+    index in u). Enumerated over the union only: any nested transversal
     lives inside it, and images of such sets stay inside it downstream."""
-    union = sorted(
-        {x for proj in family_projs for x in proj},
-        key={e: i for i, e in enumerate(u.elements)}.__getitem__,
-    )
+    union = sorted({x for proj in family_projs for x in proj}, key=rank.__getitem__)
     if len(union) > cap:
         raise CapExceededError(
             f"union of projected families has {len(union)} elements (cap {cap})"
@@ -450,7 +454,9 @@ def _nested_subsets_meeting(u: UniverseView, family_projs, cap: int):
             sset = frozenset(combo)
             if not all(sset & proj for proj in family_projs):
                 continue
-            if all(_nested(u, x, y) for x, y in itertools.combinations(combo, 2)):
+            if all(
+                _nested(u, x, y) for x, y in itertools.combinations(combo, 2)
+            ):
                 out.append(sset)
     return tuple(out)
 
@@ -478,11 +484,13 @@ def profinite_splinter(
     for fam in families:
         for q in points:
             for p in sys.poset.strictly_below(q):
-                if not set(fam[p]).issuperset(map(sys.maps[(q, p)].__getitem__, fam[q])):
+                img = {sys.maps[(q, p)][x] for x in fam[q]}
+                if not img <= set(fam[p]):
                     raise PreconditionError(
                         f"family not in closed form: image at {(q, p)} leaves O_p"
                     )
 
+    rank = {p: {e: i for i, e in enumerate(sys.universe_at[p].elements)} for p in points}
     candidates = {}
     for p in points:
         u = sys.universe_at[p]
@@ -492,48 +500,41 @@ def profinite_splinter(
             raise HypothesisError(
                 f"projected families do not splinter at point {p!r}", witness=witness
             )
-        candidates[p] = _nested_subsets_meeting(u, projs, union_cap)
+        candidates[p] = _nested_subsets_meeting(u, rank[p], projs, union_cap)
         if not candidates[p]:
             raise CertificationError(
                 f"no nested transversal exists at point {p!r}; finite splinter "
                 "theorem violated (bug)"
             )
 
-    # the candidate sets with image maps form an inverse system of finite sets
+    # the candidate sets with image maps form an inverse system of finite
+    # sets; its limits are the candidates N_t at the greatest point t carried
+    # down as f_tp(N_t) (the lemma of inverse_limits), and the least is taken
+    images = {}
     for q in points:
         for p in sys.poset.strictly_below(q):
             f = sys.maps[(q, p)]
-            images = (frozenset(map(f.__getitem__, nq)) for nq in candidates[q])
-            if not set(candidates[p]).issuperset(images):
+            images[(q, p)] = {nq: frozenset(map(f.__getitem__, nq)) for nq in candidates[q]}
+            if not set(candidates[p]).issuperset(images[(q, p)].values()):
                 raise CertificationError(
                     f"image of a nested transversal at {q!r} is not one at {p!r}"
                 )
-
-    # the least limit of the candidate system: by the lemma of inverse_limits
-    # its limits are the N_t at the greatest point t carried down by f_tp,
-    # since their images are candidates (above) and compatible (validation)
-    rank = {p: {e: i for i, e in enumerate(sys.universe_at[p].elements)} for p in points}
-    top = next((t for t in points if all(sys.poset.leq(p, t) for p in points)), None)
-
-    def carried(nt):
-        return {
-            p: nt if p == top else frozenset(map(sys.maps[(top, p)].__getitem__, nt))
-            for p in points
-        }
-
-    def encode(choice):
-        return [sorted(map(rank[p].__getitem__, choice[p])) for p in points]
-
-    choice = min(map(carried, candidates[top]), key=encode) if points else {}
+    listed = {p: SimpleNamespace(elements=candidates[p]) for p in points}
+    choices = inverse_limits(InverseSystem(sys.poset, listed, images), cap=limit_cap)
+    if not choices:
+        raise CertificationError("candidate system has no limit (bug)")
+    choice = min(choices, key=lambda c: [sorted(map(rank[p].__getitem__, c[p])) for p in points])
     limits = inverse_limits(sys, restrict=choice, cap=limit_cap)
     if not limits:
         raise CertificationError("chosen nested sets admit no limit (bug)")
 
     # certify: projections nested, every family met
     for p in points:
-        proj = itertools.combinations({lim[p] for lim in limits}, 2)
-        if not all(_nested(sys.universe_at[p], x, y) for x, y in proj):
-            raise CertificationError(f"projection at {p!r} not nested")
+        u = sys.universe_at[p]
+        proj = {lim[p] for lim in limits}
+        for x, y in itertools.combinations(proj, 2):
+            if not _nested(u, x, y):
+                raise CertificationError(f"projection at {p!r} not nested")
     for i, fam in enumerate(families):
         meets = {p: choice[p] & frozenset(fam[p]) for p in points}
         if not inverse_limits(sys, restrict=meets, cap=limit_cap):
@@ -570,7 +571,8 @@ def graph_restriction_system(g: Graph, vertex_sets) -> InverseSystem:
     """Inverse system of the universes of the induced subgraphs G[Z] over a
     collection of vertex sets ordered by inclusion, with the restriction
     maps (A, B) -> (A ∩ Y, B ∩ Y)."""
-    points = tuple(sorted({m & g.vertices for m in vertex_sets}))
+    masks = sorted({m & g.vertices for m in vertex_sets})
+    points = tuple(masks)
     strict = [
         (q, p) for q in points for p in points if p != q and not (p & ~q)
     ]

@@ -271,6 +271,18 @@ def test_two_k4_restriction_chain(graphs):
             assert set(res.nested_choice[z]) & set(fam[z])
 
 
+def test_the_limit_cap_bounds_the_candidates_at_the_greatest_point():
+    """Two nested elements give three nested transversals at each point of
+    a two-point identity chain: the candidate limits are read off the 3
+    at the top, where a product over both points would count 9."""
+    sys_ = identity_system(n_points=2)
+    fam = [{p: frozenset({(0, 0), (0, 1)}) for p in sys_.poset.points}]
+    res = profinite_splinter(sys_, fam, limit_cap=3)
+    assert res.nested_choice == {p: frozenset({(0, 0)}) for p in sys_.poset.points}
+    with pytest.raises(CapExceededError):
+        profinite_splinter(sys_, fam, limit_cap=2)
+
+
 def test_malformed_family_rejected():
     sys_ = identity_system(n_points=2)
     p0, p1 = sys_.poset.points
