@@ -147,13 +147,16 @@ def maximal_points(sys_):
     return [t for t in poset.points if not any(t != q and poset.leq(t, q) for q in poset.points)]
 
 
+def limit_set(limits):
+    return {frozenset(lim.items()) for lim in limits}
+
+
 def assert_same_limits(sys_, restrict=None):
     """Equal to the backtracking oracle as a set of limits, and listed in
     product order of the values at the maximal points."""
     got = inverse_limits(sys_, restrict=restrict)
-    as_set = lambda limits: {frozenset(lim.items()) for lim in limits}
-    assert len(got) == len(as_set(got))
-    assert as_set(got) == as_set(brute_inverse_limits(sys_, restrict=restrict))
+    assert len(got) == len(limit_set(got))
+    assert limit_set(got) == limit_set(brute_inverse_limits(sys_, restrict=restrict))
     tops = maximal_points(sys_)
     rank = {t: {x: i for i, x in enumerate(sys_.universe_at[t].elements)} for t in tops}
     keys = [tuple(rank[t][lim[t]] for t in tops) for lim in got]
