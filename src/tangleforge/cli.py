@@ -61,10 +61,12 @@ from .treedec import build_totd, treeset_to_treedecomposition
 @dataclass
 class RunConfig:
     """Caps and reproducibility knobs; TANGLEFORGE_CAPS (a JSON object)
-    overrides individual caps: max_n, max_k, max_sk, profinite_union and
-    profinite_product; the last bounds the choices a limit enumeration walks
-    at the maximal points (|U_t| after restriction at the greatest point
-    t), checked before the walk."""
+    overrides individual caps with non-negative JSON integers: max_n,
+    max_k, max_sk, profinite_union and profinite_product. In
+    profinite_splinter, profinite_union bounds the union of the projected
+    families at each point, and profinite_product both the nested
+    transversals at the greatest point t and the choices of each limit
+    enumeration (|U_t| after restriction, checked before the walk)."""
 
     max_n: int = DEFAULT_MAX_N
     max_k: int = DEFAULT_MAX_K
@@ -89,12 +91,12 @@ class RunConfig:
             for key, value in overrides.items():
                 if key not in caps:
                     raise InputError(f"unknown cap {key!r} in TANGLEFORGE_CAPS")
-                try:
-                    setattr(cfg, key, int(value))
-                except (TypeError, ValueError, OverflowError):
+                if type(value) is not int or value < 0:
                     raise InputError(
-                        f"cap {key!r} in TANGLEFORGE_CAPS must be an integer, got {value!r}"
-                    ) from None
+                        f"cap {key!r} in TANGLEFORGE_CAPS must be a non-negative integer, "
+                        f"got {value!r}"
+                    )
+                setattr(cfg, key, value)
         if getattr(args, "cap_n", None) is not None:
             if args.cap_n < 0:
                 raise InputError(f"--cap-n must not be negative, got {args.cap_n}")

@@ -7,6 +7,8 @@ harness and the test suite compare engine outputs against these.
 
 from __future__ import annotations
 
+import itertools
+from types import SimpleNamespace
 from typing import Optional
 
 from .core import (
@@ -152,25 +154,20 @@ def brute_distinguishers(g: Graph, p_members, q_members) -> tuple[Separation, ..
     return tuple(sorted((s for s in hits if s.order == best), key=sep_sort_key))
 
 
+def brute_nested(u, a, b) -> bool:
+    """a and b are nested: a or a* lies below b or b*, tried in that order."""
+    return any(u.leq(x, y) for x in (a, u.star(a)) for y in (b, u.star(b)))
+
+
 def brute_nested_transversal_exists(universe, families) -> bool:
     """Exhaustive search for a pairwise nested transversal of the families."""
-    u = universe
-
-    def nested(a, b):
-        return (
-            u.leq(a, b)
-            or u.leq(a, u.star(b))
-            or u.leq(u.star(a), b)
-            or u.leq(u.star(a), u.star(b))
-        )
-
     fams = [sorted(f, key=repr) for f in families]
 
     def rec(i, picked):
         if i == len(fams):
             return True
         for cand in fams[i]:
-            if all(nested(cand, x) for x in picked):
+            if all(brute_nested(universe, cand, x) for x in picked):
                 if rec(i + 1, picked + [cand]):
                     return True
         return False
@@ -365,6 +362,35 @@ def brute_inverse_limits(
 
     rec(0)
     return tuple(out)
+
+
+def brute_profinite_choice(sys, families, cap: int = 10**9) -> tuple:
+    """(choice, limits) of the profinite splinter procedure, the long way
+    round: at each point, every subset of the union of the projections that
+    meets each projection and is pairwise nested (pairs in universe order);
+    their compatible choices by brute_inverse_limits, within cap; and the
+    least by [sorted universe indices of N_p for p in points]."""
+    points = list(sys.poset.points)
+    rank = {p: {x: i for i, x in enumerate(sys.universe_at[p].elements)} for p in points}
+    listed = {}
+    for p in points:
+        u = sys.universe_at[p]
+        projs = [frozenset(fam[p]) for fam in families]
+        union = sorted(set().union(*projs), key=rank[p].__getitem__)
+        subsets = (c for r in range(len(union) + 1) for c in itertools.combinations(union, r))
+        listed[p] = SimpleNamespace(elements=[
+            frozenset(c) for c in subsets
+            if all(proj & set(c) for proj in projs)
+            and all(brute_nested(u, a, b) for a, b in itertools.combinations(c, 2))
+        ])
+    images = {
+        key: {n: frozenset(f[x] for x in n) for n in listed[key[0]].elements}
+        for key, f in sys.maps.items()
+    }
+    candidate_system = SimpleNamespace(poset=sys.poset, universe_at=listed, maps=images)
+    choices = brute_inverse_limits(candidate_system, cap=cap)
+    choice = min(choices, key=lambda c: [sorted(rank[p][x] for x in c[p]) for p in points])
+    return choice, brute_inverse_limits(sys, restrict=choice, cap=cap)
 
 
 def _crossing_number(inst, a, k: int) -> int:

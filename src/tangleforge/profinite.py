@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 from operator import itemgetter
-from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -78,6 +77,12 @@ class DirectedPoset:
     def strictly_below(self, q):
         return tuple(p for p in self.points if p != q and self.leq(p, q))
 
+    def maximal_points(self) -> tuple:
+        """The points below no other point, in point order: the greatest
+        point alone on a directed poset that is not empty."""
+        below = {p for p, q in self.relation if p != q}
+        return tuple(t for t in self.points if t not in below)
+
     def directedness_violations(self) -> list:
         out = []
         for p, q in itertools.combinations(self.points, 2):
@@ -121,24 +126,15 @@ def validate_inverse_system(sys: InverseSystem) -> SystemReport:
     superset test, walked only when it fails), star (on plain pairs when
     both stars are core.star) and the lemma below.
 
-    Join and meet are certified per source point q: when the lemma of
-    _preserves_joins_and_meets holds for every checked map out of q, which
-    takes O(|U_q|) per map and 2^|Z| component counts, no join or meet
-    violation exists and no pair is visited. Every other q goes through the
-    exhaustive kernel: each point that is the target of such a map is
-    tabulated once as index tables (_tabulate), and each map becomes an
-    index list. The rows join_q(x, ·) and meet_q(x, ·) are computed once
-    per x for all maps out of q and dropped after use; each row is compared
-    whole with join_p(f x, f ·) and meet_p(f x, f ·), which is gathered
-    once per map and image f x, and only a row that differs is walked pair
-    by pair.
-
-    Rows of graph universes are read off integer codes: a universe that
-    passes core.codable with its elements (and strays, for a target) codes
-    (a, b) as a << w | (full & ~b), the profile search's slot coding, with
-    w wide enough for every mask. Join is then | and meet is & of
-    codes, so no Python function runs per pair. Abstract universes, and
-    targets with a stray of another type, keep their own callables.
+    Join and meet are certified per source point q by the lemma of
+    _preserves_joins_and_meets (O(|U_q|) per map, 2^|Z| component counts):
+    when it holds for every checked map out of q, no pair is visited. Every
+    other q goes through the exhaustive kernel: each target point is
+    tabulated once (_tabulate) and each map becomes an index list. The rows
+    join_q(x, ·) and meet_q(x, ·), computed once per x for all maps out of q
+    by the universe's own join and meet (_op_rows), are compared whole with
+    join_p(f x, f ·) and meet_p(f x, f ·), gathered once per map and image
+    f x; only a row that differs is walked pair by pair.
     """
     rep = SystemReport()
     out = rep.violations
@@ -311,22 +307,12 @@ class _Table(NamedTuple):
 
 def _op_rows(u: UniverseView, elems: tuple, index: dict, off: int) -> tuple:
     """The functions i -> join row and i -> meet row of elems[i]: the index
-    of join(elems[i], y), resp. meet, for every y in elems, and off for a
-    result not in elems. Graph universes are read off the integer codes
-    described in validate_inverse_system; w is the widest mask of elems,
-    so the code is injective on them."""
-    if not codable(u, elems):
-        return (
-            lambda i: list(map(index.get, map(u.join, repeat(elems[i]), elems), repeat(off))),
-            lambda i: list(map(index.get, map(u.meet, repeat(elems[i]), elems), repeat(off))),
-        )
-    w = max(((a | b).bit_length() for a, b in elems), default=0)
-    full = (1 << w) - 1
-    codes = [a << w | (full & ~b) for a, b in elems]
-    at = {c: i for i, c in enumerate(codes)}.get
+    of u.join(elems[i], y), resp. u.meet, for every y in elems, and off for
+    a result not in elems. The universe's own join and meet run on every
+    pair, so the kernel asks nothing of the element type."""
     return (
-        lambda i: list(map(at, map(codes[i].__or__, codes), repeat(off))),
-        lambda i: list(map(at, map(codes[i].__and__, codes), repeat(off))),
+        lambda i: list(map(index.get, map(u.join, repeat(elems[i]), elems), repeat(off))),
+        lambda i: list(map(index.get, map(u.meet, repeat(elems[i]), elems), repeat(off))),
     )
 
 
@@ -411,7 +397,7 @@ def inverse_limits(
         return list(filter(set(restrict[p]).__contains__, elems))
 
     pairs = [(q, p, sys.maps[(q, p)]) for p, q in sys.poset.relation if p != q]
-    tops = [t for t in points if all(p != t for _, p, _ in pairs)]
+    tops = sys.poset.maximal_points()
     down = {p: (t, f, set(allowed(p))) for t, p, f in pairs if t in tops}  # via a maximal t
     domains = [allowed(t) for t in tops]
     if math.prod(map(len, domains)) > cap:
@@ -438,27 +424,21 @@ class ProfiniteSplinterResult:
     limits: tuple                # all limits through the choice: the set N
 
 
-def _nested_subsets_meeting(u: UniverseView, rank: dict, family_projs, cap: int):
-    """All nested subsets of the union of the projected families that meet
-    every projection, the union taken in universe order (rank: element ->
-    index in u). Enumerated over the union only: any nested transversal
-    lives inside it, and images of such sets stay inside it downstream."""
-    union = sorted({x for proj in family_projs for x in proj}, key=rank.__getitem__)
-    if len(union) > cap:
-        raise CapExceededError(
-            f"union of projected families has {len(union)} elements (cap {cap})"
-        )
-    out = []
-    for r in range(len(union) + 1):
-        for combo in itertools.combinations(union, r):
-            sset = frozenset(combo)
-            if not all(sset & proj for proj in family_projs):
-                continue
-            if all(
-                _nested(u, x, y) for x, y in itertools.combinations(combo, 2)
-            ):
-                out.append(sset)
-    return tuple(out)
+def _nested_transversal(u: UniverseView, combo, family_projs) -> bool:
+    """True when combo is pairwise nested, each pair (x, y) taken in the
+    order of combo, and meets every projection."""
+    sset = frozenset(combo)
+    return all(sset & proj for proj in family_projs) and all(
+        _nested(u, x, y) for x, y in itertools.combinations(combo, 2)
+    )
+
+
+def _nested_subsets_meeting(u: UniverseView, union: list, family_projs) -> tuple:
+    """All nested subsets of the union of the projected families (listed in
+    universe order) that meet every projection. Enumerated over the union
+    only: any nested transversal lives inside it."""
+    subsets = (c for r in range(len(union) + 1) for c in itertools.combinations(union, r))
+    return tuple(frozenset(c) for c in subsets if _nested_transversal(u, c, family_projs))
 
 
 def profinite_splinter(
@@ -470,12 +450,14 @@ def profinite_splinter(
     """Run the profinite splinter procedure on a validated system.
 
     families: one dict per family, point -> subset of U_p (closed form).
-    Per point, the projections must splinter; the per-point nested
-    transversal candidates form an inverse system of non-empty finite sets,
-    a canonical (lexicographically least) limit of which is taken: one min
-    over the candidates at the greatest point, by the lemma of
-    inverse_limits. The returned limits are certified nested at every
-    projection and to meet every family, through inverse_limits.
+    Per point, the projections must splinter, with at most union_cap
+    elements in their union. The nested transversals of the projections
+    form an inverse system under images, and its least limit is chosen: by
+    the lemma of inverse_limits it is fixed at the greatest point t, so the
+    at most limit_cap transversals N_t are enumerated at t alone and carried
+    down as f_tp(N_t), each image certified a nested transversal at p. The
+    returned limits are certified nested at every projection and to meet
+    every family, through inverse_limits.
     """
     rep = validate_inverse_system(sys)
     if not rep.ok:
@@ -491,38 +473,34 @@ def profinite_splinter(
                     )
 
     rank = {p: {e: i for i, e in enumerate(sys.universe_at[p].elements)} for p in points}
-    candidates = {}
+    projs, unions = {}, {}
     for p in points:
-        u = sys.universe_at[p]
-        projs = [frozenset(fam[p]) for fam in families]
-        ok, witness = splinters_check(FiniteSplinterFamily(u, tuple(projs))) if projs else (True, None)
+        projs[p] = [frozenset(fam[p]) for fam in families]
+        ok, w = splinters_check(FiniteSplinterFamily(sys.universe_at[p], tuple(projs[p])))
         if not ok:
-            raise HypothesisError(
-                f"projected families do not splinter at point {p!r}", witness=witness
+            raise HypothesisError(f"projected families do not splinter at point {p!r}", witness=w)
+        unions[p] = sorted({x for proj in projs[p] for x in proj}, key=rank[p].__getitem__)
+        if len(unions[p]) > union_cap:
+            raise CapExceededError(
+                f"union of projected families has {len(unions[p])} elements (cap {union_cap})"
             )
-        candidates[p] = _nested_subsets_meeting(u, rank[p], projs, union_cap)
-        if not candidates[p]:
-            raise CertificationError(
-                f"no nested transversal exists at point {p!r}; finite splinter "
-                "theorem violated (bug)"
-            )
+    if not points:   # the empty system: one limit, through the empty choice
+        return ProfiniteSplinterResult(nested_choice={}, limits=inverse_limits(sys))
 
-    # the candidate sets with image maps form an inverse system of finite
-    # sets; its limits are the candidates N_t at the greatest point t carried
-    # down as f_tp(N_t) (the lemma of inverse_limits), and the least is taken
-    images = {}
-    for q in points:
-        for p in sys.poset.strictly_below(q):
-            f = sys.maps[(q, p)]
-            images[(q, p)] = {nq: frozenset(map(f.__getitem__, nq)) for nq in candidates[q]}
-            if not set(candidates[p]).issuperset(images[(q, p)].values()):
-                raise CertificationError(
-                    f"image of a nested transversal at {q!r} is not one at {p!r}"
-                )
-    listed = {p: SimpleNamespace(elements=candidates[p]) for p in points}
-    choices = inverse_limits(InverseSystem(sys.poset, listed, images), cap=limit_cap)
-    if not choices:
-        raise CertificationError("candidate system has no limit (bug)")
+    (t,) = sys.poset.maximal_points()   # directed, as validated: the greatest point
+    top = _nested_subsets_meeting(sys.universe_at[t], unions[t], projs[t])
+    if not top:
+        raise CertificationError(
+            f"no nested transversal exists at point {t!r}; finite splinter theorem violated (bug)"
+        )
+    if len(top) > limit_cap:
+        raise CapExceededError(f"choices at the maximal points exceed cap {limit_cap}")
+    down = {p: sys.maps[(t, p)].__getitem__ for p in sys.poset.strictly_below(t)}
+    choices = [{p: frozenset(map(down[p], n)) if p in down else n for p in points} for n in top]
+    for p in down:
+        images = {tuple(sorted(c[p], key=rank[p].__getitem__)) for c in choices}
+        if not all(_nested_transversal(sys.universe_at[p], img, projs[p]) for img in images):
+            raise CertificationError(f"image of a nested transversal at {t!r} is not one at {p!r}")
     choice = min(choices, key=lambda c: [sorted(map(rank[p].__getitem__, c[p])) for p in points])
     limits = inverse_limits(sys, restrict=choice, cap=limit_cap)
     if not limits:
@@ -530,11 +508,8 @@ def profinite_splinter(
 
     # certify: projections nested, every family met
     for p in points:
-        u = sys.universe_at[p]
-        proj = {lim[p] for lim in limits}
-        for x, y in itertools.combinations(proj, 2):
-            if not _nested(u, x, y):
-                raise CertificationError(f"projection at {p!r} not nested")
+        if not _nested_transversal(sys.universe_at[p], {lim[p] for lim in limits}, ()):
+            raise CertificationError(f"projection at {p!r} not nested")
     for i, fam in enumerate(families):
         meets = {p: choice[p] & frozenset(fam[p]) for p in points}
         if not inverse_limits(sys, restrict=meets, cap=limit_cap):

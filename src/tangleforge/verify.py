@@ -41,7 +41,6 @@ from .profiles import (
 from .profinite import (
     DirectedPoset,
     InverseSystem,
-    inverse_limits,
     product_chain_universe,
     profinite_splinter,
 )
@@ -419,21 +418,17 @@ def suite_profinite_random(seed):
         raise AssertionError(f"only generated {len(systems)} splintering systems")
     for sys, fams in systems:
         res = profinite_splinter(sys, fams)
+        through = oracles.brute_inverse_limits(sys, restrict=res.nested_choice)
+        if {frozenset(x.items()) for x in res.limits} != {frozenset(x.items()) for x in through}:
+            raise AssertionError("limits are not those through the nested choice")
         for p in sys.poset.points:
-            u = sys.universe_at[p]
             proj = {lim[p] for lim in res.limits}
             for x, y in itertools.combinations(proj, 2):
-                if not (
-                    u.leq(x, y) or u.leq(x, u.star(y)) or u.leq(u.star(x), y)
-                    or u.leq(u.star(x), u.star(y))
-                ):
+                if not oracles.brute_nested(sys.universe_at[p], x, y):
                     raise AssertionError("projection not nested")
         for fam in fams:
-            restrict = {
-                p: frozenset(res.nested_choice[p]) & frozenset(fam[p])
-                for p in sys.poset.points
-            }
-            if not inverse_limits(sys, restrict=restrict):
+            restrict = {p: res.nested_choice[p] & frozenset(fam[p]) for p in sys.poset.points}
+            if not oracles.brute_inverse_limits(sys, restrict=restrict):
                 raise AssertionError("family missed (profinite intersection failed)")
     return "50 systems, projections nested, all families met"
 

@@ -552,6 +552,10 @@ BAD_INPUTS = [
     ("cap-infinite", '{"max_n": 1e999}', ["separations", "--fixture", "FIX_P4", "--k", "2"]),
     ("cap-fmt", '{"fmt": 1}', ["separations", "--fixture", "FIX_P4", "--k", "2"]),
     ("cap-seed", '{"seed": 3}', ["separations", "--fixture", "FIX_P4", "--k", "2"]),
+    ("cap-float", '{"max_n": 3.9}', ["separations", "--fixture", "FIX_P4", "--k", "2"]),
+    ("cap-bool", '{"max_n": true}', ["separations", "--fixture", "FIX_P4", "--k", "2"]),
+    ("cap-string-digits", '{"max_n": "12"}', ["separations", "--fixture", "FIX_P4", "--k", "2"]),
+    ("cap-negative", '{"max_sk": -5}', ["separations", "--fixture", "FIX_P4", "--k", "2"]),
     ("k-zero", None, ["profiles", "--fixture", "FIX_P4", "--k", "0"]),
     ("k-negative", None, ["profiles", "--fixture", "FIX_P4", "--k", "-3"]),
     ("k-zero-graph", None, ["profiles", "--graph", "{tmp}/p4.txt", "--k", "0"]),

@@ -15,8 +15,12 @@ from tangleforge.cli import _demo_chain
 from tangleforge.core import Graph, Separation, graph_universe, mask_of
 from tangleforge.errors import CapExceededError, HypothesisError, PreconditionError
 from tangleforge.fixtures import FIXTURES
-from tangleforge.oracles import brute_inverse_limits, brute_system_violations
-from tangleforge.profiles import efficient_distinguishers, enumerate_k_profiles
+from tangleforge.oracles import (
+    brute_inverse_limits,
+    brute_profinite_choice,
+    brute_system_violations,
+)
+from tangleforge.profiles import efficient_distinguishers, enumerate_k_profiles, pipeline_profiles
 from tangleforge.profinite import (
     DirectedPoset,
     InverseSystem,
@@ -50,8 +54,11 @@ def test_directed_poset_basics():
     poset = DirectedPoset.from_pairs(("a", "b", "top"), [("a", "top"), ("b", "top")])
     assert poset.leq("a", "top") and not poset.leq("top", "a")
     assert poset.directedness_violations() == []
+    assert poset.maximal_points() == ("top",)
     undirected = DirectedPoset.from_pairs(("a", "b"), [])
     assert undirected.directedness_violations() == [("a", "b")]
+    assert undirected.maximal_points() == ("a", "b")
+    assert DirectedPoset.from_pairs((), []).maximal_points() == ()
 
 
 def test_identity_system_is_valid():
@@ -286,6 +293,38 @@ def test_the_limit_cap_bounds_the_candidates_at_the_greatest_point():
         profinite_splinter(sys_, fam, limit_cap=2)
 
 
+def test_the_union_cap_is_checked_below_the_greatest_point():
+    """The projections at the lower point p0 have a union of 3 elements and
+    those at the greatest point p1 one, so a cap checked only at p1 would
+    let the cap-2 run through."""
+    sys_ = identity_system(n_points=2)
+    fam = [{"p0": frozenset({(0, 0), (0, 1), (0, 2)}), "p1": frozenset({(0, 0)})}]
+    with pytest.raises(CapExceededError, match=r"has 3 elements \(cap 2\)"):
+        profinite_splinter(sys_, fam, union_cap=2)
+    assert profinite_splinter(sys_, fam, union_cap=3).limits
+
+
+def test_the_empty_system_has_one_limit():
+    sys_ = InverseSystem(DirectedPoset.from_pairs((), []), {}, {})
+    res = profinite_splinter(sys_, [{}])
+    assert res.nested_choice == {} and res.limits == ({},)
+
+
+def assert_choice_matches_the_oracle(sys_, families):
+    res = profinite_splinter(sys_, families)
+    choice, limits = brute_profinite_choice(sys_, families)
+    assert res.nested_choice == choice
+    assert limit_set(res.limits) == limit_set(limits)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_profinite_choice_matches_the_oracle_on_random_systems(seed):
+    systems = random_inverse_systems(seed, count=40)
+    assert len(systems) == 40
+    for sys_, fams in systems:
+        assert_choice_matches_the_oracle(sys_, fams)
+
+
 def test_malformed_family_rejected():
     sys_ = identity_system(n_points=2)
     p0, p1 = sys_.poset.points
@@ -478,7 +517,7 @@ def test_validation_matches_oracle_on_a_non_closed_universe(graphs):
 
 
 # ---------------------------------------------------------------------------
-# the integer-code kernel: graph universes validate without join or meet calls
+# the exhaustive kernel on demo chains, whole and altered
 
 # a triangle with the path 2-3-4-5 hanging off it
 LOLLIPOP = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)])
@@ -490,15 +529,58 @@ TRIANGLE_RING3 = Graph.from_edges(
 )
 
 
+def demo_graph(graphs, name):
+    return {"lollipop": LOLLIPOP, "triangle_ring3": TRIANGLE_RING3}.get(name) or graphs[name]
+
+
 def demo_chain_system(graphs, name):
-    g = {"lollipop": LOLLIPOP, "triangle_ring3": TRIANGLE_RING3}.get(name) or graphs[name]
+    g = demo_graph(graphs, name)
     return graph_restriction_system(g, _demo_chain(g))
+
+
+def demo_families(g, k, sys_):
+    """The families of the profinite-splinter demo: the efficient
+    distinguishers of each pair of profiles, restricted to each point."""
+    profs = pipeline_profiles(g, enumerate_k_profiles(g, k))
+    dsets = [efficient_distinguishers(g, p, q) for p, q in itertools.combinations(profs, 2)]
+    return [
+        {z: frozenset(Separation(s.a & z, s.b & z) for s in dset.seps) for z in sys_.poset.points}
+        for dset in dsets
+    ]
+
+
+@pytest.mark.parametrize(
+    "name,k", [("FIX_P4", 2), ("FIX_2K4", 2), ("FIX_GRID33", 3), ("lollipop", 2)]
+)
+def test_profinite_choice_matches_the_oracle_on_demo_chains(graphs, name, k):
+    """The three-triangle ring is left out: its 41 x 330 x 326 candidate
+    product is too slow for the oracle."""
+    sys_ = demo_chain_system(graphs, name)
+    assert_choice_matches_the_oracle(sys_, demo_families(demo_graph(graphs, name), k, sys_))
+
+
+def test_transversals_are_enumerated_once(graphs, monkeypatch):
+    """On the three-triangle ring at k = 3 the nested transversals are
+    enumerated at the greatest point alone, not at each of the three."""
+    sys_ = demo_chain_system(graphs, "triangle_ring3")
+    families = demo_families(TRIANGLE_RING3, 3, sys_)
+    real, counts = profinite._nested_subsets_meeting, []
+
+    def counted(u, union, projs):
+        out = real(u, union, projs)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(profinite, "_nested_subsets_meeting", counted)
+    res = profinite_splinter(sys_, families)
+    assert counts == [326]
+    assert len(res.limits) == 3
 
 
 def join_meet_calls(run):
     """run(), and the number of calls it made to core.join and core.meet,
     counted on their code objects: a wrapper would not be core.join, so the
-    kernel would not take the coded path."""
+    certificate would refuse every system."""
     counts = {core.join.__code__: 0, core.meet.__code__: 0}
 
     def profile(frame, event, arg):
@@ -555,19 +637,10 @@ def swapped_image(sys_):
     return with_image(sys_, (top, below), x, other)
 
 
-def test_graph_universes_validate_without_join_or_meet_calls(graphs):
-    """A swapped image keeps the exhaustive kernel running on the top point,
-    over integer codes."""
-    rep, calls = join_meet_calls(
-        lambda: validate_inverse_system(swapped_image(demo_chain_system(graphs, "FIX_2K4")))
-    )
-    assert not rep.ok
-    assert calls == 0
-
-
 def test_a_stray_that_is_no_separation_takes_the_callable_path(graphs):
     """A plain tuple equals the Separation with the same masks but is not
-    one, so the target universe it strays into keeps its callables."""
+    one: the kernel runs the target universe's join and meet on the stray
+    and reports what the oracle reports."""
     sys_ = demo_chain_system(graphs, "FIX_P4")
     top, below = sys_.poset.points[-1], sys_.poset.points[0]
     x = sys_.universe_at[top].elements[0]
