@@ -364,11 +364,11 @@ def brute_inverse_limits(
     return tuple(out)
 
 
-def brute_profinite_choice(sys, families, cap: int = 10**9) -> tuple:
+def brute_profinite_choice(sys, families) -> tuple:
     """(choice, limits) of the profinite splinter procedure, the long way
     round: at each point, every subset of the union of the projections that
     meets each projection and is pairwise nested (pairs in universe order);
-    their compatible choices by brute_inverse_limits, within cap; and the
+    their compatible choices by brute_inverse_limits, within its cap; and the
     least by [sorted universe indices of N_p for p in points]."""
     points = list(sys.poset.points)
     rank = {p: {x: i for i, x in enumerate(sys.universe_at[p].elements)} for p in points}
@@ -388,9 +388,9 @@ def brute_profinite_choice(sys, families, cap: int = 10**9) -> tuple:
         for key, f in sys.maps.items()
     }
     candidate_system = SimpleNamespace(poset=sys.poset, universe_at=listed, maps=images)
-    choices = brute_inverse_limits(candidate_system, cap=cap)
+    choices = brute_inverse_limits(candidate_system)
     choice = min(choices, key=lambda c: [sorted(rank[p][x] for x in c[p]) for p in points])
-    return choice, brute_inverse_limits(sys, restrict=choice, cap=cap)
+    return choice, brute_inverse_limits(sys, restrict=choice)
 
 
 def _crossing_number(inst, a, k: int) -> int:
