@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 import tangleforge
 from tangleforge import cli as cli_module
 from tangleforge import core, profiles
-from tangleforge.core import Graph
+from tangleforge.core import Graph, graph_to_json
 from tangleforge.cli import cli_main, read_graph
-from tangleforge.fixtures import FIXTURES, triangle_ring
+from tangleforge.fixtures import FIXTURES, doubled_bridge_ring, triangle_ring
 from tangleforge.profinite import product_chain_universe
 
 from jsonforms import universe_to_json
@@ -262,6 +262,47 @@ def test_golden_six_triangle_ring_digest(verb, digest, capsys, monkeypatch, tmp_
     edges += [[3 * i + 2, (3 * i + 3) % 18] for i in range(6)]
     (tmp_path / "ring6.json").write_text(json.dumps({"n": 18, "edges": edges}))
     got_code, out = run_cli([verb, "--graph", "ring6.json", "--k", "3"], capsys)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
+# the profile stage on the rings, read through --graph files: the
+# three-triangle ring at k = 3 under the default caps, and the three fixture
+# rings at k = 3 and 4 with max_sk lifted (most of their S_k is forced)
+PROFILE_RING_GRAPHS = {
+    "triangle_ring3": lambda: TRIANGLE_RING3,
+    "triangle_ring": lambda: graph_to_json(triangle_ring()),
+    "triangle_ring_pendant": lambda: graph_to_json(triangle_ring(pendant=True)),
+    "doubled_bridge_ring": lambda: graph_to_json(doubled_bridge_ring()),
+}
+PROFILE_RING_GOLDEN = [
+    ("separations triangle_ring3 3", "a726a196fd34bf578f9317db6ca52e0bcecff36e334dc999efa26eef7fea9108"),
+    ("profiles triangle_ring3 3", "63923795dfb9b3dd5083751ad1e0cc8d315766f1099b39dd373ba5804657c629"),
+    ("distinguish triangle_ring3 3", "4f9199a6ccf084bdb18d666657d18204ef9815d4f60d3641b67230d65a72eb43"),
+    ("profiles triangle_ring 3", "18c548e09b592c4c0ae31c39db5a3a42c34645b24884015717479e287cff8973"),
+    ("distinguish triangle_ring 3", "9a7b1fe0709d5f76fcf0aafa3d88c4c35650072b7d7b441769d7dceca2472f21"),
+    ("profiles triangle_ring 4", "6ddc8b2edde969abcfafed0f52cd065c1c9f28a191aac8dbc5f8ff6b5e02c517"),
+    ("distinguish triangle_ring 4", "f14186480f06fabdf7a5deaecf09c9569f78330b12770fa5388f5802810fceca"),
+    ("profiles triangle_ring_pendant 3", "6438c0180111ccfc98837341090300bd747bd7e050ba5969c0484fffd0fe95df"),
+    ("distinguish triangle_ring_pendant 3", "8498064c034ab28c3ae7c46ebafaf34a8c1bdd44a712ba96776c12836b35f454"),
+    ("profiles triangle_ring_pendant 4", "a6af02d6897c47c9bbf3c417f3c3fea86be645dcc57587c848c158309302df52"),
+    ("distinguish triangle_ring_pendant 4", "94463dfb16bd38d8d2e7e8f18e62bbff5b02cab5966bf311118d5dc99a9608fb"),
+    ("profiles doubled_bridge_ring 3", "d12d59133dddf96a90fcf411d362f3c9e46f1fb3a1e0a54c4d505bcffd476917"),
+    ("distinguish doubled_bridge_ring 3", "8e9240941f79517029ed859f81be20648a3b5027111bcc1d71fcb350628849c4"),
+    ("profiles doubled_bridge_ring 4", "5273842a9dfae9ea0ece06e9f13f2e6cbedfa1dfcd2c92b343a282a00fe9278d"),
+    ("distinguish doubled_bridge_ring 4", "bfcf3d446da0eceae56fae14ed7e6c3edf78391f620b271f1a21c272dc9fae23"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", PROFILE_RING_GOLDEN, ids=[g[0] for g in PROFILE_RING_GOLDEN])
+def test_golden_profile_ring_digest(spec, digest, capsys, monkeypatch, tmp_path):
+    verb, name, k = spec.split()
+    if name == "triangle_ring3":
+        monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
+    else:
+        monkeypatch.setenv("TANGLEFORGE_CAPS", '{"max_sk": 1024}')
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.json").write_text(json.dumps(PROFILE_RING_GRAPHS[name]()))
+    got_code, out = run_cli([verb, "--graph", f"{name}.json", "--k", k], capsys)
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
