@@ -503,7 +503,9 @@ def profinite_splinter(
             raise CertificationError(f"image of a nested transversal at {t!r} is not one at {p!r}")
     choice = min(choices, key=lambda c: [sorted(map(rank[p].__getitem__, c[p])) for p in points])
     limits = inverse_limits(sys, restrict=choice, cap=limit_cap)
-    if not limits:
+    # a non-empty N_t has limits, by the greatest-point lemma; with no
+    # families N_t is empty and so is the limit set
+    if not limits and choice[t]:
         raise CertificationError("chosen nested sets admit no limit (bug)")
 
     # certify: projections nested, every family met

@@ -888,6 +888,19 @@ def test_profinite_splinter_system_file(tmp_path, capsys):
     assert payload["result"]["limit_count"] >= 1
 
 
+def test_profinite_splinter_with_no_families_exits_zero(tmp_path, capsys):
+    """Zero families: the chosen nested set is empty at every point and
+    no limit goes through it, which is a valid answer, not a bug."""
+    path = tmp_path / "system.json"
+    path.write_text(system_json(lambda s: s.update(families=[])))
+    code, out = run_cli(["profinite-splinter", "--system", str(path)], capsys)
+    assert code == 0, out
+    payload = json.loads(out)
+    validate("profinite-splinter", payload)
+    assert payload["result"]["limit_count"] == 0
+    assert payload["result"]["nested_choice"] == {"p0": [], "p1": []}
+
+
 def test_hypothesis_failure_exit_code(tmp_path, capsys):
     instance = {
         "elements": ["a", "b"],

@@ -317,6 +317,18 @@ def assert_choice_matches_the_oracle(sys_, families):
     assert limit_set(res.limits) == limit_set(limits)
 
 
+def test_no_families_give_the_empty_choice_and_no_limit():
+    """With zero families the only nested transversal at every point is
+    the empty set, and no limit runs through empty restrictions: the result
+    is that choice with no limits, as the oracle has it, and not a
+    certification error."""
+    sys_ = identity_system(n_points=2)
+    res = profinite_splinter(sys_, [])
+    assert res.nested_choice == {p: frozenset() for p in sys_.poset.points}
+    assert not res.limits
+    assert_choice_matches_the_oracle(sys_, [])
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_profinite_choice_matches_the_oracle_on_random_systems(seed):
     systems = random_inverse_systems(seed, count=40)
