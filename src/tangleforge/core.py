@@ -283,6 +283,12 @@ def enumerate_separations(
     once, and X = V(G) (no components) contributes (V, V) alone. That count
     is taken from the components before any separation is built, and a
     count above `max_sk` raises CapExceededError.
+
+    An X with fewer than two components of G − X has the one choice S = ∅,
+    which gives the trivial separation (X, V); it is built at once, with no
+    walk over subsets of components. In a connected graph every X of size
+    below its connectivity is such an X, so on the graphs the profile search
+    runs on most of S_k takes this path.
     """
     if k < 1:
         raise PreconditionError("k must be at least 1")
@@ -301,6 +307,9 @@ def enumerate_separations(
         raise CapExceededError(f"|S_k| = {m} exceeds the profile search cap {max_sk}")
     out = []
     for x, comps in split:
+        if len(comps) < 2:
+            out.append(canonical(Separation(x, verts)))
+            continue
         rest = comps[:-1]
         for r in range(len(rest) + 1):
             for chosen in itertools.combinations(rest, r):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter, ne
 from typing import Optional
 
 from .core import (
@@ -17,10 +18,13 @@ from .core import (
     separation_to_json,
     star,
     subsets_of_size,
+    vertices_of,
 )
 from .errors import CertificationError, PreconditionError
 
 DEFAULT_MAX_SK = 64
+
+_swapped = itemgetter(1, 0)  # (a, b) ↦ (b, a)
 
 
 @dataclass(frozen=True)
@@ -140,10 +144,13 @@ def _leaves_are_profiles(g: Graph, s_k, slots, leaves) -> bool:
     that meet.
     """
     m = len(s_k)
-    width = 2 * m
-    if len(slots) != width or any(slots[x + 1] != slots[x][::-1] for x in range(0, width, 2)):
+    if len(slots) != 2 * m or any(map(ne, map(_swapped, slots[::2]), slots[1::2])):
         return False
-    if {canonical(Separation(*slots[x])) for x in range(0, width, 2)} != set(s_k):
+    # S_k lists distinct canonical separations, and the two slots of a pair
+    # are one separation, of which at most one is canonical (both, as one
+    # pair, when it is (V, V)); so the m pairs are the m separations of S_k
+    # exactly when m members of S_k appear among the slots
+    if len(set(s_k).intersection(slots)) != m:
         return False
     evens = (4**m - 1) // 3  # slot 2i of every separation i
     if any((leaf | leaf >> 1) & evens != evens or leaf & leaf >> 1 & evens for leaf in leaves):
@@ -153,26 +160,28 @@ def _leaves_are_profiles(g: Graph, s_k, slots, leaves) -> bool:
     for leaf in leaves:
         union |= leaf
     shift, verts = g.n, g.vertices
-    members = list(iter_bits(union))
-    co_small = [slots[x][1] for x in members if slots[x][0] == verts]
+    members = [x for x, bit in enumerate(bin(union)[:1:-1]) if bit == "1"]
+    sides = [slots[x] for x in members]
+    co_small = [b for a, b in sides if a == verts]
     # holds[v]: the free members (X, V) with v ∈ X; by_a[A]: (B, slot bit)
     # for the members (A, B) of U. Coded as a << n | (V ∖ b), the meet
     # (a ∩ c, b ∪ d) of two separations is the AND of their codes;
     # code_bits maps a code to the slot bits of the members that have it
     # (the two slots of (V, V) share one code)
     free, proper, holds, by_a, code_bits = 0, [], [0] * shift, {}, {}
-    for x in members:
-        a, b = slots[x]
+    for x, (a, b) in zip(members, sides):
         bit = 1 << x
-        if b == verts and not any(not a & ~z for z in co_small):
-            free |= bit
-            for v in iter_bits(a):
-                holds[v] |= bit
-        else:
-            proper.append(x)
         by_a.setdefault(a, []).append((b, bit))
         code = (a << shift) | (verts & ~b)
         code_bits[code] = code_bits.get(code, 0) | bit
+        if b == verts and not (co_small and any(not a & ~z for z in co_small)):
+            free |= bit
+            while a:
+                low = a & -a
+                holds[low.bit_length() - 1] |= bit
+                a ^= low
+        else:
+            proper.append(x)
     inverse = [(slots[x][1] << shift) | (verts & ~slots[x][0]) for x in proper]
     # x* ≤ y iff B(x) ⊆ A(y) and B(y) ⊆ A(x), iff the code of x* misses
     # ((V ∖ A(y)) << n) | B(y)
@@ -232,15 +241,16 @@ def enumerate_k_profiles(
     vectors over S_k sorted by (order, sep_sort_key), each listing its
     members in S_k order.
 
-    Depth-first search over the unoriented separations sorted by order.
-    Separation i has the slots 2i (its orientation (a, b)) and 2i+1
-    (orientation (b, a)); a partial orientation is an int of chosen slots
-    and an int of banned ones. Choosing a slot x bans every slot
-    inconsistent with it and, for each slot y already on the branch, the
-    slot x* ∧ y* when it lies in S_k; a meet that is already chosen (x
-    included) ends the branch. So consistency and property (P) are both
-    fully propagated and every leaf is a profile. The leaves are still
-    checked against the full definition, all together; a failure means the
+    Depth-first search over the open separations (those the lemma below
+    does not force) sorted by order. Open separation i has the slots 2i
+    (its orientation (a, b)) and 2i+1 (orientation (b, a)); a partial
+    orientation is an int of chosen slots and an int of banned ones.
+    Choosing a slot x bans every slot inconsistent with it and, for each
+    slot y already on the branch, the slot x* ∧ y* when it lies in S_k; a
+    meet that is already chosen (x included) ends the branch. So
+    consistency and property (P) are both fully propagated and every leaf
+    is a profile. The leaves are still checked against the full
+    definition, all together and over all of S_k; a failure means the
     pruning is wrong and raises CertificationError.
 
     The search propagates before it branches. A branch ends as soon as
@@ -252,8 +262,9 @@ def enumerate_k_profiles(
     holds, so no profile is lost. The leaf order is lexicographic: at a
     branch point every separation below i is decided, so all leaves of the
     branch agree below i, and the leaves under slot 2i precede those under
-    2i+1 in the order of the vectors; the order in which forced slots are
-    taken changes only the search tree, not which leaves it reaches.
+    2i+1 in the order of the vectors; the order in which the remaining
+    slots are taken changes only the search tree, not which leaves it
+    reaches.
 
     Lemma. Let n = |V| ≥ k. No k-profile holds a co-small separation
     (V, Z) when |Z| ≥ 2 or when |Z| ≤ k − 2. Proof: a profile holding
@@ -266,85 +277,122 @@ def enumerate_k_profiles(
     separation {X, V} of S_k, at k = 2 it holds (∅, V), and at k = 1 the
     lemma forces nothing.
 
-    The search starts from these forced slots: they are chosen without a
-    `choose` call each, and kept off the path. That loses no ban and no
-    kill. A forced (X, V) is inconsistent only with slots (V, D), D ⊊ X,
-    whose separations are forced too, and the meet (V, X ∪ Y) of two
-    forced inverses is either outside S_k or the unchosen slot of the
-    forced {X ∪ Y, V}, since the forced set is closed under unions of
-    size < k. Every later `choose` meets the forced slots through one
-    static mask:
-
-    Lemma. Let x = (A, B) be an open slot and y = (X, V) a forced one.
-    Then x* ∧ y* = (B ∩ V, A ∪ X) = (B, A ∪ X). So the slots that x meets
-    the forced inverses into are exactly the slots t = (B, D) of S_k with
-    A ⊆ D and D ∖ A ⊆ X ⊆ D for some forced X: D = A ∪ X gives these,
-    and conversely they give A ∪ X = D. Proof that the test is one
-    popcount: every X of size < k gives a separation (X, V) of S_k (as
-    k ≤ n, X ≠ V), so the forced X are all the vertex sets of a forced
+    The forced sizes. Every X of size < k gives a separation (X, V) of S_k
+    (as k ≤ n, X ≠ V), so the forced X are all the vertex sets of a forced
     size, and the forced sizes (those s < k with s ≥ 2 or s ≤ k − 2) are
-    0, ..., k − 1 at k ≥ 3, 0 at k = 2 and none at k = 1, an interval
-    from 0. Between D ∖ A and D lies a set of every size from |D ∖ A| to
-    |D|, so some forced X lies there iff |D ∖ A| is at most the largest
-    forced size. `fixed[x]`, the mask of these t, is built once per open
-    slot from the slots whose first side is B. `choose(x)` ends the branch when a chosen slot (x included) is
-    in `fixed[x]` and bans `fixed[x]` otherwise, as the meets with the
-    forced inverses one at a time would; the forced slots are chosen
-    before every open one, so the path holds only the open slots chosen
-    on the branch. So the leaves, and their order, are those of the
-    search without the lemma. The consistency table is built for the
-    separations still undecided at the start only: every test of the
-    search is masked with the undecided separations, and `choose` never
-    tests it against chosen slots.
+    0, ..., k − 1 at k ≥ 3, 0 at k = 2 and none at k = 1: an interval from
+    0 up to `top`. So the forced slots are exactly the (Z, V) with
+    |Z| ≤ `top`, and they are closed under unions of at most `top`
+    vertices.
+
+    The forced separations get no slot, no table row and no `choose`
+    call: every profile holds their (X, V), so the search starts as if
+    they were chosen and meets them only through the two closed forms
+    below. That loses no ban and no kill. A forced (X, V) is inconsistent
+    only with slots (V, D), D ⊊ X, whose separations are forced too, so
+    no open slot is inconsistent with a forced one. The meet (V, X ∪ Y)
+    of two forced inverses is either outside S_k or the unchosen slot of
+    the forced (X ∪ Y, V). A ban on a slot of a forced separation would be
+    void, as it is decided. What is left are the meets of an open slot
+    with a forced one, and the meets of two open slots that land on a
+    forced separation.
+
+    Closed form 1 (an open slot against the forced inverses). Let
+    x = (A, B) be an open slot and y = (X, V) a forced one. Then
+    x* ∧ y* = (B ∩ V, A ∪ X) = (B, A ∪ X). So the slots that x meets the
+    forced inverses into are exactly the slots t = (B, D) of S_k with
+    A ⊆ D and D ∖ A ⊆ X ⊆ D for some forced X: D = A ∪ X gives these,
+    and conversely they give A ∪ X = D. Between D ∖ A and D lies a set of
+    every size from |D ∖ A| to |D|, so some forced X lies there iff
+    |D ∖ A| ≤ `top`. Such a t is a forced slot only as t = (B, V) with
+    |B| ≤ `top`, and then it is one: V ∖ A ⊆ B, as A ∪ B = V, so
+    |V ∖ A| ≤ `top`. That slot is chosen, so x is killed. No such t is the
+    unchosen slot (V, Z) of a forced separation: that needs B = V, so
+    x = (A, V) with |A| > `top`, as x is open, and D ⊇ A then has more
+    than `top` vertices. So `fixed[x]` is x's own bit when |B| ≤ `top`
+    (`choose` adds x to the chosen slots before it tests `fixed[x]`), and
+    otherwise the mask of the open t = (B, D) with A ⊆ D and
+    |D ∖ A| ≤ `top`, built once per open slot from the slots whose first
+    side is B. `choose(x)` ends the branch when a chosen slot is in
+    `fixed[x]` and bans `fixed[x]` otherwise, as the meets with the forced
+    inverses one at a time would.
+
+    Closed form 2 (two open slots meeting on a forced separation). Let x
+    and y be open slots on the branch and z = x* ∧ y* =
+    (B(x) ∩ B(y), A(x) ∪ A(y)). If z is a forced slot, that is, its second
+    side is V and its first side has at most `top` vertices, z is chosen
+    and ends the branch. z is never the unchosen slot (V, Z) of a forced
+    separation: that needs B(x) = B(y) = V, so x = (A(x), V) with
+    |A(x)| > `top`, as x is open, and Z = A(x) ∪ A(y) is larger still.
+    Every other meet outside the open slots lies outside S_k. So `choose`
+    looks each meet up among the open slots, and ends the branch on one
+    whose code is that of some (Z, V) with |Z| ≤ `top`: Z itself, below
+    `ceiling` and with at most `top` bits. Every code below `ceiling` has
+    second side V, as `ceiling` ≤ 2^n, and every such Z lies below it. At
+    k = 2 no such meet reaches the test: the only forced slot is (∅, V),
+    and B(x) ∩ B(y) = ∅ gives B(x) ⊆ V ∖ B(y) ⊆ A(y) and B(y) ⊆ A(x),
+    that is x* ≤ y, so whichever of x and y is chosen first has banned the
+    other through its consistency row. At k = 1 nothing is forced. So the
+    test runs at k ≥ 3 only.
+
+    So the search over the open separations reaches the leaves, in their
+    order, of the search over all of S_k with the forced slots chosen
+    first. The certificate reads the full leaves over S_k-order slots:
+    each open bit is lifted to its separation's S_k position, and the
+    forced orientations are added as one mask. Each profile fills the open
+    positions of one tuple that holds the forced orientations at their
+    S_k positions.
     """
     s_k = enumerate_separations(g, k, max_n=max_n, max_k=max_k, max_sk=max_sk)
-    m = len(s_k)
     if k > g.num_vertices:
         # (V, V) ∈ S_k is its own inverse and its own meet with itself, so
         # every orientation of S_k violates (P)
         return ()
-    # s_k is in S_k order, and the stable sort keeps that within an order;
-    # slot_of[j] is the slot 2i of s_k[j] (i runs over the inverse of
-    # `ranked`), so a leaf lists its members in S_k order
-    ranked = sorted(range(m), key=lambda j: s_k[j].order)
-    slot_of = [2 * i for i in sorted(range(m), key=ranked.__getitem__)]
-    slots = [x for j in ranked for x in (s_k[j], star(s_k[j]))]
-    full = (1 << 2 * m) - 1
-    evens = full // 3  # slot 2i of every separation i
     shift, verts = g.n, g.vertices
     # the lemma's forced slots (X, V): those with |X| ≤ `top`, the largest
-    # forced size (−1 when none is forced); `open_evens` is the slot 2i of
-    # every other i
+    # forced size (−1 when none is forced). `base` holds their orientations
+    # at their S_k positions, `forced_bits` their slot bits over the S_k-order
+    # slots 2j = s_k[j] and 2j+1 = its inverse, and `where` the S_k
+    # positions of the open separations
     top = k - 1 if k >= 3 else k - 2
-    start = sum(
-        1 << x for x, (a, b) in enumerate(slots) if b == verts and a.bit_count() <= top
-    )
-    open_evens = evens & ~(start | start >> 1)
-    open_slots = open_evens | open_evens << 1
+    base, where, forced_bits = list(s_k), [], 0
+    for j, (a, b) in enumerate(s_k):
+        if b == verts and a.bit_count() <= top:
+            forced_bits |= 1 << 2 * j
+        elif a == verts and b.bit_count() <= top:
+            base[j] = Separation(b, a)
+            forced_bits |= 2 << 2 * j
+        else:
+            where.append(j)
+    # the open separations in S_k order, sorted stably by order
+    where.sort(key=lambda j: s_k[j].order)
+    slots = [x for j in where for x in (s_k[j], star(s_k[j]))]
+    full = (1 << len(slots)) - 1
+    evens = full // 3  # slot 2i of every open separation i
 
     # per-vertex columns at bit 2i of open separation i = (a, b): a holds
     # v / b holds v; shifted by one they read the inverse slot 2i+1 = (b, a)
     in_a = [0] * g.n
     in_b = [0] * g.n
-    for x in iter_bits(open_evens):
+    for x in range(0, len(slots), 2):
         a, b = slots[x]
         for v in iter_bits(a):
             in_a[v] |= 1 << x
         for v in iter_bits(b):
             in_b[v] |= 1 << x
-    # over the open slots: A holds v / A holds v and B misses v
+    # A holds v / A holds v and B misses v
     a_has = [ca | cb << 1 for ca, cb in zip(in_a, in_b)]
     a_only = [(ca & ~cb) | (cb & ~ca) << 1 for ca, cb in zip(in_a, in_b)]
-    # cons_bad[x]: the open slots y of other separations with x* ≤ y,
-    # i.e. B(x) ⊆ A(y) and B(y) ⊆ A(x); x* ≤ y and y* ≤ x coincide (the
+    # cons_bad[x]: the slots y of other separations with x* ≤ y, i.e.
+    # B(x) ⊆ A(y) and B(y) ⊆ A(x); x* ≤ y and y* ≤ x coincide (the
     # involution reverses the order), so the relation is symmetric. For
     # x = (a, b), a vertex of a ∩ b must lie in A(y), and one of b ∖ a in
     # A(y) but not in B(y); the inverse slot swaps b ∖ a for a ∖ b, so both
-    # slots share the AND over a ∩ b. Decided separations get no rows.
-    cons_bad = [0] * (2 * m)
-    for x in iter_bits(open_evens):
+    # slots share the AND over a ∩ b
+    cons_bad = [0] * len(slots)
+    for x in range(0, len(slots), 2):
         a, b = slots[x]
-        both = open_slots & ~(3 << x)
+        both = full & ~(3 << x)
         for v in iter_bits(a & b):
             both &= a_has[v]
         bad, inv_bad = both, both
@@ -354,24 +402,27 @@ def enumerate_k_profiles(
             inv_bad &= a_only[v]
         cons_bad[x], cons_bad[x + 1] = bad, inv_bad
 
-    # fixed[x]: the slots (B, D) that an open slot x = (A, B) meets the
-    # forced inverses into (the lemma): A ⊆ D and |D ∖ A| ≤ `top`
+    # fixed[x] (closed form 1): x's own bit when |B| ≤ `top`, and otherwise
+    # the slots (B, D) with A ⊆ D and |D ∖ A| ≤ `top`
     by_first = {}
     for t, (a, b) in enumerate(slots):
         by_first.setdefault(a, []).append((b, 1 << t))
-    fixed = [0] * (2 * m)
-    for x in iter_bits(open_slots):
-        a, b = slots[x]
-        fixed[x] = sum(
-            bit for d, bit in by_first[b] if not a & ~d and (d & ~a).bit_count() <= top
-        )
+    fixed = [
+        1 << x
+        if b.bit_count() <= top
+        else sum(bit for d, bit in by_first[b] if not a & ~d and (d & ~a).bit_count() <= top)
+        for x, (a, b) in enumerate(slots)
+    ]
 
-    # a slot (a, b) is coded as a << n | (V ∖ b), so that the code of the
+    # a slot (a, b) is coded as (V ∖ b) << n | a, so that the code of the
     # meet x* ∧ y* = (B(x) ∩ B(y), A(x) ∪ A(y)) is the AND of the codes of
-    # x* and y*; `path` holds the codes of the inverses of the open slots
-    # chosen on the branch
-    codes = [(a << shift) | (verts & ~b) for a, b in slots]
+    # x* and y*; `path` holds the codes of the inverses of the slots chosen
+    # on the branch. A forced slot (Z, V) is coded as Z, below `ceiling`,
+    # one more than the set of the `top` highest vertices; `ceiling` is 0
+    # at k ≤ 2, where no path meet is forced (closed form 2)
+    codes = [((verts & ~b) << shift) | a for a, b in slots]
     slot_bit = {code: 1 << x for x, code in enumerate(codes)}.get
+    ceiling = sum(1 << v for v in vertices_of(verts)[::-1][:top]) + 1 if k >= 3 else 0
     path = []
 
     def choose(x, chosen, banned):
@@ -381,26 +432,36 @@ def enumerate_k_profiles(
             return None
         banned |= cons_bad[x] | fixed[x]
         inverse = codes[x ^ 1]
-        for t in filter(None, map(slot_bit, [inverse & other for other in path])):
+        meets = [inverse & other for other in path]
+        for t in filter(None, map(slot_bit, meets)):
             if chosen & t:
                 return None
             banned |= t
+        # closed form 2: a meet (Z, V), |Z| ≤ `top`, is a chosen forced slot
+        if (
+            ceiling
+            and meets
+            and min(meets) < ceiling
+            and any(z < ceiling and z.bit_count() <= top for z in meets)
+        ):
+            return None
         path.append(inverse)
         return chosen, banned
 
     leaves = []
 
     def rec(chosen, banned):
-        # forced separations extend the branch in place, the lowest first;
-        # only a separation with both orientations free opens a subtree
+        # separations with one slot banned extend the branch in place, the
+        # lowest first; only a separation with both slots free opens a
+        # subtree
         while True:
             undecided = evens & ~(chosen | chosen >> 1)
             if banned & banned >> 1 & undecided:
                 return
-            forced = (banned ^ banned >> 1) & undecided
-            if not forced:
+            single = (banned ^ banned >> 1) & undecided
+            if not single:
                 break
-            x = (forced & -forced).bit_length() - 1
+            x = (single & -single).bit_length() - 1
             # the slot of separation x // 2 that is not banned
             state = choose(x | banned >> x & 1, chosen, banned)
             if state is None:
@@ -417,13 +478,23 @@ def enumerate_k_profiles(
                 rec(*state)
                 del path[depth:]
 
-    rec(start, 0)
+    rec(0, 0)
 
-    if not _leaves_are_profiles(g, s_k, slots, leaves):
+    # each leaf fills the open positions of `base`, and its bits are lifted
+    # to the S_k-order slots: open slot x is slot 2j + (x & 1) there
+    rows, full_leaves = [], []
+    for leaf in leaves:
+        chosen, bits = base[:], forced_bits
+        for x in iter_bits(leaf):
+            j = where[x >> 1]
+            chosen[j] = slots[x]
+            bits |= 1 << (2 * j + (x & 1))
+        rows.append(tuple(chosen))
+        full_leaves.append(bits)
+    full_slots = [side for s in s_k for side in (s, s[::-1])]
+    if not _leaves_are_profiles(g, s_k, full_slots, full_leaves):
         raise CertificationError("profile search reached a leaf that is not a profile")
-    return tuple(
-        Profile(k, tuple(slots[x if leaf >> x & 1 else x + 1] for x in slot_of)) for leaf in leaves
-    )
+    return tuple(Profile(k, row) for row in rows)
 
 
 # ---------------------------------------------------------------------------

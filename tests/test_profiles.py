@@ -166,6 +166,48 @@ def test_search_matches_the_oracle_on_a_seeded_sweep():
     assert min(seen[kind] for kind in kinds) >= 4, seen
 
 
+def test_search_matches_the_oracle_where_the_forced_part_meets_the_open_part():
+    """A seeded sweep at k = 3 and 4 over graphs on n = k or k + 1
+    vertices with a pendant or an isolated vertex, each against the
+    unpruned oracle. There S_k holds open separations with a side of at
+    most `top` = k − 1 vertices (({p, u}, V − p) for a pendant p with
+    neighbour u, ({i}, V − i) for an isolated i), whose slots the search
+    kills or keeps through the closed forms of `enumerate_k_profiles`
+    rather than through a slot per forced separation. S_k stays within the
+    oracle's tree walk (at most 33 separations, sizes 13 to 16 left out as
+    in the sweep above)."""
+    rng = random.Random(71)
+    seen = collections.Counter()
+    for _ in range(60):
+        k = rng.choice((3, 4))
+        n = rng.choice((k, k + 1))
+        kind = rng.choice(("pendant", "isolated"))
+        p = rng.choice((0.3, 0.6, 1.0))
+        edges = [e for e in itertools.combinations(range(n - 1), 2) if rng.random() < p]
+        if kind == "pendant":
+            edges.append((rng.randrange(n - 1), n - 1))
+        g = Graph.from_edges(n, edges)
+        s_k = enumerate_separations(g, k, max_sk=None)
+        if len(s_k) > 33 or 12 < len(s_k) <= 16:
+            continue
+        reference = oracles.brute_profiles(g, k, scan_cap=33)
+        assert_profiles_in_documented_order(g, k, reference)
+        # at k ≥ 3 and n ≥ k the forced separations are the (X, V)
+        small = [
+            s
+            for s in s_k
+            if g.vertices not in s and min(s.a.bit_count(), s.b.bit_count()) <= k - 1
+        ]
+        seen[k] += 1
+        seen[k, "small open side"] += bool(small)
+        seen[k, "found"] += bool(reference)
+        seen[kind] += 1
+        seen[n - k] += 1
+    kinds = (3, 4, (3, "small open side"), (4, "small open side"), "pendant", "isolated", 0, 1)
+    assert min(seen[kind] for kind in kinds) >= 4, seen
+    assert seen[3, "found"] + seen[4, "found"] >= 2, seen
+
+
 @DIFFERENTIAL
 @given(small_graphs(max_k=4))
 @example((Graph.from_edges(4, itertools.combinations(range(4), 2)), 4))
