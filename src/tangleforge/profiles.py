@@ -160,6 +160,7 @@ def _leaves_are_profiles(g: Graph, s_k, slots, leaves) -> bool:
     for leaf in leaves:
         union |= leaf
     shift, verts = g.n, g.vertices
+    # the set bits of the union, lowest first, read off its binary digits
     members = [x for x, bit in enumerate(bin(union)[:1:-1]) if bit == "1"]
     sides = [slots[x] for x in members]
     co_small = [b for a, b in sides if a == verts]
