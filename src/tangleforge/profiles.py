@@ -34,14 +34,27 @@ class Profile:
     `chosen` keeps the order it is given, and equality compares that
     order. `enumerate_k_profiles` gives the members in S_k order (that of
     `enumerate_separations`), which is the order of `to_json`.
+
+    A member (X, V) with X ≠ V is trivial; at k = 3 most of S_k is. The
+    other members, (V, V) among them, are kept once, in the order of
+    `chosen`, as `_nontrivial`: `is_robust` and `efficient_distinguishers`
+    scan them and meet the trivial members through lookups in `_members`
+    (`is_robust` reads them all only when 3(k − 1) ≥ 2|V| + 2). V is read
+    off the first member, as A ∪ B = V for every separation (A, B) of the
+    graph.
     """
 
     k: int
     chosen: tuple[Separation, ...]
     _members: frozenset = field(compare=False, repr=False, hash=False, default=None)
+    _nontrivial: tuple = field(init=False, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_members", frozenset(self.chosen))
+        chosen = self.chosen
+        object.__setattr__(self, "_members", frozenset(chosen))
+        verts = chosen[0][0] | chosen[0][1] if chosen else 0
+        nontrivial = tuple([x for x in chosen if x[1] != verts or x[0] == verts])
+        object.__setattr__(self, "_nontrivial", nontrivial)
 
     def __contains__(self, x: Separation) -> bool:
         return x in self._members
@@ -508,36 +521,82 @@ class ProfileFlags:
     principal: bool
 
 
+def _submasks(mask: int):
+    """Every subset of `mask`, `mask` itself first and ∅ last."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
 def is_robust(g: Graph, p: Profile) -> bool:
     """Robustness as defined by Diestel, Hundertmark & Lemanczyk, "Profiles
     of separations: in graphs, matroids and beyond" (Combinatorica 2019): a
     member r breaks it if some separation t of G has |r ∨ t| < |r| and
-    |r ∨ t*| < |r| while neither join lies in p. Exact, over p's members:
+    |r ∨ t*| < |r| while neither join lies in p. Exact on any orientation p
+    of S_k, k = p.k; `oracles.brute_is_robust` keeps the scan over the
+    whole universe. The work is quadratic in p's non-trivial members (see
+    `Profile`) and linear in the rest.
 
-    Lemma. Let r = (A, B), X = A ∩ B and (C, D) = (t.a ∩ B, t.b ∩ B), a
+    Lemma. Let r = (A, B), sep = A ∩ B and (C, D) = (t.a ∩ B, t.b ∩ B), a
     separation of G[B]; every separation of G[B] arises so. A breaking
     r ∨ t = (A ∪ C, D) is x* for some x ∈ p with x* ≥ r and |x| < |r|, so
-    D = x.a, C ∖ A = x.b ∖ A, and C ∩ A lies between X ∖ D and X. So r
-    breaks robustness iff such a choice gives j2 = r ∨ t* = (A ∪ D, C) with
-    |j2| < |r| and j2* ∈ p: at most 2^(k−1) choices per pair of members.
-    `oracles.brute_is_robust` keeps the scan over the whole universe.
+    D = x.a, C ∖ A = x.b ∖ A, and C ∩ A lies between sep ∖ D and sep. So
+    r breaks robustness iff such a choice gives j2 = r ∨ t* = (A ∪ D, C)
+    with |j2| < |r| and j2* ∈ p.
 
-    The members are sorted once by order, so the scan over x for a given r
-    stops at the first x with |x| ≥ |r|: the lemma needs |x| < |r|, and
-    every later x is at least as large. j2* = (C, A ∪ D) is looked up as a
-    plain pair in p's member set.
-
-    Order slack. Write sep = A ∩ B and (xa, xb) = x, so D = xa and
+    Order slack. Write (xa, xb) = x, so D = xa and
     C = (xb ∖ A) ∪ (sep ∖ xa) ∪ E for some E ⊆ sep ∩ xa. The three parts
     of (A ∪ xa) ∩ C are disjoint: (xa ∩ xb) ∖ A lies outside A, and
     sep ∖ xa and E lie in A, on either side of xa. So
     |r ∨ t*| = |sep ∖ xa| + |E| + |(xa ∩ xb) ∖ A|, and |j2| < |r| iff
-    |E| < |sep ∩ xa| − |(xa ∩ xb) ∖ A|, the slack. An x without slack is
-    skipped, and the walk over the subsets E of sep ∩ xa tests only those
-    smaller than the slack: one popcount of E in place of the order of j2.
+    |E| < |sep ∩ xa| − |(xa ∩ xb) ∖ A|, the slack. In terms of the part
+    F = (sep ∩ xa) ∖ E that C misses, C = ((xb ∖ A) ∪ sep) ∖ F and
+    |j2| < |r| iff |F| > |(xa ∩ xb) ∖ A|.
+
+    Two partners. A breaking t gives r two partners in p, x = (r ∨ t)*
+    and x' = j2* = (r ∨ t*)*, and t* gives the same two with their roles
+    swapped. So a walk of x over the non-trivial members finds every
+    breaking t but those whose two partners are both trivial. Three cases:
+
+    1. r and x non-trivial: the slack walk. The non-trivial members are
+       sorted by order, so the walk over x stops at the first x with
+       |x| ≥ |r|; an x without slack is skipped, and only the E smaller
+       than the slack are tried.
+    2. r = (X, V) trivial, x non-trivial. x* ≥ r iff X ⊆ xb; write
+       S = xa ∩ xb. Then sep = X and (xb ∖ X) ∪ X = xb, so C = xb ∖ F with
+       F ⊆ X ∩ S and |F| > |S ∖ X|, and x' = (xb ∖ F, X ∪ xa). As x
+       separates G, (xb ∖ F, xa) does iff no vertex of F has a neighbour
+       in xb ∖ xa. So the pair is found from x: for each such nonempty
+       F ⊆ S, x' has first side xb ∖ F, and is (xb ∖ F, V), looked up, or
+       a non-trivial member, read off an index by first side. Its second
+       side d holds xa and gives X ∖ xa = d ∖ xa; the rest of X, X ∩ S,
+       lies between F and S with |S ∖ X| < |F|. These X are enumerated
+       and (X, V) is looked up, with |X| > |S|. As |X| < k, only the x
+       with |S| ≤ k − 2 take part.
+    3. x = (Y, V) and x' both trivial, r = (A, B) any member. x* ≥ r iff
+       Y ⊆ B. Then (V ∖ A) ∪ sep = B, so C = B ∖ F and
+       x' = (B ∖ F, A ∪ Y), which is trivial iff Y holds B ∖ A. So
+       Y = (B ∖ A) ∪ ys for some ys ⊆ sep, F ⊆ ys has more than |B ∖ A|
+       vertices, and (B ∖ F, Y) separates G[B] iff no edge joins F to
+       B ∖ Y = sep ∖ ys. These are enumerated from r's separator, and
+       (Y, V) and (B ∖ F, V) are looked up. As |Y| < |r|, r needs
+       2|B ∖ A| + 2 ≤ |r|. At k ≤ 4 that leaves B ⊆ A and |B| ≥ 2: a
+       co-small (V, B), which no k-profile holds at k ≥ 3 (see
+       `enumerate_k_profiles`), so no member of a profile passes. A
+       trivial r = (X, V) needs 3|X| ≥ 2n + 2, and |X| < k, so the trivial
+       members are read only when 3(k − 1) ≥ 2n + 2. Examples at k = 5:
+       on the 4-cycle 0–1, 0–2, 1–3, 2–3, r = (V, V) with Y = {0, 1, 2},
+       F = {0} and x' = ({1, 2, 3}, V); on the edgeless graph on five
+       vertices, r = ({1, 2, 3, 4}, V) with Y = {0, 2, 3}, F = {2, 3} and
+       x' = ({0, 1, 4}, V).
     """
-    members = p._members
-    ranked = sorted(((a & b).bit_count(), a, b) for a, b in p.chosen)
+    members, verts, k = p._members, g.vertices, p.k
+    adj, neighbours = g.adj, g.neighbours
+    ranked = sorted(((a & b).bit_count(), a, b) for a, b in p._nontrivial)
+    # case 1
     for order, a, b in ranked:
         sep = a & b
         for x_order, xa, xb in ranked:
@@ -557,12 +616,68 @@ def is_robust(g: Graph, p: Profile) -> bool:
                 if (
                     extra.bit_count() < slack
                     and (c, a | xa) in members
-                    and not g.neighbours(c & ~xa) & xa & ~c
+                    and not neighbours(c & ~xa) & xa & ~c
                 ):
                     return False
                 if not extra:
                     break
                 extra = (extra - 1) & free
+
+    if k < 3:
+        # case 2 needs 1 ≤ |S| ≤ k − 2, and case 3 needs |r| ≥ 2
+        return True
+
+    # case 2: x' = (xb ∖ F, d) with d ⊇ xa
+    by_first = None
+    for s, xa, xb in ranked:
+        if s > k - 2:
+            break
+        sep, away = xa & xb, xb & ~xa
+        loose = sum(1 << v for v in iter_bits(sep) if not adj[v] & away)
+        if not loose:
+            continue
+        if by_first is None:
+            by_first = {}
+            for a, b in p._nontrivial:
+                by_first.setdefault(a, []).append(b)
+        for f in _submasks(loose):
+            if not f:
+                break
+            za, rest = xb & ~f, sep & ~f
+            need = rest.bit_count() - f.bit_count()
+            seconds = by_first.get(za, [])
+            if (za, verts) in members:
+                seconds = [*seconds, verts]
+            for d in seconds:
+                if xa & ~d:
+                    continue
+                for extra in _submasks(rest):
+                    first = (d & ~xa) | f | extra
+                    if (
+                        extra.bit_count() > need
+                        and first.bit_count() > s
+                        and (first, verts) in members
+                    ):
+                        return False
+
+    # case 3: x = (out ∪ ys, V) and x' = (B ∖ F, V)
+    for a, b in p.chosen if 3 * (k - 1) >= 2 * g.num_vertices + 2 else p._nontrivial:
+        sep, out = a & b, b & ~a
+        order, spare = sep.bit_count(), out.bit_count()
+        if 2 * spare + 2 > order:
+            continue
+        for ys in _submasks(sep):
+            if (
+                spare < ys.bit_count() < order - spare
+                and (out | ys, verts) in members
+                and any(
+                    f.bit_count() > spare
+                    and not neighbours(f) & sep & ~ys
+                    and (b & ~f, verts) in members
+                    for f in _submasks(ys)
+                )
+            ):
+                return False
     return True
 
 
@@ -656,16 +771,24 @@ def distinguishes(p: Profile, q: Profile, s: Separation) -> bool:
 def efficient_distinguishers(g: Graph, p: Profile, q: Profile) -> DistinguisherSet:
     """Minimum-order separations that p and q orient oppositely, read off p:
     the members (A, B) of p with |A ∩ B| < k whose inverse (B, A), a plain
-    pair, lies in q. Only the kept members of minimum order are made
+    pair, lies in q. A trivial member (X, V) of p (see `Profile`) is one of
+    them only when q holds (V, X), which is non-trivial as X ≠ V; so p's
+    non-trivial members are scanned, and q's members (V, X), X ≠ V, whose
+    inverse p holds. Only the kept members of minimum order are made
     canonical."""
     if p == q:
         raise PreconditionError("profiles must differ")
-    k = min(p.k, q.k)
-    theirs = q._members
+    k, verts = min(p.k, q.k), g.vertices
+    mine, theirs = p._members, q._members
     dist = [
         (order, x)
-        for x in p.chosen
+        for x in p._nontrivial
         if (order := (x[0] & x[1]).bit_count()) < k and (x[1], x[0]) in theirs
+    ]
+    dist += [
+        (order, Separation(b, a))
+        for a, b in q._nontrivial
+        if a == verts != b and (order := b.bit_count()) < k and (b, a) in mine
     ]
     if not dist:
         return DistinguisherSet(p, q, None, ())

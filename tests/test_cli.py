@@ -419,6 +419,51 @@ def test_profinite_splinter_demo_chain_depends_on_labels(capsys, monkeypatch, tm
     assert len(pulled_back) >= 2
 
 
+def test_splinter_picks_follow_vertex_labels(capsys, monkeypatch, tmp_path):
+    """`splinter_finite` picks from the first family with a fitting member,
+    and there its first member in element order, so the `splinter` verb is
+    not canonical (only `thin_splinter` is): under this relabelling of the
+    three-triangle ring at k = 3, the distinguisher families pulled back to
+    the original labels are the original ones, but the picks are not."""
+    monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
+    path = tmp_path / "ring.json"
+    families, picks = [], []
+    for label in (list(range(9)), [5, 6, 7, 4, 3, 0, 8, 1, 2]):
+
+        def pulled_back(seps):
+            return frozenset(
+                core.canonical(
+                    core.Separation(
+                        *(core.mask_of(label.index(v) for v in core.vertices_of(side)) for side in s)
+                    )
+                )
+                for s in seps
+            )
+
+        edges = [[label[u], label[v]] for u, v in TRIANGLE_RING3["edges"]]
+        path.write_text(json.dumps({"n": 9, "edges": edges}))
+        code, out = run_cli(["splinter", "--graph", str(path), "--k", "3"], capsys)
+        assert code == 0, out
+        transversal = json.loads(out)["result"]["transversal"]
+        picks.append(
+            pulled_back(
+                core.Separation(core.mask_of(s["a"]), core.mask_of(s["b"])) for s in transversal
+            )
+        )
+        g = Graph.from_edges(9, edges)
+        chosen = profiles.pipeline_profiles(g, profiles.enumerate_k_profiles(g, 3))
+        families.append(
+            {
+                pulled_back(profiles.efficient_distinguishers(g, p, q).seps)
+                for i, p in enumerate(chosen)
+                for q in chosen[i + 1 :]
+            }
+        )
+    assert len(families[0]) == 3
+    assert families[0] == families[1]
+    assert picks[0] != picks[1]
+
+
 GRAPH_VERBS = [name for name in cli_module.COMMANDS if name not in ("verify", "fixtures")]
 COUNTED_JOBS = [
     (verb, graph) for graph in [*sorted(FIXTURES), "triangle_ring3"] for verb in GRAPH_VERBS

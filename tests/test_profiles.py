@@ -695,6 +695,91 @@ def test_is_robust_matches_the_oracle_on_random_orientations():
     assert non_robust >= checked / 10
 
 
+def random_graph(rng, n):
+    density = rng.random()
+    return Graph.from_edges(
+        n, [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < density]
+    )
+
+
+def oriented(rng, s, verts, family):
+    """One orientation of s: "uniform" flips a coin; "trivial" keeps every
+    (X, V), X ≠ V, as it is and flips a coin for the rest; "co-small" turns
+    (X, V) into (V, X) three times in four."""
+    if s.b == verts and s.a != verts and family != "uniform":
+        if family == "trivial" or rng.random() < 0.25:
+            return s
+        return star(s)
+    return star(s) if rng.random() < 0.5 else s
+
+
+def test_is_robust_matches_the_oracle_where_trivial_members_meet():
+    # k runs up to n + 1, so (V, V) and trivial members (X, V) of every
+    # size occur; the three families weight the trivial ones differently,
+    # so that each case of `is_robust` meets orientations that break
+    # robustness
+    rng = random.Random(24)
+    families = ("uniform", "trivial", "co-small")
+    checked, non_robust = 0, collections.Counter()
+    while checked < 450:
+        n = rng.randint(1, 7)
+        k = rng.randint(1, n + 1)
+        g = random_graph(rng, n)
+        s_k = enumerate_separations(g, k, max_k=n + 1)
+        if len(s_k) > 40:
+            continue
+        family = families[checked % 3]
+        chosen = tuple(oriented(rng, s, g.vertices, family) for s in s_k)
+        expected = oracles.brute_is_robust(g, chosen)
+        assert is_robust(g, Profile(k, chosen)) == expected, (g, k, chosen)
+        checked += 1
+        non_robust[family] += not expected
+    assert all(non_robust[family] >= 10 for family in families), non_robust
+
+
+def test_a_trivial_witness_breaks_robustness_on_the_four_cycle():
+    # r = (V, V) and x = ({0, 1, 2}, V) break robustness through the
+    # trivial j2* = ({1, 2, 3}, V): t = ({1, 2, 3}, {0, 1, 2}) separates,
+    # as 0 and 3 are not adjacent
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    verts = g.vertices
+    held = [Separation(verts, verts), sep([0, 1, 2], range(4)), sep([1, 2, 3], range(4))]
+    r, t = held[0], sep([1, 2, 3], [0, 1, 2])
+    assert [star(join(r, t)), star(join(r, star(t)))] == held[1:]
+    assert max(join(r, t).order, join(r, star(t)).order) < r.order
+    s_k = enumerate_separations(g, 5)
+    rng = random.Random(5)
+    for _ in range(20):
+        chosen = tuple(
+            next((x for x in held if canonical(x) == s), None)
+            or oriented(rng, s, verts, "uniform")
+            for s in s_k
+        )
+        assert not oracles.brute_is_robust(g, chosen)
+        assert not is_robust(g, Profile(5, chosen))
+
+
+def test_a_trivial_member_breaks_robustness_through_two_trivial_partners():
+    # r = ({1, 2, 3, 4}, V) breaks robustness on the edgeless graph at
+    # k = 5 through t = ({0, 1, 4}, {0, 2, 3}), whose two joins with r are
+    # the inverses of the trivial members ({0, 2, 3}, V) and ({0, 1, 4}, V);
+    # every other separation points to its larger side, so no other member
+    # is trivial
+    g = Graph.from_edges(5, [])
+    verts = g.vertices
+    held = [sep([1, 2, 3, 4], range(5)), sep([0, 2, 3], range(5)), sep([0, 1, 4], range(5))]
+    r, t = held[0], sep([0, 1, 4], [0, 2, 3])
+    assert {star(join(r, t)), star(join(r, star(t)))} == set(held[1:])
+    chosen = tuple(
+        next((x for x in held if canonical(x) == s), None)
+        or (s if s.a.bit_count() >= s.b.bit_count() else star(s))
+        for s in enumerate_separations(g, 5)
+    )
+    assert {x for x in chosen if x.b == verts != x.a} == set(held)
+    assert not oracles.brute_is_robust(g, chosen)
+    assert not is_robust(g, Profile(5, chosen))
+
+
 def test_non_robust_and_non_principal_orientations_are_refused(graphs):
     # Every regular profile of a graph met so far is robust, and every one
     # is principal (the lemma in `is_principal`), so the robustness filter
@@ -865,6 +950,32 @@ def test_efficient_distinguishers_match_the_oracle(case):
         dset = efficient_distinguishers(g, p, q)
         expected = oracles.brute_distinguishers(g, p.chosen, q.chosen)
         assert (dset.seps, dset.order) == (expected, expected[0].order if expected else None)
+
+
+def test_efficient_distinguishers_match_the_oracle_on_orientations():
+    # orientations of S_k and S_k' that are not profiles, co-small members
+    # (V, X) included, so a trivial (X, V) of p is met through q's (V, X)
+    rng = random.Random(23)
+    checked = co_small = 0
+    while checked < 300:
+        n = rng.randint(1, 6)
+        g = random_graph(rng, n)
+        k, k2 = rng.randint(1, 4), rng.randint(1, 4)
+        p, q = (
+            Profile(
+                order,
+                tuple(oriented(rng, s, g.vertices, "uniform") for s in enumerate_separations(g, order)),
+            )
+            for order in (k, k2)
+        )
+        if p == q:
+            continue
+        dset = efficient_distinguishers(g, p, q)
+        expected = oracles.brute_distinguishers(g, p.chosen, q.chosen)
+        assert (dset.seps, dset.order) == (expected, expected[0].order if expected else None)
+        checked += 1
+        co_small += any(g.vertices in s and s.a != s.b for s in expected)
+    assert co_small >= 30
 
 
 def test_lattice_closure_of_distinguisher_sets(graphs):
