@@ -42,7 +42,7 @@ from .fixtures import FIXTURES, PIPELINE_K, get_fixture
 from .jsonshape import require, rows, scalars
 from .profiles import (
     DEFAULT_MAX_SK,
-    efficient_distinguishers,
+    distinguisher_sets,
     enumerate_k_profiles,
     pipeline_profiles,
     principal_flags,
@@ -245,38 +245,31 @@ def cmd_profiles(args, cfg):
 def cmd_distinguish(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
     profs = enumerate_k_profiles(g, k, max_sk=cfg.max_sk, max_n=cfg.max_n, max_k=cfg.max_k)
-    pairs = []
-    for i, j in itertools.combinations(range(len(profs)), 2):
-        dset = efficient_distinguishers(g, profs[i], profs[j])
-        pairs.append(
-            {
-                "pair": [i, j],
-                "order": dset.order,
-                "separations": [separation_to_json(s) for s in dset.seps],
-            }
-        )
+    pairs = [
+        {
+            "pair": list(pair),
+            "order": dset.order,
+            "separations": [separation_to_json(s) for s in dset.seps],
+        }
+        for pair, dset in distinguisher_sets(g, profs).items()
+    ]
     return {"graph": label, "k": k, "profiles": len(profs), "pairs": pairs}
 
 
 def cmd_splinter(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
     profs = _pipeline_profiles(g, k, cfg)
-    fams = []
-    fam_pairs = []
-    for i, j in itertools.combinations(range(len(profs)), 2):
-        dset = efficient_distinguishers(g, profs[i], profs[j])
-        if dset.seps:
-            fams.append(frozenset(dset.seps))
-            fam_pairs.append([i, j])
-    if not fams:
+    dsets = {pair: dset for pair, dset in distinguisher_sets(g, profs).items() if dset}
+    if not dsets:
         return {"graph": label, "k": k, "families": 0, "transversal": []}
-    fam_obj = FiniteSplinterFamily(_s_k_universe(g, profs[0]), tuple(fams))
+    fams = tuple(frozenset(dset.seps) for dset in dsets.values())
+    fam_obj = FiniteSplinterFamily(_s_k_universe(g, profs[0]), fams)
     picks = _transversal(fam_obj, "distinguisher families do not splinter")
     return {
         "graph": label,
         "k": k,
         "families": len(fams),
-        "pairs": fam_pairs,
+        "pairs": [list(pair) for pair in dsets],
         "transversal": [separation_to_json(s) for s in picks],
     }
 
@@ -290,8 +283,10 @@ def _s_k_universe(g: Graph, p):
 
 def instance_from_json(obj) -> SplinterInstance:
     """Load {"elements": [...], "nested": [[a, b], ...], "families":
-    [{"name": key, "order": int, "members": [...]}, ...]}; input of any
-    other shape raises InputError."""
+    [{"name": key, "order": int, "members": [...]}, ...]}. A family
+    without a name is keyed by its index; two families with one key, and
+    an order that is no JSON integer, raise InputError, as does input of
+    any other shape."""
     require(isinstance(obj, dict), "instance JSON must be an object")
     elements = tuple(scalars(obj.get("elements"), "instance 'elements'"))
     names = set(elements)
@@ -314,11 +309,11 @@ def instance_from_json(obj) -> SplinterInstance:
     orders = {}
     for idx, fam in enumerate(fams):
         key = fam.get("name", idx)
+        require(key not in families, f"instance family {key!r} is given twice")
+        order = fam.get("order")
+        require(type(order) is int, f"instance family {key!r} needs an integer 'order', got {order!r}")
         families[key] = frozenset(fam["members"])
-        try:
-            orders[key] = int(fam.get("order"))
-        except (TypeError, ValueError, OverflowError):
-            raise InputError(f"instance family {key!r} needs an integer 'order'") from None
+        orders[key] = order
     return SplinterInstance(
         elements=elements,
         families=families,
@@ -372,15 +367,13 @@ def cmd_profinite_splinter(args, cfg):
         raise PreconditionError("need at least two distinguishable profiles for the demo system")
     chain = _demo_chain(g)
     system = graph_restriction_system(g, chain)
-    families = []
-    for i, j in itertools.combinations(range(len(profs)), 2):
-        dset = efficient_distinguishers(g, profs[i], profs[j])
-        families.append(
-            {
-                z: frozenset(Separation(s.a & z, s.b & z) for s in dset.seps)
-                for z in system.poset.points
-            }
-        )
+    families = [
+        {
+            z: frozenset(Separation(s.a & z, s.b & z) for s in dset.seps)
+            for z in system.poset.points
+        }
+        for dset in distinguisher_sets(g, profs).values()
+    ]
     res = profinite_splinter(
         system, families, union_cap=cfg.profinite_union, limit_cap=cfg.profinite_product
     )

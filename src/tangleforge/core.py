@@ -266,6 +266,17 @@ DEFAULT_MAX_N = 16
 DEFAULT_MAX_K = 6
 
 
+def small_separators(g: Graph, k: int) -> list:
+    """(X, components of G − X) for every X ⊆ V(G) with |X| < k, in
+    ascending size; X = V(G), with no components, comes last when
+    k > |V(G)|."""
+    return [
+        (x, g.components(x))
+        for size in range(min(k, g.num_vertices + 1))
+        for x in subsets_of_size(g.vertices, size)
+    ]
+
+
 def enumerate_separations(
     g: Graph,
     k: int,
@@ -297,11 +308,7 @@ def enumerate_separations(
             f"enumeration cap exceeded: n={g.num_vertices} (cap {max_n}), k={k} (cap {max_k})"
         )
     verts = g.vertices
-    split = [
-        (x, g.components(x))
-        for size in range(min(k, g.num_vertices + 1))
-        for x in subsets_of_size(verts, size)
-    ]
+    split = small_separators(g, k)
     m = sum(2 ** (len(comps) - 1) if comps else 1 for _, comps in split)
     if max_sk is not None and m > max_sk:
         raise CapExceededError(f"|S_k| = {m} exceeds the profile search cap {max_sk}")

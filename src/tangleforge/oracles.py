@@ -175,6 +175,22 @@ def brute_nested_transversal_exists(universe, families) -> bool:
     return rec(0, [])
 
 
+def brute_consistent_orientations(seps) -> list[tuple[int, ...]]:
+    """The consistent orientations of the separations `seps`, as sorted
+    0/1 vectors (0 picks seps[i], 1 its inverse), by testing every one of
+    the 2^m vectors: no members x = (A, B), y = (C, D) of distinct
+    separations have x* ≤ y, that is B ⊆ C and A ⊇ D."""
+    seps = list(seps)
+    out = []
+    for vec in itertools.product((0, 1), repeat=len(seps)):
+        chosen = [(b, a) if o else (a, b) for (a, b), o in zip(seps, vec)]
+        if not any(
+            not b & ~c and not d & ~a for (a, b), (c, d) in itertools.permutations(chosen, 2)
+        ):
+            out.append(vec)
+    return sorted(out)
+
+
 def brute_splinters_check(universe, families) -> tuple:
     """The splinter condition straight from its definition: (True, None),
     or (False, (i, j, s, t)) for the first offending pair in the order

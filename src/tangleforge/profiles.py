@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import itemgetter, ne
 from typing import Optional
 
@@ -16,8 +17,8 @@ from .core import (
     iter_bits,
     sep_sort_key,
     separation_to_json,
+    small_separators,
     star,
-    subsets_of_size,
     vertices_of,
 )
 from .errors import CertificationError, PreconditionError
@@ -46,7 +47,7 @@ class Profile:
 
     k: int
     chosen: tuple[Separation, ...]
-    _members: frozenset = field(compare=False, repr=False, hash=False, default=None)
+    _members: frozenset = field(init=False, compare=False, repr=False, hash=False)
     _nontrivial: tuple = field(init=False, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
@@ -681,16 +682,6 @@ def is_robust(g: Graph, p: Profile) -> bool:
     return True
 
 
-def _small_separator_components(g: Graph, k: int) -> list:
-    """(X, components of G - X) for every X with |X| < k, X ≠ V(G), in
-    ascending size."""
-    return [
-        (x, g.components(x))
-        for size in range(min(k, g.num_vertices))
-        for x in subsets_of_size(g.vertices, size)
-    ]
-
-
 def is_principal(g: Graph, p: Profile, cuts=None) -> bool:
     """P contains (V∖C, C∪X) for some component C of G-X, for every X with
     |X| < k. Subsets X = V(G) admit no such separation and are skipped.
@@ -708,14 +699,14 @@ def is_principal(g: Graph, p: Profile, cuts=None) -> bool:
     preconditions of `separators_to_separations` and `build_totd` still
     check it, for callers that pass orientations that are not profiles.
 
-    `cuts` is `_small_separator_components(g, k)` for some k ≥ p.k, shared
-    by `principal_flags`; it is computed here when absent.
+    `cuts` is `core.small_separators(g, k)` for some k ≥ p.k, shared by
+    `principal_flags`; it is computed here when absent.
     """
     verts, members = g.vertices, p._members
-    for x, comps in _small_separator_components(g, p.k) if cuts is None else cuts:
+    for x, comps in small_separators(g, p.k) if cuts is None else cuts:
         if x.bit_count() >= p.k:
             break
-        if not any((verts & ~comp, comp | x) in members for comp in comps):
+        if comps and not any((verts & ~comp, comp | x) in members for comp in comps):
             return False
     return True
 
@@ -725,7 +716,7 @@ def principal_flags(g: Graph, profiles) -> tuple[bool, ...]:
     computed once per X with |X| < k for all of them, k the largest profile
     order."""
     profiles = tuple(profiles)
-    cuts = _small_separator_components(g, max((p.k for p in profiles), default=0))
+    cuts = small_separators(g, max((p.k for p in profiles), default=0))
     return tuple(is_principal(g, p, cuts) for p in profiles)
 
 
@@ -795,3 +786,13 @@ def efficient_distinguishers(g: Graph, p: Profile, q: Profile) -> DistinguisherS
     best = min(order for order, _ in dist)
     seps = tuple(sorted((canonical(x) for order, x in dist if order == best), key=sep_sort_key))
     return DistinguisherSet(p, q, best, seps)
+
+
+def distinguisher_sets(g: Graph, profiles) -> dict:
+    """`efficient_distinguishers` of every pair of `profiles`, keyed (i, j)
+    in `combinations` order, empty sets included."""
+    profiles = tuple(profiles)
+    return {
+        (i, j): efficient_distinguishers(g, profiles[i], profiles[j])
+        for i, j in combinations(range(len(profiles)), 2)
+    }

@@ -26,7 +26,7 @@ from .core import (
     vertices_of,
 )
 from .errors import CertificationError, PreconditionError
-from .profiles import Profile, efficient_distinguishers, principal_flags
+from .profiles import Profile, distinguisher_sets, principal_flags
 from .splinter import SplinterInstance, ThinSplinterResult, thin_splinter
 
 
@@ -68,17 +68,15 @@ def build_separator_instance(g: Graph, profiles) -> tuple[SplinterInstance, dict
     profiles = tuple(profiles)
     if not all(p.is_regular(g) for p in profiles):
         raise PreconditionError("profiles must be regular")
-    distinguishers = {}
+    distinguishers = distinguisher_sets(g, profiles)
     families = {}
     orders = {}
     members = {}  # key -> the pair's distinguishers in both orientations
     witnesses: dict[int, dict] = {}  # mask -> its witnesses over all pairs, each once
-    for i, j in itertools.combinations(range(len(profiles)), 2):
-        dset = efficient_distinguishers(g, profiles[i], profiles[j])
+    for key, dset in distinguishers.items():
         if not dset:
+            i, j = key
             raise PreconditionError(f"profiles {i} and {j} are indistinguishable")
-        key = (i, j)
-        distinguishers[key] = dset
         families[key] = frozenset(s.separator for s in dset.seps)
         orders[key] = dset.order
         members[key] = frozenset(dset.seps) | frozenset(map(star, dset.seps))

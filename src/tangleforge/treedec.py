@@ -25,7 +25,7 @@ from .core import (
     star,
     vertices_of,
 )
-from .errors import CapExceededError, CertificationError, PreconditionError
+from .errors import CertificationError, PreconditionError
 from .separators import canonical_nested_separators, separator_sort_key
 from .profiles import principal_flags
 
@@ -155,16 +155,46 @@ def induced_separations(td: TreeDecomposition) -> tuple[Separation, ...]:
     return tuple(sorted(out, key=sep_sort_key))
 
 
-def treeset_to_treedecomposition(
-    g: Graph, nested_set, orientation_cap: int = 1 << 18
-) -> TreeDecomposition:
+def treeset_to_treedecomposition(g: Graph, nested_set) -> TreeDecomposition:
     """Realise a regular tree set as a tree-decomposition of g.
 
     Nodes are the consistent orientations of the set (there are exactly
-    |N| + 1 of them); two nodes are adjacent when they differ in a single
-    separation. Bags intersect the b-sides of the separations on incident
-    edges, oriented as the node orients them. The result is certified:
-    (T1)-(T3) hold and the induced separations are exactly the input.
+    |N| + 1 of them), sorted as vectors that pick 0 for a canonical
+    separation s and 1 for s*; the edge of s joins the two nodes that
+    differ at s alone. Bags intersect the b-sides of the separations on
+    incident edges, oriented as the node orients them. The result is
+    certified: (T1)-(T3) hold and the induced separations are exactly the
+    input.
+
+    The nodes are read off the oriented separations, with no search
+    (Diestel, "Tree sets", Order 2018). An orientation O of N is consistent
+    when no x, y ∈ O of distinct separations have x* ≤ y. For an
+    orientation x of s ∈ N, O_x holds x and orients every other r ∈ N as
+    the one z ∈ {r, r*} with z ≤ x or z ≤ x*; as that rule is the same for
+    x and x*, O_s and O_{s*} differ at s alone.
+
+    Lemma. Let N be nested and regular: no x ∈ N has x or x* small
+    (x ≤ x*). Then the consistent orientations of N are the O_x, and two of
+    them differ at s alone exactly when they are O_s and O_{s*}. Proof:
+    (1) z exists, as r and s are nested: one of r ≤ x, x ≤ r, r* ≤ x,
+    x ≤ r* holds, and x ≤ y iff y* ≤ x*. It is unique: z ≤ x and z* ≤ x
+    give x* ≤ z ≤ x, and z ≤ x* and z* ≤ x* give x ≤ z* ≤ x*, so x* or x
+    would be small; z ≤ x and z* ≤ x* give z = x, and z ≤ x* and z* ≤ x
+    give z = x*, against r ≠ s.
+    (2) O_x is consistent. Each w ∈ O_x has w ≤ u for some u ∈ {x, x*}
+    (x ≤ x). Let y, w ∈ O_x of distinct separations have y* ≤ w ≤ u. If
+    y ≠ x, y and y* both pass the rule at x, against (1). If y = x, then
+    x* ≤ w ≤ u: u = x makes x* small and u = x* gives w = x*, whose
+    separation is y's.
+    (3) Every consistent O is O_x for any ≤-maximal x ∈ O. For z ∈ O of
+    another separation, one of z ≤ x, x ≤ z, z* ≤ x, x ≤ z* holds; x ≤ z
+    contradicts maximality, z* ≤ x is x* ≤ z, against consistency, so z
+    passes the rule.
+    (4) Let consistent O ∋ s and O' ∋ s* agree off s, and let z ∈ O orient
+    another separation. s ≤ z would make O' inconsistent, as (s*)* = s,
+    and z* ≤ s, that is s* ≤ z, would make O inconsistent, so z ≤ s or
+    s ≤ z*, that is z ≤ s*: O = O_s and O' = O_{s*}.
+    (5) For N = ∅ the one orientation is the empty one.
     """
     seps = tuple(sorted({canonical(s) for s in nested_set}, key=sep_sort_key))
     for s in seps:
@@ -176,64 +206,38 @@ def treeset_to_treedecomposition(
         if not is_nested(s, t):
             raise PreconditionError(f"set is not nested: {s} vs {t}")
     m = len(seps)
-    if 1 << m > orientation_cap:
-        raise CapExceededError(f"tree set too large for orientation search: {m}")
 
-    def orient(i, o):
-        return seps[i] if o == 0 else star(seps[i])
-
-    conflict = {}
-    for i in range(m):
-        for oi in (0, 1):
-            x = orient(i, oi)
-            bad = set()
-            for j in range(m):
-                if j == i:
-                    continue
-                for oj in (0, 1):
-                    y = orient(j, oj)
-                    if leq(star(x), y) or leq(star(y), x):
-                        bad.add((j, oj))
-            conflict[(i, oi)] = bad
-
-    orientations = []
-    chosen = [0] * m
-
-    def rec(d, banned):
-        if d == m:
-            orientations.append(tuple(chosen))
-            return
-        for o in (0, 1):
-            if (d, o) not in banned:
-                chosen[d] = o
-                rec(d + 1, banned | conflict[(d, o)])
-
-    rec(0, frozenset())
-    orientations.sort()
+    oriented = [(s, star(s)) for s in seps]
+    ends = []  # per separation i: (O_s, O_{s*}) as 0/1 vectors
+    for i, (x, x_star) in enumerate(oriented):
+        rest = []
+        for j, pair in enumerate(oriented):
+            if j == i:
+                continue
+            picks = [o for o, z in enumerate(pair) if leq(z, x) or leq(z, x_star)]
+            if len(picks) != 1:
+                raise CertificationError(
+                    f"{len(picks)} orientations of {pair[0]} lie below {x} or its inverse"
+                )
+            rest += picks
+        ends.append(tuple((*rest[:i], o, *rest[i:]) for o in (0, 1)))
+    orientations = sorted({o for pair in ends for o in pair}) if m else [()]
     if len(orientations) != m + 1:
         raise CertificationError(
             f"expected {m + 1} consistent orientations, found {len(orientations)}"
         )
 
-    nodes = tuple(range(len(orientations)))
-    edges = []
-    flip_of = {}
-    for a, b in itertools.combinations(nodes, 2):
-        diff = [i for i in range(m) if orientations[a][i] != orientations[b][i]]
-        if len(diff) == 1:
-            edges.append((a, b))
-            flip_of[(a, b)] = diff[0]
-    if len(edges) != m or not _is_tree(nodes, tuple(edges)):
+    nodes = tuple(range(m + 1))
+    index = {o: t for t, o in enumerate(orientations)}
+    edges = tuple(sorted((index[u], index[v]) for u, v in ends))
+    if not _is_tree(nodes, edges):
         raise CertificationError("orientation graph is not a tree with one edge per separation")
 
-    bags = {}
-    for t in nodes:
-        bag = g.vertices
-        for e, i in flip_of.items():
-            if t in e:
-                bag &= orient(i, orientations[t][i]).b
-        bags[t] = bag
-    td = TreeDecomposition(nodes, tuple(edges), bags)
+    bags = dict.fromkeys(nodes, g.vertices)
+    for (u, v), (x, x_star) in zip(ends, oriented):
+        bags[index[u]] &= x.b
+        bags[index[v]] &= x_star.b
+    td = TreeDecomposition(nodes, edges, bags)
 
     rep = verify_treedecomposition(g, td)
     if not rep.ok:

@@ -611,6 +611,32 @@ BAD_FILES = {
     "instance-members.json": json.dumps(
         {"elements": ["a"], "nested": [], "families": [{"members": "a", "order": 1}]}
     ),
+    "instance-name-twice.json": json.dumps(
+        {
+            "elements": [1, 2],
+            "nested": [],
+            "families": [
+                {"name": "a", "members": [1], "order": 1},
+                {"name": "a", "members": [2], "order": 1},
+            ],
+        }
+    ),
+    "instance-name-index.json": json.dumps(
+        {
+            "elements": [1, 2],
+            "nested": [],
+            "families": [{"members": [1], "order": 1}, {"name": 0, "members": [2], "order": 1}],
+        }
+    ),
+    "instance-order-float.json": json.dumps(
+        {"elements": ["a"], "nested": [], "families": [{"members": ["a"], "order": 1.5}]}
+    ),
+    "instance-order-digits.json": json.dumps(
+        {"elements": ["a"], "nested": [], "families": [{"members": ["a"], "order": "2"}]}
+    ),
+    "instance-order-bool.json": json.dumps(
+        {"elements": ["a"], "nested": [], "families": [{"members": ["a"], "order": True}]}
+    ),
     "system-points.json": '{"points": 3}',
     "system-list.json": "[]",
     "system-key-arrow.json": system_json(

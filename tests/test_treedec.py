@@ -13,9 +13,11 @@ from tangleforge.core import (
     canonical,
     iter_bits,
     mask_of,
+    star,
     vertices_of,
 )
 from tangleforge.errors import CertificationError, PreconditionError
+from tangleforge.oracles import brute_consistent_orientations
 from tangleforge.profiles import (
     efficient_distinguishers,
     enumerate_k_profiles,
@@ -91,6 +93,74 @@ def test_roundtrip_on_random_regular_tree_sets(graphs):
         td = treeset_to_treedecomposition(g, n_set)
         assert set(induced_separations(td)) == set(n_set)
         assert verify_treedecomposition(g, td).ok
+
+
+def node_orientations(td, seps):
+    """The orientation of `seps` at each node of td, as a 0/1 vector (0 for
+    seps[i], 1 for its inverse), read off the tree alone: the separation
+    induced by an edge (u, v) points to the side of v."""
+    adj = td.adjacency()
+    pick = {x: (i, o) for i, s in enumerate(seps) for o, x in enumerate((s, star(s)))}
+    vectors = {t: [None] * len(seps) for t in td.nodes}
+    for u, v in td.edges:
+        side = {u}
+        stack = [u]
+        while stack:
+            w = stack.pop()
+            for z in adj[w] - side - {v}:
+                side.add(z)
+                stack.append(z)
+        a = b = 0
+        for t in td.nodes:
+            if t in side:
+                a |= td.bags[t]
+            else:
+                b |= td.bags[t]
+        for t in td.nodes:
+            i, o = pick[Separation(b, a) if t in side else Separation(a, b)]
+            vectors[t][i] = o
+    return [tuple(vectors[t]) for t in td.nodes]
+
+
+def test_nodes_and_edges_match_the_consistent_orientation_oracle(graphs):
+    """The nodes are the consistent orientations, sorted, and the edges join
+    those that differ at one separation, on 2,000 seeded regular tree sets
+    of at most 10 separations, on the fixtures and on random graphs."""
+    rng = random.Random(25)
+    pool = list(graphs.values())
+    for _ in range(35):
+        n = rng.randint(5, 7)
+        pool.append(
+            Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+        )
+    sizes = set()
+    for _ in range(2000):
+        g = rng.choice(pool)
+        seps = random_regular_tree_set(g, rng, max_size=rng.randint(0, 10))
+        td = treeset_to_treedecomposition(g, seps)
+        ref = brute_consistent_orientations(seps)
+        assert td.nodes == tuple(range(len(ref)))
+        assert node_orientations(td, seps) == ref
+        assert td.edges == tuple(
+            (a, b)
+            for a, b in itertools.combinations(range(len(ref)), 2)
+            if sum(map(int.__ne__, ref[a], ref[b])) == 1
+        )
+        sizes.add(len(seps))
+    assert sizes == set(range(11))
+
+
+def test_star_with_twenty_leaves_gives_a_star_tree():
+    """K_{1,20}: each leaf's separation ({c, leaf}, V - leaf) is one edge of a
+    star tree around the bag {c}, with bag {c, leaf} at the leaf."""
+    g = Graph.from_edges(21, [(0, leaf) for leaf in range(1, 21)])
+    leaves = [Separation(mask_of([0, leaf]), g.vertices & ~(1 << leaf)) for leaf in range(1, 21)]
+    td = treeset_to_treedecomposition(g, leaves)
+    assert len(td.nodes) == 21
+    centre = next(t for t in td.nodes if td.bags[t] == 1)
+    assert sorted(td.edges) == sorted(tuple(sorted((centre, t))) for t in td.nodes if t != centre)
+    assert sorted(td.bags[t] for t in td.nodes if t != centre) == sorted(s.a for s in leaves)
+    assert set(induced_separations(td)) == {canonical(s) for s in leaves}
 
 
 # ---------------------------------------------------------------------------
