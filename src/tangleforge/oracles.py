@@ -191,6 +191,105 @@ def brute_consistent_orientations(seps) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def _adjacency(nodes, edges) -> dict:
+    adj = {v: set() for v in nodes}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def _is_tree(nodes, edges) -> bool:
+    if len(edges) != len(nodes) - 1:
+        return False
+    adj = _adjacency(nodes, edges)
+    seen = set()
+    stack = [nodes[0]] if nodes else []
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        stack.extend(adj[v] - seen)
+    return len(seen) == len(nodes)
+
+
+def _tree_path(adj, a, b):
+    prev = {a: None}
+    stack = [a]
+    while stack:
+        v = stack.pop()
+        if v == b:
+            break
+        for w in adj[v]:
+            if w not in prev:
+                prev[w] = v
+                stack.append(w)
+    path = [b]
+    while path[-1] != a:
+        path.append(prev[path[-1]])
+    return tuple(reversed(path))
+
+
+def brute_treedecomposition_violations(g: Graph, td) -> list:
+    """The violations of the tree-decomposition td of g, straight from the
+    definitions: ("tree", message) alone when the tree is not a tree, else
+    (T1) bags cover V, (T2) every edge lies in a bag, tested bag by bag,
+    and (T3) as one ("T3", (t1, t2, t3)) per ordered pair t1, t3 of nodes
+    whose bags meet and node t2 on the tree path between them whose bag
+    misses a vertex of bags[t1] ∩ bags[t3]."""
+    violations = []
+    if not _is_tree(td.nodes, td.edges):
+        violations.append(("tree", "decomposition tree is not a tree"))
+        return violations
+    cover = 0
+    for t in td.nodes:
+        cover |= td.bags[t]
+    if cover != g.vertices:
+        violations.append(("T1", f"vertices {vertices_of(g.vertices & ~cover)} uncovered"))
+    for u, v in g.edges():
+        e = (1 << u) | (1 << v)
+        if not any(not e & ~td.bags[t] for t in td.nodes):
+            violations.append(("T2", f"edge ({u},{v}) in no bag"))
+    adj = _adjacency(td.nodes, td.edges)
+    for t1 in td.nodes:
+        for t3 in td.nodes:
+            inter = td.bags[t1] & td.bags[t3]
+            if not inter:
+                continue
+            for t2 in _tree_path(adj, t1, t3):
+                if inter & ~td.bags[t2]:
+                    violations.append(("T3", (t1, t2, t3)))
+    return violations
+
+
+def brute_induced_separations(td) -> tuple[Separation, ...]:
+    """The separations induced by the decomposition td, one per tree edge:
+    a depth-first search from one end that does not cross the edge finds
+    that end's side, and the separation is the pair of bag unions of the
+    two sides."""
+    adj = _adjacency(td.nodes, td.edges)
+    out = set()
+    for u, v in td.edges:
+        side = {u}
+        stack = [u]
+        while stack:
+            w = stack.pop()
+            for z in adj[w]:
+                if z not in side and not (w == u and z == v):
+                    side.add(z)
+                    stack.append(z)
+        a = 0
+        b = 0
+        for t in td.nodes:
+            if t in side:
+                a |= td.bags[t]
+            else:
+                b |= td.bags[t]
+        out.add(canonical(Separation(a, b)))
+    return tuple(sorted(out, key=sep_sort_key))
+
+
 def brute_splinters_check(universe, families) -> tuple:
     """The splinter condition straight from its definition: (True, None),
     or (False, (i, j, s, t)) for the first offending pair in the order
@@ -430,10 +529,12 @@ def brute_thin_splinter_report(inst) -> tuple[list, dict]:
     """(violations, max_crossing) of the three thin-splinter properties,
     with every crossing number and corner test re-evaluated through
     `inst.nested` on each use; the list is in the order the production
-    check reports it."""
+    check reports it, with the members of each family in `inst.elements`
+    order."""
     violations = []
     max_crossing = {}
     keys = sorted(inst.families, key=repr)
+    members = {key: [x for x in inst.elements if x in fam] for key, fam in inst.families.items()}
     levels = sorted({inst.orders[k] for k in keys})
     union = frozenset().union(*inst.families.values()) if inst.families else frozenset()
     for k in levels:
@@ -450,8 +551,8 @@ def brute_thin_splinter_report(inst) -> tuple[list, dict]:
         for kj in keys:
             oi, oj = inst.orders[ki], inst.orders[kj]
             if oi < oj:
-                for a in inst.families[ki]:
-                    for b in inst.families[kj]:
+                for a in members[ki]:
+                    for b in members[kj]:
                         if inst.nested(a, b):
                             continue
                         good = any(
@@ -463,8 +564,8 @@ def brute_thin_splinter_report(inst) -> tuple[list, dict]:
                         oracle_check(a, b, kj)
             elif oi == oj and repr(ki) < repr(kj):
                 k = oi
-                for a in inst.families[ki]:
-                    for b in inst.families[kj]:
+                for a in members[ki]:
+                    for b in members[kj]:
                         if inst.nested(a, b):
                             continue
                         cn_a = _crossing_number(inst, a, k)

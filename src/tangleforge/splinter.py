@@ -479,9 +479,10 @@ class _PairTests:
 
     def walk_cross_family(self, violations: list) -> None:
         """Report the violations between two families in the order of the
-        walk over (ki, kj), then a in ki, then b in kj."""
+        walk over (ki, kj), then a in ki, then b in kj, members in
+        `inst.elements` order."""
         inst, t = self.inst, self.t
-        index, rows, cols, fams = t.index, t.rows, t.cols, t.fams
+        rows, cols, fams = t.rows, t.cols, t.fams
         for ki in self.keys:
             for kj in self.keys:
                 oi, oj = inst.orders[ki], inst.orders[kj]
@@ -492,10 +493,10 @@ class _PairTests:
                 else:
                     continue
                 bl, cn = self.below[oi], self.crossing[oi]
-                for a in inst.families[ki]:
-                    ia = index[a]
-                    for b in inst.families[kj]:
-                        ib = index[b]
+                for ia in iter_bits(fams[ki]):
+                    a = inst.elements[ia]
+                    for ib in iter_bits(fams[kj]):
+                        b = inst.elements[ib]
                         if not rows[ia] >> ib & 1:
                             continue
                         cmask = self.corner_mask(ia, ib)

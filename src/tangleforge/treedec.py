@@ -33,39 +33,25 @@ from .profiles import principal_flags
 # ---------------------------------------------------------------------------
 # trees
 
-def _is_tree(nodes, edges) -> bool:
+def _rooted(nodes, edges):
+    """(order, parent) of one breadth-first walk from nodes[0]: order lists
+    every node after its parent, and parent maps each node to its parent
+    (the root to None). None when (nodes, edges) is not a tree, that is,
+    when it has no nodes, not |nodes| - 1 edges, or is not connected."""
     if len(edges) != len(nodes) - 1:
-        return False
-    adj = {v: set() for v in nodes}
+        return None
+    adj = {t: [] for t in nodes}
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = set()
-    stack = [nodes[0]] if nodes else []
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj[v] - seen)
-    return len(seen) == len(nodes)
-
-
-def _tree_path(adj, a, b):
-    prev = {a: None}
-    stack = [a]
-    while stack:
-        v = stack.pop()
-        if v == b:
-            break
-        for w in adj[v]:
-            if w not in prev:
-                prev[w] = v
-                stack.append(w)
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    return tuple(reversed(path))
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = {nodes[0]: None}
+    order = [nodes[0]]
+    for t in order:
+        for w in adj[t]:
+            if w not in parent:
+                parent[w] = t
+                order.append(w)
+    return (order, parent) if len(order) == len(nodes) else None
 
 
 # ---------------------------------------------------------------------------
@@ -103,55 +89,87 @@ class TdReport:
 
 
 def verify_treedecomposition(g: Graph, td: TreeDecomposition) -> TdReport:
-    """Check (T1) bags cover V, (T2) every edge lies in a bag, and
-    (T3) bag intersections persist along tree paths."""
+    """Check that the tree is a tree, (T1) bags cover V, (T2) every edge
+    lies in a bag, and (T3) for t2 on the tree path from t1 to t3, bags[t1]
+    ∩ bags[t3] ⊆ bags[t2], in one pass over the bags and one over the tree
+    edges. A (T3) violation names a vertex whose bags are not connected.
+
+    Per vertex v, near[v] is the union of the bags holding v, and count[v]
+    is their number.
+
+    (T2) An edge uv lies in some bag iff v ∈ near[u], since that union
+    holds v iff one of its bags, each holding u, holds v.
+
+    (T3) holds iff for every v the set N_v of nodes whose bags hold v is
+    connected in the tree: paths in a tree are unique, so N_v is connected
+    iff it holds the path between any two of its nodes. Lemma: in a tree,
+    a set N of j nodes is connected iff exactly j − 1 tree edges join two
+    nodes of N. Proof: those edges form a subgraph of a tree, so a forest,
+    and a forest on j nodes with e edges has j − e components. So (T3)
+    fails at v iff count[v], less the tree edges whose two bags both hold
+    v, is above 1.
+    """
     rep = TdReport()
-    if not _is_tree(td.nodes, td.edges):
+    if _rooted(td.nodes, td.edges) is None:
         rep.violations.append(("tree", "decomposition tree is not a tree"))
         return rep
     cover = 0
+    near, count = {}, {}
     for t in td.nodes:
-        cover |= td.bags[t]
+        bag = td.bags[t]
+        cover |= bag
+        for v in iter_bits(bag):
+            near[v] = near.get(v, 0) | bag
+            count[v] = count.get(v, 0) + 1
     if cover != g.vertices:
         rep.violations.append(("T1", f"vertices {vertices_of(g.vertices & ~cover)} uncovered"))
     for u, v in g.edges():
-        e = (1 << u) | (1 << v)
-        if not any(not e & ~td.bags[t] for t in td.nodes):
+        if not near.get(u, 0) >> v & 1:
             rep.violations.append(("T2", f"edge ({u},{v}) in no bag"))
-    adj = td.adjacency()
-    for t1 in td.nodes:
-        for t3 in td.nodes:
-            inter = td.bags[t1] & td.bags[t3]
-            if not inter:
-                continue
-            for t2 in _tree_path(adj, t1, t3):
-                if inter & ~td.bags[t2]:
-                    rep.violations.append(("T3", (t1, t2, t3)))
+    for t1, t2 in td.edges:
+        for v in iter_bits(td.bags[t1] & td.bags[t2]):
+            count[v] -= 1
+    rep.violations += [("T3", v) for v in sorted(count) if count[v] > 1]
     return rep
 
 
 def induced_separations(td: TreeDecomposition) -> tuple[Separation, ...]:
     """The separations induced by the decomposition: one per tree edge, the
-    unions of bags on the two sides."""
-    adj = td.adjacency()
-    out = set()
-    for u, v in td.edges:
-        side = {u}
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            for z in adj[w]:
-                if z not in side and not (w == u and z == v):
-                    side.add(z)
-                    stack.append(z)
-        a = 0
-        b = 0
-        for t in td.nodes:
-            if t in side:
-                a |= td.bags[t]
-            else:
-                b |= td.bags[t]
-        out.add(canonical(Separation(a, b)))
+    unions of bags on the two sides, from one rooted walk.
+
+    Root the tree at nodes[0], and let D(t) be the subtree below t, t
+    included. The edge from t to its parent induces (above[t], below[t]),
+    the unions of the bags off and on D(t). below is taken bottom-up:
+    below[t] is bags[t] with below[c] for every child c. above is taken
+    top-down by the outside-union identity: for a node p with children
+    c_1, ..., c_m, D(p) is the disjoint union of {p} and the D(c_j), so the
+    nodes off D(c_i) are those off D(p), p itself, and the D(c_j) with
+    j ≠ i. Hence above[c_i] = above[p] ∪ bags[p] ∪ below[c_1] ∪ ... ∪
+    below[c_{i-1}] ∪ below[c_{i+1}] ∪ ... ∪ below[c_m], with above[root]
+    empty: a prefix and a suffix OR over the children. The identity is
+    about node sets alone, so the walk is exact on any tree, whether or not
+    (T3) holds.
+    """
+    rooted = _rooted(td.nodes, td.edges)
+    if rooted is None:
+        raise PreconditionError("decomposition tree is not a tree")
+    order, parent = rooted
+    below = {t: td.bags[t] for t in order}
+    children = {t: [] for t in order}
+    for t in reversed(order[1:]):
+        below[parent[t]] |= below[t]
+        children[parent[t]].append(t)
+    above = {order[0]: 0}
+    for p in order:
+        kids = children[p]
+        suffix = [0] * (len(kids) + 1)
+        for i in range(len(kids) - 1, -1, -1):
+            suffix[i] = suffix[i + 1] | below[kids[i]]
+        prefix = above[p] | td.bags[p]
+        for i, c in enumerate(kids):
+            above[c] = prefix | suffix[i + 1]
+            prefix |= below[c]
+    out = {canonical(Separation(above[t], below[t])) for t in order[1:]}
     return tuple(sorted(out, key=sep_sort_key))
 
 
@@ -230,7 +248,7 @@ def treeset_to_treedecomposition(g: Graph, nested_set) -> TreeDecomposition:
     nodes = tuple(range(m + 1))
     index = {o: t for t, o in enumerate(orientations)}
     edges = tuple(sorted((index[u], index[v]) for u, v in ends))
-    if not _is_tree(nodes, edges):
+    if _rooted(nodes, edges) is None:
         raise CertificationError("orientation graph is not a tree with one edge per separation")
 
     bags = dict.fromkeys(nodes, g.vertices)

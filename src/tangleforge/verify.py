@@ -15,17 +15,16 @@ from dataclasses import dataclass
 from . import oracles
 from .core import (
     Graph,
+    Separation,
     all_separations,
     canonical,
     enumerate_separations,
     graph_universe,
     is_nested,
-    is_small,
     is_tight,
     join,
     meet,
     sep_sort_key,
-    star,
     verify_universe,
     vertices_of,
 )
@@ -475,12 +474,19 @@ def suite_separations_from_separators(seed):
     return "; ".join(details)
 
 
-def random_regular_tree_set(g: Graph, rng, max_size: int = 8):
-    pool = [
-        s
-        for s in graph_universe(g).elements
-        if s == canonical(s) and not is_small(s) and not is_small(star(s))
-    ]
+def regular_separations(g: Graph) -> tuple[Separation, ...]:
+    """The separations (A, B) of g, canonically oriented, with A ≠ V ≠ B:
+    those with neither orientation small, as (A, B) ≤ (B, A) iff B = V.
+    In `all_separations` order, which is that of the canonical elements
+    of `graph_universe(g)`."""
+    return tuple(s for s in all_separations(g) if s.a != g.vertices != s.b)
+
+
+def random_regular_tree_set(pool, rng, max_size: int = 8):
+    """A random nested subset of at most max_size separations of pool,
+    the `regular_separations` of a graph: the members of a shuffled copy
+    of pool, in turn, that are nested with all those kept before them."""
+    pool = list(pool)
     rng.shuffle(pool)
     chosen = []
     for s in pool:
@@ -495,10 +501,12 @@ def random_regular_tree_set(g: Graph, rng, max_size: int = 8):
 def suite_treeset_roundtrip(seed):
     rng = random.Random(seed)
     names = sorted(FIXTURES)
+    pools = {name: regular_separations(FIXTURES[name].graph) for name in names}
     done = 0
     for trial in range(100):
-        g = FIXTURES[names[trial % len(names)]].graph
-        n_set = random_regular_tree_set(g, rng, max_size=rng.randint(1, 8))
+        name = names[trial % len(names)]
+        g = FIXTURES[name].graph
+        n_set = random_regular_tree_set(pools[name], rng, max_size=rng.randint(1, 8))
         td = treeset_to_treedecomposition(g, n_set)
         if set(induced_separations(td)) != set(n_set):
             raise AssertionError("roundtrip failed")

@@ -986,3 +986,34 @@ def test_hypothesis_failure_exit_code(tmp_path, capsys):
     code, out = run_cli(["thin-splinter", "--instance", str(path)], capsys)
     assert code == 1
     assert json.loads(out)["error"]["type"] == "HypothesisError"
+
+
+def test_thin_splinter_witness_does_not_depend_on_the_hash_seed(tmp_path):
+    """The failure witness lists each family's members in element order, so
+    interpreters with different string hashing print the same bytes."""
+    instance = {
+        "elements": ["a", "b", "c", "d", "e", "f"],
+        "nested": [],
+        "families": [
+            {"name": "f1", "order": 1, "members": ["a", "b", "c"]},
+            {"name": "f2", "order": 2, "members": ["d", "e", "f"]},
+        ],
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance))
+    env = {key: value for key, value in os.environ.items() if key != "TANGLEFORGE_CAPS"}
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    runs = []
+    for seed in ("1", "2"):
+        env["PYTHONHASHSEED"] = seed
+        runs.append(
+            subprocess.run(
+                [sys.executable, "-m", "tangleforge.cli", "thin-splinter", "--instance", str(path)],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+        )
+    assert runs[0].returncode == runs[1].returncode == 1
+    assert runs[0].stdout == runs[1].stdout
+    assert "('f1', 'f2', 'a', 'd')" in runs[0].stdout

@@ -1,6 +1,7 @@
 """Tree sets and tree-decompositions: the orientation-based realisation of
 regular tree sets, torsos, and the tree of tree-decompositions."""
 
+import collections
 import copy
 import itertools
 import random
@@ -17,7 +18,11 @@ from tangleforge.core import (
     vertices_of,
 )
 from tangleforge.errors import CertificationError, PreconditionError
-from tangleforge.oracles import brute_consistent_orientations
+from tangleforge.oracles import (
+    brute_consistent_orientations,
+    brute_induced_separations,
+    brute_treedecomposition_violations,
+)
 from tangleforge.profiles import (
     efficient_distinguishers,
     enumerate_k_profiles,
@@ -25,6 +30,7 @@ from tangleforge.profiles import (
 )
 from tangleforge.separators import canonical_nested_separators, separator_sort_key
 from tangleforge.treedec import (
+    TreeDecomposition,
     build_totd,
     certify_totd,
     induced_separations,
@@ -32,7 +38,7 @@ from tangleforge.treedec import (
     treeset_to_treedecomposition,
     verify_treedecomposition,
 )
-from tangleforge.verify import random_regular_tree_set
+from tangleforge.verify import random_regular_tree_set, regular_separations
 
 
 def sep(a, b):
@@ -87,9 +93,11 @@ def test_non_separation_rejected(graphs):
 
 def test_roundtrip_on_random_regular_tree_sets(graphs):
     rng = random.Random(5)
+    pools = {name: regular_separations(g) for name, g in graphs.items()}
     for trial in range(25):
-        g = graphs[sorted(graphs)[trial % len(graphs)]]
-        n_set = random_regular_tree_set(g, rng, max_size=rng.randint(1, 8))
+        name = sorted(graphs)[trial % len(graphs)]
+        g = graphs[name]
+        n_set = random_regular_tree_set(pools[name], rng, max_size=rng.randint(1, 8))
         td = treeset_to_treedecomposition(g, n_set)
         assert set(induced_separations(td)) == set(n_set)
         assert verify_treedecomposition(g, td).ok
@@ -133,10 +141,11 @@ def test_nodes_and_edges_match_the_consistent_orientation_oracle(graphs):
         pool.append(
             Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5])
         )
+    pool = [(g, regular_separations(g)) for g in pool]
     sizes = set()
     for _ in range(2000):
-        g = rng.choice(pool)
-        seps = random_regular_tree_set(g, rng, max_size=rng.randint(0, 10))
+        g, regular = rng.choice(pool)
+        seps = random_regular_tree_set(regular, rng, max_size=rng.randint(0, 10))
         td = treeset_to_treedecomposition(g, seps)
         ref = brute_consistent_orientations(seps)
         assert td.nodes == tuple(range(len(ref)))
@@ -186,6 +195,75 @@ def test_verify_flags_edge_outside_bags(graphs):
     assert any(axiom == "T1" for axiom, _ in rep.violations) or any(
         axiom == "T2" for axiom, _ in rep.violations
     )
+
+
+def test_verify_flags_a_middle_bag_missing_a_vertex_both_ends_keep(graphs):
+    """The path decomposition {0, 1, 2}, {1, 2}, {2, 3} of P4 with vertex 2
+    dropped from the middle bag: both end bags keep 2, and only (T3)
+    fires."""
+    g = graphs["FIX_P4"]
+    bags = {0: mask_of([0, 1, 2]), 1: mask_of([1]), 2: mask_of([2, 3])}
+    td = TreeDecomposition((0, 1, 2), ((0, 1), (1, 2)), bags)
+    assert verify_treedecomposition(g, td).violations == [("T3", 2)]
+    assert brute_treedecomposition_violations(g, td) == [("T3", (0, 1, 2)), ("T3", (2, 1, 0))]
+
+
+def corruptions(td, rng):
+    """td, then td with a vertex dropped from one bag, with one edge re-hung
+    from one of its ends to another node, and with one edge deleted; the
+    last two only where the tree has an edge, and re-hanging only where it
+    has a third node."""
+    out = [td]
+    t = rng.choice([t for t in td.nodes if td.bags[t]])
+    bags = dict(td.bags)
+    bags[t] &= ~(1 << rng.choice(vertices_of(bags[t])))
+    out.append(TreeDecomposition(td.nodes, td.edges, bags))
+    if td.edges:
+        i = rng.randrange(len(td.edges))
+        u, v = td.edges[i]
+        others = [t for t in td.nodes if t not in (u, v)]
+        if others:
+            edges = (*td.edges[:i], (u, rng.choice(others)), *td.edges[i + 1 :])
+            out.append(TreeDecomposition(td.nodes, edges, td.bags))
+        out.append(TreeDecomposition(td.nodes, td.edges[:i] + td.edges[i + 1 :], td.bags))
+    return out
+
+
+def test_certificate_and_induced_separations_match_the_references(graphs):
+    """On 2,000 and more seeded decompositions, valid ones and three
+    corruptions of them, the certificate agrees with the pairwise
+    reference: the tree verdict and the (T1) and (T2) payloads are equal,
+    and the (T3) vertices are those of bags[t1] ∩ bags[t3] missing from
+    bags[t2] over the reference's triples. On every tree the induced
+    separations equal the per-edge reference."""
+    rng = random.Random(26)
+    pool = list(graphs.values())
+    for _ in range(30):
+        n = rng.randint(5, 8)
+        pool.append(
+            Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+        )
+    pool = [(g, regular_separations(g)) for g in pool]
+    seen = collections.Counter()
+    for _ in range(600):
+        g, regular = rng.choice(pool)
+        seps = random_regular_tree_set(regular, rng, max_size=rng.randint(0, 10))
+        for td in corruptions(treeset_to_treedecomposition(g, seps), rng):
+            got = verify_treedecomposition(g, td).violations
+            ref = brute_treedecomposition_violations(g, td)
+            assert [x for x in got if x[0] != "T3"] == [x for x in ref if x[0] != "T3"]
+            split = {
+                v
+                for _, (t1, t2, t3) in (x for x in ref if x[0] == "T3")
+                for v in iter_bits(td.bags[t1] & td.bags[t3] & ~td.bags[t2])
+            }
+            assert [v for axiom, v in got if axiom == "T3"] == sorted(split)
+            if ref[:1] != [("tree", "decomposition tree is not a tree")]:
+                assert induced_separations(td) == brute_induced_separations(td)
+            seen.update(axiom for axiom, _ in ref)
+            seen["decompositions"] += 1
+    assert seen["decompositions"] >= 2000
+    assert all(seen[axiom] for axiom in ("tree", "T1", "T2", "T3"))
 
 
 # ---------------------------------------------------------------------------
