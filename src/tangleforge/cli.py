@@ -453,10 +453,7 @@ def cmd_verify(args, cfg):
         print(f"seed was {cfg.seed}", file=sys.stderr)
     return {
         "seed": cfg.seed,
-        "suites": [
-            {"name": r.name, "ok": r.ok, "seconds": round(r.seconds, 3), "detail": r.detail}
-            for r in results
-        ],
+        "suites": [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results],
         "ok": all(r.ok for r in results),
     }
 

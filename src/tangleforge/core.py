@@ -268,13 +268,29 @@ DEFAULT_MAX_K = 6
 
 def small_separators(g: Graph, k: int) -> list:
     """(X, components of G − X) for every X ⊆ V(G) with |X| < k, in
-    ascending size; X = V(G), with no components, comes last when
-    k > |V(G)|."""
+    ascending size, which `profiles.is_principal` relies on to stop at the
+    first X of its profile's order; X = V(G), with no components, comes
+    last when k > |V(G)|."""
     return [
         (x, g.components(x))
         for size in range(min(k, g.num_vertices + 1))
         for x in subsets_of_size(g.vertices, size)
     ]
+
+
+def _lex_subsets(bits: list, size: int) -> list:
+    """Every union of at most `size` of `bits`, single-bit masks in
+    ascending order, listed in the lexicographic order of their sorted
+    vertex tuples: ∅, then for each bit b in turn, b joined to each such
+    union of at most size − 1 of the bits above b. That is the preorder of
+    a walk that extends a set only by bits above its largest one."""
+    out = [0]
+    if size == 1:
+        out += bits
+    elif size > 1:
+        for j, b in enumerate(bits):
+            out += [b | y for y in _lex_subsets(bits[j + 1 :], size - 1)]
+    return out
 
 
 def enumerate_separations(
@@ -295,36 +311,78 @@ def enumerate_separations(
     is taken from the components before any separation is built, and a
     count above `max_sk` raises CapExceededError.
 
-    An X with fewer than two components of G − X has the one choice S = ∅,
-    which gives the trivial separation (X, V); it is built at once, with no
-    walk over subsets of components. Every X smaller than the graph's
-    connectivity is such an X: on `doubled_bridge_ring()` at k = 3, 125 of
-    the 137 separators X give their one separation this way.
+    S = ∅ gives the trivial separation {X, V}; every other S gives an open
+    one, with A ≠ V ≠ B. Only the open separations are sorted: the trivial
+    ones come in order from the walk over X.
+
+    Lemma. List V in ascending order. For S ⊊ V, S's sorted tuple is below
+    V's iff S is a proper prefix of that list (∅ included). Proof: a proper
+    prefix of a tuple is below it. Otherwise S's tuple first differs from
+    V's at some position i < |S|; the two agree before i and S ⊆ V, so
+    s_i is a vertex of V other than v_0, ..., v_{i−1}, hence s_i > v_i.
+
+    So `canonical` orients a trivial {X, V} as (X, V) when X is a proper
+    prefix and as (V, X) otherwise, and `sep_sort_key` order (the first
+    side's tuple, then the second side's) is three blocks:
+
+    A. The separations whose first side P is a proper prefix, by |P|, as
+       the prefixes' tuples ascend with their length. For each P, the
+       trivial (P, V), when |P| < k, comes first, then each open (P, B) by
+       `sep_sort_key`: P ∪ B = V with P a proper prefix and B ≠ V, so B is
+       no prefix, and its tuple lies above V's.
+    B. The first side V: (V, V) when k > |V|, whose second side is the
+       least, then every (V, X) with X no prefix and |X| < k, in the
+       lexicographic order of X's tuple.
+    C. Every other open separation, by `sep_sort_key`: its first side is
+       neither V nor a prefix, so its tuple lies above V's.
+
+    The separators X are walked in lexicographic order of their tuples
+    (`_lex_subsets`), which lists the prefixes first, as a chain: X = V
+    comes right after the prefix of length |V| − 1, and so at position
+    |V| when k > |V|. So the first min(k, |V|) separators X are the proper
+    prefixes, with their (X, V) in block A, and the rest give block B in
+    walk order. Each trivial separation is built in the orientation the
+    lemma gives, and `canonical` returns it unchanged.
     """
     if k < 1:
         raise PreconditionError("k must be at least 1")
-    if g.num_vertices > max_n or k > max_k:
+    n = g.num_vertices
+    if n > max_n or k > max_k:
         raise CapExceededError(
-            f"enumeration cap exceeded: n={g.num_vertices} (cap {max_n}), k={k} (cap {max_k})"
+            f"enumeration cap exceeded: n={n} (cap {max_n}), k={k} (cap {max_k})"
         )
     verts = g.vertices
-    split = small_separators(g, k)
-    m = sum(2 ** (len(comps) - 1) if comps else 1 for _, comps in split)
+    xs = _lex_subsets([1 << v for v in vertices_of(verts)], min(k - 1, n))
+    split = [(x, comps) for x, comps in zip(xs, map(g.components, xs)) if len(comps) > 1]
+    m = len(xs) + sum(2 ** (len(comps) - 1) - 1 for _, comps in split)
     if max_sk is not None and m > max_sk:
         raise CapExceededError(f"|S_k| = {m} exceeds the profile search cap {max_sk}")
-    out = []
+    p = min(k, n)
+    prefixes = [canonical(Separation(x, verts)) for x in xs[:p]]
+    block_b = [canonical(Separation(verts, x)) for x in xs[p:]]
+    opens = []
     for x, comps in split:
-        if len(comps) < 2:
-            out.append(canonical(Separation(x, verts)))
-            continue
         rest = comps[:-1]
-        for r in range(len(rest) + 1):
+        for r in range(1, len(rest) + 1):
             for chosen in itertools.combinations(rest, r):
                 a = x
                 for c in chosen:
                     a |= c
-                out.append(canonical(Separation(a, verts & ~(a & ~x))))
-    return tuple(sorted(out, key=sep_sort_key))
+                opens.append(canonical(Separation(a, verts & ~(a & ~x))))
+    opens.sort(key=sep_sort_key)
+    # block A: each (P, V), then the open (P, B), which lead the sorted open
+    # separations; then those whose first side is a prefix of k or more
+    # vertices, a mask holding every vertex of V below its largest
+    out, j = [], 0
+    for t in prefixes:
+        out.append(t)
+        while j < len(opens) and opens[j][0] == t[0]:
+            out.append(opens[j])
+            j += 1
+    lead = j
+    while lead < len(opens) and opens[lead][0] == verts & (1 << opens[lead][0].bit_length()) - 1:
+        lead += 1
+    return tuple(out + opens[j:lead] + block_b + opens[lead:])
 
 
 def all_separations(g: Graph) -> tuple[Separation, ...]:

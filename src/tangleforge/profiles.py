@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from operator import itemgetter, ne
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    compress,
+    count,
+    repeat,
+    starmap,
+)
+from operator import and_, itemgetter, ne, not_
 from typing import Optional
 
 from .core import (
@@ -26,6 +33,7 @@ from .errors import CertificationError, PreconditionError
 DEFAULT_MAX_SK = 64
 
 _swapped = itemgetter(1, 0)  # (a, b) ↦ (b, a)
+_DIGITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as 0/1 bytes
 
 
 @dataclass(frozen=True)
@@ -119,10 +127,9 @@ def _leaves_are_profiles(g: Graph, s_k, slots, leaves) -> bool:
     its inverse 2i + 1) and a leaf is an int of slot bits. Every leaf must
     hold exactly one slot of every separation, no two members x, y with
     distinct underlying separations and x* ≤ y, and no members x, y with
-    x* ∧ y* again a member. Both relations are symmetric in x and y. They
-    are computed once for the union U of the leaves' members, instead of
-    once per leaf, as pairs (p, q) of slot masks: a leaf fails when it
-    holds a slot of p and one of q.
+    x* ∧ y* again a member. Both relations are symmetric in x and y. The
+    tables are built once for the union U of the leaves' members, in
+    bulk, and only as far as they are read.
 
     A member (X, V) of U is free when X lies inside no B of a member
     (V, B) of U, so X ≠ V, as (V, V) would be such a member; every other
@@ -135,27 +142,69 @@ def _leaves_are_profiles(g: Graph, s_k, slots, leaves) -> bool:
     member (V, B) with X, Y ⊆ B = X ∪ Y, and then neither x nor y is free.
     A free member also meets itself in (V, X), which is not in U.
 
+    The one-slot lemma. A leaf that passed the one-slot check holds no
+    slot x together with its partner slot x ^ 1. So a test that a leaf
+    holds x, y and some slot of a mask t has the same verdict with the
+    partners of x and y taken out of t, and a pair (x, x ^ 1) never fails.
+
+    Every test is transposed. Write held(x) for the mask of leaves that
+    hold slot x, and held(p) for the union of held(x) over the slots x of
+    a mask p. A leaf fails a row (p, q) of member y when it holds y, a slot
+    of p and a slot of q, so some leaf fails the row iff
+    held(y) & held(p) & held(q) ≠ 0: one AND per row, not one test per
+    leaf. held(x) starts as every leaf, and each leaf clears itself from
+    the members of U it lacks.
+
+    Proper against proper, over the pairs of U. For proper x and y, x = y
+    included, the meet x* ∧ y* is one AND of the codes of x* and y*
+    (below), and `held_by_code` maps it to the leaves that hold a member
+    with that code; some leaf fails iff held(x) & held(y) & that ≠ 0. By
+    the one-slot lemma no meet needs leaving out: one that equals x* or y*
+    as a pair is held by no leaf that holds x and y, unless that pair is
+    (V, V), whose two slots are one pair; then y = (V, V) lies in the leaf
+    and y* ∧ y* = y fails it rightly. x* ≤ y iff the code of x* misses
+    the `outside` code of y; the relation is symmetric, so only the y
+    after x are tested, and y = x ^ 1 shares no leaf with x. The meets
+    run as one chain of C-level iterators over every pair, and the
+    clashes as one such chain per x, with no Python step per pair.
+
     Free against proper, through vertex columns. Lemma: let x = (X, V) be
     free and y = (A, B) a member. (1) x* ≤ y iff A = V and B ⊆ X, since
     x* = (V, X) ≤ (A, B) means V ⊆ A and B ⊆ X. (2) x* ∧ y* =
     (V ∩ B, X ∪ A) = (B, A ∪ X), so it lies in U exactly when U holds a
     member z = (B, D) with D = A ∪ X, that is, with A ⊆ D and
-    D ∖ A ⊆ X ⊆ D. When D = A, z is y* as a pair: a leaf that holds y and
-    passed the one-slot check holds no other slot of y's separation,
-    unless y = (V, V), whose two slots are both y*; such a leaf already
-    fails on the proper pair (y, y), as y* ∧ y* = y. So for a proper y,
-    the free partners that clash with it are those whose X holds every
-    vertex of B (when A = V), and those that meet it into a member z =
-    (B, D), D ⊋ A, are those whose X holds every vertex of D ∖ A and
-    misses every vertex outside D. Each is one AND of per-vertex columns
-    over the free members, O(n) int operations per (y, z) instead of one
-    test per free member. A partner x with y = x* or z = x* never fails a
-    leaf that passed the one-slot check, so it needs no exclusion.
+    D ∖ A ⊆ X ⊆ D. When D = A, z is y* as a pair, which never fails a leaf
+    by the one-slot lemma, unless y = (V, V); such a leaf already fails on
+    the proper pair (y, y).
 
-    Two proper members keep a test per pair. A meet x* ∧ y* whose slots
-    in U are among x* and y* is not tested: a leaf that holds x and y and
-    passed the one-slot check holds neither x* nor y*, so it cannot hold
-    that meet.
+    (3) Only D = V needs a row. Let a leaf hold x, y and z = (B, D) with
+    A ⊊ D ≠ V. If B = V, z = (V, D) is co-small with X ⊆ D, so x is not
+    free. Otherwise Z = B ∩ D ≠ V is z's separator, |Z| < k, and
+    D ∖ A ⊆ Z, as D ∖ A ⊆ V ∖ A ⊆ B. The leaf holds one orientation of
+    {Z, V}. If it holds (Z, V), it fails on the proper pair (y, z), as
+    y* ∧ z* = (Z, A ∪ B) = (Z, V). If it holds the co-small (V, Z), every
+    (W, V) with W ⊆ Z is proper, and the leaf fails on a tested row or x
+    is not free:
+    - for a ≠ b in Z, it holds (V, Z − a), which clashes with (V, Z), or
+      (Z − a, V) and (Z − b, V), whose inverses meet in (V, Z);
+    - for |Z| ≤ k − 2, let W = Z + v for a vertex v ∉ Z: it holds (V, V)
+      when W = V, which fails its own pair, and otherwise (W, V), which
+      clashes with (V, Z) as a proper pair or through (1), or (V, W),
+      which clashes with (V, Z);
+    - otherwise |Z| = k − 1 ≤ 1, and |X| < k with ∅ ≠ D ∖ A ⊆ X ∩ Z
+      leaves X = D ∖ A ⊆ Z, so x is not free.
+
+    So for a proper y, the free partners that clash with it are those
+    whose X holds every vertex of B (when A = V), and those that meet it
+    into a member (B, V) are those whose X holds every vertex of V ∖ A.
+    Each is one AND of per-vertex columns over the free members, O(n) int
+    operations per y instead of one test per free member. (B, V) is
+    looked up by its code, and only a y held with it gives a row. The
+    columns are built only when some row needs them: on
+    `doubled_bridge_ring()` and the three-triangle ring at k = 3 none
+    does. A row (y or (B, V), partners) fails iff held(y) (& held(B, V))
+    meets held(partners), which is every leaf as soon as a partner lies in
+    all of them.
     """
     m = len(s_k)
     if len(slots) != 2 * m or any(map(ne, map(_swapped, slots[::2]), slots[1::2])):
@@ -169,78 +218,79 @@ def _leaves_are_profiles(g: Graph, s_k, slots, leaves) -> bool:
     evens = (4**m - 1) // 3  # slot 2i of every separation i
     if any((leaf | leaf >> 1) & evens != evens or leaf & leaf >> 1 & evens for leaf in leaves):
         return False
+    if not leaves:
+        return True
 
-    union = 0
+    union, common = 0, -1
     for leaf in leaves:
         union |= leaf
+        common &= leaf
+    every = (1 << len(leaves)) - 1
+    # held[x]: the leaves that hold slot x, for every x in U
+    held = [every] * len(slots)
+    for i, leaf in enumerate(leaves):
+        for x in iter_bits(union & ~leaf):
+            held[x] &= ~(1 << i)
+
     shift, verts = g.n, g.vertices
     # the set bits of the union, lowest first, read off its binary digits
-    members = [x for x, bit in enumerate(bin(union)[:1:-1]) if bit == "1"]
-    sides = [slots[x] for x in members]
+    members = list(compress(count(), bin(union)[:1:-1].encode().translate(_DIGITS)))
+    sides = list(map(slots.__getitem__, members))
+    # coded as a << n | (V ∖ b), the meet (a ∩ c, b ∪ d) of two separations
+    # is the AND of their codes; held_by_code maps a code to the leaves that
+    # hold a member with it (the two slots of (V, V) share one code)
+    codes = [(a << shift) | (verts & ~b) for a, b in sides]
+    held_by_code = dict(zip(codes, map(held.__getitem__, members)))
+    if len(held_by_code) < len(codes):
+        held_by_code = {}
+        for code, x in zip(codes, members):
+            held_by_code[code] = held_by_code.get(code, 0) | held[x]
     co_small = [b for a, b in sides if a == verts]
-    # holds[v]: the free members (X, V) with v ∈ X; by_a[A]: (B, slot bit)
-    # for the members (A, B) of U. Coded as a << n | (V ∖ b), the meet
-    # (a ∩ c, b ∪ d) of two separations is the AND of their codes;
-    # code_bits maps a code to the slot bits of the members that have it
-    # (the two slots of (V, V) share one code)
-    free, proper, holds, by_a, code_bits = 0, [], [0] * shift, {}, {}
-    for x, (a, b) in zip(members, sides):
-        bit = 1 << x
-        by_a.setdefault(a, []).append((b, bit))
-        code = (a << shift) | (verts & ~b)
-        code_bits[code] = code_bits.get(code, 0) | bit
-        if b == verts and not (co_small and any(not a & ~z for z in co_small)):
-            free |= bit
-            while a:
-                low = a & -a
-                holds[low.bit_length() - 1] |= bit
-                a ^= low
-        else:
-            proper.append(x)
+    proper = [
+        x
+        for x, (a, b) in zip(members, sides)
+        if b != verts or co_small and any(not a & ~z for z in co_small)
+    ]
+
+    # proper against proper, over the pairs of U; x* ≤ y iff B(x) ⊆ A(y)
+    # and B(y) ⊆ A(x), iff the code of x* misses ((V ∖ A(y)) << n) | B(y)
     inverse = [(slots[x][1] << shift) | (verts & ~slots[x][0]) for x in proper]
-    # x* ≤ y iff B(x) ⊆ A(y) and B(y) ⊆ A(x), iff the code of x* misses
-    # ((V ∖ A(y)) << n) | B(y)
-    outside = [((verts & ~slots[y][0]) << shift) | slots[y][1] for y in proper]
-    # pairs[x], for a proper member x: the members y > x of other
-    # separations with x* ≤ y and the free y that clash with x come as
-    # (bit of x, their bits); each proper y ≥ x whose meet with x lies in U
-    # other than as x* or y* as (bit of y, bits of x* ∧ y*); the free y that
-    # meet x into a member z as (bit of z, their bits)
-    pairs = {}
-    for i, x in enumerate(proper):
-        code, bit = inverse[i], 1 << x
-        clash = sum(
-            1 << y
-            for y, out in zip(proper[i + 1 :], outside[i + 1 :])
-            if not code & out and y != x ^ 1
-        )
-        targets = map(code_bits.get, [code & other for other in inverse[i:]])
-        rows = [
-            (1 << y, t)
-            for y, t in zip(proper[i:], targets)
-            if t and t & ~(1 << (x ^ 1) | 1 << (y ^ 1))
-        ]
-        a, b = slots[x]
+    outside = [((verts & ~slots[x][0]) << shift) | slots[x][1] for x in proper]
+    held_proper = list(map(held.__getitem__, proper))
+    meets = starmap(and_, combinations_with_replacement(inverse, 2))
+    pair_held = starmap(and_, combinations_with_replacement(held_proper, 2))
+    if any(map(and_, pair_held, map(held_by_code.get, meets, repeat(0)))):
+        return False
+    for i, here in enumerate(held_proper):
+        clash = map(not_, map(inverse[i].__and__, outside[i + 1 :]))
+        if any(map(here.__and__, compress(held_proper[i + 1 :], clash))):
+            return False
+
+    # free against proper: for each proper y = (A, B), the free x that
+    # clash with y when A = V, and otherwise those that meet y into (B, V),
+    # as (the leaves that hold y (and (B, V)), the vertices each such X holds)
+    rows = []
+    for y in proper:
+        a, b = slots[y]
         if a == verts:
+            rows.append((held[y], b))
+        else:
+            shared = held[y] & held_by_code.get(b << shift, 0)  # (B, V) is coded B << n
+            if shared:
+                rows.append((shared, verts & ~a))
+    if rows:
+        # holds[v]: the free members (X, V) with v ∈ X
+        free = union & ~sum(map((1).__lshift__, proper))
+        holds = [0] * shift
+        for x in iter_bits(free):
+            bit = 1 << x
+            for v in iter_bits(slots[x][0]):
+                holds[v] |= bit
+        for shared, low in rows:
             partners = free
-            for v in iter_bits(b):
+            for v in iter_bits(low):
                 partners &= holds[v]
-            clash |= partners
-        for d, z in by_a.get(b, ()):
-            if d != a and not a & ~d:
-                partners = free
-                for v in iter_bits(d & ~a):
-                    partners &= holds[v]
-                for v in iter_bits(verts & ~d):
-                    partners &= ~holds[v]
-                if partners:
-                    rows.append((z, partners))
-        if clash:
-            rows.append((bit, clash))
-        pairs[x] = rows
-    for leaf in leaves:
-        for x in iter_bits(leaf & ~free):
-            if any(leaf & p and leaf & q for p, q in pairs[x]):
+            if partners & common or any(shared & held[x] for x in iter_bits(partners)):
                 return False
     return True
 
@@ -352,11 +402,15 @@ def enumerate_k_profiles(
 
     So the search over the open separations reaches the leaves, in their
     order, of the search over all of S_k with the forced slots chosen
-    first. The certificate reads the full leaves over S_k-order slots:
-    each open bit is lifted to its separation's S_k position, and the
-    forced orientations are added as one mask. Each profile fills the open
-    positions of one tuple that holds the forced orientations at their
-    S_k positions.
+    first. The forced part of S_k is taken in the block order of
+    `enumerate_separations`: at k ≥ 3 it is the k prefixes (P, V) of
+    block A and one run of block B, whose (V, X) are turned to (X, V) once
+    per call, so each forced orientation is built once beside S_k's own
+    member. Each profile fills the open positions of one tuple, `base`,
+    that holds the forced orientations at their S_k positions. The
+    certificate takes the open slots as the search has them, followed by
+    each forced orientation and its inverse: a full leaf is a search leaf
+    with the forced orientations added as one mask.
     """
     s_k = enumerate_separations(g, k, max_n=max_n, max_k=max_k, max_sk=max_sk)
     if k > g.num_vertices:
@@ -365,20 +419,28 @@ def enumerate_k_profiles(
         return ()
     shift, verts = g.n, g.vertices
     # the lemma's forced slots (X, V): those with |X| ≤ `top`, the largest
-    # forced size (−1 when none is forced). `base` holds their orientations
-    # at their S_k positions, `forced_bits` their slot bits over the S_k-order
-    # slots 2j = s_k[j] and 2j+1 = its inverse, and `where` the S_k
-    # positions of the open separations
+    # forced size (−1 when none is forced). In the block order of
+    # `enumerate_separations` they are, at k ≥ 3, every trivial separation:
+    # the k prefixes (P, V) in block A and the run s_k[lo:hi] of the (V, X)
+    # of block B; at k = 2 the one (∅, V) = s_k[0]; at k = 1 none. `where`
+    # lists the S_k positions of the open separations, `forced` the forced
+    # orientations, and `base` S_k with block B turned to (X, V)
     top = k - 1 if k >= 3 else k - 2
-    base, where, forced_bits = list(s_k), [], 0
-    for j, (a, b) in enumerate(s_k):
-        if b == verts and a.bit_count() <= top:
-            forced_bits |= 1 << 2 * j
-        elif a == verts and b.bit_count() <= top:
-            base[j] = Separation(b, a)
-            forced_bits |= 2 << 2 * j
-        else:
-            where.append(j)
+    if k >= 3:
+        # block B is not empty, as {v_1} is no prefix; blocks A and C are
+        # s_k[:lo] and s_k[hi:], so only the open separations are scanned
+        lo, hi = k, len(s_k)
+        while s_k[lo][0] != verts:
+            lo += 1
+        while s_k[hi - 1][0] != verts:
+            hi -= 1
+        where = [j for j in range(lo) if s_k[j][1] != verts] + list(range(hi, len(s_k)))
+        # built as Separation._make builds them, with no Python call each
+        turned = list(map(tuple.__new__, repeat(Separation), map(_swapped, s_k[lo:hi])))
+        forced = [s for s in s_k[:lo] if s[1] == verts] + turned
+        base = [*s_k[:lo], *turned, *s_k[hi:]]
+    else:
+        where, forced, base = list(range(k - 1, len(s_k))), list(s_k[: k - 1]), list(s_k)
     # the open separations in S_k order, sorted stably by order
     where.sort(key=lambda j: s_k[j].order)
     slots = [x for j in where for x in (s_k[j], star(s_k[j]))]
@@ -495,19 +557,21 @@ def enumerate_k_profiles(
 
     rec(0, 0)
 
-    # each leaf fills the open positions of `base`, and its bits are lifted
-    # to the S_k-order slots: open slot x is slot 2j + (x & 1) there
-    rows, full_leaves = [], []
+    # each leaf fills the open positions of `base`. The certificate takes
+    # the open slots as they are, followed by each forced orientation and its
+    # inverse, all of which every leaf holds
+    rows = []
     for leaf in leaves:
-        chosen, bits = base[:], forced_bits
+        chosen = base[:]
         for x in iter_bits(leaf):
-            j = where[x >> 1]
-            chosen[j] = slots[x]
-            bits |= 1 << (2 * j + (x & 1))
+            chosen[where[x >> 1]] = slots[x]
         rows.append(tuple(chosen))
-        full_leaves.append(bits)
-    full_slots = [side for s in s_k for side in (s, s[::-1])]
-    if not _leaves_are_profiles(g, s_k, full_slots, full_leaves):
+    forced_slots = [None] * (2 * len(forced))
+    forced_slots[::2] = forced
+    forced_slots[1::2] = map(_swapped, forced)
+    forced_bits = (4 ** len(forced) - 1) // 3 << len(slots)
+    full_leaves = [leaf | forced_bits for leaf in leaves]
+    if not _leaves_are_profiles(g, s_k, slots + forced_slots, full_leaves):
         raise CertificationError("profile search reached a leaf that is not a profile")
     return tuple(Profile(k, row) for row in rows)
 

@@ -85,6 +85,16 @@ def test_verify_quick_suites(capsys):
     }
 
 
+def test_verify_output_is_byte_deterministic(capsys):
+    """Suite timings go to stderr only, so two runs of one suite at one
+    seed print the same bytes."""
+    argv = ["verify", "--suite", "canonical-separators-2k4", "--seed", "7"]
+    _, first = run_cli(argv, capsys)
+    _, second = run_cli(argv, capsys)
+    assert first == second
+    assert all("seconds" not in suite for suite in json.loads(first)["result"]["suites"])
+
+
 def test_output_is_deterministic(capsys):
     argv = ["nested-separations", "--fixture", "FIX_2K4"]
     _, first = run_cli(argv, capsys)

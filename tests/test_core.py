@@ -4,6 +4,7 @@ universe axiom checker."""
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +34,7 @@ from tangleforge.core import (
     vertices_of,
 )
 from tangleforge.errors import CapExceededError, InputError, PreconditionError
+from tangleforge.fixtures import doubled_bridge_ring
 from tangleforge.verify import _random_graph
 
 from jsonforms import separation_from_json
@@ -121,6 +123,85 @@ def test_each_separation_is_built_once(monkeypatch):
             assert seps == oracles.brute_separations(g, k)
             with pytest.raises(CapExceededError):
                 enumerate_separations(g, k, max_k=k, max_sk=m - 1)
+
+
+def ring_of_three_triangles():
+    edges = [(3 * i + a, 3 * i + b) for i in range(3) for a, b in ((0, 1), (1, 2), (0, 2))]
+    return Graph.from_edges(9, edges + [(2, 3), (5, 6), (8, 0)])
+
+
+def s_k_size(g, k):
+    """|S_k| counted from the components of G − X for every X ⊆ V with
+    |X| < k: 2^(c − 1) for c ≥ 1 components, 1 for X = V."""
+    return sum(
+        2 ** (len(comps) - 1) if comps else 1
+        for size in range(min(k, g.num_vertices + 1))
+        for x in map(mask_of, itertools.combinations(vertices_of(g.vertices), size))
+        for comps in [g.components(x)]
+    )
+
+
+def test_enumeration_order_with_gaps_in_v():
+    """The block order of `enumerate_separations` reads "prefix" against V
+    listed ascending, not against 0..n−1. Seeded random graphs on 1–7
+    vertices, about 40% of them induced subgraphs with gaps in V, at every
+    k from 1 to |V| + 1, equal the pair-scan oracle tuple for tuple. The
+    two rings under seeded relabellings, where the oracle's 4^n scan is
+    out of reach, come out sorted by `sep_sort_key`, distinct and as many
+    as the components count; the three-triangle ring's S_3 is also the
+    order < 3 part of `all_separations`."""
+    rng = random.Random(27)
+    gapped = 0
+    for _ in range(200):
+        g = _random_graph(rng, rng.randint(1, 7))
+        if rng.random() < 0.4:
+            g = g.induced(rng.getrandbits(g.n))
+            gapped += g.vertices != (1 << g.vertices.bit_length()) - 1
+        for k in range(1, g.num_vertices + 2):
+            assert enumerate_separations(g, k, max_k=8) == oracles.brute_separations(g, k)
+    assert gapped >= 40
+    for name, g in (("triangle_ring3", ring_of_three_triangles()), ("doubled", doubled_bridge_ring())):
+        rng = random.Random(name)
+        for _ in range(3):
+            images = list(range(g.n))
+            rng.shuffle(images)
+            h = g.relabelled(dict(enumerate(images)))
+            seps = enumerate_separations(h, 3, max_sk=256)
+            assert seps == tuple(sorted(set(seps), key=sep_sort_key))
+            assert len(seps) == s_k_size(h, 3)
+            if name == "triangle_ring3":
+                assert set(seps) == {s for s in all_separations(h) if s.order < 3}
+
+
+def calls_inside(fn, codes, *args, **kwargs):
+    """fn(*args, **kwargs), and the number of calls to each of the given
+    code objects made inside it."""
+    calls = dict.fromkeys(codes, 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in calls:
+            calls[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return result, [calls[code] for code in codes]
+
+
+@pytest.mark.parametrize("name,expected", [("doubled", (12, 149)), ("triangle_ring3", (12, 58))])
+def test_sort_keys_for_the_open_separations_only(name, expected):
+    """S_3 has 149 separations on `doubled_bridge_ring()` and 58 on the
+    three-triangle ring, 12 of them open on each. The trivial ones come
+    out of the walk over X in order, so `sep_sort_key` runs on the open
+    ones only, and `canonical` once per separation."""
+    g = doubled_bridge_ring() if name == "doubled" else ring_of_three_triangles()
+    codes = (core.sep_sort_key.__code__, core.canonical.__code__)
+    seps, calls = calls_inside(enumerate_separations, codes, g, 3, max_sk=256)
+    assert tuple(calls) == expected
+    assert len(seps) == expected[1]
+    assert sum(s.a != g.vertices != s.b for s in seps) == expected[0]
 
 
 def test_all_separations_builds_each_separation_once(monkeypatch):
