@@ -201,9 +201,21 @@ def _resolve_graph_and_k(args, cfg) -> tuple[Graph, int, str]:
     return g, k, label
 
 
+def _profiles(g: Graph, k: int, cfg: RunConfig):
+    """The k-profiles of g, under the run's caps."""
+    return enumerate_k_profiles(g, k, max_sk=cfg.max_sk, max_n=cfg.max_n, max_k=cfg.max_k)
+
+
 def _pipeline_profiles(g: Graph, k: int, cfg: RunConfig):
-    profs = enumerate_k_profiles(g, k, max_sk=cfg.max_sk, max_n=cfg.max_n, max_k=cfg.max_k)
-    return pipeline_profiles(g, profs)
+    return pipeline_profiles(g, _profiles(g, k, cfg))
+
+
+def _levels_json(nested) -> list:
+    """The levels of a canonical nested separator set, separators as vertex lists."""
+    return [
+        {"k": lv.k, "added": [list(vertices_of(m)) for m in lv.added]}
+        for lv in nested.result.levels
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +234,7 @@ def cmd_separations(args, cfg):
 
 def cmd_profiles(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
-    profs = enumerate_k_profiles(g, k, max_sk=cfg.max_sk, max_n=cfg.max_n, max_k=cfg.max_k)
+    profs = _profiles(g, k, cfg)
     entries = []
     for p, principal in zip(profs, principal_flags(g, profs)):
         flags = profile_flags(g, p, principal)
@@ -244,7 +256,7 @@ def cmd_profiles(args, cfg):
 
 def cmd_distinguish(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
-    profs = enumerate_k_profiles(g, k, max_sk=cfg.max_sk, max_n=cfg.max_n, max_k=cfg.max_k)
+    profs = _profiles(g, k, cfg)
     pairs = [
         {
             "pair": list(pair),
@@ -337,10 +349,7 @@ def cmd_thin_splinter(args, cfg):
     return {
         "graph": label,
         "k": k,
-        "levels": [
-            {"k": lv.k, "added": [list(vertices_of(m)) for m in lv.added]}
-            for lv in nested.result.levels
-        ],
+        "levels": _levels_json(nested),
         "nested_set": [list(vertices_of(m)) for m in nested.separators],
     }
 
@@ -403,10 +412,7 @@ def cmd_nested_separators(args, cfg):
         "graph": label,
         "k": k,
         "separators": [list(vertices_of(m)) for m in nested.separators],
-        "levels": [
-            {"k": lv.k, "added": [list(vertices_of(m)) for m in lv.added]}
-            for lv in nested.result.levels
-        ],
+        "levels": _levels_json(nested),
     }
 
 

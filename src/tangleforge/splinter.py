@@ -390,8 +390,8 @@ class ThinSplinterReport:
 
 class _PairTests:
     """The tests of `thinly_splinters_check` on one instance and its
-    crossing table. Each crossing pair (a, b) is seen through its corner
-    mask, computed once, and each corner oracle triple is answered once."""
+    crossing table. Each crossing pair (a, b) is seen once, through its
+    corner mask, and each corner oracle triple is answered once."""
 
     def __init__(self, inst: SplinterInstance, t: CrossingTable):
         self.inst, self.t = inst, t
@@ -403,6 +403,9 @@ class _PairTests:
         for kx, mask in enumerate(self.fams):
             for i in iter_bits(mask):
                 self.families_of[i].append(kx)
+        self.rank = [0] * len(t.rows)  # per element, its place in repr order
+        for r, i in enumerate(sorted(range(len(t.rows)), key=lambda i: repr(inst.elements[i]))):
+            self.rank[i] = r
         self.crossing = {
             k: [t.crossing_number(i, k) for i in range(len(t.rows))] for k in sorted(t.levels)
         }
@@ -414,116 +417,82 @@ class _PairTests:
             for x in range(1, len(masks)):
                 masks[x] |= masks[x - 1]
             self.below[k] = masks
-        self.corner_masks: dict = {}
         self.answers: dict = {}
 
     def corner_mask(self, ia: int, ib: int) -> int:
         """The corners of the elements indexed ia and ib: the elements
         crossed by no family member that crosses neither of them."""
-        mask = self.corner_masks.get((ia, ib))
-        if mask is None:
-            rows, crossed, out = self.t.rows, 0, self.t.outside(ia, ib)
-            while out:
-                low = out & -out
-                crossed |= rows[low.bit_length() - 1]
-                out ^= low
-            mask = self.corner_masks[ia, ib] = ((1 << len(rows)) - 1) & ~crossed
-        return mask
+        rows, crossed, out = self.t.rows, 0, self.t.outside(ia, ib)
+        while out:
+            low = out & -out
+            crossed |= rows[low.bit_length() - 1]
+            out ^= low
+        return ((1 << len(rows)) - 1) & ~crossed
 
-    def oracle_misses(self, a, b, key, cmask: int) -> bool:
-        """The corner oracle's answer for (a, b, key) is not a corner."""
+    def oracle_miss(self, a, b, key, cmask: int):
+        """The corner oracle's answer for (a, b, key) when it is no corner,
+        else None."""
         if self.inst.corner_oracle is None:
-            return False
+            return None
         if (a, b, key) not in self.answers:
             self.answers[a, b, key] = self.inst.corner_oracle(a, b, key)
         c = self.answers[a, b, key]
-        return c is not None and not cmask >> self.t.index[c] & 1
+        return None if c is None or cmask >> self.t.index[c] & 1 else c
 
-    def pair_fails(self, ia: int, ib: int) -> bool:
-        """The cross-family walk reports something at the crossing pair
-        (a, b) of the elements indexed ia and ib."""
+    def pair_violations(self, ia: int, ib: int, out: list) -> None:
+        """Append to out the violations at the crossing pair (a, b) of the
+        elements indexed ia and ib, each as (sort key, violation); see
+        `thinly_splinters_check` for the keys. Each family of a and of b
+        is tested once, and the pairs of families are walked only behind a
+        test that fails."""
         keys, orders, reprs, fams = self.keys, self.orders, self.reprs, self.fams
         crossing, below = self.crossing, self.below
         a, b = self.inst.elements[ia], self.inst.elements[ib]
+        fams_a, fams_b = self.families_of[ia], self.families_of[ib]
         cmask = self.corner_mask(ia, ib)
         nested_corners = cmask & ~self.t.cols[ia]  # the corners nested with a
-        lowest = min(orders[ki] for ki in self.families_of[ia])
+        lowest = min(orders[ki] for ki in fams_a)
         top, failing = {}, {}  # per order: the largest repr of b's families, of failing ones
-        for kj in self.families_of[ib]:
+        for kj in fams_b:
             k, r = orders[kj], reprs[kj]
-            if k > lowest and (
-                not nested_corners & fams[kj] or self.oracle_misses(a, b, keys[kj], cmask)
-            ):
-                return True
+            if k > lowest:  # property 2 and the oracle at kj, for each ki of lower order
+                p2 = not nested_corners & fams[kj]
+                c = self.oracle_miss(a, b, keys[kj], cmask)
+                if p2 or c is not None:
+                    for ki in fams_a:
+                        if orders[ki] >= k:
+                            continue
+                        place = 0, ki, kj, ia, ib
+                        if p2:
+                            out.append(((*place, 0), ("property-2", (keys[ki], keys[kj], a, b))))
+                        if c is not None:
+                            out.append(((*place, 1), ("corner-oracle", (a, b, keys[kj], c))))
             top[k] = max(top.get(k, r), r)
             if not cmask & fams[kj] & below[k][crossing[k][ib]]:
                 failing[k] = max(failing.get(k, r), r)
-        for ki in self.families_of[ia]:
+        within = self.rank[ia] < self.rank[ib]
+        for ki in fams_a:
             k, r = orders[ki], reprs[ki]
-            if k in top and r < top[k]:
-                if self.oracle_misses(a, b, keys[ki], cmask):
-                    return True
-                if (
+            if k in top and r < top[k]:  # property 3 and the oracle at ki, for each kj above it
+                p3 = (
                     k in failing
                     and r < failing[k]
                     and not cmask & fams[ki] & below[k][crossing[k][ia]]
-                ):
-                    return True
-        return False
-
-    def cross_family_fails(self) -> bool:
-        rows, union = self.t.rows, self.t.union
-        return any(
-            self.pair_fails(ia, ib) for ia in iter_bits(union) for ib in iter_bits(rows[ia] & union)
-        )
-
-    def walk_cross_family(self, violations: list) -> None:
-        """Report the violations between two families in the order of the
-        walk over (ki, kj), then a in ki, then b in kj, members in
-        `inst.elements` order."""
-        inst, t = self.inst, self.t
-        rows, cols, fams = t.rows, t.cols, t.fams
-        for ki in self.keys:
-            for kj in self.keys:
-                oi, oj = inst.orders[ki], inst.orders[kj]
-                if oi < oj:
-                    target = kj
-                elif oi == oj and repr(ki) < repr(kj):
-                    target = ki
-                else:
-                    continue
-                bl, cn = self.below[oi], self.crossing[oi]
-                for ia in iter_bits(fams[ki]):
-                    a = inst.elements[ia]
-                    for ib in iter_bits(fams[kj]):
-                        b = inst.elements[ib]
-                        if not rows[ia] >> ib & 1:
+                )
+                c = self.oracle_miss(a, b, keys[ki], cmask)
+                if p3 or c is not None:
+                    for kj in fams_b:
+                        if orders[kj] != k or not r < reprs[kj]:
                             continue
-                        cmask = self.corner_mask(ia, ib)
-                        if oi < oj:
-                            if not cmask & fams[kj] & ~cols[ia]:
-                                violations.append(("property-2", (ki, kj, a, b)))
-                        elif not cmask & (fams[ki] & bl[cn[ia]] | fams[kj] & bl[cn[ib]]):
-                            violations.append(("property-3", (ki, kj, a, b)))
-                        if self.oracle_misses(a, b, target, cmask):
-                            c = self.answers[a, b, target]
-                            violations.append(("corner-oracle", (a, b, target, c)))
-
-    def walk_within_families(self, violations: list) -> None:
-        """Report the same-level crossings inside one family, which also
-        fall under property 3."""
-        inst, index, rows, fams = self.inst, self.t.index, self.t.rows, self.t.fams
-        for ki in self.keys:
-            bl, cn = self.below[inst.orders[ki]], self.crossing[inst.orders[ki]]
-            fam = sorted(inst.families[ki], key=repr)
-            for pos, a in enumerate(fam):
-                ia = index[a]
-                for b in fam[pos + 1 :]:
-                    ib = index[b]
-                    if not rows[ia] >> ib & 1:
-                        continue
-                    if not self.corner_mask(ia, ib) & fams[ki] & bl[max(cn[ia], cn[ib])]:
-                        violations.append(("property-3", (ki, ki, a, b)))
+                        place = 0, ki, kj, ia, ib
+                        if p3 and not cmask & fams[kj] & below[k][crossing[k][ib]]:
+                            out.append(((*place, 0), ("property-3", (keys[ki], keys[kj], a, b))))
+                        if c is not None:
+                            out.append(((*place, 1), ("corner-oracle", (a, b, keys[ki], c))))
+            if within and fams[ki] >> ib & 1:  # property 3 inside ki
+                if not cmask & fams[ki] & below[k][max(crossing[k][ia], crossing[k][ib])]:
+                    place = 1, ki, self.rank[ia], self.rank[ib]
+                    out.append((place, ("property-3", (keys[ki], keys[ki], a, b))))
 
 
 def thinly_splinters_check(
@@ -538,41 +507,42 @@ def thinly_splinters_check(
     crossing number at that level than the corresponding input.
 
     Every crossing pair is checked against the instance's crossing table
-    (built here unless `table` is that of `inst`). The corner mask of a
-    crossing pair (a, b), computed once, holds its corners. Property 2 at
-    a family kj then holds when the mask meets the members of kj nested
-    with a, and property 3 at (ki, kj) when it meets the members of ki
-    below a's crossing number or those of kj below b's. The corner oracle
-    is asked once per distinct (a, b, target) triple; an answer outside
-    the corner mask is reported wherever the walk meets its triple.
+    (built here unless `table` is that of `inst`), once, by
+    `_PairTests.pair_violations`. The corner mask of a crossing pair
+    (a, b) holds its corners. Property 2 at a family kj then holds when
+    the mask meets the members of kj nested with a, and property 3 at
+    (ki, kj) when it meets the members of ki below a's crossing number or
+    those of kj below b's. The corner oracle is asked once per distinct
+    (a, b, target) triple, and an answer outside the corner mask is
+    reported once per family pair that asks it.
 
-    The violations are listed in the order of a walk over the family pairs
-    (ki, kj) with oi < oj, or oi = oj and repr(ki) < repr(kj), then over
-    the pairs inside one family. A decider settles, one crossing element
-    pair at a time, whether the cross-family part holds any violation, and
-    that part is walked only if it does. The decider is exact: for a fixed
-    crossing pair (a, b),
-    - property 2 fails at (ki, kj) iff kj's own test fails and oi < oj,
-      so it fails for some ki iff kj's test fails and a has a family of
-      order below oj;
-    - property 3 fails at (ki, kj) iff both tests fail, oi = oj and
-      repr(ki) < repr(kj). That index set is no product, so the fold
-      ∀ki ∀kj (P(ki) ∨ Q(kj)) ⇔ ∀ki P(ki) ∨ ∀kj Q(kj) does not apply to
-      it as it stands. It applies per ki: a failing ki has a failing
-      partner iff some failing kj of b at order oi has a repr above
-      repr(ki);
-    - an oracle answer passes or fails with its triple alone, so the
-      decider asks every triple the walk asks.
-    The pairs inside one family are always walked, last.
+    The report lists the violations in the order of
+    `oracles.brute_thin_splinter_report`: a walk over the family pairs
+    (ki, kj) in `family_keys()` order with oi < oj, or oi = oj and
+    repr(ki) < repr(kj), then a in ki and b in kj in `inst.elements`
+    order, each property entry before its oracle entry; then, family by
+    family, the pairs a, b inside ki in repr order. The pair pass meets
+    them in another order, so it keys each violation by its place in that
+    walk: (0, ki, kj, a, b, 0 or 1 for the oracle) across families and
+    (1, ki, rank of a, rank of b) inside one, with families as positions
+    in `family_keys()`, elements as indices or as ranks in repr order
+    (ties by index). The keys are distinct and compare as the walk visits
+    them, so one sort gives the walk's order; on an instance that thinly
+    splinters the list is empty. Which (ki, kj) the pass admits is decided
+    by comparing reprs, as the walk does, not positions: two keys with one
+    repr have distinct positions but admit no pair.
     """
     t = crossing_table(inst) if table is None else table
     tests = _PairTests(inst, t)
     rep = ThinSplinterReport()
     for k, cn in tests.crossing.items():
         rep.max_crossing[k] = max(cn[i] for i in iter_bits(t.union))
-    if tests.cross_family_fails():
-        tests.walk_cross_family(rep.violations)
-    tests.walk_within_families(rep.violations)
+    found: list = []
+    for ia in iter_bits(t.union):
+        for ib in iter_bits(t.rows[ia] & t.union):
+            tests.pair_violations(ia, ib, found)
+    found.sort(key=operator.itemgetter(0))
+    rep.violations = [v for _, v in found]
     return rep
 
 

@@ -18,6 +18,7 @@ from tangleforge.core import (
     UniverseView,
     canonical,
     graph_universe,
+    iter_bits,
     leq,
     mask_of,
 )
@@ -602,25 +603,32 @@ def test_separator_crossing_table_calls_components_once_per_element(monkeypatch)
     assert calls == {"nested": 0, "components": 12}
 
 
+def crossing_pairs(table):
+    """The crossing pairs (a, b) of family members of a crossing table."""
+    return sum((table.rows[i] & table.union).bit_count() for i in iter_bits(table.union))
+
+
 def test_five_triangle_ring_asks_the_corner_oracle_once_per_triple(monkeypatch):
     """40 separators, so 40 `components` calls fill the table, and 1,760
     distinct (a, b, target) triples of crossing pairs reach the corner
     oracle (the per-family-pair walk asked it 5,510 times). The instance
-    thinly splinters, so the cross-family walk never runs."""
+    thinly splinters, and each of its 420 crossing pairs gets one corner
+    mask."""
     _, inst = ring_instance(5)
-    calls = {"components": 0, "oracle": 0, "walk": 0}
+    calls = {"components": 0, "oracle": 0, "corner_mask": 0}
     monkeypatch.setattr(Graph, "components", counted(calls, "components", Graph.components))
     table = crossing_table(inst)
     assert len(inst.elements) == calls["components"] == 40
-    walk = splinter_module._PairTests.walk_cross_family
+    corner_mask = splinter_module._PairTests.corner_mask
     monkeypatch.setattr(
-        splinter_module._PairTests, "walk_cross_family", counted(calls, "walk", walk)
+        splinter_module._PairTests, "corner_mask", counted(calls, "corner_mask", corner_mask)
     )
     oracle = dataclasses.replace(
         inst, corner_oracle=counted(calls, "oracle", inst.corner_oracle)
     )
     assert thinly_splinters_check(oracle, table).ok
-    assert (calls["oracle"], calls["walk"]) == (1760, 0)
+    assert crossing_pairs(table) == 420
+    assert (calls["oracle"], calls["corner_mask"]) == (1760, 420)
 
 
 def test_column_predicate_is_separator_nestedness():
@@ -745,7 +753,11 @@ def test_check_reports_an_oracle_answer_that_is_no_corner():
     """a crosses b and c crosses d, which is nested with a and b, so c is
     no corner of a and b. The oracle answers c for (a, b, f1), asked by
     property 3 of (f1, f2), and None for (a, b, f3), asked by property 2
-    of (f1, f3): only the first answer is reported."""
+    of (f1, f3): only the first answer is reported. In the second case it
+    answers c for (a, b, f3), asked by property 2 from f1 and from f2,
+    both below f3; e, nested with everything, is the corner that keeps
+    property 2, so the one answer is reported twice, once per family
+    pair."""
     crossing = {("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")}
     answers = {("a", "b", "f1"): "c"}
     inst = SplinterInstance(
@@ -761,12 +773,21 @@ def test_check_reports_an_oracle_answer_that_is_no_corner():
     assert ("corner-oracle", ("a", "b", "f1", "c")) in rep.violations
     assert not any(v[1][2] == "f3" for v in rep.violations if v[0] == "corner-oracle")
 
+    inst = dataclasses.replace(
+        inst,
+        families={"f1": {"a"}, "f2": {"a", "d"}, "f3": {"b", "c", "e"}},
+        corner_oracle=lambda a, b, key: "c" if (a, b, key) == ("a", "b", "f3") else None,
+    )
+    rep = thinly_splinters_check(inst)
+    assert oracles.brute_thin_splinter_report(inst) == (rep.violations, rep.max_crossing)
+    assert rep.violations == [("corner-oracle", ("a", "b", "f3", "c"))] * 2
 
-def test_decider_walks_nothing_when_one_side_of_property_3_holds(monkeypatch):
+
+def test_one_side_of_property_3_is_enough(monkeypatch):
     """a ∈ f1 crosses b ∈ f2 at one level. f1 holds no corner below a's
     crossing number, but f2 holds c, nested with everything: property 3
-    holds through f2 alone, so the instance thinly splinters and the
-    decider leaves the cross-family walk out."""
+    holds through f2 alone, so the instance thinly splinters, and each of
+    the two crossing pairs gets one corner mask."""
     crossing = {("a", "b"), ("b", "a")}
     inst = SplinterInstance(
         elements=("a", "b", "c"),
@@ -774,11 +795,11 @@ def test_decider_walks_nothing_when_one_side_of_property_3_holds(monkeypatch):
         orders={"f1": 1, "f2": 1},
         nested=lambda x, y: (x, y) not in crossing,
     )
-    calls = {"walk": 0}
-    walk = splinter_module._PairTests.walk_cross_family
+    calls = {"corner_mask": 0}
+    corner_mask = splinter_module._PairTests.corner_mask
     monkeypatch.setattr(
-        splinter_module._PairTests, "walk_cross_family", counted(calls, "walk", walk)
+        splinter_module._PairTests, "corner_mask", counted(calls, "corner_mask", corner_mask)
     )
     assert thinly_splinters_check(inst).ok
     assert oracles.brute_thin_splinter_report(inst) == ([], {1: 1})
-    assert calls["walk"] == 0
+    assert crossing_pairs(crossing_table(inst)) == calls["corner_mask"] == 2
