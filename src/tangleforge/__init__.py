@@ -35,7 +35,6 @@ from .profiles import (
     efficient_distinguishers,
     enumerate_k_profiles,
     pipeline_profiles,
-    profile_flags,
 )
 from .profinite import (
     DirectedPoset,
@@ -47,7 +46,6 @@ from .profinite import (
 )
 from .separators import (
     canonical_nested_separators,
-    separator_nested,
     separators_to_separations,
 )
 from .splinter import (

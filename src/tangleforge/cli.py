@@ -44,9 +44,9 @@ from .profiles import (
     DEFAULT_MAX_SK,
     distinguisher_sets,
     enumerate_k_profiles,
+    is_robust,
     pipeline_profiles,
     principal_flags,
-    profile_flags,
 )
 from .profinite import (
     graph_restriction_system,
@@ -237,12 +237,11 @@ def cmd_profiles(args, cfg):
     profs = _profiles(g, k, cfg)
     entries = []
     for p, principal in zip(profs, principal_flags(g, profs)):
-        flags = profile_flags(g, p, principal)
         entry = p.to_json()
         entry["flags"] = {
-            "regular": flags.regular,
-            "robust": flags.robust,
-            "principal": flags.principal,
+            "regular": p.is_regular(g),
+            "robust": is_robust(g, p),
+            "principal": principal,
         }
         entries.append(entry)
     return {

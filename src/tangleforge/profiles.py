@@ -579,13 +579,6 @@ def enumerate_k_profiles(
 # ---------------------------------------------------------------------------
 # flags
 
-@dataclass(frozen=True)
-class ProfileFlags:
-    regular: bool
-    robust: bool
-    principal: bool
-
-
 def _submasks(mask: int):
     """Every subset of `mask`, `mask` itself first and ∅ last."""
     sub = mask
@@ -782,17 +775,6 @@ def principal_flags(g: Graph, profiles) -> tuple[bool, ...]:
     profiles = tuple(profiles)
     cuts = small_separators(g, max((p.k for p in profiles), default=0))
     return tuple(is_principal(g, p, cuts) for p in profiles)
-
-
-def profile_flags(g: Graph, p: Profile, principal: Optional[bool] = None) -> ProfileFlags:
-    """The flags of p. `principal`, when given, is `is_principal(g, p)` as
-    the caller has it, say from one `principal_flags` call over many
-    profiles, which computes the components of each G − X once for all."""
-    return ProfileFlags(
-        regular=p.is_regular(g),
-        robust=is_robust(g, p),
-        principal=is_principal(g, p) if principal is None else principal,
-    )
 
 
 def pipeline_profiles(g: Graph, profiles) -> tuple[Profile, ...]:

@@ -383,23 +383,36 @@ def inverse_limits(
     system f_qp ∘ f_tq = f_tp, so each x in U_t with allowed images is one.
     The pass extends each allowed choice at the maximal points and keeps it
     when every image is allowed and every comparable pair agrees: exact on
-    any system, validated or not. Limits come in itertools.product order of
-    the maximal points' values, each in universe order; cap bounds the
-    number of those choices and is checked before the pass. Only .elements
-    of each universe is read, so any system of finite sets will do.
+    any system, validated or not, that has a universe at every point and a
+    map f_qp for every q > p defined on the allowed elements of U_q; any
+    other system raises PreconditionError naming the missing universe, map
+    or image. Limits come in itertools.product order of the maximal points'
+    values, each in universe order; cap bounds the number of those choices
+    and is checked before the pass. Only .elements of each universe is
+    read, so any system of finite sets will do.
     """
     points = sys.poset.points
-
-    def allowed(p):   # U_p ∩ restrict[p], in universe order
-        elems = sys.universe_at[p].elements
-        if restrict is None or p not in restrict:
-            return elems
-        return list(filter(set(restrict[p]).__contains__, elems))
-
-    pairs = [(q, p, sys.maps[(q, p)]) for p, q in sys.poset.relation if p != q]
+    allowed = {}  # p -> U_p ∩ restrict[p], in universe order
+    for p in points:
+        if p not in sys.universe_at:
+            raise PreconditionError(f"no universe at point {p!r}")
+        allowed[p] = sys.universe_at[p].elements
+        if restrict is not None and p in restrict:
+            allowed[p] = list(filter(set(restrict[p]).__contains__, allowed[p]))
+    pairs = []  # (q, p, f_qp) for q > p, in point order, so a refusal names the first
+    for q, p in itertools.product(points, points):
+        if p == q or not sys.poset.leq(p, q):
+            continue
+        if (q, p) not in sys.maps:
+            raise PreconditionError(f"no bonding map {(q, p)!r}")
+        f = sys.maps[q, p]
+        for x in allowed[q]:
+            if x not in f:
+                raise PreconditionError(f"bonding map {(q, p)!r} is undefined at {x!r}")
+        pairs.append((q, p, f))
     tops = sys.poset.maximal_points()
-    down = {p: (t, f, set(allowed(p))) for t, p, f in pairs if t in tops}  # via a maximal t
-    domains = [allowed(t) for t in tops]
+    down = {p: (t, f, set(allowed[p])) for t, p, f in pairs if t in tops}  # via a maximal t
+    domains = [allowed[t] for t in tops]
     if math.prod(map(len, domains)) > cap:
         raise CapExceededError(f"choices at the maximal points exceed cap {cap}")
     out = []

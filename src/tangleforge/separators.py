@@ -11,7 +11,6 @@ separations.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -43,18 +42,15 @@ def separator_nested(g: Graph, x: int, y: int) -> bool:
     Equivalently, y does not properly separate two vertices of x. Symmetric
     when both sets genuinely distinguish profile pairs, not in general.
     """
-    if x & ~g.vertices:
+    if (x | y) & ~g.vertices:
         raise PreconditionError("separators must lie inside the graph")
-    return _nested_with(g, y)(x)
+    return _in_a_side(x, y, [comp | y for comp in g.components(y)])
 
 
-def _nested_with(g: Graph, y: int):
-    """The predicate x ↦ separator_nested(g, x, y) on separators x inside
-    the graph, from one `components` call."""
-    if y & ~g.vertices:
-        raise PreconditionError("separators must lie inside the graph")
-    sides = [comp | y for comp in g.components(y)]
-    return lambda x: not x & ~y or any(not x & ~side for side in sides)
+def _in_a_side(x: int, y: int, sides: list) -> bool:
+    """`separator_nested(g, x, y)` for x inside the graph, from the sides
+    C ∪ y of the components C of G - y."""
+    return not x & ~y or any(not x & ~side for side in sides)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +60,11 @@ def build_separator_instance(g: Graph, profiles) -> tuple[SplinterInstance, dict
     """The separator families of every profile pair as a splinter instance,
     together with the pairs' distinguisher sets, keyed (i, j) like the
     families. The profiles must be regular, which is checked; robustness is
-    the caller's hypothesis (see `profiles.pipeline_profiles`)."""
+    the caller's hypothesis (see `profiles.pipeline_profiles`).
+
+    The instance's `nested(a, b)` is `separator_nested(g, a, b)`, read off
+    the sides C ∪ b of the components C of G - b, which are computed once
+    per element b with one `components` call."""
     profiles = tuple(profiles)
     if not all(p.is_regular(g) for p in profiles):
         raise PreconditionError("profiles must be regular")
@@ -83,8 +83,11 @@ def build_separator_instance(g: Graph, profiles) -> tuple[SplinterInstance, dict
         for s in dset.seps:
             witnesses.setdefault(s.separator, {})[s] = None
 
+    elements = tuple(sorted(witnesses, key=separator_sort_key))
+    sides = {y: [comp | y for comp in g.components(y)] for y in elements}
+
     def nested(a, b):
-        return separator_nested(g, a, b)
+        return _in_a_side(a, b, sides[b])
 
     def corner_oracle(a, b, target_key):
         """Materialise corners from witnesses and return the separator of
@@ -102,12 +105,11 @@ def build_separator_instance(g: Graph, profiles) -> tuple[SplinterInstance, dict
         return None
 
     instance = SplinterInstance(
-        elements=tuple(sorted(witnesses, key=separator_sort_key)),
+        elements=elements,
         families=families,
         orders=orders,
         nested=nested,
         corner_oracle=corner_oracle,
-        nested_with=functools.partial(_nested_with, g),  # checks each element as y
     )
     return instance, distinguishers
 

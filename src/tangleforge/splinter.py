@@ -274,12 +274,11 @@ class SplinterInstance:
     elements: the ground set, in the deterministic order used for output
     assembly. families maps an index key to a non-empty subset; orders maps
     the same keys to non-negative integers. nested is a reflexive predicate
-    on elements, symmetric on the instances the lemma is about.
-
-    nested_with, when present, maps an element b to the predicate
-    a ↦ nested(a, b), doing the work that depends on b alone once. The
-    crossing table then asks it once per element instead of asking
-    `nested` once per ordered pair (see `crossing_table`).
+    on elements, symmetric on the instances the lemma is about. The engine
+    and its hypothesis check ask it once per ordered pair of elements, to
+    fill one crossing table (see `crossing_table`); work that depends on
+    one element alone belongs in the construction of the instance, as in
+    `separators.build_separator_instance`.
 
     corner_oracle, when present, must be a pure function of (a, b, target
     key). The engine never calls it. The hypothesis checker asks it once
@@ -292,7 +291,6 @@ class SplinterInstance:
     orders: dict
     nested: Callable
     corner_oracle: Optional[Callable] = None
-    nested_with: Optional[Callable] = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -352,20 +350,14 @@ class CrossingTable:
 
 
 def crossing_table(inst: SplinterInstance) -> CrossingTable:
-    """The crossing table of inst, one column per element b: one call to
-    `inst.nested_with(b)` when the instance has it, else one call to
-    `inst.nested` per ordered pair."""
-    elements = inst.elements
+    """The crossing table of inst, one column per element b, from one call
+    to `inst.nested` per ordered pair."""
+    elements, nested = inst.elements, inst.nested
     index = {x: i for i, x in enumerate(elements)}
     rows = [0] * len(elements)
     cols = []
     for j, b in enumerate(elements):
-        if inst.nested_with is not None:
-            nested_b = inst.nested_with(b)
-        else:
-            def nested_b(a, b=b):
-                return inst.nested(a, b)
-        col = mask_of(i for i, a in enumerate(elements) if not nested_b(a))
+        col = mask_of(i for i, a in enumerate(elements) if not nested(a, b))
         for i in iter_bits(col):
             rows[i] |= 1 << j
         cols.append(col)
@@ -380,8 +372,12 @@ def crossing_table(inst: SplinterInstance) -> CrossingTable:
 
 @dataclass
 class ThinSplinterReport:
+    """The violations of an instance and its maximal crossing numbers per
+    order, with the crossing table they were read from."""
+
     violations: list = field(default_factory=list)
     max_crossing: dict = field(default_factory=dict)
+    table: Optional[CrossingTable] = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -495,9 +491,7 @@ class _PairTests:
                     out.append((place, ("property-3", (keys[ki], keys[ki], a, b))))
 
 
-def thinly_splinters_check(
-    inst: SplinterInstance, table: Optional[CrossingTable] = None
-) -> ThinSplinterReport:
+def thinly_splinters_check(inst: SplinterInstance) -> ThinSplinterReport:
     """Verify the three thin-splinter properties.
 
     (1) is finiteness of crossing numbers, trivially true here; the maxima
@@ -506,8 +500,8 @@ def thinly_splinters_check(
     pairs admit a corner in one of the two families with strictly lower
     crossing number at that level than the corresponding input.
 
-    Every crossing pair is checked against the instance's crossing table
-    (built here unless `table` is that of `inst`), once, by
+    Every crossing pair is checked against the instance's crossing table,
+    built here and carried by the report as `table`, once, by
     `_PairTests.pair_violations`. The corner mask of a crossing pair
     (a, b) holds its corners. Property 2 at a family kj then holds when
     the mask meets the members of kj nested with a, and property 3 at
@@ -532,9 +526,9 @@ def thinly_splinters_check(
     by comparing reprs, as the walk does, not positions: two keys with one
     repr have distinct positions but admit no pair.
     """
-    t = crossing_table(inst) if table is None else table
+    t = crossing_table(inst)
     tests = _PairTests(inst, t)
-    rep = ThinSplinterReport()
+    rep = ThinSplinterReport(table=t)
     for k, cn in tests.crossing.items():
         rep.max_crossing[k] = max(cn[i] for i in iter_bits(t.union))
     found: list = []
@@ -566,14 +560,15 @@ def thin_splinter(inst: SplinterInstance) -> ThinSplinterResult:
     k-crossing number among those are added. The union over all levels is
     returned together with per-level provenance. The thin-splinter
     hypotheses are checked first, and the output is certified (pairwise
-    nested, meets every family, levels monotone) before return.
+    nested, meets every family, levels monotone) before return. The
+    construction reads the crossing table of the check's report.
     """
-    table = crossing_table(inst)
-    rep = thinly_splinters_check(inst, table)
+    rep = thinly_splinters_check(inst)
     if not rep.ok:
         raise HypothesisError(
             "instance does not thinly splinter", witness=tuple(rep.violations[:3])
         )
+    table = rep.table
     index, rows = table.index, table.rows
     keys = inst.family_keys()
     nested_set: list = []

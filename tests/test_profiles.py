@@ -34,7 +34,6 @@ from tangleforge.errors import CapExceededError, CertificationError, Preconditio
 from tangleforge.fixtures import doubled_bridge_ring, triangle_ring
 from tangleforge.profiles import (
     Profile,
-    ProfileFlags,
     distinguishes,
     efficient_distinguishers,
     enumerate_k_profiles,
@@ -44,7 +43,6 @@ from tangleforge.profiles import (
     is_robust,
     pipeline_profiles,
     principal_flags,
-    profile_flags,
     satisfies_profile_property,
 )
 from tangleforge.separators import canonical_nested_separators, separators_to_separations
@@ -632,15 +630,14 @@ def test_profile_search_cap():
 def test_k4_side_profiles_are_regular_robust_principal(graphs):
     g = graphs["FIX_2K4"]
     for p in two_k4_side_profiles(g):
-        flags = profile_flags(g, p)
-        assert flags.regular and flags.robust and flags.principal
+        assert p.is_regular(g) and is_robust(g, p) and is_principal(g, p)
 
 
 def test_irregular_profile_is_not_regular(graphs):
     g = graphs["FIX_P4"]
     top = Separation(g.vertices, 0)
     p = next(p for p in enumerate_k_profiles(g, 1) if top in p)
-    assert not profile_flags(g, p).regular
+    assert not p.is_regular(g)
 
 
 @DIFFERENTIAL
@@ -649,10 +646,9 @@ def test_pipeline_profiles_match_flags_over_the_brute_universe(case):
     g, k = case
     assume(len(enumerate_separations(g, k)) <= 40)
     profs = enumerate_k_profiles(g, k)
-    flags = [profile_flags(g, p) for p in profs]
     robust = [oracles.brute_is_robust(g, p.chosen) for p in profs]
-    assert [f.robust for f in flags] == robust
-    expected = tuple(p for p, f, r in zip(profs, flags, robust) if f.regular and r)
+    assert [is_robust(g, p) for p in profs] == robust
+    expected = tuple(p for p, r in zip(profs, robust) if p.is_regular(g) and r)
     assert pipeline_profiles(g, profs) == expected
 
 
@@ -788,7 +784,7 @@ def test_non_robust_and_non_principal_orientations_are_refused(graphs):
     claw = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     p = larger_side_last(claw, 2)
     assert not is_profile(claw, 2, p.chosen)
-    assert profile_flags(claw, p) == ProfileFlags(regular=True, robust=True, principal=False)
+    assert (p.is_regular(claw), is_robust(claw, p), is_principal(claw, p)) == (True, True, False)
     assert pipeline_profiles(claw, [p]) == (p,)
     with pytest.raises(PreconditionError, match="not principal"):
         separators_to_separations(claw, canonical_nested_separators(claw, [p]))
@@ -796,7 +792,7 @@ def test_non_robust_and_non_principal_orientations_are_refused(graphs):
         build_totd(claw, [p])
     path = graphs["FIX_P4"]
     q = larger_side_last(path, 3)
-    assert profile_flags(path, q) == ProfileFlags(regular=True, robust=False, principal=True)
+    assert (q.is_regular(path), is_robust(path, q), is_principal(path, q)) == (True, False, True)
     assert pipeline_profiles(path, [q]) == ()
 
 
@@ -840,9 +836,8 @@ def test_principal_implies_regular(graphs):
         g = graphs[name]
         for k in (1, 2):
             for p in enumerate_k_profiles(g, k):
-                flags = profile_flags(g, p)
-                if flags.principal:
-                    assert flags.regular
+                if is_principal(g, p):
+                    assert p.is_regular(g)
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,25 @@ def test_restrict_keeps_only_elements_of_each_universe():
     assert inverse_limits(sys_, restrict=one) == ({"p0": (0, 1), "p1": (0, 1)},)
 
 
+def test_limits_of_a_system_missing_a_universe_map_or_image_are_refused():
+    """On the chain a < b, a missing map f_ba, an f_ba that is undefined at
+    an element of U_b, or a missing U_a raises PreconditionError naming
+    it. Restricted to where f_ba is defined, the pass runs."""
+    u = product_chain_universe(2, 2)
+    poset = DirectedPoset.from_pairs(("a", "b"), [("a", "b")])
+    with pytest.raises(PreconditionError, match=r"no bonding map \('b', 'a'\)"):
+        inverse_limits(InverseSystem(poset, {"a": u, "b": u}, {}))
+    partial_map = {("b", "a"): {(0, 0): (0, 0)}}
+    with pytest.raises(PreconditionError, match=r"\('b', 'a'\) is undefined at \(0, 1\)"):
+        inverse_limits(InverseSystem(poset, {"a": u, "b": u}, partial_map))
+    restrict = {"b": [(0, 0)]}
+    assert inverse_limits(InverseSystem(poset, {"a": u, "b": u}, partial_map), restrict) == (
+        {"a": (0, 0), "b": (0, 0)},
+    )
+    with pytest.raises(PreconditionError, match="no universe at point 'a'"):
+        inverse_limits(InverseSystem(poset, {"b": u}, partial_map))
+
+
 def test_the_cap_bounds_the_choices_at_the_maximal_points():
     """A three-point identity chain of six-element universes has 6 limits,
     enumerated through 6 choices at its top, within a cap of 10; the

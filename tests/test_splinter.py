@@ -5,6 +5,7 @@ import collections
 import dataclasses
 import itertools
 import random
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +32,7 @@ from tangleforge.errors import (
 from tangleforge.profiles import efficient_distinguishers, enumerate_k_profiles, pipeline_profiles
 from tangleforge.profinite import product_chain_universe, universe_from_json
 from tangleforge import splinter as splinter_module
-from tangleforge.separators import build_separator_instance
+from tangleforge.separators import build_separator_instance, separator_nested
 from tangleforge.splinter import (
     FiniteSplinterFamily,
     SplinterInstance,
@@ -560,12 +561,18 @@ def test_tabulated_thin_splinter_matches_oracle(inst):
     assert outcome(engine, inst) == outcome(oracles.brute_thin_splinter, inst)
 
 
+def ring_profiles(t):
+    """The ring of t triangles joined by bridges, and its regular robust
+    3-profiles."""
+    edges = [(3 * i + a, 3 * i + b) for i in range(t) for a, b in ((0, 1), (1, 2), (0, 2))]
+    g = Graph.from_edges(3 * t, edges + [(3 * i + 2, (3 * i + 3) % (3 * t)) for i in range(t)])
+    return g, pipeline_profiles(g, enumerate_k_profiles(g, 3, max_sk=256))
+
+
 def ring_instance(t):
     """The ring of t triangles joined by bridges, and the separator
     instance of its regular robust 3-profiles."""
-    edges = [(3 * i + a, 3 * i + b) for i in range(t) for a, b in ((0, 1), (1, 2), (0, 2))]
-    g = Graph.from_edges(3 * t, edges + [(3 * i + 2, (3 * i + 3) % (3 * t)) for i in range(t)])
-    profiles = pipeline_profiles(g, enumerate_k_profiles(g, 3, max_sk=256))
+    g, profiles = ring_profiles(t)
     return g, build_separator_instance(g, profiles)[0]
 
 
@@ -579,28 +586,32 @@ def counted(calls, name, real):
     return wrapper
 
 
-def test_thin_splinter_calls_nested_once_per_ordered_pair():
-    """On an instance without `nested_with`, the check and the engine share
-    one crossing table, filled with one `nested` call per ordered pair of
-    elements."""
+def test_thin_splinter_calls_nested_once_per_ordered_pair(monkeypatch):
+    """The check and the engine share one crossing table, built once per
+    run and filled with one `nested` call per ordered pair of elements."""
     _, inst = ring_instance(3)
-    calls = {"nested": 0}
-    abstract = dataclasses.replace(
-        inst, nested=counted(calls, "nested", inst.nested), nested_with=None
+    calls = {"nested": 0, "crossing_table": 0}
+    monkeypatch.setattr(
+        splinter_module,
+        "crossing_table",
+        counted(calls, "crossing_table", splinter_module.crossing_table),
     )
-    thin_splinter(abstract)
+    thin_splinter(dataclasses.replace(inst, nested=counted(calls, "nested", inst.nested)))
     assert len(inst.elements) == 12
-    assert calls["nested"] == len(inst.elements) ** 2
+    assert calls == {"nested": len(inst.elements) ** 2, "crossing_table": 1}
 
 
 def test_separator_crossing_table_calls_components_once_per_element(monkeypatch):
-    """The separator instance fills its crossing table one column per
-    separator y, from the components of G - y, and never calls `nested`."""
-    _, inst = ring_instance(3)
-    calls = {"nested": 0, "components": 0}
+    """The separator instance computes the sides of each separator y from
+    one `components` call of G - y when it is built, and the thin splinter
+    run on it, which fills the crossing table from those sides, makes no
+    more."""
+    g, profiles = ring_profiles(3)
+    calls = {"components": 0}
     monkeypatch.setattr(Graph, "components", counted(calls, "components", Graph.components))
-    thin_splinter(dataclasses.replace(inst, nested=counted(calls, "nested", inst.nested)))
-    assert calls == {"nested": 0, "components": 12}
+    inst, _ = build_separator_instance(g, profiles)
+    thin_splinter(inst)
+    assert calls == {"components": 12}
 
 
 def crossing_pairs(table):
@@ -608,16 +619,25 @@ def crossing_pairs(table):
     return sum((table.rows[i] & table.union).bit_count() for i in iter_bits(table.union))
 
 
+def test_replacing_nested_replaces_the_crossing_relation():
+    """The crossing table reads the instance's one nestedness relation: a
+    replaced `nested` under which everything is nested leaves no crossing
+    pair."""
+    _, inst = ring_instance(3)
+    assert crossing_pairs(crossing_table(inst)) > 0
+    assert crossing_pairs(crossing_table(dataclasses.replace(inst, nested=lambda a, b: True))) == 0
+
+
 def test_five_triangle_ring_asks_the_corner_oracle_once_per_triple(monkeypatch):
-    """40 separators, so 40 `components` calls fill the table, and 1,760
-    distinct (a, b, target) triples of crossing pairs reach the corner
-    oracle (the per-family-pair walk asked it 5,510 times). The instance
-    thinly splinters, and each of its 420 crossing pairs gets one corner
-    mask."""
-    _, inst = ring_instance(5)
+    """40 separators, so 40 `components` calls, all made when the instance
+    is built, and 1,760 distinct (a, b, target) triples of crossing pairs
+    reach the corner oracle (the per-family-pair walk asked it 5,510
+    times). The instance thinly splinters, and each of its 420 crossing
+    pairs gets one corner mask."""
+    g, profiles = ring_profiles(5)
     calls = {"components": 0, "oracle": 0, "corner_mask": 0}
     monkeypatch.setattr(Graph, "components", counted(calls, "components", Graph.components))
-    table = crossing_table(inst)
+    inst, _ = build_separator_instance(g, profiles)
     assert len(inst.elements) == calls["components"] == 40
     corner_mask = splinter_module._PairTests.corner_mask
     monkeypatch.setattr(
@@ -626,41 +646,46 @@ def test_five_triangle_ring_asks_the_corner_oracle_once_per_triple(monkeypatch):
     oracle = dataclasses.replace(
         inst, corner_oracle=counted(calls, "oracle", inst.corner_oracle)
     )
-    assert thinly_splinters_check(oracle, table).ok
-    assert crossing_pairs(table) == 420
-    assert (calls["oracle"], calls["corner_mask"]) == (1760, 420)
+    rep = thinly_splinters_check(oracle)
+    assert rep.ok
+    assert crossing_pairs(rep.table) == 420
+    assert calls == {"components": 40, "oracle": 1760, "corner_mask": 420}
 
 
 def test_column_predicate_is_separator_nestedness():
-    """`nested_with(y)` of a separator instance holds at x exactly when x
-    meets at most one component of G - y (y separates no two vertices of
-    x), on every pair of vertex sets of at most three vertices of seeded
-    random graphs; it needs the graph only, not the profiles."""
+    """`separator_nested(g, ·, y)`, the relation that fills column y of a
+    separator instance's crossing table, holds at x exactly when x meets at
+    most one component of G - y (y separates no two vertices of x), on
+    every pair of vertex sets of at most three vertices of seeded random
+    graphs; it needs the graph only, not the profiles. A set outside the
+    graph, as x or as y, is refused."""
     rng = random.Random(16)
     for _ in range(12):
         n = rng.randint(4, 7)
         g = Graph.from_edges(
             n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
         )
-        inst, _ = build_separator_instance(g, ())
         small = [mask_of(c) for r in range(4) for c in itertools.combinations(range(n), r)]
         for y in small:
-            nested_y = inst.nested_with(y)
             met = [sum(1 for comp in g.components(y) if comp & x) for x in small]
-            assert [nested_y(x) for x in small] == [m <= 1 for m in met]
-    with pytest.raises(PreconditionError):
-        inst.nested_with(1 << n)
+            assert [separator_nested(g, x, y) for x in small] == [m <= 1 for m in met]
+    for x, y in ((1 << n, 1), (1, 1 << n)):
+        with pytest.raises(PreconditionError):
+            separator_nested(g, x, y)
 
 
-def assert_column_table_is_pairwise(inst):
+def assert_column_table_is_pairwise(g, inst):
+    """The crossing table of the separator instance, whose `nested` reads
+    the sides computed once per element, equals the table filled from
+    `separator_nested`, which computes them on every call."""
     column = crossing_table(inst)
-    pairwise = crossing_table(dataclasses.replace(inst, nested_with=None))
+    pairwise = crossing_table(dataclasses.replace(inst, nested=partial(separator_nested, g)))
     assert (column.rows, column.cols) == (pairwise.rows, pairwise.cols)
 
 
 @pytest.mark.parametrize("t", [3, 4, 5])
 def test_column_crossing_table_equals_pairwise_table_on_rings(t):
-    assert_column_table_is_pairwise(ring_instance(t)[1])
+    assert_column_table_is_pairwise(*ring_instance(t))
 
 
 def test_column_crossing_table_equals_pairwise_table_on_random_graphs():
@@ -679,7 +704,7 @@ def test_column_crossing_table_equals_pairwise_table_on_random_graphs():
                 profiles.append(p)
         if len(profiles) < 2:
             continue
-        assert_column_table_is_pairwise(build_separator_instance(g, profiles)[0])
+        assert_column_table_is_pairwise(g, build_separator_instance(g, profiles)[0])
         checked += 1
     assert checked >= 10
 
@@ -724,9 +749,9 @@ def engine(inst):
 
 def test_check_matches_oracle_on_perturbed_separator_instances(graphs, k5ring, k5ring_profiles):
     """Chains of perturbations of separator instances fail properties 2
-    and 3, so the cross-family walk runs. At every step the check (column
-    table, decider, walk) and the engine agree with the oracles, which
-    re-evaluate `nested` on every use."""
+    and 3, so the pair pass reports violations. At every step the check
+    (crossing table and pair pass) and the engine agree with the oracles,
+    which re-evaluate `nested` on every use."""
     grid = graphs["FIX_GRID33"]
     bases = [
         ring_instance(3)[1],
@@ -740,11 +765,10 @@ def test_check_matches_oracle_on_perturbed_separator_instances(graphs, k5ring, k
             inst = dataclasses.replace(base, nested=memoised(base.nested))
             for _ in range(8):
                 inst = perturbed(inst, rng)
-                reference = dataclasses.replace(inst, nested_with=None)
                 rep = thinly_splinters_check(inst)
-                violations, max_crossing = oracles.brute_thin_splinter_report(reference)
+                violations, max_crossing = oracles.brute_thin_splinter_report(inst)
                 assert (rep.violations, rep.max_crossing) == (violations, max_crossing)
-                assert outcome(engine, inst) == outcome(oracles.brute_thin_splinter, reference)
+                assert outcome(engine, inst) == outcome(oracles.brute_thin_splinter, inst)
                 kinds |= {kind for kind, _ in violations}
     assert kinds == {"property-2", "property-3"}
 
