@@ -28,7 +28,7 @@ from .core import (
     graph_to_json,
     mask_of,
     separation_to_json,
-    separation_universe,
+    sorted_universe,
     vertices_of,
 )
 from .errors import (
@@ -289,7 +289,7 @@ def _s_k_universe(g: Graph, p):
     """Both orientations of S_k, read off a k-profile p, which orients all
     of S_k in S_k's order: graph_universe(g, max_order=p.k - 1), element
     order included, without enumerating S_k again."""
-    return separation_universe(map(canonical, p.chosen), closed=p.k > g.num_vertices)
+    return sorted_universe(map(canonical, p.chosen), closed=p.k > g.num_vertices)
 
 
 def instance_from_json(obj) -> SplinterInstance:

@@ -46,11 +46,6 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-def subsets_of_size(mask: int, size: int):
-    for combo in itertools.combinations(vertices_of(mask), size):
-        yield mask_of(combo)
-
-
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -266,16 +261,16 @@ DEFAULT_MAX_N = 16
 DEFAULT_MAX_K = 6
 
 
-def small_separators(g: Graph, k: int) -> list:
-    """(X, components of G − X) for every X ⊆ V(G) with |X| < k, in
-    ascending size, which `profiles.is_principal` relies on to stop at the
-    first X of its profile's order; X = V(G), with no components, comes
-    last when k > |V(G)|."""
-    return [
-        (x, g.components(x))
-        for size in range(min(k, g.num_vertices + 1))
-        for x in subsets_of_size(g.vertices, size)
-    ]
+def small_separators(g: Graph, k: int) -> dict:
+    """The components of G − X for every X ⊆ V(G) with |X| < k, keyed by X
+    in the lexicographic order of X's sorted vertex tuple, the walk
+    (`_lex_subsets`) that `enumerate_separations` takes over its
+    separators, one `components` call per X; X = V(G), with no
+    components, is among them when k > |V(G)|. Empty when k < 1."""
+    if k < 1:
+        return {}
+    xs = _lex_subsets([1 << v for v in vertices_of(g.vertices)], min(k - 1, g.num_vertices))
+    return dict(zip(xs, map(g.components, xs)))
 
 
 def _lex_subsets(bits: list, size: int) -> list:
@@ -342,7 +337,11 @@ def enumerate_separations(
     |V| when k > |V|. So the first min(k, |V|) separators X are the proper
     prefixes, with their (X, V) in block A, and the rest give block B in
     walk order. Each trivial separation is built in the orientation the
-    lemma gives, and `canonical` returns it unchanged.
+    lemma gives, and `canonical` returns it unchanged. `small_separators`
+    takes the same walk, but only the X that split G are kept here: holding
+    the components of every X, as its table does, sets off more collections
+    of the garbage collector's youngest generation, about 3% of the jobs
+    per second of perfbench's deep_profile_search on a 2-core host.
     """
     if k < 1:
         raise PreconditionError("k must be at least 1")
@@ -446,10 +445,20 @@ def graph_universe(g: Graph, max_order: Optional[int] = None) -> UniverseView:
     The untruncated universe is closed under joins and meets; a truncated one
     is not (the operations still compute the ambient result).
 
-    The elements are those of separation_universe on the same separations,
-    in the same order, listed in one walk over the sorted canonical list
-    (all_separations, or enumerate_separations when truncated): each s,
-    then s*, except (Z, Z), which is its own star and is listed once.
+    It is `sorted_universe` of the sorted canonical list: all_separations,
+    or enumerate_separations when truncated.
+    """
+    if max_order is None or max_order >= g.num_vertices:
+        return sorted_universe(all_separations(g), closed=True)
+    seps = enumerate_separations(g, max_order + 1, max_n=g.num_vertices, max_k=max_order + 1)
+    return sorted_universe(seps, closed=False)
+
+
+def sorted_universe(seps: Iterable[Separation], closed: bool) -> UniverseView:
+    """The universe of both orientations of seps, canonical separations
+    sorted by sep_sort_key, with the lattice operations of separations. One
+    walk lists each s, then s*, except (Z, Z), which is its own star and is
+    listed once; by the lemma below, that is sep_sort_key order.
 
     Lemma. For canonical s ≠ s*, sep_sort_key(s) and sep_sort_key(s*) share
     their first two components, the keys of the two sides in ascending
@@ -459,29 +468,13 @@ def graph_universe(g: Graph, max_order: Optional[int] = None) -> UniverseView:
     differ in those two components. So s* sorts right after s and no other
     separation sorts between them.
     """
-    if max_order is None or max_order >= g.num_vertices:
-        seps, closed = all_separations(g), True
-    else:
-        seps = enumerate_separations(g, max_order + 1, max_n=g.num_vertices, max_k=max_order + 1)
-        closed = False
     oriented = []
     for s in seps:
         oriented.append(s)
         if s.a != s.b:
             oriented.append(Separation(s.b, s.a))
-    return _separation_view(tuple(oriented), closed)
-
-
-def separation_universe(seps: Iterable[Separation], closed: bool) -> UniverseView:
-    """The universe of both orientations of the given separations, ordered
-    by sep_sort_key, with the lattice operations of separations."""
-    oriented = tuple(sorted({s for e in seps for s in (e, star(e))}, key=sep_sort_key))
-    return _separation_view(oriented, closed)
-
-
-def _separation_view(oriented: tuple, closed: bool) -> UniverseView:
     return UniverseView(
-        elements=oriented,
+        elements=tuple(oriented),
         leq=leq,
         star=star,
         join=join,

@@ -18,10 +18,10 @@ from .core import (
     iter_bits,
     join,
     leq,
+    mask_of,
     meet,
     sep_sort_key,
     star,
-    subsets_of_size,
     vertices_of,
 )
 from .errors import CapExceededError, CertificationError, HypothesisError
@@ -51,6 +51,12 @@ def brute_separations(g: Graph, k: int) -> tuple[Separation, ...]:
                 continue
             out.add(canonical(Separation(a, b)))
     return tuple(sorted(out, key=sep_sort_key))
+
+
+def brute_universe_elements(seps) -> tuple[Separation, ...]:
+    """Both orientations of the given separations, each once, sorted by
+    sep_sort_key: the elements of the universe on them, from one sort."""
+    return tuple(sorted({s for e in seps for s in (e, star(e))}, key=sep_sort_key))
 
 
 def _full_profile_predicate(oriented) -> bool:
@@ -358,6 +364,11 @@ def find_automorphisms(g: Graph) -> tuple[dict, ...]:
 def brute_minimum_distinguishing_order(g: Graph, p_members, q_members):
     hits = brute_distinguishers(g, p_members, q_members)
     return hits[0].order if hits else None
+
+
+def subsets_of_size(mask: int, size: int):
+    for combo in itertools.combinations(vertices_of(mask), size):
+        yield mask_of(combo)
 
 
 def minimal_separators(g: Graph, u: int, v: int, k: int) -> tuple[int, ...]:

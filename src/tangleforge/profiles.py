@@ -739,7 +739,7 @@ def is_robust(g: Graph, p: Profile) -> bool:
     return True
 
 
-def is_principal(g: Graph, p: Profile, cuts=None) -> bool:
+def is_principal(g: Graph, p: Profile) -> bool:
     """P contains (V∖C, C∪X) for some component C of G-X, for every X with
     |X| < k. Subsets X = V(G) admit no such separation and are skipped.
 
@@ -755,26 +755,28 @@ def is_principal(g: Graph, p: Profile, cuts=None) -> bool:
     regular. So `pipeline_profiles` needs no principality filter; the
     preconditions of `separators_to_separations` and `build_totd` still
     check it, for callers that pass orientations that are not profiles.
-
-    `cuts` is `core.small_separators(g, k)` for some k ≥ p.k, shared by
-    `principal_flags`; it is computed here when absent.
     """
-    verts, members = g.vertices, p._members
-    for x, comps in small_separators(g, p.k) if cuts is None else cuts:
-        if x.bit_count() >= p.k:
-            break
-        if comps and not any((verts & ~comp, comp | x) in members for comp in comps):
-            return False
-    return True
+    return _principal(g.vertices, p, small_separators(g, p.k))
 
 
 def principal_flags(g: Graph, profiles) -> tuple[bool, ...]:
     """`is_principal` of each profile, with the components of G - X
     computed once per X with |X| < k for all of them, k the largest profile
-    order."""
+    order (`core.small_separators`)."""
     profiles = tuple(profiles)
     cuts = small_separators(g, max((p.k for p in profiles), default=0))
-    return tuple(is_principal(g, p, cuts) for p in profiles)
+    return tuple(_principal(g.vertices, p, cuts) for p in profiles)
+
+
+def _principal(verts: int, p: Profile, cuts: dict) -> bool:
+    """`is_principal` of p, read off `cuts`, the components of G - X for
+    every X of fewer than k ≥ p.k vertices, keyed by X."""
+    members = p._members
+    return all(
+        not comps or any((verts & ~comp, comp | x) in members for comp in comps)
+        for x, comps in cuts.items()
+        if x.bit_count() < p.k
+    )
 
 
 def pipeline_profiles(g: Graph, profiles) -> tuple[Profile, ...]:

@@ -214,7 +214,7 @@ def splinter_finite(f: FiniteSplinterFamily) -> tuple:
     nested. Requires the splinter condition; it is checked on the whole
     instance and on every restricted sub-instance, and a failure raises
     HypothesisError."""
-    return _transversal(f, "splinter condition failed on a restricted sub-instance")
+    return _transversal(f, "splinter condition failed on the whole instance")
 
 
 def _transversal(f: FiniteSplinterFamily, failure: str) -> tuple:
@@ -226,11 +226,10 @@ def _transversal(f: FiniteSplinterFamily, failure: str) -> tuple:
     check = _Splinters(u, f.families)
     if check.failure is not None:
         raise HypothesisError(failure, witness=check.failure)
-    elem_order = {x: i for i, x in enumerate(u.elements)}
     picks: dict[int, object] = {}
     active = dict(enumerate(f.families))
     while active:
-        active = _pick(check.nested, active, elem_order, picks)
+        active = _pick(check, active, picks)
         if active and (witness := check.restrict(active)) is not None:
             raise HypothesisError(
                 "splinter condition failed on a restricted sub-instance", witness=witness
@@ -243,24 +242,26 @@ def _transversal(f: FiniteSplinterFamily, failure: str) -> tuple:
     return out
 
 
-def _pick(nested: Callable, active: dict, elem_order: dict, picks: dict) -> dict:
+def _pick(check: _Splinters, active: dict, picks: dict) -> dict:
     """Pick, for the first family that has one, its first member nested with
     an element of every other family, and record it in picks; return the
-    other families restricted to the members nested with the pick.
-    `nested(r, s)` tells whether two members are nested."""
-    for idx in sorted(active):
-        others = [fam for k, fam in active.items() if k != idx]
-        for cand in sorted(active[idx], key=elem_order.__getitem__):
-            if all(any(nested(cand, x) for x in fam) for fam in others):
+    other families restricted to the members nested with the pick. The
+    families of `active` are keyed in ascending order, and `check.members`
+    lists the members of each in universe order."""
+    nested, members = check.nested, check.members
+    for idx in active:
+        others = [members[k] for k in active if k != idx]
+        for cand, _, _ in members[idx]:
+            if all(any(nested(cand, x) for x, _, _ in fam) for fam in others):
                 picks[idx] = cand
                 return {
-                    k: frozenset(x for x in fam if nested(cand, x))
-                    for k, fam in active.items()
+                    k: frozenset(x for x, _, _ in members[k] if nested(cand, x))
+                    for k in active
                     if k != idx
                 }
     raise HypothesisError(
         "no family member is nested with an element of every other family",
-        witness=tuple(sorted(active)),
+        witness=tuple(active),
     )
 
 
@@ -330,7 +331,10 @@ class CrossingTable:
     bit i of cols[j] records the same pair from the other end. The relation
     need not be symmetric, so both are kept. fams maps each family key to
     the mask of its members, levels each order to the union of its
-    families, and union is the union of all families.
+    families, and union is the union of all families. crossing maps each
+    order k, ascending, to the k-crossing number of every element, by
+    index: the number of members of level k that it crosses, as
+    `crossing_number` counts them.
     """
 
     index: dict
@@ -339,9 +343,7 @@ class CrossingTable:
     fams: dict
     levels: dict
     union: int
-
-    def crossing_number(self, i: int, k: int) -> int:
-        return (self.rows[i] & self.levels[k]).bit_count()
+    crossing: dict
 
     def outside(self, a: int, b: int) -> int:
         """Family members crossing neither a nor b: a corner of a and b
@@ -351,7 +353,8 @@ class CrossingTable:
 
 def crossing_table(inst: SplinterInstance) -> CrossingTable:
     """The crossing table of inst, one column per element b, from one call
-    to `inst.nested` per ordered pair."""
+    to `inst.nested` per ordered pair; each crossing number is counted off
+    its element's row once, for the check and the construction alike."""
     elements, nested = inst.elements, inst.nested
     index = {x: i for i, x in enumerate(elements)}
     rows = [0] * len(elements)
@@ -367,7 +370,8 @@ def crossing_table(inst: SplinterInstance) -> CrossingTable:
     for key, m in fams.items():
         levels[inst.orders[key]] = levels.get(inst.orders[key], 0) | m
         union |= m
-    return CrossingTable(index, tuple(rows), tuple(cols), fams, levels, union)
+    crossing = {k: [(row & levels[k]).bit_count() for row in rows] for k in sorted(levels)}
+    return CrossingTable(index, tuple(rows), tuple(cols), fams, levels, union, crossing)
 
 
 @dataclass
@@ -402,11 +406,8 @@ class _PairTests:
         self.rank = [0] * len(t.rows)  # per element, its place in repr order
         for r, i in enumerate(sorted(range(len(t.rows)), key=lambda i: repr(inst.elements[i]))):
             self.rank[i] = r
-        self.crossing = {
-            k: [t.crossing_number(i, k) for i in range(len(t.rows))] for k in sorted(t.levels)
-        }
         self.below = {}  # below[k][x]: the elements whose crossing number at level k is below x
-        for k, cn in self.crossing.items():
+        for k, cn in t.crossing.items():
             masks = [0] * (max(cn) + 2)
             for i, x in enumerate(cn):
                 masks[x + 1] |= 1 << i
@@ -442,7 +443,7 @@ class _PairTests:
         is tested once, and the pairs of families are walked only behind a
         test that fails."""
         keys, orders, reprs, fams = self.keys, self.orders, self.reprs, self.fams
-        crossing, below = self.crossing, self.below
+        crossing, below = self.t.crossing, self.below
         a, b = self.inst.elements[ia], self.inst.elements[ib]
         fams_a, fams_b = self.families_of[ia], self.families_of[ib]
         cmask = self.corner_mask(ia, ib)
@@ -529,7 +530,7 @@ def thinly_splinters_check(inst: SplinterInstance) -> ThinSplinterReport:
     t = crossing_table(inst)
     tests = _PairTests(inst, t)
     rep = ThinSplinterReport(table=t)
-    for k, cn in tests.crossing.items():
+    for k, cn in t.crossing.items():
         rep.max_crossing[k] = max(cn[i] for i in iter_bits(t.union))
     found: list = []
     for ia in iter_bits(t.union):
@@ -574,7 +575,7 @@ def thin_splinter(inst: SplinterInstance) -> ThinSplinterResult:
     nested_set: list = []
     built = 0  # mask of nested_set
     levels = []
-    for k in sorted(table.levels):
+    for k, crossing in table.crossing.items():
         added = set()
         for key in keys:
             if inst.orders[key] != k:
@@ -590,7 +591,7 @@ def thin_splinter(inst: SplinterInstance) -> ThinSplinterResult:
                     "so far; the thin-splinter hypotheses cannot hold",
                     witness=key,
                 )
-            cn = {a: table.crossing_number(index[a], k) for a in candidates}
+            cn = {a: crossing[index[a]] for a in candidates}
             best = min(cn.values())
             added.update(a for a in candidates if cn[a] == best)
         new = [a for a in sorted(added, key=index.__getitem__) if not built >> index[a] & 1]

@@ -63,13 +63,6 @@ class TreeDecomposition:
     edges: tuple
     bags: dict  # node -> vertex mask
 
-    def adjacency(self) -> dict:
-        adj = {v: set() for v in self.nodes}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
     def to_json(self) -> dict:
         return {
             "nodes": [
@@ -287,7 +280,6 @@ def torso(g: Graph, td: TreeDecomposition, node) -> Graph:
 class TreeOfTreeDecompositions:
     root: int
     nodes: tuple
-    parent: dict
     children: dict
     depth: dict
     graph_at: dict
@@ -338,7 +330,6 @@ def build_totd(g: Graph, profiles) -> TreeOfTreeDecompositions:
     totd = TreeOfTreeDecompositions(
         root=0,
         nodes=(0,),
-        parent={0: None},
         children={},
         depth={0: 0},
         graph_at={0: g},
@@ -358,7 +349,6 @@ def build_totd(g: Graph, profiles) -> TreeOfTreeDecompositions:
                     child = next_id
                     next_id += 1
                     totd.nodes += (child,)
-                    totd.parent[child] = t
                     totd.depth[child] = d + 1
                     totd.graph_at[child] = torso(gt, totd.td_at[t], td_node)
                     totd.torso_of[child] = td_node

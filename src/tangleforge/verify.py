@@ -44,13 +44,8 @@ from .profinite import (
     profinite_splinter,
 )
 from .separators import canonical_nested_separators, separators_to_separations
-from .splinter import (
-    FiniteSplinterFamily,
-    splinter_finite,
-    splinters_check,
-    thinly_splinters_check,
-)
-from .treedec import build_totd, induced_separations, treeset_to_treedecomposition, verify_treedecomposition
+from .splinter import FiniteSplinterFamily, splinter_finite, splinters_check
+from .treedec import build_totd, treeset_to_treedecomposition
 
 
 @dataclass
@@ -444,8 +439,8 @@ def suite_canonical_separators(seed):
         if len(profs) < 2:
             continue
         res = canonical_nested_separators(g, profs)
-        rep = thinly_splinters_check(res.instance)
-        if not rep.ok:
+        violations, _ = oracles.brute_thin_splinter_report(res.instance)
+        if violations:
             raise AssertionError(f"{name}: thinly-splinters check failed")
     return "FIX_2K4 separators {3},{4}; all fixture instances thinly splinter"
 
@@ -508,11 +503,11 @@ def suite_treeset_roundtrip(seed):
         g = FIXTURES[name].graph
         n_set = random_regular_tree_set(pools[name], rng, max_size=rng.randint(1, 8))
         td = treeset_to_treedecomposition(g, n_set)
-        if set(induced_separations(td)) != set(n_set):
+        if set(oracles.brute_induced_separations(td)) != set(n_set):
             raise AssertionError("roundtrip failed")
-        rep = verify_treedecomposition(g, td)
-        if not rep.ok:
-            raise AssertionError(f"axioms failed: {rep.violations[:2]}")
+        violations = oracles.brute_treedecomposition_violations(g, td)
+        if violations:
+            raise AssertionError(f"axioms failed: {violations[:2]}")
         done += 1
     return f"{done}/100 random regular tree sets round-trip"
 

@@ -514,7 +514,7 @@ def test_each_job_builds_s_k_once(verb, graph, capsys, monkeypatch, tmp_path):
     else:
         argv = [verb, "--fixture", graph]
     calls = count_calls(monkeypatch, core, ("enumerate_separations", "all_separations"))
-    per_profile = count_calls(monkeypatch, profiles, ("is_principal", "efficient_distinguishers"))
+    per_profile = count_calls(monkeypatch, profiles, ("_principal", "efficient_distinguishers"))
     code, out = run_cli(argv, capsys)
     assert code in (0, 1), out
     if (verb, graph) == ("splinter", "FIX_2K4"):
@@ -523,7 +523,7 @@ def test_each_job_builds_s_k_once(verb, graph, capsys, monkeypatch, tmp_path):
     if verb != "profinite-splinter":
         assert calls["all_separations"] == 0
     if graph == "triangle_ring3" and verb in ("nested-separations", "treedec", "totd"):
-        assert per_profile["is_principal"] == 3  # one per regular robust 3-profile
+        assert per_profile["_principal"] == 3  # one per regular robust 3-profile
         assert per_profile["efficient_distinguishers"] == 3  # one per pair of them
 
 
@@ -541,11 +541,27 @@ def test_every_traced_layer_name_is_a_library_callable():
             assert callable(getattr(owner, name, None)), f"tangleforge.{layer}.{name}"
 
 
+# public class members that only tests read, each kept on purpose
+TEST_ONLY_MEMBERS = {
+    "DistinguisherSet.first": "the exported record names the two profiles it distinguishes",
+    "DistinguisherSet.second": "the exported record names the two profiles it distinguishes",
+    "ThinSplinterReport.max_crossing": "property (1) of the exported thinly_splinters_check, "
+    "which the oracle differentials compare",
+}
+
+
 def test_every_exported_name_is_used_by_the_library():
     """Each name `tangleforge` exports is referenced by some module other
     than `__init__` and `oracles`, outside the name's own definition, so
     that no helper only the tests reach is offered as API. A reference is a
-    loaded Name or a `from ... import` alias."""
+    loaded Name or a `from ... import` alias.
+
+    The same holds for the public methods and the fields of every class
+    outside `oracles`: some module other than `__init__` and `oracles`
+    reads an attribute of that name, or perfbench's `LAYERS` names it,
+    unless `TEST_ONLY_MEMBERS` gives the reason to keep it. A read is an
+    attribute loaded other than to be assigned into, as in
+    `x.parent[c] = t`."""
     package = os.path.dirname(tangleforge.__file__)
 
     def parse(name):
@@ -558,11 +574,12 @@ def test_every_exported_name_is_used_by_the_library():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    used = set()
+    used, read, members = set(), set(), {}
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py") or name in ("__init__.py", "oracles.py"):
             continue
-        for stmt in parse(name).body:
+        tree = parse(name)
+        for stmt in tree.body:
             refs = set()
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -571,7 +588,30 @@ def test_every_exported_name_is_used_by_the_library():
                     refs.update(alias.name for alias in node.names)
             refs.discard(getattr(stmt, "name", None))  # a def or class does not use itself
             used |= refs
+        assigned = {
+            id(node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if id(node) not in assigned:
+                    read.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef):
+                        members[f"{node.name}.{stmt.name}"] = stmt.name
+                    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        members[f"{node.name}.{stmt.target.id}"] = stmt.target.id
     assert sorted(exported - used) == []
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    read.update(name for names in spans.LAYERS.values() for name in names)
+    unread = {m for m, attr in members.items() if not attr.startswith("_") and attr not in read}
+    assert sorted(unread - TEST_ONLY_MEMBERS.keys()) == []
+    assert sorted(TEST_ONLY_MEMBERS.keys() - unread) == []  # the list holds no name the library reads
 
 
 def test_dot_rejected_elsewhere(capsys):

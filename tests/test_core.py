@@ -237,9 +237,9 @@ def test_all_separations_builds_each_separation_once(monkeypatch):
 
 def test_graph_universe_walk_gives_the_sorted_order():
     """graph_universe lists s, then s*, in one walk over the sorted canonical
-    list. On seeded random graphs and induced subgraphs that is the order in
-    which separation_universe sorts both orientations, in the full branch
-    and in the truncated branch at every order m < n."""
+    list (`sorted_universe`). On seeded random graphs and induced subgraphs
+    that is the order in which the oracle sorts both orientations, in the
+    full branch and in the truncated branch at every order m < n."""
     rng = random.Random(41)
     for _ in range(300):
         g = _random_graph(rng, rng.randint(1, 7))
@@ -248,13 +248,38 @@ def test_graph_universe_walk_gives_the_sorted_order():
         n = g.num_vertices
         full = graph_universe(g)
         assert full.closed
-        assert full.elements == core.separation_universe(all_separations(g), True).elements
+        assert full.elements == oracles.brute_universe_elements(all_separations(g))
         for m in range(n):
             truncated = graph_universe(g, max_order=m)
             assert not truncated.closed
-            assert truncated.elements == core.separation_universe(
-                enumerate_separations(g, m + 1, max_n=n, max_k=m + 1), False
-            ).elements
+            assert truncated.elements == oracles.brute_universe_elements(
+                enumerate_separations(g, m + 1, max_n=n, max_k=m + 1)
+            )
+
+
+def test_small_separators_walk_the_separators_of_enumerate_separations():
+    """small_separators(g, k) maps every X with |X| < k to the components of
+    G − X, in the lexicographic order of X's vertex tuple, the order in
+    which enumerate_separations walks its separators and lists its trivial
+    separations, on seeded random graphs with gaps in V at every k from 0
+    to |V| + 1."""
+    rng = random.Random(43)
+    for _ in range(100):
+        g = _random_graph(rng, rng.randint(1, 6))
+        if rng.random() < 0.4:
+            g = g.induced(rng.getrandbits(g.n))
+        for k in range(g.num_vertices + 2):
+            xs = sorted(
+                (x for size in range(min(k, g.num_vertices + 1))
+                 for x in oracles.subsets_of_size(g.vertices, size)),
+                key=vertices_of,
+            )
+            cuts = core.small_separators(g, k)
+            assert list(cuts.items()) == [(x, g.components(x)) for x in xs]
+            if k:  # the trivial separations {X, V} come out in the walk's order
+                verts = g.vertices
+                seps = enumerate_separations(g, k, max_k=8)
+                assert [s.b if s.a == verts else s.a for s in seps if verts in s] == xs
 
 
 def test_p4_s2_census(graphs):

@@ -251,15 +251,14 @@ def restated_splinter_finite(u, families):
     rank = {x: i for i, x in enumerate(u.elements)}
     picks = {}
     active = dict(enumerate(families))
+    failure = "splinter condition failed on the whole instance"
     while active:
         ok, witness = oracles.brute_splinters_check(u, tuple(active.values()))
         if not ok:
             keys = list(active)
             i, j, s, t = witness
-            raise HypothesisError(
-                "splinter condition failed on a restricted sub-instance",
-                witness=(keys[i], keys[j], s, t),
-            )
+            raise HypothesisError(failure, witness=(keys[i], keys[j], s, t))
+        failure = "splinter condition failed on a restricted sub-instance"
         for idx in sorted(active):
             others = [fam for k, fam in active.items() if k != idx]
             cands = [
@@ -292,6 +291,22 @@ def run_outcome(run, *args):
         return "ok", run(*args)
     except TangleforgeError as exc:
         return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+
+
+def test_splinter_finite_names_a_whole_instance_failure():
+    """Families that fail the splinter condition before any pick fail it
+    on the whole instance, and the error says so: on the 4-cycle, the
+    crossing separations ({0, 1, 2}, {0, 2, 3}) and ({1, 2, 3}, {0, 1, 3})
+    have no corner in either family."""
+    u = graph_universe(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    x, y = sep([0, 1, 2], [0, 2, 3]), sep([1, 2, 3], [0, 1, 3])
+    families = (frozenset({x}), frozenset({y}))
+    ok, witness = oracles.brute_splinters_check(u, families)
+    assert not ok
+    with pytest.raises(HypothesisError) as err:
+        splinter_finite(FiniteSplinterFamily(u, families))
+    assert str(err.value) == "splinter condition failed on the whole instance"
+    assert err.value.witness == witness
 
 
 def test_splinter_finite_matches_the_restated_recursion():
@@ -365,7 +380,28 @@ def test_crossing_number_zero_for_fully_nested():
 
 def test_crossing_profile_table():
     t = crossing_table(crossing_instance())
-    assert [t.crossing_number(t.index[x], 1) for x in "abc"] == [1, 1, 0]
+    assert [t.crossing[1][t.index[x]] for x in "abc"] == [1, 1, 0]
+
+
+def test_crossing_table_counts_equal_the_crossing_number(graphs):
+    """The crossing numbers the table counts once per element and level,
+    which the check and the construction both read, equal the module-level
+    `crossing_number` on the 3- and 5-triangle rings and on FIX_GRID33."""
+    grid = graphs["FIX_GRID33"]
+    instances = [
+        ring_instance(3)[1],
+        ring_instance(5)[1],
+        build_separator_instance(grid, pipeline_profiles(grid, enumerate_k_profiles(grid, 3)))[0],
+    ]
+    for inst in instances:
+        t = crossing_table(inst)
+        assert list(t.crossing) == sorted(set(inst.orders.values()))
+        for k, counts in t.crossing.items():
+            assert counts == [crossing_number(inst, a, k) for a in inst.elements]
+        assert thinly_splinters_check(inst).max_crossing == {
+            k: max(crossing_number(inst, a, k) for fam in inst.families.values() for a in fam)
+            for k in t.crossing
+        }
 
 
 def test_is_corner_definition():

@@ -107,7 +107,10 @@ def node_orientations(td, seps):
     """The orientation of `seps` at each node of td, as a 0/1 vector (0 for
     seps[i], 1 for its inverse), read off the tree alone: the separation
     induced by an edge (u, v) points to the side of v."""
-    adj = td.adjacency()
+    adj = {t: set() for t in td.nodes}
+    for u, v in td.edges:
+        adj[u].add(v)
+        adj[v].add(u)
     pick = {x: (i, o) for i, s in enumerate(seps) for o, x in enumerate((s, star(s)))}
     vectors = {t: [None] * len(seps) for t in td.nodes}
     for u, v in td.edges:
@@ -405,13 +408,16 @@ def test_certify_totd_refuses_corrupted_trees(graphs, triring, triring_profiles)
     def deeper(t):
         return lambda x: x.depth.__setitem__(t, x.depth[t] + 1)
 
+    def parent(x, c):
+        return next(t for t in x.nodes if c in x.children[t])
+
     cases = [
         (deeper(1), closure, "node at depth 2 induces a separation of order 2"),
         (deeper(0), closure, r"separator \(0, 2\) lies in 0 torsos at depth 0"),
         (lambda x: None, closure + pairs, "torso at depth 2 meets 2 components"),
         (lambda x: x.children.__setitem__(1, x.children[1][:-1]), closure,
          "node has 4 children but 5 torsos"),
-        (lambda x: x.graph_at.__setitem__(2, x.graph_at[x.parent[2]]), closure,
+        (lambda x: x.graph_at.__setitem__(2, x.graph_at[parent(x, 2)]), closure,
          "child graph is not the stated torso"),
     ]
     for corrupt, cl, message in cases:
