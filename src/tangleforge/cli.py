@@ -223,27 +223,26 @@ def _levels_json(nested) -> list:
 
 def cmd_separations(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
-    seps = enumerate_separations(g, k, max_n=cfg.max_n, max_k=cfg.max_k)
+    seps = enumerate_separations(g, k, max_n=cfg.max_n, max_k=cfg.max_k, max_sk=cfg.max_sk)
     return {
         "graph": label,
         "k": k,
         "count": len(seps),
-        "separations": [separation_to_json(s) for s in seps],
+        "separations": seps,
     }
 
 
 def cmd_profiles(args, cfg):
     g, k, label = _resolve_graph_and_k(args, cfg)
     profs = _profiles(g, k, cfg)
-    entries = []
-    for p, principal in zip(profs, principal_flags(g, profs)):
-        entry = p.to_json()
-        entry["flags"] = {
-            "regular": p.is_regular(g),
-            "robust": is_robust(g, p),
-            "principal": principal,
+    entries = [
+        {
+            "k": p.k,
+            "oriented": p.chosen,
+            "flags": {"regular": p.is_regular(g), "robust": is_robust(g, p), "principal": principal},
         }
-        entries.append(entry)
+        for p, principal in zip(profs, principal_flags(g, profs))
+    ]
     return {
         "graph": label,
         "k": k,
@@ -260,7 +259,7 @@ def cmd_distinguish(args, cfg):
         {
             "pair": list(pair),
             "order": dset.order,
-            "separations": [separation_to_json(s) for s in dset.seps],
+            "separations": dset.seps,
         }
         for pair, dset in distinguisher_sets(g, profs).items()
     ]
@@ -281,7 +280,7 @@ def cmd_splinter(args, cfg):
         "k": k,
         "families": len(fams),
         "pairs": [list(pair) for pair in dsets],
-        "transversal": [separation_to_json(s) for s in picks],
+        "transversal": picks,
     }
 
 
@@ -390,7 +389,7 @@ def cmd_profinite_splinter(args, cfg):
         "k": k,
         "points": [list(vertices_of(z)) for z in system.poset.points],
         "nested_choice": {
-            str(list(vertices_of(z))): [separation_to_json(s) for s in sorted(res.nested_choice[z])]
+            str(list(vertices_of(z))): sorted(res.nested_choice[z])
             for z in system.poset.points
         },
         "limit_count": len(res.limits),
@@ -423,7 +422,7 @@ def cmd_nested_separations(args, cfg):
         "graph": label,
         "k": k,
         "separators": [list(vertices_of(m)) for m in nested.separators],
-        "separations": [separation_to_json(s) for s in seps],
+        "separations": seps,
     }
 
 
@@ -615,27 +614,40 @@ def _run(args) -> tuple[int, str]:
 
 
 def _json(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte.
-    An indent makes json.dumps fall back to its pure-Python encoder, which
-    costs more than building the same string here."""
-    return _encode(obj, "\n") + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte, with
+    every Separation in obj read as the dict separation_to_json gives.
+    Results carry the library's Separation objects, and each distinct
+    (separation, indent) is written once per call: a profile run repeats
+    most of S_k across its profiles, and every repeat reuses the text. The
+    memo lives in the call. An indent makes json.dumps fall back to its
+    pure-Python encoder, which costs more than building the same string
+    here."""
+    return _encode(obj, "\n", {}) + "\n"
 
 
-def _encode(obj, newline: str) -> str:
+def _encode(obj, newline: str, memo: dict) -> str:
     """The indented JSON text of obj; `newline` is a newline followed by the
-    indent of obj's own line. Containers come first, as the most frequent;
-    the types json tells apart exclude each other except bool and int, so
-    testing bool first gives json's result. Whatever json.dumps refuses
-    raises TypeError."""
+    indent of obj's own line, and `memo` maps (separation, newline) to its
+    text. Containers come first, as the most frequent; a Separation is a
+    tuple, so it is told apart by its exact type before the list branch,
+    and a plain tuple stays a list. The types json tells apart exclude each
+    other except bool and int, so testing bool first gives json's result.
+    Whatever json.dumps refuses raises TypeError."""
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = newline + "  "
         items = [
-            (encode_basestring_ascii(k) if isinstance(k, str) else _key(k)) + ": " + _encode(v, inner)
+            (encode_basestring_ascii(k) if isinstance(k, str) else _key(k)) + ": " + _encode(v, inner, memo)
             for k, v in sorted(obj.items())
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if type(obj) is Separation:
+        key = (obj, newline)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _encode(separation_to_json(obj), newline, memo)
+        return text
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -643,7 +655,7 @@ def _encode(obj, newline: str) -> str:
         if set(map(type, obj)) == {int}:
             items = map(int.__repr__, obj)
         else:
-            items = [_encode(x, inner) for x in obj]
+            items = [_encode(x, inner, memo) for x in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
@@ -666,7 +678,7 @@ def _key(key) -> str:
     if isinstance(key, float):
         return '"' + _float(key) + '"'
     if key is True or key is False or key is None:
-        return '"' + _encode(key, "") + '"'
+        return '"' + _encode(key, "", None) + '"'
     if isinstance(key, int):
         return '"' + int.__repr__(key) + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")

@@ -23,7 +23,6 @@ from .core import (
     enumerate_separations,
     iter_bits,
     sep_sort_key,
-    separation_to_json,
     small_separators,
     star,
     vertices_of,
@@ -42,7 +41,7 @@ class Profile:
 
     `chosen` keeps the order it is given, and equality compares that
     order. `enumerate_k_profiles` gives the members in S_k order (that of
-    `enumerate_separations`), which is the order of `to_json`.
+    `enumerate_separations`), which is the order the CLI prints.
 
     A member (X, V) with X ≠ V is trivial; at k = 3 most of S_k is. The
     other members, (V, V) among them, are kept once, in the order of
@@ -78,9 +77,6 @@ class Profile:
 
     def is_regular(self, g: Graph) -> bool:
         return not any(x.a == g.vertices for x in self.chosen)
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "oriented": [separation_to_json(x) for x in self.chosen]}
 
 
 def is_consistent(chosen) -> bool:

@@ -213,6 +213,64 @@ def test_json_envelope_refuses_what_json_dumps_refuses(value):
         cli_module._json(value)
 
 
+def plain(value):
+    """value with every Separation in it mapped through separation_to_json,
+    the JSON form the encoder writes for one."""
+    if type(value) is core.Separation:
+        return core.separation_to_json(value)
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(x) for x in value]
+    return value
+
+
+def holds_separation(value) -> bool:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if type(value) is core.Separation:
+        return True
+    return isinstance(value, (list, tuple)) and any(map(holds_separation, value))
+
+
+# separations from a small pool, so that a drawn value repeats some of them
+SEPARATIONS = st.builds(core.Separation, st.integers(0, 15), st.integers(0, 15))
+SEPARATION_VALUES = st.recursive(
+    JSON_SCALARS | SEPARATIONS,
+    lambda children: st.lists(children)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200)
+@given(SEPARATION_VALUES)
+@example(core.Separation(0, 0b1111))
+@example([core.Separation(1, 3), [core.Separation(1, 3)], {"x": core.Separation(1, 3)}])
+@example([(3, 5), core.Separation(3, 5), {"t": (3, 5), "s": core.Separation(3, 5)}])
+def test_json_envelope_writes_separations_as_separation_to_json(value):
+    """A Separation is written as separation_to_json's dict at every depth,
+    repeats and a plain tuple beside an equal Separation included."""
+    assert cli_module._json(value) == json.dumps(plain(value), sort_keys=True, indent=2) + "\n"
+
+
+def test_json_envelope_writes_each_oriented_separation_once(capsys, monkeypatch):
+    """profiles on FIX_GRID33 repeats most of S_k across its profiles; each
+    distinct oriented separation is rendered once."""
+    rendered = []
+    real = core.separation_to_json
+    monkeypatch.setattr(cli_module, "separation_to_json", lambda s: rendered.append(s) or real(s))
+    code, out = run_cli(["profiles", "--fixture", "FIX_GRID33"], capsys)
+    assert code == 0
+    entries = [
+        (tuple(x["a"]), tuple(x["b"]))
+        for p in json.loads(out)["result"]["profiles"]
+        for x in p["oriented"]
+    ]
+    assert len(rendered) == len(set(rendered)) == len(set(entries)) < len(entries)
+
+
 def test_json_envelope_of_every_golden_payload(capsys, monkeypatch):
     monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
     payloads = []
@@ -223,7 +281,8 @@ def test_json_envelope_of_every_golden_payload(capsys, monkeypatch):
         run_cli([verb, "--fixture", fixture, *rest], capsys)
     assert len(payloads) == len(GOLDEN) - 2  # the two DOT outputs are no JSON
     for obj in payloads:
-        assert real(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        assert real(obj) == json.dumps(plain(obj), sort_keys=True, indent=2) + "\n"
+    assert any(map(holds_separation, payloads))
 
 
 # three triangles joined into a ring by bridges, the ring_decompose graph of
@@ -917,18 +976,19 @@ def test_graph_cap_is_checked_before_the_graph_is_built(tmp_path, capsys, monkey
 
 
 CAPPED_SEARCHES = [
-    # (id, graph JSON, k, |S_k|) against the default max_sk of 64
-    ("edgeless16-k1", {"n": 16, "edges": []}, 1, 32768),
-    ("star16-k2", {"n": 16, "edges": [[0, v] for v in range(1, 16)]}, 2, 16400),
-    ("k5-11-k6", {"n": 16, "edges": [[u, v] for u in range(5) for v in range(5, 16)]}, 6, 7908),
+    # (id, verb, graph JSON, k, |S_k|) against the default max_sk of 64
+    ("edgeless16-k1", "profiles", {"n": 16, "edges": []}, 1, 32768),
+    ("star16-k2", "profiles", {"n": 16, "edges": [[0, v] for v in range(1, 16)]}, 2, 16400),
+    ("k5-11-k6", "profiles", {"n": 16, "edges": [[u, v] for u in range(5) for v in range(5, 16)]}, 6, 7908),
+    ("separations-star16-k3", "separations", {"n": 16, "edges": [[0, v] for v in range(1, 16)]}, 3, 139385),
 ]
 
 
 @pytest.mark.parametrize(
-    "graph,k,size", [c[1:] for c in CAPPED_SEARCHES], ids=[c[0] for c in CAPPED_SEARCHES]
+    "verb,graph,k,size", [c[1:] for c in CAPPED_SEARCHES], ids=[c[0] for c in CAPPED_SEARCHES]
 )
 def test_profile_search_cap_is_checked_before_any_separation_is_built(
-    graph, k, size, tmp_path, capsys, monkeypatch
+    verb, graph, k, size, tmp_path, capsys, monkeypatch
 ):
     monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
     built = []
@@ -941,7 +1001,7 @@ def test_profile_search_cap_is_checked_before_any_separation_is_built(
     monkeypatch.setattr(core, "Separation", counted)
     path = tmp_path / "g.json"
     path.write_text(json.dumps(graph))
-    code, out = run_cli(["profiles", "--graph", str(path), "--k", str(k)], capsys)
+    code, out = run_cli([verb, "--graph", str(path), "--k", str(k)], capsys)
     assert code == 3
     message = json.loads(out)["error"]["message"]
     assert message == f"|S_k| = {size} exceeds the profile search cap 64"
