@@ -142,9 +142,13 @@ def read_graph(spec: str) -> tuple[int, list]:
         n = obj["n"]
         require(type(n) is int, f"{spec}: graph JSON 'n' must be an integer, got {n!r}")
         try:
-            return n, [tuple(e) for e in obj["edges"]]
+            edges = [tuple(e) for e in obj["edges"]]
         except TypeError as exc:
             raise InputError(f"{spec}: {exc}") from exc
+        # JSON true and false read as the ints 1 and 0, but are no vertices
+        kinds = set(map(type, itertools.chain.from_iterable(edges)))
+        require(kinds <= {int}, f"{spec}: graph JSON vertices must be integers")
+        return n, edges
     edges = []
     max_v = -1
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -449,10 +449,15 @@ def enumerate_k_profiles(
     in_b = [0] * g.n
     for x in range(0, len(slots), 2):
         a, b = slots[x]
-        for v in iter_bits(a):
-            in_a[v] |= 1 << x
-        for v in iter_bits(b):
-            in_b[v] |= 1 << x
+        bit = 1 << x
+        while a:  # the bits read inline: a generator step each costs more
+            low = a & -a
+            in_a[low.bit_length() - 1] |= bit
+            a ^= low
+        while b:
+            low = b & -b
+            in_b[low.bit_length() - 1] |= bit
+            b ^= low
     # A holds v / A holds v and B misses v
     a_has = [ca | cb << 1 for ca, cb in zip(in_a, in_b)]
     a_only = [(ca & ~cb) | (cb & ~ca) << 1 for ca, cb in zip(in_a, in_b)]
@@ -466,13 +471,22 @@ def enumerate_k_profiles(
     for x in range(0, len(slots), 2):
         a, b = slots[x]
         both = full & ~(3 << x)
-        for v in iter_bits(a & b):
-            both &= a_has[v]
+        m = a & b
+        while m:
+            low = m & -m
+            both &= a_has[low.bit_length() - 1]
+            m ^= low
         bad, inv_bad = both, both
-        for v in iter_bits(b & ~a):
-            bad &= a_only[v]
-        for v in iter_bits(a & ~b):
-            inv_bad &= a_only[v]
+        m = b & ~a
+        while m:
+            low = m & -m
+            bad &= a_only[low.bit_length() - 1]
+            m ^= low
+        m = a & ~b
+        while m:
+            low = m & -m
+            inv_bad &= a_only[low.bit_length() - 1]
+            m ^= low
         cons_bad[x], cons_bad[x + 1] = bad, inv_bad
 
     # fixed[x] (closed form 1): x's own bit when |B| ≤ `top`, and otherwise

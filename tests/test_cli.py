@@ -427,23 +427,25 @@ def test_splinter_checks_the_whole_instance_once(capsys, monkeypatch, tmp_path):
 
 def test_profiles_reads_principality_off_one_cut_table(capsys, monkeypatch, tmp_path):
     """On the three-triangle ring at k = 3, the profile search enumerates
-    S_3 with one components() call per separator X, |X| < 3 (46), and
-    principality of all three profiles reads one table of the same 46 cuts,
-    where one table per profile took 3 × 46."""
+    S_3 from one `components_each` call over the 46 separators X, |X| < 3,
+    and principality of all three profiles reads one table of the same 46
+    cuts, where one table per profile took three calls. Each call runs
+    `components` only on the 12 X that split G."""
     monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
-    calls = [0]
-    real = core.Graph.components
+    calls = {"components_each": 0, "components": 0}
+    for name in calls:
+        real = getattr(core.Graph, name)
 
-    def components(self, *args):
-        calls[0] += 1
-        return real(self, *args)
+        def counted(self, *args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(self, *args)
 
-    monkeypatch.setattr(core.Graph, "components", components)
+        monkeypatch.setattr(core.Graph, name, counted)
     path = tmp_path / "ring.json"
     path.write_text(json.dumps(TRIANGLE_RING3))
     code, out = run_cli(["profiles", "--graph", str(path), "--k", "3"], capsys)
     assert code == 0 and json.loads(out)["result"]["count"] == 3
-    assert calls[0] == 46 + 46
+    assert calls == {"components_each": 1 + 1, "components": 12 + 12}
 
 
 def test_profinite_splinter_on_the_four_triangle_ring_ends_on_the_union_cap(
@@ -708,6 +710,7 @@ BAD_FILES = {
     "graph-edge-triple.json": json.dumps({"n": 4, "edges": [[0, 1, 2]]}),
     "graph-edge-string.json": json.dumps({"n": 4, "edges": [["a", 1]]}),
     "graph-edge-float.json": json.dumps({"n": 4, "edges": [[0.5, 1]]}),
+    "graph-edge-bool.json": json.dumps({"n": 2, "edges": [[True, False]]}),
     "graph-n-negative.json": json.dumps({"n": -1, "edges": []}),
     "graph-n-infinite.json": '{"n": 1e999, "edges": []}',
     "graph-n-float.json": json.dumps({"n": 4.5, "edges": []}),
@@ -836,6 +839,18 @@ def test_bad_input_is_a_one_line_usage_error(env, argv, capsys, monkeypatch, tmp
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("verb", GRAPH_VERBS)
+def test_boolean_vertices_are_refused_by_every_graph_verb(verb, capsys, tmp_path):
+    """JSON true and false are no vertices, although Python reads them as
+    1 and 0: the edge [true, false] is refused, not taken as 0–1."""
+    path = tmp_path / "g.json"
+    path.write_text(BAD_FILES["graph-edge-bool.json"])
+    code = cli_main([verb, "--graph", str(path), "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path}: graph JSON vertices must be integers\n"
 
 
 def test_unknown_suite_is_named(capsys):
@@ -1004,7 +1019,7 @@ def test_profile_search_cap_is_checked_before_any_separation_is_built(
     code, out = run_cli([verb, "--graph", str(path), "--k", str(k)], capsys)
     assert code == 3
     message = json.loads(out)["error"]["message"]
-    assert message == f"|S_k| = {size} exceeds the profile search cap 64"
+    assert message == f"|S_k| = {size} exceeds max_sk 64"
     assert built == []
 
 

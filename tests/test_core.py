@@ -34,7 +34,7 @@ from tangleforge.core import (
     vertices_of,
 )
 from tangleforge.errors import CapExceededError, InputError, PreconditionError
-from tangleforge.fixtures import doubled_bridge_ring
+from tangleforge.fixtures import FIXTURES, doubled_bridge_ring, triangle_ring
 from tangleforge.verify import _random_graph
 
 from jsonforms import separation_from_json
@@ -81,6 +81,75 @@ def test_components_are_the_reachability_classes_in_least_vertex_order():
                     reach[v] |= reach[w]
         classes = tuple(sorted(set(reach.values()), key=lambda c: c & -c))
         assert g.components(removed) == classes
+
+
+def assert_components_each(g, xs):
+    assert g.components_each(xs) == [g.components(x) for x in xs]
+
+
+def test_components_each_on_every_graph_with_at_most_five_vertices():
+    """Every labelled graph on 0..n−1, n ≤ 5: the list of every X ⊆ V, that
+    list reversed, with repeats, and the empty list."""
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+            xs = list(range(1 << n))
+            for listed in (xs, xs[::-1], xs + xs[::2] + [xs[-1]] * 3, []):
+                assert_components_each(g, listed)
+
+
+def test_components_each_on_the_separator_walk_of_random_graphs():
+    """2,000 seeded graphs on 1–16 vertices, edgeless, sparse (mostly
+    disconnected) and dense, a quarter of them induced subgraphs with gaps
+    in V, on the walk over the X with |X| < k of `small_separators` at
+    k = 1 to 4; and a random list of X, absent vertices included."""
+    rng = random.Random(59)
+    seen = {"edgeless": 0, "disconnected": 0}
+    for _ in range(2000):
+        n = rng.randint(1, 16)
+        p = rng.choice((0.0, 0.1, 0.2, 0.4, 0.7))
+        g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        if rng.random() < 0.25:
+            g = g.induced(rng.getrandbits(n))
+        seen["edgeless"] += not g.edges()
+        seen["disconnected"] += len(g.components()) > 1
+        bits = [1 << v for v in vertices_of(g.vertices)]
+        for k in range(1, 5):
+            assert_components_each(g, core._lex_subsets(bits, min(k - 1, len(bits))))
+        assert_components_each(g, [rng.getrandbits(n) for _ in range(rng.randint(1, 20))])
+    assert min(seen.values()) > 200, seen
+
+
+def test_components_each_on_the_fixtures_and_rings():
+    graphs = [fx.graph for fx in FIXTURES.values()] + [
+        ring_of_three_triangles(),
+        triangle_ring(),
+        triangle_ring(pendant=True),
+        doubled_bridge_ring(),
+    ]
+    for g in graphs:
+        bits = [1 << v for v in vertices_of(g.vertices)]
+        for k in range(1, 5):
+            assert_components_each(g, core._lex_subsets(bits, min(k - 1, len(bits))))
+
+
+@pytest.mark.parametrize(
+    "g,k,calls", [(doubled_bridge_ring(), 3, 12), (FIXTURES["FIX_C4"].graph, 2, 0)]
+)
+def test_enumeration_runs_components_on_the_separators_that_split_g(monkeypatch, g, k, calls):
+    """Of the 137 X with |X| < 3 on the doubled bridge ring, 12 split G and
+    go through `components`; on the 4-cycle no X with |X| < 2 does."""
+    count = [0]
+    real = Graph.components
+
+    def components(self, *args):
+        count[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(Graph, "components", components)
+    enumerate_separations(g, k)
+    assert count[0] == calls
 
 
 # ---------------------------------------------------------------------------
