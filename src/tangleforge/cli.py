@@ -298,9 +298,10 @@ def _s_k_universe(g: Graph, p):
 def instance_from_json(obj) -> SplinterInstance:
     """Load {"elements": [...], "nested": [[a, b], ...], "families":
     [{"name": key, "order": int, "members": [...]}, ...]}. A family
-    without a name is keyed by its index; two families with one key, and
-    an order that is no JSON integer, raise InputError, as does input of
-    any other shape."""
+    without a name is keyed by its index; two families with one key, an
+    empty family, a member that is no element, and an order that is no
+    non-negative JSON integer raise InputError, as does input of any other
+    shape."""
     require(isinstance(obj, dict), "instance JSON must be an object")
     elements = tuple(scalars(obj.get("elements"), "instance 'elements'"))
     names = set(elements)
@@ -328,12 +329,15 @@ def instance_from_json(obj) -> SplinterInstance:
         require(type(order) is int, f"instance family {key!r} needs an integer 'order', got {order!r}")
         families[key] = frozenset(fam["members"])
         orders[key] = order
-    return SplinterInstance(
-        elements=elements,
-        families=families,
-        orders=orders,
-        nested=lambda a, b: (a, b) in nested_pairs,
-    )
+    try:
+        return SplinterInstance(
+            elements=elements,
+            families=families,
+            orders=orders,
+            nested=lambda a, b: (a, b) in nested_pairs,
+        )
+    except PreconditionError as exc:  # an empty family, a non-element, a negative order
+        raise InputError(f"instance {exc}") from None
 
 
 def cmd_thin_splinter(args, cfg):
@@ -516,6 +520,10 @@ def _dot_totd(totd_json: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the verbs --format dot serves, each with its writer of the result's DOT
+DOT_WRITERS = {"treedec": _dot_treedec, "totd": _dot_totd}
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 
@@ -587,6 +595,8 @@ def _run(args) -> tuple[int, str]:
     errors raise InputError."""
     try:
         cfg = RunConfig.from_env_and_args(args)
+        if cfg.fmt == "dot" and args.command not in DOT_WRITERS:
+            raise InputError("--format dot is only available for treedec and totd")
         result = COMMANDS[args.command](args, cfg)
     except CapExceededError as exc:
         return 3, _json({"error": {"type": "cap", "message": str(exc)}})
@@ -610,11 +620,7 @@ def _run(args) -> tuple[int, str]:
             "result": result,
         }
         return code, _json(payload)
-    if args.command == "treedec":
-        return code, _dot_treedec(result["treedec"])
-    if args.command == "totd":
-        return code, _dot_totd(result["totd"])
-    raise InputError("--format dot is only available for treedec and totd")
+    return code, DOT_WRITERS[args.command](result[args.command])
 
 
 def _json(obj) -> str:

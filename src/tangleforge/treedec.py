@@ -241,8 +241,6 @@ def treeset_to_treedecomposition(g: Graph, nested_set) -> TreeDecomposition:
     nodes = tuple(range(m + 1))
     index = {o: t for t, o in enumerate(orientations)}
     edges = tuple(sorted((index[u], index[v]) for u, v in ends))
-    if _rooted(nodes, edges) is None:
-        raise CertificationError("orientation graph is not a tree with one edge per separation")
 
     bags = dict.fromkeys(nodes, g.vertices)
     for (u, v), (x, x_star) in zip(ends, oriented):
@@ -276,26 +274,34 @@ def torso(g: Graph, td: TreeDecomposition, node) -> Graph:
 # ---------------------------------------------------------------------------
 # trees of tree-decompositions
 
-@dataclass
+@dataclass(frozen=True)
 class TreeOfTreeDecompositions:
-    root: int
-    nodes: tuple
-    children: dict
-    depth: dict
-    graph_at: dict
-    td_at: dict
-    torso_of: dict  # node -> td-node of the parent whose torso it is
+    """A node of the tree of tree-decompositions with the tree below it:
+    `graph` is G at the root and a torso below, `td` its decomposition,
+    `torso_of` the node of the parent's decomposition whose torso `graph`
+    is (None at the root), and `children` one subtree per node of `td`,
+    in `td.nodes` order, while separators remain."""
+
+    graph: Graph
+    td: TreeDecomposition
+    torso_of: int | None
+    children: tuple
+
+    def walk(self):
+        """(depth, node) for this node, at depth 0, and every node below,
+        depth first, each after its parent."""
+        yield 0, self
+        for child in self.children:
+            for d, node in child.walk():
+                yield d + 1, node
 
     def to_json(self) -> dict:
-        def emit(t):
-            return {
-                "graph": {"vertices": list(vertices_of(self.graph_at[t].vertices))},
-                "td": self.td_at[t].to_json(),
-                "torso_of": self.torso_of.get(t),
-                "children": [emit(c) for c in self.children[t]],
-            }
-
-        return emit(self.root)
+        return {
+            "graph": {"vertices": list(vertices_of(self.graph.vertices))},
+            "td": self.td.to_json(),
+            "torso_of": self.torso_of,
+            "children": [c.to_json() for c in self.children],
+        }
 
 
 def build_totd(g: Graph, profiles) -> TreeOfTreeDecompositions:
@@ -304,10 +310,10 @@ def build_totd(g: Graph, profiles) -> TreeOfTreeDecompositions:
     robustness is the caller's hypothesis. The result is certified by
     `certify_totd` before return.
 
-    Level by level: the decomposition at depth d uses, inside each torso
-    graph, the separations (C ∪ X, V(G_t)∖C) for subset-closed separators X
-    of size d+1 whose removal leaves at least two components. Children are
-    attached one per torso while separators remain.
+    The decomposition of a node at depth d uses, inside its graph G_t, the
+    separations (C ∪ X, V(G_t)∖C) for subset-closed separators X of size
+    d+1 whose removal leaves at least two components. The node has one
+    child per torso of that decomposition while separators remain.
     """
     if not g.is_connected():
         raise PreconditionError("graph must be connected")
@@ -327,38 +333,12 @@ def build_totd(g: Graph, profiles) -> TreeOfTreeDecompositions:
     )
     k_max = max((x.bit_count() for x in closure), default=0)
 
-    totd = TreeOfTreeDecompositions(
-        root=0,
-        nodes=(0,),
-        children={},
-        depth={0: 0},
-        graph_at={0: g},
-        td_at={},
-        torso_of={},
-    )
-    frontier = [0]
-    next_id = 1
-    for d in range(k_max + 1):
-        new_frontier = []
-        for t in frontier:
-            gt = totd.graph_at[t]
-            s_set = _level_separations(gt, closure, d + 1)
-            totd.td_at[t] = treeset_to_treedecomposition(gt, s_set)
-            if d + 1 <= k_max:
-                for td_node in totd.td_at[t].nodes:
-                    child = next_id
-                    next_id += 1
-                    totd.nodes += (child,)
-                    totd.depth[child] = d + 1
-                    totd.graph_at[child] = torso(gt, totd.td_at[t], td_node)
-                    totd.torso_of[child] = td_node
-                    totd.children.setdefault(t, []).append(child)
-                    new_frontier.append(child)
-        frontier = new_frontier
-    for t in totd.nodes:
-        totd.children.setdefault(t, [])
-        totd.children[t] = tuple(totd.children[t])
+    def grow(gt, torso_of, d):
+        td = treeset_to_treedecomposition(gt, _level_separations(gt, closure, d + 1))
+        children = tuple(grow(torso(gt, td, t), t, d + 1) for t in td.nodes) if d < k_max else ()
+        return TreeOfTreeDecompositions(gt, td, torso_of, children)
 
+    totd = grow(g, None, 0)
     certify_totd(g, totd, closure, nested.distinguishers.values())
     return totd
 
@@ -381,19 +361,15 @@ def certify_totd(g: Graph, totd: TreeOfTreeDecompositions, closure, distinguishe
     properties of the finished tree of tree-decompositions; `distinguishers`
     are the distinguisher sets of the profile pairs the tree must tell
     apart."""
-    depth_max = max(totd.depth.values(), default=0)
-    induced = {t: induced_separations(totd.td_at[t]) for t in totd.nodes}
-    torsos = {
-        (t, td_node): torso(totd.graph_at[t], totd.td_at[t], td_node)
-        for t in totd.nodes
-        for td_node in totd.td_at[t].nodes
-    }
+    nodes = list(totd.walk())
+    depth_max = max(d for d, _ in nodes)
+    induced = [induced_separations(node.td) for _, node in nodes]
+    torsos = [{t: torso(node.graph, node.td, t) for t in node.td.nodes} for _, node in nodes]
     components = {x: g.components(x) for x in closure if x.bit_count() <= depth_max}
 
     # every node's decomposition uses only separations of order depth+1
-    for t in totd.nodes:
-        d = totd.depth[t]
-        for s in induced[t]:
+    for (d, _), ind in zip(nodes, induced):
+        for s in ind:
             if s.order != d + 1:
                 raise CertificationError(
                     f"node at depth {d} induces a separation of order {s.order}"
@@ -401,7 +377,7 @@ def certify_totd(g: Graph, totd: TreeOfTreeDecompositions, closure, distinguishe
 
     # each large separator is contained in exactly one torso per depth
     for d in range(depth_max + 1):
-        level = [h for (t, _), h in torsos.items() if totd.depth[t] == d]
+        level = [h for (e, _), hs in zip(nodes, torsos) if e == d for h in hs.values()]
         for x in closure:
             if x.bit_count() >= d + 2:
                 hits = sum(1 for h in level if not x & ~h.vertices)
@@ -411,14 +387,11 @@ def certify_totd(g: Graph, totd: TreeOfTreeDecompositions, closure, distinguishe
                     )
 
     # torsos meet at most one component of G - X for small X inside the node
-    for t in totd.nodes:
-        d = totd.depth[t]
-        gt = totd.graph_at[t]
+    for (d, node), hs in zip(nodes, torsos):
         for x in closure:
-            if x.bit_count() > d or x & ~gt.vertices:
+            if x.bit_count() > d or x & ~node.graph.vertices:
                 continue
-            for td_node in totd.td_at[t].nodes:
-                h = torsos[t, td_node]
+            for h in hs.values():
                 met = sum(1 for c in components[x] if c & h.vertices)
                 if met > 1:
                     raise CertificationError(
@@ -426,32 +399,28 @@ def certify_totd(g: Graph, totd: TreeOfTreeDecompositions, closure, distinguishe
                         f"complement of {vertices_of(x)}"
                     )
 
-    # children enumerate the torsos
-    for t in totd.nodes:
-        if totd.depth[t] == depth_max:
-            if totd.children[t]:
-                raise CertificationError("deepest level must not have children")
+    # children enumerate the torsos; the deepest nodes have none, as their
+    # children would be deeper
+    for (d, node), hs in zip(nodes, torsos):
+        if d == depth_max:
             continue
-        kids = totd.children[t]
-        if len(kids) != len(totd.td_at[t].nodes):
+        if len(node.children) != len(node.td.nodes):
             raise CertificationError(
-                f"node has {len(kids)} children but {len(totd.td_at[t].nodes)} torsos"
+                f"node has {len(node.children)} children but {len(node.td.nodes)} torsos"
             )
-        for c in kids:
-            if totd.graph_at[c] != torsos[t, totd.torso_of[c]]:
+        for c in node.children:
+            if c.torso_of not in hs:
+                raise CertificationError(
+                    f"child is the torso of {c.torso_of!r}, no node of its parent's decomposition"
+                )
+            if c.graph != hs[c.torso_of]:
                 raise CertificationError("child graph is not the stated torso")
 
     # every profile pair is distinguished efficiently somewhere in the tree
     for dset in distinguishers:
-        found = False
-        for s in dset.seps:
-            for t in totd.nodes:
-                vt = totd.graph_at[t].vertices
-                ind = canonical(Separation(s.a & vt, s.b & vt))
-                if ind in induced[t]:
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+        if not any(
+            canonical(Separation(s.a & node.graph.vertices, s.b & node.graph.vertices)) in ind
+            for s in dset.seps
+            for (_, node), ind in zip(nodes, induced)
+        ):
             raise CertificationError("a profile pair is not distinguished by the tree")

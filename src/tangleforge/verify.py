@@ -517,14 +517,12 @@ def suite_totd(seed):
     g = FIXTURES["FIX_2K4"].graph
     profs = pipeline_profiles(g, enumerate_k_profiles(g, 2))
     totd = build_totd(g, profs)  # certified internally
-    root_bags = sorted(vertices_of(totd.td_at[0].bags[t]) for t in totd.td_at[0].nodes)
+    root_bags = sorted(vertices_of(totd.td.bags[t]) for t in totd.td.nodes)
     if root_bags != [(0, 1, 2, 3), (3, 4), (4, 5, 6, 7)]:
         raise AssertionError(f"unexpected root decomposition: {root_bags}")
-    if len(totd.children[0]) != 3:
+    if len(totd.children) != 3:
         raise AssertionError("root must have three torso children")
-    child_vertex_sets = sorted(
-        vertices_of(totd.graph_at[c].vertices) for c in totd.children[0]
-    )
+    child_vertex_sets = sorted(vertices_of(c.graph.vertices) for c in totd.children)
     if child_vertex_sets != [(0, 1, 2, 3), (3, 4), (4, 5, 6, 7)]:
         raise AssertionError("children are not the three torsos")
     swap = {v: 7 - v for v in range(8)}
@@ -532,8 +530,7 @@ def suite_totd(seed):
     if relabelled != g:
         raise AssertionError("swap is not an automorphism")
     mapped_root = sorted(
-        tuple(sorted(swap[v] for v in vertices_of(totd.td_at[0].bags[t])))
-        for t in totd.td_at[0].nodes
+        tuple(sorted(swap[v] for v in vertices_of(totd.td.bags[t]))) for t in totd.td.nodes
     )
     if mapped_root != root_bags:
         raise AssertionError("root decomposition not equivariant under the swap")

@@ -749,6 +749,15 @@ BAD_FILES = {
     "instance-order-bool.json": json.dumps(
         {"elements": ["a"], "nested": [], "families": [{"members": ["a"], "order": True}]}
     ),
+    "instance-member-outside.json": json.dumps(
+        {"elements": ["a"], "nested": [], "families": [{"members": ["b"], "order": 1}]}
+    ),
+    "instance-members-empty.json": json.dumps(
+        {"elements": ["a"], "nested": [], "families": [{"members": [], "order": 1}]}
+    ),
+    "instance-order-negative.json": json.dumps(
+        {"elements": ["a"], "nested": [], "families": [{"members": ["a"], "order": -1}]}
+    ),
     "system-points.json": '{"points": 3}',
     "system-list.json": "[]",
     "system-key-arrow.json": system_json(
@@ -803,6 +812,8 @@ BAD_INPUTS = [
     ("verify-k", None, ["verify", "--k", "2"]),
     ("instance-and-graph", None, ["thin-splinter", "--instance", "{tmp}/x.json", "--graph", "g"]),
     ("system-and-k", None, ["profinite-splinter", "--system", "{tmp}/x.json", "--k", "2"]),
+    ("dot-verify", None, ["verify", "--suite", "totd-2k4", "--format", "dot"]),
+    ("dot-over-cap", '{"max_k": 1}', ["profiles", "--fixture", "FIX_P4", "--k", "2", "--format", "dot"]),
 ] + [
     (name[: -len(".json")], None, ["separations", "--graph", "{tmp}/" + name, "--k", "2"])
     for name in BAD_FILES

@@ -2,7 +2,7 @@
 regular tree sets, torsos, and the tree of tree-decompositions."""
 
 import collections
-import copy
+import dataclasses
 import itertools
 import random
 
@@ -321,22 +321,22 @@ def test_build_totd_two_k4(graphs):
     g = graphs["FIX_2K4"]
     profs = totd_profiles(g)
     totd = build_totd(g, profs)  # certification runs inside
-    assert totd.depth[totd.root] == 0
-    root_bags = sorted(vertices_of(totd.td_at[0].bags[t]) for t in totd.td_at[0].nodes)
+    assert totd.graph == g and totd.torso_of is None
+    root_bags = sorted(vertices_of(totd.td.bags[t]) for t in totd.td.nodes)
     assert root_bags == [(0, 1, 2, 3), (3, 4), (4, 5, 6, 7)]
-    assert len(totd.children[0]) == 3
-    for child in totd.children[0]:
-        assert len(totd.td_at[child].nodes) == 1  # trivial decompositions
-        assert not totd.children[child]
+    assert [c.torso_of for c in totd.children] == list(totd.td.nodes)
+    for child in totd.children:
+        assert len(child.td.nodes) == 1  # trivial decompositions
+        assert not child.children
 
 
 def test_build_totd_singleton_profile_set(graphs):
     g = graphs["FIX_2K4"]
     profs = totd_profiles(g)[:1]
     totd = build_totd(g, profs)
-    assert totd.nodes == (0,)
-    assert len(totd.td_at[0].nodes) == 1
-    assert totd.td_at[0].bags[0] == g.vertices
+    assert [d for d, _ in totd.walk()] == [0]
+    assert len(totd.td.nodes) == 1
+    assert totd.td.bags[0] == g.vertices
 
 
 def test_build_totd_rejects_disconnected(graphs):
@@ -351,12 +351,12 @@ def test_build_totd_equivariant_under_swap(graphs):
     profs = totd_profiles(g)
     totd = build_totd(g, profs)
     swap = {v: 7 - v for v in range(8)}
-    root_bags = sorted(vertices_of(totd.td_at[0].bags[t]) for t in totd.td_at[0].nodes)
+    root_bags = sorted(vertices_of(totd.td.bags[t]) for t in totd.td.nodes)
     mapped = sorted(
         tuple(sorted(swap[v] for v in bag)) for bag in root_bags
     )
     assert mapped == root_bags
-    child_sets = sorted(vertices_of(totd.graph_at[c].vertices) for c in totd.children[0])
+    child_sets = sorted(vertices_of(c.graph.vertices) for c in totd.children)
     mapped_children = sorted(tuple(sorted(swap[v] for v in vs)) for vs in child_sets)
     assert mapped_children == child_sets
 
@@ -369,11 +369,9 @@ def test_totd_distinguishes_every_pair(graphs):
         dset = efficient_distinguishers(g, p, q)
         hit = False
         for s in dset.seps:
-            for t in totd.nodes:
-                vt = totd.graph_at[t].vertices
-                if canonical(Separation(s.a & vt, s.b & vt)) in induced_separations(
-                    totd.td_at[t]
-                ):
+            for _, node in totd.walk():
+                vt = node.graph.vertices
+                if canonical(Separation(s.a & vt, s.b & vt)) in induced_separations(node.td):
                     hit = True
         assert hit
 
@@ -382,18 +380,24 @@ def test_totd_on_triangle_ring(triring, triring_profiles):
     totd = build_totd(triring, triring_profiles)
     # separators have size 2, so levels run to depth 2 with the real
     # decompositions at depth 1
-    assert max(totd.depth.values()) == 2
-    root_td = totd.td_at[totd.root]
-    assert len(root_td.nodes) == 1  # no size-1 separators: trivial root
-    depth1 = [t for t in totd.nodes if totd.depth[t] == 1]
-    assert len(depth1) == 1
-    td1 = totd.td_at[depth1[0]]
-    assert len(td1.nodes) == 5  # four triangles around a centre
+    assert max(d for d, _ in totd.walk()) == 2
+    assert len(totd.td.nodes) == 1  # no size-1 separators: trivial root
+    depth1 = [node for d, node in totd.walk() if d == 1]
+    assert depth1 == list(totd.children) and len(depth1) == 1
+    assert len(depth1[0].td.nodes) == 5  # four triangles around a centre
+
+
+def test_totd_is_a_frozen_value(triring, triring_profiles):
+    totd = build_totd(triring, triring_profiles)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        totd.children = ()
+    assert [d for d, _ in totd.walk()] == [0, 1, 2, 2, 2, 2, 2]
 
 
 def test_certify_totd_refuses_corrupted_trees(graphs, triring, triring_profiles):
     """Each check of certify_totd fires, with its message, on a finished tree
-    corrupted to break it."""
+    corrupted to break it. The triangle ring's tree is a root over one
+    depth-1 node over five depth-2 nodes."""
     g, profs = triring, triring_profiles
     totd = build_totd(g, profs)
     nested = canonical_nested_separators(g, profs)
@@ -404,25 +408,26 @@ def test_certify_totd_refuses_corrupted_trees(graphs, triring, triring_profiles)
     )
     certify_totd(g, totd, closure, nested.distinguishers.values())
     pairs = [mask_of(e) for e in itertools.combinations(range(g.n), 2)]
+    (mid,) = totd.children
+    minus_0 = g.induced(g.vertices & ~1)
 
-    def deeper(t):
-        return lambda x: x.depth.__setitem__(t, x.depth[t] + 1)
+    def with_mid(**fields):
+        return dataclasses.replace(totd, children=(dataclasses.replace(mid, **fields),))
 
-    def parent(x, c):
-        return next(t for t in x.nodes if c in x.children[t])
+    def with_leaf(**fields):
+        return with_mid(children=(dataclasses.replace(mid.children[0], **fields), *mid.children[1:]))
 
     cases = [
-        (deeper(1), closure, "node at depth 2 induces a separation of order 2"),
-        (deeper(0), closure, r"separator \(0, 2\) lies in 0 torsos at depth 0"),
-        (lambda x: None, closure + pairs, "torso at depth 2 meets 2 components"),
-        (lambda x: x.children.__setitem__(1, x.children[1][:-1]), closure,
-         "node has 4 children but 5 torsos"),
-        (lambda x: x.graph_at.__setitem__(2, x.graph_at[parent(x, 2)]), closure,
-         "child graph is not the stated torso"),
+        (with_leaf(td=mid.td), closure, "node at depth 2 induces a separation of order 2"),
+        (dataclasses.replace(totd, graph=minus_0, td=treeset_to_treedecomposition(minus_0, [])), closure,
+         r"separator \(0, 2\) lies in 0 torsos at depth 0"),
+        (totd, closure + pairs, "torso at depth 2 meets 2 components"),
+        (with_mid(children=mid.children[:-1]), closure, "node has 4 children but 5 torsos"),
+        (with_leaf(graph=mid.graph), closure, "child graph is not the stated torso"),
+        (with_leaf(torso_of=len(mid.td.nodes)), closure,
+         "child is the torso of 5, no node of its parent's decomposition"),
     ]
-    for corrupt, cl, message in cases:
-        broken = copy.deepcopy(totd)
-        corrupt(broken)
+    for broken, cl, message in cases:
         with pytest.raises(CertificationError, match=message):
             certify_totd(g, broken, cl, nested.distinguishers.values())
     g = graphs["FIX_2K4"]
