@@ -206,7 +206,7 @@ def _adjacency(nodes, edges) -> dict:
 
 
 def _is_tree(nodes, edges) -> bool:
-    if len(edges) != len(nodes) - 1:
+    if len(edges) != len(nodes) - 1 or not {t for e in edges for t in e} <= set(nodes):
         return False
     adj = _adjacency(nodes, edges)
     seen = set()
@@ -245,21 +245,22 @@ def brute_treedecomposition_violations(g: Graph, td) -> list:
     whose bags meet and node t2 on the tree path between them whose bag
     misses a vertex of bags[t1] ∩ bags[t3]."""
     violations = []
-    if not _is_tree(td.nodes, td.edges):
+    nodes = range(len(td.bags))
+    if not _is_tree(nodes, td.edges):
         violations.append(("tree", "decomposition tree is not a tree"))
         return violations
     cover = 0
-    for t in td.nodes:
+    for t in nodes:
         cover |= td.bags[t]
     if cover != g.vertices:
         violations.append(("T1", f"vertices {vertices_of(g.vertices & ~cover)} uncovered"))
     for u, v in g.edges():
         e = (1 << u) | (1 << v)
-        if not any(not e & ~td.bags[t] for t in td.nodes):
+        if not any(not e & ~td.bags[t] for t in nodes):
             violations.append(("T2", f"edge ({u},{v}) in no bag"))
-    adj = _adjacency(td.nodes, td.edges)
-    for t1 in td.nodes:
-        for t3 in td.nodes:
+    adj = _adjacency(nodes, td.edges)
+    for t1 in nodes:
+        for t3 in nodes:
             inter = td.bags[t1] & td.bags[t3]
             if not inter:
                 continue
@@ -274,7 +275,8 @@ def brute_induced_separations(td) -> tuple[Separation, ...]:
     a depth-first search from one end that does not cross the edge finds
     that end's side, and the separation is the pair of bag unions of the
     two sides."""
-    adj = _adjacency(td.nodes, td.edges)
+    nodes = range(len(td.bags))
+    adj = _adjacency(nodes, td.edges)
     out = set()
     for u, v in td.edges:
         side = {u}
@@ -287,7 +289,7 @@ def brute_induced_separations(td) -> tuple[Separation, ...]:
                     stack.append(z)
         a = 0
         b = 0
-        for t in td.nodes:
+        for t in nodes:
             if t in side:
                 a |= td.bags[t]
             else:

@@ -33,25 +33,25 @@ from .profiles import principal_flags
 # ---------------------------------------------------------------------------
 # trees
 
-def _rooted(nodes, edges):
-    """(order, parent) of one breadth-first walk from nodes[0]: order lists
-    every node after its parent, and parent maps each node to its parent
-    (the root to None). None when (nodes, edges) is not a tree, that is,
-    when it has no nodes, not |nodes| - 1 edges, or is not connected."""
-    if len(edges) != len(nodes) - 1:
+def _rooted(m, edges):
+    """(order, parent) of one breadth-first walk from node 0 over the nodes
+    range(m): order lists every node after its parent, and parent[t] is the
+    parent of t (None at the root). None when (m, edges) is not a tree:
+    no nodes, not m - 1 edges, an edge off range(m), or not connected."""
+    if len(edges) != m - 1 or any(not (0 <= t < m) for e in edges for t in e):
         return None
-    adj = {t: [] for t in nodes}
+    adj = [[] for _ in range(m)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    parent = {nodes[0]: None}
-    order = [nodes[0]]
+    parent = [None] * m
+    order = [0]
     for t in order:
         for w in adj[t]:
-            if w not in parent:
+            if w != 0 and parent[w] is None:
                 parent[w] = t
                 order.append(w)
-    return (order, parent) if len(order) == len(nodes) else None
+    return (order, parent) if len(order) == m else None
 
 
 # ---------------------------------------------------------------------------
@@ -59,15 +59,15 @@ def _rooted(nodes, edges):
 
 @dataclass(frozen=True)
 class TreeDecomposition:
-    nodes: tuple
+    """A tree-decomposition whose node t is index t: `bags[t]` is the
+    vertex mask of node t, and `edges` are pairs of node indices."""
+
+    bags: tuple
     edges: tuple
-    bags: dict  # node -> vertex mask
 
     def to_json(self) -> dict:
         return {
-            "nodes": [
-                {"id": t, "bag": list(vertices_of(self.bags[t]))} for t in self.nodes
-            ],
+            "nodes": [{"id": t, "bag": list(vertices_of(bag))} for t, bag in enumerate(self.bags)],
             "edges": [list(e) for e in self.edges],
         }
 
@@ -103,13 +103,12 @@ def verify_treedecomposition(g: Graph, td: TreeDecomposition) -> TdReport:
     v, is above 1.
     """
     rep = TdReport()
-    if _rooted(td.nodes, td.edges) is None:
+    if _rooted(len(td.bags), td.edges) is None:
         rep.violations.append(("tree", "decomposition tree is not a tree"))
         return rep
     cover = 0
     near, count = {}, {}
-    for t in td.nodes:
-        bag = td.bags[t]
+    for bag in td.bags:
         cover |= bag
         for v in iter_bits(bag):
             near[v] = near.get(v, 0) | bag
@@ -130,7 +129,7 @@ def induced_separations(td: TreeDecomposition) -> tuple[Separation, ...]:
     """The separations induced by the decomposition: one per tree edge, the
     unions of bags on the two sides, from one rooted walk.
 
-    Root the tree at nodes[0], and let D(t) be the subtree below t, t
+    Root the tree at node 0, and let D(t) be the subtree below t, t
     included. The edge from t to its parent induces (above[t], below[t]),
     the unions of the bags off and on D(t). below is taken bottom-up:
     below[t] is bags[t] with below[c] for every child c. above is taken
@@ -143,16 +142,16 @@ def induced_separations(td: TreeDecomposition) -> tuple[Separation, ...]:
     about node sets alone, so the walk is exact on any tree, whether or not
     (T3) holds.
     """
-    rooted = _rooted(td.nodes, td.edges)
+    rooted = _rooted(len(td.bags), td.edges)
     if rooted is None:
         raise PreconditionError("decomposition tree is not a tree")
     order, parent = rooted
-    below = {t: td.bags[t] for t in order}
-    children = {t: [] for t in order}
+    below = list(td.bags)
+    children = [[] for _ in order]
     for t in reversed(order[1:]):
         below[parent[t]] |= below[t]
         children[parent[t]].append(t)
-    above = {order[0]: 0}
+    above = [0] * len(order)
     for p in order:
         kids = children[p]
         suffix = [0] * (len(kids) + 1)
@@ -238,15 +237,14 @@ def treeset_to_treedecomposition(g: Graph, nested_set) -> TreeDecomposition:
             f"expected {m + 1} consistent orientations, found {len(orientations)}"
         )
 
-    nodes = tuple(range(m + 1))
     index = {o: t for t, o in enumerate(orientations)}
     edges = tuple(sorted((index[u], index[v]) for u, v in ends))
 
-    bags = dict.fromkeys(nodes, g.vertices)
+    bags = [g.vertices] * (m + 1)
     for (u, v), (x, x_star) in zip(ends, oriented):
         bags[index[u]] &= x.b
         bags[index[v]] &= x_star.b
-    td = TreeDecomposition(nodes, edges, bags)
+    td = TreeDecomposition(tuple(bags), edges)
 
     rep = verify_treedecomposition(g, td)
     if not rep.ok:
@@ -256,8 +254,10 @@ def treeset_to_treedecomposition(g: Graph, nested_set) -> TreeDecomposition:
     return td
 
 
-def torso(g: Graph, td: TreeDecomposition, node) -> Graph:
+def torso(g: Graph, td: TreeDecomposition, node: int) -> Graph:
     """Bag subgraph with every adhesion set (bag ∩ neighbour bag) completed."""
+    if not 0 <= node < len(td.bags):
+        raise PreconditionError(f"no node {node!r} in a decomposition of {len(td.bags)} nodes")
     bag = td.bags[node]
     sub = g.induced(bag)
     adj = list(sub.adj)
@@ -278,13 +278,11 @@ def torso(g: Graph, td: TreeDecomposition, node) -> Graph:
 class TreeOfTreeDecompositions:
     """A node of the tree of tree-decompositions with the tree below it:
     `graph` is G at the root and a torso below, `td` its decomposition,
-    `torso_of` the node of the parent's decomposition whose torso `graph`
-    is (None at the root), and `children` one subtree per node of `td`,
-    in `td.nodes` order, while separators remain."""
+    and `children` one subtree per node of `td` while separators remain,
+    `children[t]` the one over the torso of node t."""
 
     graph: Graph
     td: TreeDecomposition
-    torso_of: int | None
     children: tuple
 
     def walk(self):
@@ -299,8 +297,8 @@ class TreeOfTreeDecompositions:
         return {
             "graph": {"vertices": list(vertices_of(self.graph.vertices))},
             "td": self.td.to_json(),
-            "torso_of": self.torso_of,
-            "children": [c.to_json() for c in self.children],
+            "torso_of": None,  # at the root; child t is the torso of node t
+            "children": [dict(c.to_json(), torso_of=t) for t, c in enumerate(self.children)],
         }
 
 
@@ -333,12 +331,14 @@ def build_totd(g: Graph, profiles) -> TreeOfTreeDecompositions:
     )
     k_max = max((x.bit_count() for x in closure), default=0)
 
-    def grow(gt, torso_of, d):
+    def grow(gt, d):
         td = treeset_to_treedecomposition(gt, _level_separations(gt, closure, d + 1))
-        children = tuple(grow(torso(gt, td, t), t, d + 1) for t in td.nodes) if d < k_max else ()
-        return TreeOfTreeDecompositions(gt, td, torso_of, children)
+        children = ()
+        if d < k_max:
+            children = tuple(grow(torso(gt, td, t), d + 1) for t in range(len(td.bags)))
+        return TreeOfTreeDecompositions(gt, td, children)
 
-    totd = grow(g, None, 0)
+    totd = grow(g, 0)
     certify_totd(g, totd, closure, nested.distinguishers.values())
     return totd
 
@@ -364,7 +364,7 @@ def certify_totd(g: Graph, totd: TreeOfTreeDecompositions, closure, distinguishe
     nodes = list(totd.walk())
     depth_max = max(d for d, _ in nodes)
     induced = [induced_separations(node.td) for _, node in nodes]
-    torsos = [{t: torso(node.graph, node.td, t) for t in node.td.nodes} for _, node in nodes]
+    torsos = [[torso(x.graph, x.td, t) for t in range(len(x.td.bags))] for _, x in nodes]
     components = {x: g.components(x) for x in closure if x.bit_count() <= depth_max}
 
     # every node's decomposition uses only separations of order depth+1
@@ -377,7 +377,7 @@ def certify_totd(g: Graph, totd: TreeOfTreeDecompositions, closure, distinguishe
 
     # each large separator is contained in exactly one torso per depth
     for d in range(depth_max + 1):
-        level = [h for (e, _), hs in zip(nodes, torsos) if e == d for h in hs.values()]
+        level = [h for (e, _), hs in zip(nodes, torsos) if e == d for h in hs]
         for x in closure:
             if x.bit_count() >= d + 2:
                 hits = sum(1 for h in level if not x & ~h.vertices)
@@ -391,7 +391,7 @@ def certify_totd(g: Graph, totd: TreeOfTreeDecompositions, closure, distinguishe
         for x in closure:
             if x.bit_count() > d or x & ~node.graph.vertices:
                 continue
-            for h in hs.values():
+            for h in hs:
                 met = sum(1 for c in components[x] if c & h.vertices)
                 if met > 1:
                     raise CertificationError(
@@ -399,21 +399,17 @@ def certify_totd(g: Graph, totd: TreeOfTreeDecompositions, closure, distinguishe
                         f"complement of {vertices_of(x)}"
                     )
 
-    # children enumerate the torsos; the deepest nodes have none, as their
-    # children would be deeper
+    # child t is the torso of node t; the deepest nodes have no children,
+    # as their children would be deeper
     for (d, node), hs in zip(nodes, torsos):
         if d == depth_max:
             continue
-        if len(node.children) != len(node.td.nodes):
+        if len(node.children) != len(hs):
             raise CertificationError(
-                f"node has {len(node.children)} children but {len(node.td.nodes)} torsos"
+                f"node has {len(node.children)} children but {len(hs)} torsos"
             )
-        for c in node.children:
-            if c.torso_of not in hs:
-                raise CertificationError(
-                    f"child is the torso of {c.torso_of!r}, no node of its parent's decomposition"
-                )
-            if c.graph != hs[c.torso_of]:
+        for c, h in zip(node.children, hs):
+            if c.graph != h:
                 raise CertificationError("child graph is not the stated torso")
 
     # every profile pair is distinguished efficiently somewhere in the tree

@@ -517,7 +517,7 @@ def suite_totd(seed):
     g = FIXTURES["FIX_2K4"].graph
     profs = pipeline_profiles(g, enumerate_k_profiles(g, 2))
     totd = build_totd(g, profs)  # certified internally
-    root_bags = sorted(vertices_of(totd.td.bags[t]) for t in totd.td.nodes)
+    root_bags = sorted(vertices_of(bag) for bag in totd.td.bags)
     if root_bags != [(0, 1, 2, 3), (3, 4), (4, 5, 6, 7)]:
         raise AssertionError(f"unexpected root decomposition: {root_bags}")
     if len(totd.children) != 3:
@@ -529,9 +529,7 @@ def suite_totd(seed):
     relabelled = g.relabelled(swap)
     if relabelled != g:
         raise AssertionError("swap is not an automorphism")
-    mapped_root = sorted(
-        tuple(sorted(swap[v] for v in vertices_of(totd.td.bags[t]))) for t in totd.td.nodes
-    )
+    mapped_root = sorted(tuple(sorted(swap[v] for v in vertices_of(bag))) for bag in totd.td.bags)
     if mapped_root != root_bags:
         raise AssertionError("root decomposition not equivariant under the swap")
     return "3-bag root path, 3 torso children, certified, swap-equivariant"

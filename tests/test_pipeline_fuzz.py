@@ -126,7 +126,7 @@ def pipeline(g, k, max_sk=DEFAULT_MAX_SK):
     nested = canonical_nested_separators(g, profiles)
     seps = separators_to_separations(g, nested)
     totd = build_totd(g, profiles)
-    levels = Counter((d, tuple(sorted(x.td.bags.values()))) for d, x in totd.walk())
+    levels = Counter((d, tuple(sorted(x.td.bags))) for d, x in totd.walk())
     return set(nested.separators), set(seps), levels
 
 

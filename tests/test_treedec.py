@@ -51,24 +51,23 @@ def sep(a, b):
 def test_single_separation_on_path():
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     td = treeset_to_treedecomposition(p3, [sep([0, 1], [1, 2])])
-    assert sorted(vertices_of(td.bags[t]) for t in td.nodes) == [(0, 1), (1, 2)]
+    assert sorted(vertices_of(bag) for bag in td.bags) == [(0, 1), (1, 2)]
 
 
 def test_empty_tree_set_gives_single_bag(graphs):
     g = graphs["FIX_P4"]
     td = treeset_to_treedecomposition(g, [])
-    assert len(td.nodes) == 1
-    assert td.bags[td.nodes[0]] == g.vertices
+    assert td.bags == (g.vertices,)
 
 
 def test_two_k4_tree_set(graphs):
     g = graphs["FIX_2K4"]
     n_set = [sep([0, 1, 2, 3], [3, 4, 5, 6, 7]), sep([0, 1, 2, 3, 4], [4, 5, 6, 7])]
     td = treeset_to_treedecomposition(g, n_set)
-    bags = sorted(vertices_of(td.bags[t]) for t in td.nodes)
+    bags = sorted(vertices_of(bag) for bag in td.bags)
     assert bags == [(0, 1, 2, 3), (3, 4), (4, 5, 6, 7)]
     # the tree is a path with the {3,4} bag in the middle
-    middle = next(t for t in td.nodes if td.bags[t] == mask_of([3, 4]))
+    middle = td.bags.index(mask_of([3, 4]))
     assert sum(1 for e in td.edges if middle in e) == 2
 
 
@@ -107,12 +106,13 @@ def node_orientations(td, seps):
     """The orientation of `seps` at each node of td, as a 0/1 vector (0 for
     seps[i], 1 for its inverse), read off the tree alone: the separation
     induced by an edge (u, v) points to the side of v."""
-    adj = {t: set() for t in td.nodes}
+    nodes = range(len(td.bags))
+    adj = {t: set() for t in nodes}
     for u, v in td.edges:
         adj[u].add(v)
         adj[v].add(u)
     pick = {x: (i, o) for i, s in enumerate(seps) for o, x in enumerate((s, star(s)))}
-    vectors = {t: [None] * len(seps) for t in td.nodes}
+    vectors = {t: [None] * len(seps) for t in nodes}
     for u, v in td.edges:
         side = {u}
         stack = [u]
@@ -122,15 +122,15 @@ def node_orientations(td, seps):
                 side.add(z)
                 stack.append(z)
         a = b = 0
-        for t in td.nodes:
+        for t in nodes:
             if t in side:
                 a |= td.bags[t]
             else:
                 b |= td.bags[t]
-        for t in td.nodes:
+        for t in nodes:
             i, o = pick[Separation(b, a) if t in side else Separation(a, b)]
             vectors[t][i] = o
-    return [tuple(vectors[t]) for t in td.nodes]
+    return [tuple(vectors[t]) for t in nodes]
 
 
 def test_nodes_and_edges_match_the_consistent_orientation_oracle(graphs):
@@ -151,7 +151,7 @@ def test_nodes_and_edges_match_the_consistent_orientation_oracle(graphs):
         seps = random_regular_tree_set(regular, rng, max_size=rng.randint(0, 10))
         td = treeset_to_treedecomposition(g, seps)
         ref = brute_consistent_orientations(seps)
-        assert td.nodes == tuple(range(len(ref)))
+        assert len(td.bags) == len(ref)
         assert node_orientations(td, seps) == ref
         assert td.edges == tuple(
             (a, b)
@@ -168,10 +168,10 @@ def test_star_with_twenty_leaves_gives_a_star_tree():
     g = Graph.from_edges(21, [(0, leaf) for leaf in range(1, 21)])
     leaves = [Separation(mask_of([0, leaf]), g.vertices & ~(1 << leaf)) for leaf in range(1, 21)]
     td = treeset_to_treedecomposition(g, leaves)
-    assert len(td.nodes) == 21
-    centre = next(t for t in td.nodes if td.bags[t] == 1)
-    assert sorted(td.edges) == sorted(tuple(sorted((centre, t))) for t in td.nodes if t != centre)
-    assert sorted(td.bags[t] for t in td.nodes if t != centre) == sorted(s.a for s in leaves)
+    assert len(td.bags) == 21
+    centre = td.bags.index(1)
+    assert sorted(td.edges) == sorted(tuple(sorted((centre, t))) for t in range(21) if t != centre)
+    assert sorted(bag for t, bag in enumerate(td.bags) if t != centre) == sorted(s.a for s in leaves)
     assert set(induced_separations(td)) == {canonical(s) for s in leaves}
 
 
@@ -181,11 +181,7 @@ def test_star_with_twenty_leaves_gives_a_star_tree():
 def test_verify_flags_dropped_bag_vertex(graphs):
     g = graphs["FIX_P4"]
     td = treeset_to_treedecomposition(g, [sep([0, 1], [1, 2, 3])])
-    broken = type(td)(
-        td.nodes,
-        td.edges,
-        {t: td.bags[t] & ~(1 << 3) for t in td.nodes},
-    )
+    broken = type(td)(tuple(bag & ~(1 << 3) for bag in td.bags), td.edges)
     rep = verify_treedecomposition(g, broken)
     assert any(axiom == "T1" for axiom, _ in rep.violations)
 
@@ -193,7 +189,7 @@ def test_verify_flags_dropped_bag_vertex(graphs):
 def test_verify_flags_edge_outside_bags(graphs):
     g = graphs["FIX_C4"]
     td = treeset_to_treedecomposition(g, [])
-    broken = type(td)(td.nodes, td.edges, {td.nodes[0]: mask_of([0, 1, 2])})
+    broken = type(td)((mask_of([0, 1, 2]),), td.edges)
     rep = verify_treedecomposition(g, broken)
     assert any(axiom == "T1" for axiom, _ in rep.violations) or any(
         axiom == "T2" for axiom, _ in rep.violations
@@ -205,40 +201,44 @@ def test_verify_flags_a_middle_bag_missing_a_vertex_both_ends_keep(graphs):
     dropped from the middle bag: both end bags keep 2, and only (T3)
     fires."""
     g = graphs["FIX_P4"]
-    bags = {0: mask_of([0, 1, 2]), 1: mask_of([1]), 2: mask_of([2, 3])}
-    td = TreeDecomposition((0, 1, 2), ((0, 1), (1, 2)), bags)
+    bags = (mask_of([0, 1, 2]), mask_of([1]), mask_of([2, 3]))
+    td = TreeDecomposition(bags, ((0, 1), (1, 2)))
     assert verify_treedecomposition(g, td).violations == [("T3", 2)]
     assert brute_treedecomposition_violations(g, td) == [("T3", (0, 1, 2)), ("T3", (2, 1, 0))]
 
 
 def corruptions(td, rng):
     """td, then td with a vertex dropped from one bag, with one edge re-hung
-    from one of its ends to another node, and with one edge deleted; the
-    last two only where the tree has an edge, and re-hanging only where it
-    has a third node."""
+    from one of its ends to another node, with one edge deleted, and with
+    that edge re-hung to node len(td.bags), which does not exist; the last
+    three only where the tree has an edge, and re-hanging to another node
+    only where it has a third node."""
     out = [td]
-    t = rng.choice([t for t in td.nodes if td.bags[t]])
-    bags = dict(td.bags)
+    t = rng.choice([t for t, bag in enumerate(td.bags) if bag])
+    bags = list(td.bags)
     bags[t] &= ~(1 << rng.choice(vertices_of(bags[t])))
-    out.append(TreeDecomposition(td.nodes, td.edges, bags))
+    out.append(TreeDecomposition(tuple(bags), td.edges))
     if td.edges:
         i = rng.randrange(len(td.edges))
         u, v = td.edges[i]
-        others = [t for t in td.nodes if t not in (u, v)]
+        others = [t for t in range(len(td.bags)) if t not in (u, v)]
         if others:
             edges = (*td.edges[:i], (u, rng.choice(others)), *td.edges[i + 1 :])
-            out.append(TreeDecomposition(td.nodes, edges, td.bags))
-        out.append(TreeDecomposition(td.nodes, td.edges[:i] + td.edges[i + 1 :], td.bags))
+            out.append(TreeDecomposition(td.bags, edges))
+        out.append(TreeDecomposition(td.bags, td.edges[:i] + td.edges[i + 1 :]))
+        edges = (*td.edges[:i], (u, len(td.bags)), *td.edges[i + 1 :])
+        out.append(TreeDecomposition(td.bags, edges))
     return out
 
 
 def test_certificate_and_induced_separations_match_the_references(graphs):
-    """On 2,000 and more seeded decompositions, valid ones and three
+    """On 2,000 and more seeded decompositions, valid ones and four
     corruptions of them, the certificate agrees with the pairwise
     reference: the tree verdict and the (T1) and (T2) payloads are equal,
     and the (T3) vertices are those of bags[t1] ∩ bags[t3] missing from
     bags[t2] over the reference's triples. On every tree the induced
-    separations equal the per-edge reference."""
+    separations equal the per-edge reference, and on every decomposition
+    whose tree is no tree induced_separations raises PreconditionError."""
     rng = random.Random(26)
     pool = list(graphs.values())
     for _ in range(30):
@@ -263,6 +263,9 @@ def test_certificate_and_induced_separations_match_the_references(graphs):
             assert [v for axiom, v in got if axiom == "T3"] == sorted(split)
             if ref[:1] != [("tree", "decomposition tree is not a tree")]:
                 assert induced_separations(td) == brute_induced_separations(td)
+            else:
+                with pytest.raises(PreconditionError):
+                    induced_separations(td)
             seen.update(axiom for axiom, _ in ref)
             seen["decompositions"] += 1
     assert seen["decompositions"] >= 2000
@@ -276,7 +279,7 @@ def test_torso_of_leaf_bag_is_k4(graphs):
     g = graphs["FIX_2K4"]
     n_set = [sep([0, 1, 2, 3], [3, 4, 5, 6, 7]), sep([0, 1, 2, 3, 4], [4, 5, 6, 7])]
     td = treeset_to_treedecomposition(g, n_set)
-    leaf = next(t for t in td.nodes if td.bags[t] == mask_of([0, 1, 2, 3]))
+    leaf = td.bags.index(mask_of([0, 1, 2, 3]))
     h = torso(g, td, leaf)
     assert h.vertices == mask_of([0, 1, 2, 3])
     for u, v in itertools.combinations(range(4), 2):
@@ -284,16 +287,21 @@ def test_torso_of_leaf_bag_is_k4(graphs):
 
 
 def test_torso_of_single_bag_is_graph(graphs):
+    """The one node's torso is G; nodes outside range(len(td.bags)) are
+    refused rather than read off the end of the bag tuple."""
     g = graphs["FIX_P4"]
     td = treeset_to_treedecomposition(g, [])
-    assert torso(g, td, td.nodes[0]) == g
+    assert torso(g, td, 0) == g
+    for t in (-1, len(td.bags)):
+        with pytest.raises(PreconditionError):
+            torso(g, td, t)
 
 
 def test_torso_of_middle_bag_is_bridge_edge(graphs):
     g = graphs["FIX_2K4"]
     n_set = [sep([0, 1, 2, 3], [3, 4, 5, 6, 7]), sep([0, 1, 2, 3, 4], [4, 5, 6, 7])]
     td = treeset_to_treedecomposition(g, n_set)
-    middle = next(t for t in td.nodes if td.bags[t] == mask_of([3, 4]))
+    middle = td.bags.index(mask_of([3, 4]))
     h = torso(g, td, middle)
     assert h.vertices == mask_of([3, 4])
     assert h.adj[3] >> 4 & 1
@@ -305,7 +313,7 @@ def test_torso_completes_adhesion_sets(graphs):
     g = graphs["FIX_C4"]
     td = treeset_to_treedecomposition(g, [sep([0, 1, 3], [1, 2, 3])])
     assert not g.adj[1] >> 3 & 1
-    for t in td.nodes:
+    for t in range(len(td.bags)):
         h = torso(g, td, t)
         assert h.adj[1] >> 3 & 1 and h.adj[3] >> 1 & 1
 
@@ -321,12 +329,15 @@ def test_build_totd_two_k4(graphs):
     g = graphs["FIX_2K4"]
     profs = totd_profiles(g)
     totd = build_totd(g, profs)  # certification runs inside
-    assert totd.graph == g and totd.torso_of is None
-    root_bags = sorted(vertices_of(totd.td.bags[t]) for t in totd.td.nodes)
+    assert totd.graph == g
+    root_bags = sorted(vertices_of(bag) for bag in totd.td.bags)
     assert root_bags == [(0, 1, 2, 3), (3, 4), (4, 5, 6, 7)]
-    assert [c.torso_of for c in totd.children] == list(totd.td.nodes)
+    assert [c.graph for c in totd.children] == [torso(g, totd.td, t) for t in range(3)]
+    out = totd.to_json()
+    assert out["torso_of"] is None
+    assert [c["torso_of"] for c in out["children"]] == [0, 1, 2]
     for child in totd.children:
-        assert len(child.td.nodes) == 1  # trivial decompositions
+        assert len(child.td.bags) == 1  # trivial decompositions
         assert not child.children
 
 
@@ -335,8 +346,7 @@ def test_build_totd_singleton_profile_set(graphs):
     profs = totd_profiles(g)[:1]
     totd = build_totd(g, profs)
     assert [d for d, _ in totd.walk()] == [0]
-    assert len(totd.td.nodes) == 1
-    assert totd.td.bags[0] == g.vertices
+    assert totd.td.bags == (g.vertices,)
 
 
 def test_build_totd_rejects_disconnected(graphs):
@@ -351,7 +361,7 @@ def test_build_totd_equivariant_under_swap(graphs):
     profs = totd_profiles(g)
     totd = build_totd(g, profs)
     swap = {v: 7 - v for v in range(8)}
-    root_bags = sorted(vertices_of(totd.td.bags[t]) for t in totd.td.nodes)
+    root_bags = sorted(vertices_of(bag) for bag in totd.td.bags)
     mapped = sorted(
         tuple(sorted(swap[v] for v in bag)) for bag in root_bags
     )
@@ -381,17 +391,23 @@ def test_totd_on_triangle_ring(triring, triring_profiles):
     # separators have size 2, so levels run to depth 2 with the real
     # decompositions at depth 1
     assert max(d for d, _ in totd.walk()) == 2
-    assert len(totd.td.nodes) == 1  # no size-1 separators: trivial root
+    assert len(totd.td.bags) == 1  # no size-1 separators: trivial root
     depth1 = [node for d, node in totd.walk() if d == 1]
     assert depth1 == list(totd.children) and len(depth1) == 1
-    assert len(depth1[0].td.nodes) == 5  # four triangles around a centre
+    assert len(depth1[0].td.bags) == 5  # four triangles around a centre
 
 
 def test_totd_is_a_frozen_value(triring, triring_profiles):
+    """The tree and its decompositions can be neither reassigned nor edited
+    in place, and two builds on one input are equal, hashable values."""
     totd = build_totd(triring, triring_profiles)
     with pytest.raises(dataclasses.FrozenInstanceError):
         totd.children = ()
+    with pytest.raises(TypeError):
+        totd.td.bags[0] = 0
     assert [d for d, _ in totd.walk()] == [0, 1, 2, 2, 2, 2, 2]
+    again = build_totd(triring, triring_profiles)
+    assert again == totd and hash(again) == hash(totd)
 
 
 def test_certify_totd_refuses_corrupted_trees(graphs, triring, triring_profiles):
@@ -424,8 +440,8 @@ def test_certify_totd_refuses_corrupted_trees(graphs, triring, triring_profiles)
         (totd, closure + pairs, "torso at depth 2 meets 2 components"),
         (with_mid(children=mid.children[:-1]), closure, "node has 4 children but 5 torsos"),
         (with_leaf(graph=mid.graph), closure, "child graph is not the stated torso"),
-        (with_leaf(torso_of=len(mid.td.nodes)), closure,
-         "child is the torso of 5, no node of its parent's decomposition"),
+        (with_mid(children=(mid.children[1], mid.children[0], *mid.children[2:])), closure,
+         "child graph is not the stated torso"),
     ]
     for broken, cl, message in cases:
         with pytest.raises(CertificationError, match=message):
