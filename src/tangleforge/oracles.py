@@ -612,6 +612,36 @@ def brute_thin_splinter_report(inst) -> tuple[list, dict]:
     return violations, max_crossing
 
 
+def brute_corner_oracle(distinguishers: dict):
+    """The corner oracle of a separator instance asked one triple at a
+    time, from the distinguisher sets of its profile pairs (keyed (i, j),
+    as `separators.build_separator_instance` returns them). The witnesses
+    of a separator are the distinguishers with that separator over all
+    pairs, each once, in the order of `distinguishers`. For (a, b, target)
+    the answer is the separator of the first join (xa ∪ ya, xb ∩ yb) of a
+    witness of a and one of b, each in both orientations, that lies in the
+    target's distinguisher set or its stars; None if there is none."""
+    members = {
+        key: frozenset(d.seps) | frozenset(map(star, d.seps)) for key, d in distinguishers.items()
+    }
+    witnesses: dict = {}
+    for d in distinguishers.values():
+        for s in d.seps:
+            witnesses.setdefault(s.separator, {})[s] = None
+
+    def corner_oracle(a, b, target_key):
+        want = members[target_key]
+        for wa in witnesses[a]:
+            for wb in witnesses[b]:
+                for xa, xb in (wa, wa[::-1]):
+                    for ya, yb in (wb, wb[::-1]):
+                        if (xa | ya, xb & yb) in want:
+                            return (xa | ya) & xb & yb
+        return None
+
+    return corner_oracle
+
+
 def brute_thin_splinter(inst) -> tuple[tuple, tuple]:
     """The levelwise thin splinter straight from its definition: (nested
     set, ((k, added), ...)). Raises HypothesisError or CertificationError

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import (
+    chain,
     combinations,
     combinations_with_replacement,
     compress,
@@ -766,27 +767,35 @@ def is_principal(g: Graph, p: Profile) -> bool:
     preconditions of `separators_to_separations` and `build_totd` still
     check it, for callers that pass orientations that are not profiles.
     """
-    return _principal(g.vertices, p, small_separators(g, p.k))
+    return _principal(p, _principal_sides(g, p.k))
 
 
 def principal_flags(g: Graph, profiles) -> tuple[bool, ...]:
-    """`is_principal` of each profile, with the components of G - X
-    computed once per X with |X| < k for all of them, k the largest profile
-    order (`core.small_separators`)."""
+    """`is_principal` of each profile, with the candidate sides of every X
+    with |X| < k listed once for all of them, k the largest profile order
+    (`_principal_sides`)."""
     profiles = tuple(profiles)
-    cuts = small_separators(g, max((p.k for p in profiles), default=0))
-    return tuple(_principal(g.vertices, p, cuts) for p in profiles)
+    sides = _principal_sides(g, max((p.k for p in profiles), default=0))
+    return tuple(_principal(p, sides) for p in profiles)
 
 
-def _principal(verts: int, p: Profile, cuts: dict) -> bool:
-    """`is_principal` of p, read off `cuts`, the components of G - X for
-    every X of fewer than k ≥ p.k vertices, keyed by X."""
-    members = p._members
-    return all(
-        not comps or any((verts & ~comp, comp | x) in members for comp in comps)
-        for x, comps in cuts.items()
-        if x.bit_count() < p.k
-    )
+def _principal_sides(g: Graph, k: int) -> list:
+    """Per size s < k, the candidate sides of each X of s vertices: the
+    tuple of the separations (V∖C, C∪X) for the components C of G - X,
+    for every X that leaves a component, from the components of
+    `core.small_separators`; X = V(G) leaves none and is left out."""
+    verts = g.vertices
+    sides: list = [[] for _ in range(k)]
+    for x, comps in small_separators(g, k).items():
+        if comps:
+            sides[x.bit_count()].append(tuple([(verts & ~comp, comp | x) for comp in comps]))
+    return sides
+
+
+def _principal(p: Profile, sides: list) -> bool:
+    """`is_principal` of p, read off `sides` (`_principal_sides` of some
+    k ≥ p.k): each X of fewer than p.k vertices has a side in p."""
+    return not any(map(p._members.isdisjoint, chain.from_iterable(sides[: p.k])))
 
 
 def pipeline_profiles(g: Graph, profiles) -> tuple[Profile, ...]:

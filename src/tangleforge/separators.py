@@ -44,13 +44,7 @@ def separator_nested(g: Graph, x: int, y: int) -> bool:
     """
     if (x | y) & ~g.vertices:
         raise PreconditionError("separators must lie inside the graph")
-    return _in_a_side(x, y, [comp | y for comp in g.components(y)])
-
-
-def _in_a_side(x: int, y: int, sides: list) -> bool:
-    """`separator_nested(g, x, y)` for x inside the graph, from the sides
-    C ∪ y of the components C of G - y."""
-    return not x & ~y or any(not x & ~side for side in sides)
+    return not x & ~y or any(not x & ~(comp | y) for comp in g.components(y))
 
 
 # ---------------------------------------------------------------------------
@@ -62,47 +56,60 @@ def build_separator_instance(g: Graph, profiles) -> tuple[SplinterInstance, dict
     families. The profiles must be regular, which is checked; robustness is
     the caller's hypothesis (see `profiles.pipeline_profiles`).
 
-    The instance's `nested(a, b)` is `separator_nested(g, a, b)`, read off
-    the sides C ∪ b of the components C of G - b, which are computed once
-    per element b with one `components` call."""
+    The instance's `nested(a, b)` is `separator_nested(g, a, b)`. One
+    `components` call per element b gives the component of G - b at each
+    vertex outside b. The rest r = a ∖ b of a lies in one side C ∪ b
+    exactly when it lies in C, and the components are disjoint, so C can
+    only be the component at r's least vertex: one lookup per call.
+
+    The instance's corner oracle answers every target of a pair (a, b)
+    from one pass over the pair's corners, made on its first question
+    about the pair and kept in a memo local to this instance (see
+    `_first_corners`)."""
     profiles = tuple(profiles)
     if not all(p.is_regular(g) for p in profiles):
         raise PreconditionError("profiles must be regular")
     distinguishers = distinguisher_sets(g, profiles)
     families = {}
     orders = {}
-    members = {}  # key -> the pair's distinguishers in both orientations
+    owners: dict = {}  # a distinguisher, in either orientation -> {key of its pair: separator}
     witnesses: dict[int, dict] = {}  # mask -> its witnesses over all pairs, each once
     for key, dset in distinguishers.items():
         if not dset:
             i, j = key
             raise PreconditionError(f"profiles {i} and {j} are indistinguishable")
-        families[key] = frozenset(s.separator for s in dset.seps)
+        seps = [a & b for a, b in dset.seps]
+        families[key] = frozenset(seps)
         orders[key] = dset.order
-        members[key] = frozenset(dset.seps) | frozenset(map(star, dset.seps))
-        for s in dset.seps:
-            witnesses.setdefault(s.separator, {})[s] = None
+        for s, sep in zip(dset.seps, seps):
+            witnesses.setdefault(sep, {})[s] = None
+            owners.setdefault(s, {})[key] = sep
+            owners.setdefault(s[::-1], {})[key] = sep
 
     elements = tuple(sorted(witnesses, key=separator_sort_key))
-    sides = {y: [comp | y for comp in g.components(y)] for y in elements}
+    comp_at: dict = {}  # y -> {v: the component of G - y holding v}, v as a one-bit mask
+    for y in elements:
+        at = comp_at[y] = {}
+        for comp in g.components(y):
+            rest = comp
+            while rest:
+                low = rest & -rest
+                at[low] = comp
+                rest ^= low
 
     def nested(a, b):
-        return _in_a_side(a, b, sides[b])
+        r = a & ~b
+        return not r or not r & ~comp_at[b][r & -r]
+
+    corners: dict = {}  # (a, b) -> its `_first_corners`
 
     def corner_oracle(a, b, target_key):
-        """Materialise corners from witnesses and return the separator of
-        the first corner separation that distinguishes the target pair
-        efficiently. A corner is the join (xa ∪ ya, xb ∩ yb) of a witness
-        of a and one of b, each in both orientations, looked up in the
-        target's members as a plain pair."""
-        want = members[target_key]
-        for wa in witnesses[a]:
-            for wb in witnesses[b]:
-                for xa, xb in (wa, wa[::-1]):
-                    for ya, yb in (wb, wb[::-1]):
-                        if (xa | ya, xb & yb) in want:
-                            return (xa | ya) & xb & yb
-        return None
+        """The separator of the first corner of a and b, in witness order,
+        that is a member of the target pair's distinguisher set."""
+        first = corners.get((a, b))
+        if first is None:
+            first = corners[a, b] = _first_corners(a, b, witnesses, owners)
+        return first.get(target_key)
 
     instance = SplinterInstance(
         elements=elements,
@@ -112,6 +119,28 @@ def build_separator_instance(g: Graph, profiles) -> tuple[SplinterInstance, dict
         corner_oracle=corner_oracle,
     )
     return instance, distinguishers
+
+
+def _first_corners(a: int, b: int, witnesses: dict, owners: dict) -> dict:
+    """Each pair key with a member among the corners of the separators a
+    and b, mapped to the separator of the first such corner.
+
+    A corner is the join (xa ∪ ya, xb ∩ yb) of a witness of a and one of
+    b, each in both orientations, taken in witness order: the witnesses of
+    a, then those of b, then the orientations of each, so that (p, q) and
+    (u, v) give (p ∪ u, q ∩ v), (p ∪ v, q ∩ u), (q ∪ u, p ∩ v) and
+    (q ∪ v, p ∩ u) in that order. `owners` maps every member of a pair's
+    distinguisher set, in either orientation, to the keys of the pairs
+    whose set holds it, each with the member's separator. The corners are
+    entered last to first, each over the keys of the ones before it, so a
+    key keeps the first corner that reaches it: the corner a scan of that
+    key's members alone would stop at."""
+    first: dict = {}
+    for p, q in reversed(witnesses[a]):
+        for u, v in reversed(witnesses[b]):
+            for corner in ((q | v, p & u), (q | u, p & v), (p | v, q & u), (p | u, q & v)):
+                first.update(owners.get(corner, ()))
+    return first
 
 
 @dataclass(frozen=True)

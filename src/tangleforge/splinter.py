@@ -16,11 +16,13 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from typing import Callable, Optional
 
 from .core import UniverseView, codable, iter_bits, leq, mask_of
 from .errors import CertificationError, HypothesisError, PreconditionError
+
+_DIGITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as 0/1 bytes
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +283,15 @@ class SplinterInstance:
     one element alone belongs in the construction of the instance, as in
     `separators.build_separator_instance`.
 
+    The elements must be distinct, which is checked: the crossing table
+    numbers them by position.
+
     corner_oracle, when present, must be a pure function of (a, b, target
     key). The engine never calls it. The hypothesis checker asks it once
     per distinct triple and reports every answer that is not a corner of
-    a and b.
+    a and b. An answer may be any value, an element or not: a corner is
+    anything with which every family member nested with both a and b is
+    nested, asked through `nested` for a non-element (`oracles.is_corner`).
     """
 
     elements: tuple
@@ -298,6 +305,8 @@ class SplinterInstance:
             self, "families", {k: frozenset(v) for k, v in self.families.items()}
         )
         ground = set(self.elements)
+        if len(ground) != len(self.elements):
+            raise PreconditionError("elements must be distinct")
         for key, fam in self.families.items():
             if not fam:
                 raise PreconditionError(f"family {key!r} is empty")
@@ -360,9 +369,10 @@ def crossing_table(inst: SplinterInstance) -> CrossingTable:
     rows = [0] * len(elements)
     cols = []
     for j, b in enumerate(elements):
-        col = mask_of(i for i, a in enumerate(elements) if not nested(a, b))
-        for i in iter_bits(col):
-            rows[i] |= 1 << j
+        bit, col = 1 << j, 0
+        for i in compress(count(), map(operator.not_, map(nested, elements, repeat(b)))):
+            col |= 1 << i
+            rows[i] |= bit
         cols.append(col)
     fams = {key: mask_of(index[x] for x in fam) for key, fam in inst.families.items()}
     levels: dict = {}
@@ -388,21 +398,66 @@ class ThinSplinterReport:
         return not self.violations
 
 
+class _Unions:
+    """`over(mask)` is the union of values[i] over the bits i of mask. Each
+    byte of the index range has a table of the unions of its 256 subsets,
+    so a mask costs one lookup per byte, all made by `map` and `reduce`
+    (the "four Russians" table method: Arlazarov, Dinic, Kronrod and
+    Faradzev, 1970)."""
+
+    def __init__(self, values: list):
+        self.tables = []
+        for start in range(0, len(values), 8):
+            table = [0]
+            for value in values[start : start + 8]:
+                table += [x | value for x in table]
+            self.tables.append(table)
+
+    def over(self, mask: int) -> int:
+        chunks = mask.to_bytes(len(self.tables), "little")
+        return functools.reduce(operator.or_, map(list.__getitem__, self.tables, chunks), 0)
+
+
 class _PairTests:
     """The tests of `thinly_splinters_check` on one instance and its
     crossing table. Each crossing pair (a, b) is seen once, through its
-    corner mask, and each corner oracle triple is answered once."""
+    corner mask, and the corner oracle is asked once about each of the
+    pair's targets.
+
+    Families are positions in `family_keys()`, that is in repr order, and
+    a set of families is a mask over them. `families_of` gives each
+    element's, `levels` each order's (ascending), `lower[kj]` those of
+    lower order than kj, `later[ki]` those of ki's order with a larger
+    repr, the kj that the walk pairs with ki at one level, and
+    `smaller[kx]` those with a smaller repr than kx. A repr, not a
+    position, decides which pairs the walk makes, so two keys with one
+    repr are never paired."""
 
     def __init__(self, inst: SplinterInstance, t: CrossingTable):
         self.inst, self.t = inst, t
         self.keys = inst.family_keys()
-        self.orders = [inst.orders[key] for key in self.keys]
-        self.reprs = [repr(key) for key in self.keys]
-        self.fams = [t.fams[key] for key in self.keys]
-        self.families_of = [[] for _ in t.rows]  # per element, its families as positions in keys
-        for kx, mask in enumerate(self.fams):
+        orders = [inst.orders[key] for key in self.keys]
+        reprs = [repr(key) for key in self.keys]
+        self.families_of = [0] * len(t.rows)
+        for kx, mask in enumerate(map(t.fams.__getitem__, self.keys)):
             for i in iter_bits(mask):
-                self.families_of[i].append(kx)
+                self.families_of[i] |= 1 << kx
+        self.crossed_by = _Unions(t.rows).over  # the elements crossed by one of a mask
+        self.positioned = list(enumerate(self.keys))
+        self.bit_of = {x: 1 << i for x, i in t.index.items()}
+        level: dict = {}
+        first, last = {}, {}  # per repr, the first and last position holding it
+        for kx, (k, r) in enumerate(zip(orders, reprs)):
+            level[k] = level.get(k, 0) | 1 << kx
+            first.setdefault(r, kx)
+            last[r] = kx
+        self.levels = sorted(level.items())
+        lower, under = {}, 0  # per order, the families of all lower orders
+        for k, mask in self.levels:
+            lower[k], under = under, under | mask
+        self.lower = [lower[k] for k in orders]
+        self.smaller = [(1 << first[r]) - 1 for r in reprs]
+        self.later = [level[k] & -(2 << last[r]) for k, r in zip(orders, reprs)]
         self.rank = [0] * len(t.rows)  # per element, its place in repr order
         for r, i in enumerate(sorted(range(len(t.rows)), key=lambda i: repr(inst.elements[i]))):
             self.rank[i] = r
@@ -414,82 +469,117 @@ class _PairTests:
             for x in range(1, len(masks)):
                 masks[x] |= masks[x - 1]
             self.below[k] = masks
-        self.answers: dict = {}
 
     def corner_mask(self, ia: int, ib: int) -> int:
         """The corners of the elements indexed ia and ib: the elements
         crossed by no family member that crosses neither of them."""
-        rows, crossed, out = self.t.rows, 0, self.t.outside(ia, ib)
-        while out:
-            low = out & -out
-            crossed |= rows[low.bit_length() - 1]
-            out ^= low
-        return ((1 << len(rows)) - 1) & ~crossed
+        return ((1 << len(self.t.rows)) - 1) & ~self.crossed_by(self.t.outside(ia, ib))
 
-    def oracle_miss(self, a, b, key, cmask: int):
-        """The corner oracle's answer for (a, b, key) when it is no corner,
-        else None."""
-        if self.inst.corner_oracle is None:
-            return None
-        if (a, b, key) not in self.answers:
-            self.answers[a, b, key] = self.inst.corner_oracle(a, b, key)
-        c = self.answers[a, b, key]
-        return None if c is None or cmask >> self.t.index[c] & 1 else c
+    def meeting(self, mask: int) -> int:
+        """The families that hold an element of mask."""
+        families_of, out = self.families_of, 0
+        while mask:
+            low = mask & -mask
+            out |= families_of[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def oracle_misses(self, ia: int, ib: int, asked: int, cmask: int) -> dict:
+        """The corner oracle's answers for the elements indexed ia and ib
+        and the targets at the positions of `asked` that are no corners,
+        by position. An element is read off the corner mask cmask. Any
+        other answer is a corner when every family member crossing neither
+        a nor b is nested with it, asked through `nested` as
+        `oracles.is_corner` asks it."""
+        elements, oracle, bit_of = self.inst.elements, self.inst.corner_oracle, self.bit_of
+        a, b = elements[ia], elements[ib]
+        misses = {}
+        # the (position, key) pairs at the set bits of asked, read off its binary digits
+        for kx, key in compress(self.positioned, bin(asked)[:1:-1].encode().translate(_DIGITS)):
+            c = oracle(a, b, key)
+            if c is None or bit_of.get(c, 0) & cmask:
+                continue
+            outside = iter_bits(self.t.outside(ia, ib))
+            if c in bit_of or not all(self.inst.nested(elements[x], c) for x in outside):
+                misses[kx] = c
+        return misses
 
     def pair_violations(self, ia: int, ib: int, out: list) -> None:
         """Append to out the violations at the crossing pair (a, b) of the
         elements indexed ia and ib, each as (sort key, violation); see
-        `thinly_splinters_check` for the keys. Each family of a and of b
-        is tested once, and the pairs of families are walked only behind a
-        test that fails."""
-        keys, orders, reprs, fams = self.keys, self.orders, self.reprs, self.fams
-        crossing, below = self.t.crossing, self.below
-        a, b = self.inst.elements[ia], self.inst.elements[ib]
+        `thinly_splinters_check` for the keys.
+
+        The tests are family masks, made level by level, and the pairs of
+        families are walked only behind a test that fails. At a level, fa
+        and fb hold the families of a and of b there.
+        - Property 2 and its oracle are asked at the kj of b above a's
+          lowest level (`ask2`), which are the kj with some ki of a in
+          lower[kj]. Property 2 fails at those that hold no corner nested
+          with a (`fail2`).
+        - Property 3 and its oracle are asked at the ki of a whose repr is
+          below that of b's largest family at its level (`top`, `ask3`),
+          which are the ki with some kj of b in later[ki]. b's side of
+          (ki, kj) fails at the kj in `failing`, a's side at the ki in
+          `p3`, those with no corner in ki below a's crossing number, and
+          the pair fails when both sides do. a's side is only tested when
+          some asked ki has a smaller repr than a failing kj.
+        - Inside a family of both, the test reads the larger crossing
+          number (`inside`).
+        Each test is the one the walk of `oracles.brute_thin_splinter_report`
+        makes at that place, on the same corner mask, and each mask bit
+        stands for one family position, so the pass finds the walk's
+        violations; a violation's key names its place (ki, kj, a, b)
+        however the pass reaches it, so the one sort of the report puts
+        them in the walk's order."""
+        smaller, crossing, below, meeting = self.smaller, self.t.crossing, self.below, self.meeting
         fams_a, fams_b = self.families_of[ia], self.families_of[ib]
         cmask = self.corner_mask(ia, ib)
-        nested_corners = cmask & ~self.t.cols[ia]  # the corners nested with a
-        lowest = min(orders[ki] for ki in fams_a)
-        top, failing = {}, {}  # per order: the largest repr of b's families, of failing ones
-        for kj in fams_b:
-            k, r = orders[kj], reprs[kj]
-            if k > lowest:  # property 2 and the oracle at kj, for each ki of lower order
-                p2 = not nested_corners & fams[kj]
-                c = self.oracle_miss(a, b, keys[kj], cmask)
-                if p2 or c is not None:
-                    for ki in fams_a:
-                        if orders[ki] >= k:
-                            continue
-                        place = 0, ki, kj, ia, ib
-                        if p2:
-                            out.append(((*place, 0), ("property-2", (keys[ki], keys[kj], a, b))))
-                        if c is not None:
-                            out.append(((*place, 1), ("corner-oracle", (a, b, keys[kj], c))))
-            top[k] = max(top.get(k, r), r)
-            if not cmask & fams[kj] & below[k][crossing[k][ib]]:
-                failing[k] = max(failing.get(k, r), r)
         within = self.rank[ia] < self.rank[ib]
-        for ki in fams_a:
-            k, r = orders[ki], reprs[ki]
-            if k in top and r < top[k]:  # property 3 and the oracle at ki, for each kj above it
-                p3 = (
-                    k in failing
-                    and r < failing[k]
-                    and not cmask & fams[ki] & below[k][crossing[k][ia]]
-                )
-                c = self.oracle_miss(a, b, keys[ki], cmask)
-                if p3 or c is not None:
-                    for kj in fams_b:
-                        if orders[kj] != k or not r < reprs[kj]:
-                            continue
-                        place = 0, ki, kj, ia, ib
-                        if p3 and not cmask & fams[kj] & below[k][crossing[k][ib]]:
-                            out.append(((*place, 0), ("property-3", (keys[ki], keys[kj], a, b))))
-                        if c is not None:
-                            out.append(((*place, 1), ("corner-oracle", (a, b, keys[ki], c))))
-            if within and fams[ki] >> ib & 1:  # property 3 inside ki
-                if not cmask & fams[ki] & below[k][max(crossing[k][ia], crossing[k][ib])]:
-                    place = 1, ki, self.rank[ia], self.rank[ib]
-                    out.append((place, ("property-3", (keys[ki], keys[ki], a, b))))
+        ask2 = ask3 = failing = p3 = inside = seen_a = 0
+        for k, level in self.levels:
+            fa, fb = fams_a & level, fams_b & level
+            if fb and seen_a:
+                ask2 |= fb
+            if fa and fb:
+                cn_a, cn_b = crossing[k][ia], crossing[k][ib]
+                top = smaller[fb.bit_length() - 1]  # the reprs below b's largest here
+                asked = fa & top
+                if asked:
+                    ask3 |= asked
+                    fail_b = fb & ~meeting(cmask & below[k][cn_b])
+                    failing |= fail_b
+                    if fail_b and asked & smaller[fail_b.bit_length() - 1]:
+                        p3 |= asked & ~meeting(cmask & below[k][cn_a])
+                if within and fa & fb:
+                    inside |= fa & fb & ~meeting(cmask & below[k][max(cn_a, cn_b)])
+            seen_a |= fa
+        nested_corners = cmask & ~self.t.cols[ia]  # the corners nested with a
+        fail2 = ask2 & ~meeting(nested_corners) if ask2 else 0
+        asked = ask2 | ask3
+        has_oracle = self.inst.corner_oracle is not None
+        misses = self.oracle_misses(ia, ib, asked, cmask) if asked and has_oracle else {}
+        missed = mask_of(misses) if misses else 0
+        if not fail2 | p3 | inside | missed:
+            return
+        keys, lower, later = self.keys, self.lower, self.later
+        a, b = self.inst.elements[ia], self.inst.elements[ib]
+        for kj in iter_bits(ask2 & (fail2 | missed)):
+            for ki in iter_bits(fams_a & lower[kj]):
+                place = 0, ki, kj, ia, ib
+                if fail2 >> kj & 1:
+                    out.append(((*place, 0), ("property-2", (keys[ki], keys[kj], a, b))))
+                if kj in misses:
+                    out.append(((*place, 1), ("corner-oracle", (a, b, keys[kj], misses[kj]))))
+        for ki in iter_bits(ask3 & (p3 | missed)):
+            for kj in iter_bits(fams_b & later[ki]):
+                place = 0, ki, kj, ia, ib
+                if p3 >> ki & 1 and failing >> kj & 1:
+                    out.append(((*place, 0), ("property-3", (keys[ki], keys[kj], a, b))))
+                if ki in misses:
+                    out.append(((*place, 1), ("corner-oracle", (a, b, keys[ki], misses[ki]))))
+        for ki in iter_bits(inside):
+            place = 1, ki, self.rank[ia], self.rank[ib]
+            out.append((place, ("property-3", (keys[ki], keys[ki], a, b))))
 
 
 def thinly_splinters_check(inst: SplinterInstance) -> ThinSplinterReport:
@@ -508,8 +598,10 @@ def thinly_splinters_check(inst: SplinterInstance) -> ThinSplinterReport:
     the mask meets the members of kj nested with a, and property 3 at
     (ki, kj) when it meets the members of ki below a's crossing number or
     those of kj below b's. The corner oracle is asked once per distinct
-    (a, b, target) triple, and an answer outside the corner mask is
-    reported once per family pair that asks it.
+    (a, b, target) triple, and an answer that is no corner (an element
+    outside the corner mask, or a non-element that a member crossing
+    neither a nor b crosses) is reported once per family pair that asks
+    it.
 
     The report lists the violations in the order of
     `oracles.brute_thin_splinter_report`: a walk over the family pairs

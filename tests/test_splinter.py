@@ -24,6 +24,7 @@ from tangleforge.core import (
     mask_of,
 )
 from tangleforge.errors import (
+    CapExceededError,
     CertificationError,
     HypothesisError,
     PreconditionError,
@@ -31,6 +32,7 @@ from tangleforge.errors import (
 )
 from tangleforge.profiles import efficient_distinguishers, enumerate_k_profiles, pipeline_profiles
 from tangleforge.profinite import product_chain_universe, universe_from_json
+from tangleforge import separators as separators_module
 from tangleforge import splinter as splinter_module
 from tangleforge.separators import build_separator_instance, separator_nested
 from tangleforge.splinter import (
@@ -688,6 +690,69 @@ def test_five_triangle_ring_asks_the_corner_oracle_once_per_triple(monkeypatch):
     assert calls == {"components": 40, "oracle": 1760, "corner_mask": 420}
 
 
+def test_five_triangle_ring_builds_the_corners_of_each_pair_once(monkeypatch):
+    """The separator instance's corner oracle builds the corners of a pair
+    on its first question about the pair and answers every later target
+    from them: the check's 1,760 questions build corners for 416 of the
+    420 crossing pairs (the other four ask about no target), each once,
+    and a second check on the same instance builds none."""
+    g, profiles = ring_profiles(5)
+    built = collections.Counter()
+    first_corners = separators_module._first_corners
+
+    def counted_build(a, b, *rest):
+        built[a, b] += 1
+        return first_corners(a, b, *rest)
+
+    monkeypatch.setattr(separators_module, "_first_corners", counted_build)
+    inst, _ = build_separator_instance(g, profiles)
+    rep = thinly_splinters_check(inst)
+    assert rep.ok and crossing_pairs(rep.table) == 420
+    assert len(built) == 416 and set(built.values()) == {1}
+    before = dict(built)
+    assert thinly_splinters_check(inst).violations == []
+    assert built == before
+
+
+def assert_oracle_is_the_per_triple_reference(g, profiles, rng):
+    """The instance's corner oracle answers every (a, b, target) triple as
+    `oracles.brute_corner_oracle` does, with the triples asked in a
+    shuffled order, so the question that builds a pair's corners varies.
+    Returns the number of answers that are not None."""
+    inst, distinguishers = build_separator_instance(g, profiles)
+    reference = oracles.brute_corner_oracle(distinguishers)
+    triples = [
+        (a, b, key)
+        for a, b in itertools.product(inst.elements, repeat=2)
+        for key in inst.family_keys()
+    ]
+    rng.shuffle(triples)
+    answers = 0
+    for a, b, key in triples:
+        got = inst.corner_oracle(a, b, key)
+        assert got == reference(a, b, key), (a, b, key)
+        answers += got is not None
+    return answers
+
+
+@pytest.mark.parametrize("t", [3, 4, 5])
+def test_corner_oracle_matches_the_per_triple_reference_on_rings(t):
+    assert assert_oracle_is_the_per_triple_reference(*ring_profiles(t), random.Random(t)) > 0
+
+
+def test_corner_oracle_matches_the_per_triple_reference_on_random_graphs():
+    rng = random.Random(3535)
+    checked = answered = 0
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(5, 9), 0.45)
+        profiles = distinguishable_profiles(g, rng.choice((2, 3)))
+        if len(profiles) < 2:
+            continue
+        answered += assert_oracle_is_the_per_triple_reference(g, profiles, rng) > 0
+        checked += 1
+    assert checked >= 15 and answered >= 10
+
+
 def test_column_predicate_is_separator_nestedness():
     """`separator_nested(g, ·, y)`, the relation that fills column y of a
     separator instance's crossing table, holds at x exactly when x meets at
@@ -724,25 +789,85 @@ def test_column_crossing_table_equals_pairwise_table_on_rings(t):
     assert_column_table_is_pairwise(*ring_instance(t))
 
 
+def random_graph(rng, n, p):
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
+
+
+def distinguishable_profiles(g, k):
+    """The regular robust k-profiles of g, keeping each that is
+    distinguishable from every one kept before it; none when |S_k| > 256."""
+    try:
+        found = enumerate_k_profiles(g, k, max_sk=256)
+    except CapExceededError:
+        return []
+    profiles = []
+    for p in pipeline_profiles(g, found):
+        if all(efficient_distinguishers(g, q, p) for q in profiles):
+            profiles.append(p)
+    return profiles
+
+
 def test_column_crossing_table_equals_pairwise_table_on_random_graphs():
     rng = random.Random(1616)
     checked = 0
     for _ in range(80):
-        n = rng.randint(5, 9)
-        g = Graph.from_edges(
-            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
-        )
+        g = random_graph(rng, rng.randint(5, 9), 0.45)
         if not g.is_connected():
             continue
-        profiles = []
-        for p in pipeline_profiles(g, enumerate_k_profiles(g, rng.choice((2, 3)), max_sk=256)):
-            if all(efficient_distinguishers(g, q, p) for q in profiles):
-                profiles.append(p)
+        profiles = distinguishable_profiles(g, rng.choice((2, 3)))
         if len(profiles) < 2:
             continue
         assert_column_table_is_pairwise(g, build_separator_instance(g, profiles)[0])
         checked += 1
     assert checked >= 10
+
+
+def beads(rng):
+    """Three or four beads, each a triangle or a K4, strung between two
+    hubs u and v: one vertex of a bead is joined to u, another to v, so
+    G - {u, v} has one component per bead. Half of the time u and v are
+    joined too. Labelled at random in a range with two unused labels: V
+    has gaps."""
+    edges, used = [], 2
+    for _ in range(rng.randint(3, 4)):
+        size = rng.choice((3, 4))
+        bead = range(used, used + size)
+        edges += [*itertools.combinations(bead, 2), (0, used), (1, used + 1)]
+        used += size
+    if rng.random() < 0.5:
+        edges.append((0, 1))
+    labels = rng.sample(range(used + 2), used)
+    g = Graph.from_edges(used + 2, [(labels[u], labels[v]) for u, v in edges])
+    return g.induced(mask_of(labels))
+
+
+def test_separator_instance_nestedness_is_separator_nested():
+    """The instance's `nested`, one lookup of the component at the least
+    vertex of a ∖ b, equals `separator_nested` on every ordered pair of
+    its elements, on seeded random graphs: induced subgraphs of random
+    graphs with one or two vertices left out, and beads strung between
+    two hubs y, for which G - y has three or more components. Both kinds
+    have gaps in V."""
+    rng = random.Random(3536)
+    checked = gapped = spread = 0
+    for i in range(80):
+        if i % 2:
+            g = beads(rng)
+        else:
+            host = random_graph(rng, rng.randint(6, 10), 0.45)
+            g = host.induced(host.vertices & ~mask_of(rng.sample(range(host.n), rng.randint(1, 2))))
+        profiles = distinguishable_profiles(g, rng.choice((2, 3)))
+        if len(profiles) < 2:
+            continue
+        inst = build_separator_instance(g, profiles)[0]
+        for a, b in itertools.product(inst.elements, repeat=2):
+            assert inst.nested(a, b) == separator_nested(g, a, b), (a, b)
+        checked += 1
+        gapped += g.vertices != (1 << g.vertices.bit_length()) - 1
+        spread += any(len(g.components(y)) >= 3 for y in inst.elements)
+    assert checked >= 30 and gapped >= 25 and spread >= 20
 
 
 def perturbed(inst, rng):
@@ -863,3 +988,42 @@ def test_one_side_of_property_3_is_enough(monkeypatch):
     assert thinly_splinters_check(inst).ok
     assert oracles.brute_thin_splinter_report(inst) == ([], {1: 1})
     assert crossing_pairs(crossing_table(inst)) == calls["corner_mask"] == 2
+
+
+def test_an_oracle_answer_outside_the_elements_is_decided_through_nested():
+    """A corner oracle may answer a value that is no element. The check
+    decides it as `oracles.is_corner` does, through `nested` against the
+    members crossing neither a nor b. Only a crosses b, so the pair (a, b)
+    asks the oracle about family 1, and 'zzz' is a corner while everything
+    is nested with it, still one when a crosses it (a crosses b), and no
+    corner once c, nested with a and b, crosses it."""
+    crossing = {("a", "b"), ("b", "a")}
+    inst = SplinterInstance(
+        elements=("a", "b", "c"),
+        families={0: {"a"}, 1: {"b", "c"}},
+        orders={0: 1, 1: 2},
+        nested=lambda x, y: (x, y) not in crossing,
+        corner_oracle=lambda a, b, key: "zzz",
+    )
+    for crosses_zzz, violations in (
+        ((), []),
+        (("a",), []),
+        (("a", "c"), [("corner-oracle", ("a", "b", 1, "zzz"))]),
+    ):
+        crossing -= {(x, "zzz") for x in "abc"}
+        crossing |= {(x, "zzz") for x in crosses_zzz}
+        rep = thinly_splinters_check(inst)
+        assert oracles.brute_thin_splinter_report(inst) == (rep.violations, rep.max_crossing)
+        assert rep.violations == violations
+
+
+def test_repeated_elements_are_refused():
+    """The crossing table numbers elements by position, so a repeated
+    element would leave a row that no family reaches."""
+    with pytest.raises(PreconditionError, match="distinct"):
+        SplinterInstance(
+            elements=("a", "a", "b"),
+            families={0: {"a"}, 1: {"b"}},
+            orders={0: 1, 1: 1},
+            nested=lambda x, y: x == y,
+        )
