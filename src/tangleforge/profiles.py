@@ -77,7 +77,9 @@ class Profile:
         return None
 
     def is_regular(self, g: Graph) -> bool:
-        return not any(x.a == g.vertices for x in self.chosen)
+        """No member is (V, B). Such a member is never trivial, so only
+        `_nontrivial` is scanned, when the members are separations of g."""
+        return not any(x.a == g.vertices for x in self._nontrivial)
 
 
 def is_consistent(chosen) -> bool:

@@ -65,136 +65,193 @@ def _nested_codes(r: int, rs: int, s: int, ss: int) -> bool:
 
 
 class _Splinters:
-    """The splinter condition of one instance, checked whole once and then
-    on each restriction that `splinter_finite` makes of it.
+    """The splinter condition of one instance, tested once per ordered
+    member pair: whole once, and then on each restriction that
+    `splinter_finite` makes of it.
 
-    Codes. Every member x and its star x* get a non-negative int code, and
-    a corner of two codes is a code, or −1 when it is neither a member nor
-    the star of one. When the universe passes `core.codable` with the
-    members and their stars, the code of (A, B) is A << w | (full & ~B),
-    w the widest of their masks, and a corner is the | of two codes (its
-    masks are no wider). Any other universe numbers the members and stars
-    and makes corners with u.join. A family's unoriented codes are those
-    of its members and their stars, so "x or x* in the family" is one
-    lookup (star is an involution, as a UniverseView's must be).
+    Masks. Families are bit positions, by index. M(x) is the mask of the
+    families that hold x, and U(x) = M(x) | M(x*) that of the families
+    that hold x unoriented; U(x) = U(x*), as star is an involution.
 
-    Nestedness. `nested(r, s)` is `_nested(u, r, s)` for two members. When
-    the members are coded as separations and u.leq is `core.leq`, it reads
-    the codes: (A, B) ≤ (C, D) iff A ⊆ C and D ⊆ B, iff the code of (A, B)
-    lies inside that of (C, D), and r* ≤ s* iff s ≤ r.
+    Lemma (the finite splinter condition over member pairs). For members
+    s and t let C be the union of U over their corners s ∨ t, s ∨ t*,
+    s* ∨ t and s* ∨ t*. Then (i, j, s, t) offends exactly when i is in
+    A = M(s) ∖ (U(t) ∪ C) and j is in B = M(t) ∖ (U(s) ∪ C).
+    Proof. The walk of `splinters_check` tests (i, j, s, t) when s is in
+    family i (i ∈ M(s)) and t in family j (j ∈ M(t)), and skips it when s
+    or s* is in family j (j ∈ U(s)) or t or t* in family i (i ∈ U(t)). A
+    tested pair offends when no corner c has c or c* in family i or j,
+    that is i ∉ U(c) and j ∉ U(c) for all four: i, j ∉ C. Together these
+    read i ∈ A and j ∈ B. Then i ≠ j, since i ∈ M(s) ⊆ U(s) and j ∉ U(s).
+    So an instance fails exactly when an ordered pair (s, t) of members
+    has A and B both non-empty, and its first offence is the least
+    (min A, min B, s, t) over those pairs; the pair is ordered, so a join
+    that does not commute is read as the walk reads it, s first.
 
-    Witnesses. The whole check keeps, for each pair (s, t) of members of
-    families i ≠ j that it tests, one of its corners that lies in the two
-    families, unoriented: its witness. A restriction keeps the members
-    nested with a pick. That relation does not change under star, so a
-    member survives exactly when its star does: a surviving s lies in
-    family j, unoriented, after the restriction exactly when it did
-    before, and every surviving pair keeps its skip conditions. A surviving
-    pair passes while its witness is still in family i or j; otherwise the
-    witness is a code that left one of them. So a restriction re-tests only
-    the pairs whose witness is among the codes that left, in the families
-    that lost members, and gives each pair that passes a new witness for
-    the next restriction (a code that left one family but is still in the
-    other just gets re-tested). The pairs are visited in the order of the
-    whole check, (i, j), then s, then t in universe order, so the first
-    pair that fails is the one a check of the restricted families from
-    scratch would report.
+    Keys. Every member and its star gets a key, and a corner of two keys
+    is a key. When the universe passes `core.codable` with the members
+    and their stars, the key of (A, B) is the int A << w | (full & ~B),
+    w the widest of their masks, and a corner is the | of two keys (its
+    masks are no wider; the key of its star is the & of the two star
+    keys). Any other universe keys an element by itself and makes corners
+    with u.join. U is kept under the keys of the members and of their
+    stars, so the U of a corner is one lookup of its own key: a corner c
+    with U(c) ≠ 0 has c or c* in a family, so it is a member or the star
+    of one, and any other corner adds nothing to C.
+
+    Restrictions. A restriction drops families and members of the
+    families that stay; masks only lose bits. Bit k of A and of B depends
+    only on bit k of M(s), M(t), U(s), U(t) and the U of the corners.
+    Dropping family k clears bit k of every mask, so bit k leaves A and
+    B, and no pair starts to fail. In a family that stays, A ⊆ M(s) gains
+    a bit only where U(t) or C lost one, and B only where U(s) or C lost
+    one; a pair that passed (A or B empty) and gained no bit still
+    passes. So a restriction re-tests only the pairs (s, t) where U(s),
+    U(t) or the U of a corner lost a bit of a family that stays:
+    - every pair of a member whose U lost a bit, with any member that is
+      still in a family;
+    - the pairs watched by the key of such a member or of its star. A
+      pair that passes with A empty is watched by those of its corners
+      whose U meets a = M(s) ∖ U(t), and with B empty by those whose U
+      meets b = M(t) ∖ U(s) (A ⊆ a and B ⊆ b). An empty A gains a bit
+      from C only inside a, and while U(t) keeps its bits a can only
+      shrink; once U(t) or U(s) loses a bit, the pair is re-tested under
+      the first rule and watched anew.
+    A pair with s or t in no family has A or B empty, and is not tested.
+    The failing pairs of a restriction are among those it re-tests, so
+    the least of them is the first offence of the restricted families
+    checked from scratch.
+
+    Nestedness. `nested(r, s)` is `_nested(u, r, s)` for the members of
+    positions r and s. When the members are coded as separations and
+    u.leq is `core.leq`, it reads the codes: (A, B) ≤ (C, D) iff A ⊆ C
+    and D ⊆ B, iff the code of (A, B) lies inside that of (C, D), and
+    r* ≤ s* iff s ≤ r.
     """
 
-    def __init__(self, u: UniverseView, families: tuple):
-        stars = {x: u.star(x) for fam in families for x in fam}
-        both = (*stars, *stars.values())
-        self.nested = functools.partial(_nested, u)
-        if codable(u, both):
-            w = max(((x.a | x.b).bit_length() for x in both), default=0)
+    def __init__(self, u: UniverseView, families):
+        """Test the families, sequences of members of u, whole, one test
+        per ordered pair of members. Members are numbered as first met, and
+        `families` maps each family index to the positions of its members
+        in the order given."""
+        self.universe = u
+        position: dict = {}
+        self.families = {
+            k: [position.setdefault(x, len(position)) for x in fam]
+            for k, fam in enumerate(families)
+        }
+        self.elements = elements = list(position)
+        stars = [u.star(x) for x in elements]
+        self.nested = lambda r, s: _nested(u, elements[r], elements[s])
+        if codable(u, (*elements, *stars)):
+            w = max(((x.a | x.b).bit_length() for x in (*elements, *stars)), default=0)
             full = (1 << w) - 1
-            code = {x: x.a << w | (full & ~x.b) for x in both}
+            keys = [x.a << w | (full & ~x.b) for x in elements]
+            skeys = [x.a << w | (full & ~x.b) for x in stars]
             self.corner = operator.or_
             if u.leq is leq:
-                pair = {x: (code[x], code[sx]) for x, sx in stars.items()}
-                self.nested = lambda r, s: _nested_codes(*pair[r], *pair[s])
+                self.nested = lambda r, s: _nested_codes(keys[r], skeys[r], keys[s], skeys[s])
         else:
-            code = {x: i for i, x in enumerate(dict.fromkeys(both))}
-            listed = list(code)
-            self.corner = lambda a, b: code.get(u.join(listed[a], listed[b]), -1)
-        rank = {x: i for i, x in enumerate(u.elements)}
-        # per family: its members in universe order as (x, code of x, code of x*)
-        self.members = [
-            [(x, code[x], code[stars[x]]) for x in sorted(fam, key=rank.__getitem__)]
-            for fam in families
-        ]
-        unoriented = [self.unoriented(fam) for fam in self.members]
-        # (i, j) -> rows [s, cs, cs*, witness per column] and columns (t, ct, ct*):
-        # the members of i and of j that the check does not skip
-        self.pairs = {
-            (i, j): (
-                [[s, cs, css, None] for s, cs, css in fam_i if cs not in unoriented[j]],
-                [m for m in fam_j if m[1] not in unoriented[i]],
-            )
-            for i, fam_i in enumerate(self.members)
-            for j, fam_j in enumerate(self.members)
-            if i != j
-        }
-        self.failure = self.check(dict(enumerate(families)), set(range(len(families))), set())
+            keys, skeys, self.corner = elements, stars, u.join
+        self.keys, self.skeys = keys, skeys
+        self.position = dict(zip(keys, range(len(keys))))
+        self.M = M = [0] * len(elements)
+        for k, fam in self.families.items():
+            for m in fam:
+                M[m] |= 1 << k
+        self.U = U = {}
+        for m, skey in enumerate(skeys):
+            star_at = self.position.get(skey)
+            U[keys[m]] = U[skey] = M[m] if star_at is None else M[m] | M[star_at]
+        self.watch: dict = {}  # key -> the pairs (s, t) watched by it
+        every = range(len(elements))
+        self.failure = self.check_pairs([(s, every) for s in every])
 
-    @staticmethod
-    def unoriented(fam) -> dict:
-        """The unoriented codes of a family's (x, cx, cx*) members, each
-        mapped to itself, so that a witness holds the dict's int object."""
-        return {c: c for _, cx, cxs in fam for c in (cx, cxs)}
+    def restrict(self, kept: dict):
+        """The first failing (i, j, s, t) of the restriction `kept` (family
+        index -> the positions of the members that stay, in the order of
+        `families`), or None. Each family of `kept` is a subset of its
+        previous members, and the families missing from `kept` are
+        dropped."""
+        M, U, keys, skeys, position = self.M, self.U, self.keys, self.skeys, self.position
+        for k in self.families.keys() - kept.keys():
+            clear = ~(1 << k)
+            for m in self.families.pop(k):
+                M[m] &= clear
+                U[keys[m]] &= clear
+                U[skeys[m]] &= clear
+        lost = set()  # positions of the members whose U lost a bit
+        for k, fam in kept.items():
+            bit = 1 << k
+            gone = set(self.families[k]).difference(fam)
+            self.families[k] = fam
+            for m in gone:
+                M[m] &= ~bit
+            for m in gone:
+                star_at = position.get(skeys[m])
+                if star_at is None or not M[star_at] & bit:
+                    U[keys[m]] &= ~bit
+                    U[skeys[m]] &= ~bit
+                    lost.add(m)
+                    if star_at is not None:
+                        lost.add(star_at)
+        alive = [m for m, mask in enumerate(M) if mask]
+        rows: dict = {}
+        for m in lost:
+            if M[m]:
+                rows.setdefault(m, set()).update(alive)
+                for s in alive:
+                    rows.setdefault(s, set()).add(m)
+        watch = self.watch
+        for m in lost:
+            for key in {keys[m], skeys[m]}:
+                for s, t in watch.get(key, ()):
+                    if M[s] and M[t]:
+                        rows.setdefault(s, set()).add(t)
+        return self.check_pairs(rows.items())
 
-    def restrict(self, active: dict):
-        """The first failing (i, j, s, t) of the restriction `active` (family
-        index -> the members that survived, in index order), or None. Each
-        restriction's families are subsets of the previous one's."""
-        changed, removed = set(), set()
-        for k, fam in active.items():
-            gone = [m for m in self.members[k] if m[0] not in fam]
-            if gone:
-                changed.add(k)
-                removed.update(c for _, cx, cxs in gone for c in (cx, cxs))
-                self.members[k] = [m for m in self.members[k] if m[0] in fam]
-        return self.check(active, changed, removed)
-
-    def check(self, active: dict, changed: set, removed: set):
-        """The first failing (i, j, s, t) of the families `active`, or None.
-        Only the pairs of families i, j of which one is in `changed` (lost
-        members since the last check) are visited. There a pair is tested
-        when its witness is −1 or in `removed` (the codes that left); a row
-        without witnesses first takes the corners s ∨ t, and a tested pair
-        the first of its corners that lies in the two families."""
-        corner, stale = self.corner, {-1, *removed}
-        unoriented = {k: self.unoriented(self.members[k]) for k in active}
-        for i, fam_i in active.items():
-            for j, fam_j in active.items():
-                if i == j or not (i in changed or j in changed):
+    def check_pairs(self, rows):
+        """Test the pairs (s, t) of `rows`, an iterable of (s, positions t),
+        by the lemma, and watch each pair that passes by its corners. The
+        first failing (i, j, s, t), read off all the failing pairs, or
+        None."""
+        M, U, keys, skeys, watch = self.M, self.U, self.keys, self.skeys, self.watch
+        corner, get = self.corner, U.get
+        failing = []
+        for s, ts in rows:
+            ms, us, ks, kss = M[s], U[keys[s]], keys[s], skeys[s]
+            if not ms:
+                continue
+            for t in ts:
+                a = ms & ~U[keys[t]]
+                if not a:
                     continue
-                rows, cols = self.pairs[i, j]
-                rows = [row for row in rows if row[0] in fam_i]
-                live = [p for p, m in enumerate(cols) if m[0] in fam_j]
-                self.pairs[i, j] = rows, cols
-                get = {**unoriented[i], **unoriented[j]}.get
-                for row in rows:
-                    s, cs, css, wit = row
-                    if wit is None:
-                        wit = row[3] = list(
-                            map(get, map(corner, repeat(cs), [m[1] for m in cols]), repeat(-1))
-                        )
-                    if stale.isdisjoint(wit):
-                        continue
-                    for p in compress(live, map(stale.__contains__, map(wit.__getitem__, live))):
-                        t, ct, cts = cols[p]
-                        c = get(corner(cs, cts), -1)
-                        if c == -1:
-                            c = get(corner(css, ct), -1)
-                        if c == -1:
-                            c = get(corner(css, cts), -1)
-                        if c == -1:
-                            c = get(corner(cs, ct), -1)
-                        if c == -1:
-                            return i, j, s, t
-                        wit[p] = c
-        return None
+                b = M[t] & ~us
+                if not b:
+                    continue
+                kt, kts = keys[t], skeys[t]
+                c1, c2, c3, c4 = corner(ks, kt), corner(ks, kts), corner(kss, kt), corner(kss, kts)
+                u1, u2, u3, u4 = get(c1, 0), get(c2, 0), get(c3, 0), get(c4, 0)
+                c = u1 | u2 | u3 | u4
+                if not a & ~c:
+                    empty = a  # A stays empty while no corner meeting a loses a bit of it
+                elif not b & ~c:
+                    empty = b
+                else:
+                    failing.append((s, t, a & ~c, b & ~c))
+                    continue
+                for key, uc in ((c1, u1), (c2, u2), (c3, u3), (c4, u4)):
+                    if uc & empty:
+                        watch.setdefault(key, set()).add((s, t))
+        if not failing:
+            return None
+        rank = {x: r for r, x in enumerate(self.universe.elements)}
+        elements = self.elements
+        i, j, _, _, s, t = min(
+            (next(iter_bits(a)), next(iter_bits(b)), rank[elements[s]], rank[elements[t]], s, t)
+            for s, t, a, b in failing
+        )
+        return i, j, elements[s], elements[t]
 
 
 def splinters_check(f: FiniteSplinterFamily):
@@ -205,7 +262,8 @@ def splinters_check(f: FiniteSplinterFamily):
     family j in universe order. A pair (s, t) with s or s* in family j, or
     t or t* in family i, is skipped; any other pair offends when none of
     its corners s ∨ t, s ∨ t*, s* ∨ t, s* ∨ t* lies in family i or j,
-    unoriented. `_Splinters` runs the check.
+    unoriented. `_Splinters` runs the check, one test per ordered pair of
+    members.
     """
     failure = _Splinters(f.universe, f.families).failure
     return failure is None, failure
@@ -221,18 +279,17 @@ def splinter_finite(f: FiniteSplinterFamily) -> tuple:
 
 def _transversal(f: FiniteSplinterFamily, failure: str) -> tuple:
     """`splinter_finite`, raising HypothesisError(failure) when the whole
-    instance does not splinter. The whole instance is checked once, and
-    each restriction only on the pairs whose witness it removed (see
-    `_Splinters`)."""
+    instance does not splinter. The whole instance is tested once, one
+    test per ordered member pair, and each restriction only on the pairs
+    it touched (see `_Splinters`)."""
     u = f.universe
-    check = _Splinters(u, f.families)
+    rank = {x: i for i, x in enumerate(u.elements)}
+    check = _Splinters(u, [sorted(fam, key=rank.__getitem__) for fam in f.families])
     if check.failure is not None:
         raise HypothesisError(failure, witness=check.failure)
     picks: dict[int, object] = {}
-    active = dict(enumerate(f.families))
-    while active:
-        active = _pick(check, active, picks)
-        if active and (witness := check.restrict(active)) is not None:
+    while check.families and (kept := _pick(check, picks)):
+        if (witness := check.restrict(kept)) is not None:
             raise HypothesisError(
                 "splinter condition failed on a restricted sub-instance", witness=witness
             )
@@ -244,26 +301,26 @@ def _transversal(f: FiniteSplinterFamily, failure: str) -> tuple:
     return out
 
 
-def _pick(check: _Splinters, active: dict, picks: dict) -> dict:
+def _pick(check: _Splinters, picks: dict) -> dict:
     """Pick, for the first family that has one, its first member nested with
     an element of every other family, and record it in picks; return the
     other families restricted to the members nested with the pick. The
-    families of `active` are keyed in ascending order, and `check.members`
-    lists the members of each in universe order."""
-    nested, members = check.nested, check.members
-    for idx in active:
-        others = [members[k] for k in active if k != idx]
-        for cand, _, _ in members[idx]:
-            if all(any(nested(cand, x) for x, _, _ in fam) for fam in others):
-                picks[idx] = cand
+    families of `check.families` are keyed in ascending order and list the
+    positions of their members in universe order."""
+    nested, families = check.nested, check.families
+    for idx, fam in families.items():
+        others = [other for k, other in families.items() if k != idx]
+        for cand in fam:
+            if all(any(nested(cand, x) for x in other) for other in others):
+                picks[idx] = check.elements[cand]
                 return {
-                    k: frozenset(x for x, _, _ in members[k] if nested(cand, x))
-                    for k in active
+                    k: [x for x in other if nested(cand, x)]
+                    for k, other in families.items()
                     if k != idx
                 }
     raise HypothesisError(
         "no family member is nested with an element of every other family",
-        witness=tuple(active),
+        witness=tuple(families),
     )
 
 

@@ -399,7 +399,7 @@ def test_golden_five_triangle_ring_splinter_digest(capsys, monkeypatch, tmp_path
 def test_splinter_checks_the_whole_instance_once(capsys, monkeypatch, tmp_path):
     """The splinter verb runs one whole splinter check; each of the 9
     restrictions of the five-ring's 10 families is checked only on the
-    pairs whose witness it removed, and splinters_check is not called."""
+    member pairs it touched, and splinters_check is not called."""
     from tangleforge import splinter
 
     counts = {"whole": 0, "restrict": 0}
@@ -423,6 +423,38 @@ def test_splinter_checks_the_whole_instance_once(capsys, monkeypatch, tmp_path):
     assert code == 0 and json.loads(out)["result"]["families"] == 10
     assert counts == {"whole": 1, "restrict": 9}
     assert calls == {"splinters_check": 0}
+
+
+def test_splinter_tests_each_member_pair_once(capsys, monkeypatch, tmp_path):
+    """On the eight-triangle ring at k = 3 the splinter verb's whole check
+    tests each ordered pair of the 112 members once, 112² tests. The 27
+    restrictions of its 28 families take the members that cross the pick
+    out of every family at once, so no member that stays in a family loses
+    a family, no watched pair loses a corner, and none of them re-tests a
+    pair; the members left in a family are counted after each."""
+    from tangleforge import splinter
+
+    tested, left = [], []
+    real_check, real_restrict = splinter._Splinters.check_pairs, splinter._Splinters.restrict
+
+    def check_pairs(self, rows):
+        rows = list(rows)
+        tested.append(sum(len(ts) for _, ts in rows))
+        return real_check(self, rows)
+
+    def restrict(self, kept):
+        left.append(len(set().union(*kept.values())))
+        return real_restrict(self, kept)
+
+    monkeypatch.setattr(splinter._Splinters, "check_pairs", check_pairs)
+    monkeypatch.setattr(splinter._Splinters, "restrict", restrict)
+    monkeypatch.setenv("TANGLEFORGE_CAPS", '{"max_n":30,"max_sk":1024}')
+    path = tmp_path / "ring8.json"
+    path.write_text(json.dumps(ring_of_triangles(8)))
+    code, out = run_cli(["splinter", "--graph", str(path), "--k", "3"], capsys)
+    assert code == 0 and json.loads(out)["result"]["families"] == 28
+    assert tested == [112**2] + [0] * 27
+    assert left == [88, 68, 52, 40, 32, 28, *[24] * 6, *[20] * 5, *[16] * 4, *[12] * 3, 8, 8, 4]
 
 
 def test_profiles_reads_principality_off_one_cut_table(capsys, monkeypatch, tmp_path):

@@ -30,7 +30,7 @@ from tangleforge.core import (
     vertices_of,
 )
 from tangleforge.errors import CapExceededError, CertificationError, PreconditionError
-from tangleforge.fixtures import doubled_bridge_ring, triangle_ring
+from tangleforge.fixtures import PIPELINE_K, doubled_bridge_ring, triangle_ring
 from tangleforge.profiles import (
     Profile,
     distinguishes,
@@ -637,6 +637,20 @@ def test_irregular_profile_is_not_regular(graphs):
     top = Separation(g.vertices, 0)
     p = next(p for p in enumerate_k_profiles(g, 1) if top in p)
     assert not p.is_regular(g)
+
+
+def test_regularity_reads_the_nontrivial_members(graphs):
+    """`is_regular` scans `_nontrivial` only; on every profile of every
+    fixture at k up to its pipeline k, and of the three-triangle ring at
+    k = 3, it equals the scan over all of `chosen`."""
+    cases = [(graphs[name], k) for name, top in PIPELINE_K.items() for k in range(1, top + 1)]
+    seen = collections.Counter()
+    for g, k in [*cases, (three_triangle_ring(), 3)]:
+        for p in enumerate_k_profiles(g, k, max_sk=256):
+            full_scan = not any(x.a == g.vertices for x in p.chosen)
+            assert p.is_regular(g) == full_scan, (g, k, p.chosen)
+            seen[full_scan] += 1
+    assert seen[True] and seen[False]
 
 
 @DIFFERENTIAL

@@ -330,6 +330,122 @@ def test_splinter_finite_matches_the_restated_recursion():
                 failed_restrictions += expected[1].startswith("splinter condition")
 
 
+def non_commuting_json_universe(rng):
+    """A tabulated universe written through its JSON form and read back:
+    `universe_from_json` keeps each ordered join, and this one has a pair
+    whose two joins differ."""
+    while True:
+        u = universe_from_json(universe_to_json(tabulated_universe(rng, 2 * rng.randint(3, 6))))
+        if any(u.join(x, y) != u.join(y, x) for x in u.elements for y in u.elements):
+            return u
+
+
+def test_member_pair_check_matches_the_oracle_on_non_commuting_json_universes():
+    """The member-pair test reads each ordered pair (s, t) once, s first.
+    On 300 seeded instances over JSON universes whose join does not
+    commute, the verdict and first witness of `splinters_check` equal
+    `oracles.brute_splinters_check`'s, and the outcome of `splinter_finite`
+    equals that of the recursion that checks each restriction from
+    scratch. 66 instances fail the whole check and 8 fail on a
+    restriction."""
+    rng = random.Random("member pairs")
+    outcomes = collections.Counter()
+    for _ in range(300):
+        u = non_commuting_json_universe(rng)
+        elements = list(u.elements)
+        families = tuple(
+            frozenset(rng.sample(elements, rng.randint(1, 2))) for _ in range(rng.randint(2, 5))
+        )
+        expected = oracles.brute_splinters_check(u, families)
+        assert splinters_check(FiniteSplinterFamily(u, families)) == expected, families
+        outcome = run_outcome(restated_splinter_finite, u, families)
+        assert run_outcome(splinter_finite, FiniteSplinterFamily(u, families)) == outcome, families
+        outcomes[outcome[1] if outcome[0] == "HypothesisError" else outcome[0]] += 1
+    assert outcomes["splinter condition failed on the whole instance"] == 66
+    assert outcomes["splinter condition failed on a restricted sub-instance"] == 8
+
+
+def test_restrictions_to_any_subfamilies_match_the_oracle():
+    """`_Splinters.restrict` holds for any chain of restrictions, not only
+    those of `splinter_finite`, which take a member and its star out of
+    every family at once: here each step drops families and random members
+    of the others. After each step the first failure equals the oracle's
+    on the restricted families, with their original indices. On 200
+    seeded chains over graph and non-commuting JSON universes, 17 steps
+    fail."""
+    rng = random.Random("restrictions")
+    failed = 0
+    for n in range(200):
+        u = non_commuting_json_universe(rng) if n % 2 else graph_universe(_random_graph(rng, 5))
+        elements = list(u.elements)
+        families = [frozenset(rng.sample(elements, rng.randint(2, 5))) for _ in range(rng.randint(3, 5))]
+        check = splinter_module._Splinters(u, families)
+        if check.failure is not None:
+            continue
+        while len(check.families) > 1:
+            kept = {
+                k: [m for m in fam if rng.random() < 0.8]
+                for k, fam in check.families.items()
+                if rng.random() < 0.8
+            }
+            keys = list(kept)
+            restricted = tuple(frozenset(check.elements[m] for m in kept[k]) for k in keys)
+            ok, witness = oracles.brute_splinters_check(u, restricted)
+            expected = None if ok else (keys[witness[0]], keys[witness[1]], *witness[2:])
+            assert check.restrict(kept) == expected, (families, kept)
+            if not ok:
+                failed += 1
+                break
+    assert failed == 17
+
+
+def edge_case_families(shape, u, rng):
+    """Families of u of one shape that the member-pair masks must get right."""
+    elements = list(u.elements)
+    fams = [set(rng.sample(elements, rng.randint(1, 3))) for _ in range(rng.randint(2, 4))]
+    if shape == "both orientations":
+        x = rng.choice(elements)
+        fams[0] |= {x, u.star(x)}
+    elif shape == "in every family":
+        x = rng.choice(elements)
+        for fam in fams:
+            fam.add(x)
+    elif shape == "two equal families":
+        fams.append(set(fams[0]))
+    elif shape == "single family":
+        fams = fams[:1]
+    else:
+        fams = []
+    return tuple(frozenset(fam) for fam in fams)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    ["both orientations", "in every family", "two equal families", "single family", "no families"],
+)
+def test_member_pair_masks_on_edge_cases(shape):
+    """A family that holds both x and x*, a member of every family, two
+    equal families, one family and none: 60 seeded instances each, over
+    graph universes (coded) and non-commuting JSON universes, give the
+    oracle's verdict and witness and the restated recursion's outcome.
+    The first three shapes fail the check on some instances."""
+    rng = random.Random(shape)
+    verdicts = collections.Counter()
+    for n in range(60):
+        if n % 2:
+            u = non_commuting_json_universe(rng)
+        else:
+            u = graph_universe(_random_graph(rng, rng.randint(3, 5)))
+        families = edge_case_families(shape, u, rng)
+        expected = oracles.brute_splinters_check(u, families)
+        assert splinters_check(FiniteSplinterFamily(u, families)) == expected, families
+        outcome = run_outcome(restated_splinter_finite, u, families)
+        assert run_outcome(splinter_finite, FiniteSplinterFamily(u, families)) == outcome, families
+        verdicts[expected[0]] += 1
+    assert verdicts[True]
+    assert bool(verdicts[False]) == (shape not in ("single family", "no families"))
+
+
 # ---------------------------------------------------------------------------
 # abstract thin splinter instances
 
