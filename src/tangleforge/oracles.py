@@ -556,7 +556,7 @@ def brute_thin_splinter_report(inst) -> tuple[list, dict]:
     def oracle_check(a, b, key):
         if inst.corner_oracle is None:
             return
-        c = inst.corner_oracle(a, b, key)
+        c = inst.corner_oracle(a, b).get(key)
         if c is not None and not is_corner(inst, c, a, b):
             violations.append(("corner-oracle", (a, b, key, c)))
 
@@ -613,9 +613,10 @@ def brute_thin_splinter_report(inst) -> tuple[list, dict]:
 
 
 def brute_corner_oracle(distinguishers: dict):
-    """The corner oracle of a separator instance asked one triple at a
-    time, from the distinguisher sets of its profile pairs (keyed (i, j),
-    as `separators.build_separator_instance` returns them). The witnesses
+    """The answers of a separator instance's corner oracle, one (a, b,
+    target) triple at a time, from the distinguisher sets of its profile
+    pairs (keyed (i, j), as `separators.build_separator_instance` returns
+    them): the instance's `corner_oracle(a, b).get(target)`. The witnesses
     of a separator are the distinguishers with that separator over all
     pairs, each once, in the order of `distinguishers`. For (a, b, target)
     the answer is the separator of the first join (xa ∪ ya, xb ∩ yb) of a

@@ -62,10 +62,8 @@ def build_separator_instance(g: Graph, profiles) -> tuple[SplinterInstance, dict
     exactly when it lies in C, and the components are disjoint, so C can
     only be the component at r's least vertex: one lookup per call.
 
-    The instance's corner oracle answers every target of a pair (a, b)
-    from one pass over the pair's corners, made on its first question
-    about the pair and kept in a memo local to this instance (see
-    `_first_corners`)."""
+    The instance's corner oracle is `_first_corners`: one pass over the
+    corners of a pair (a, b) answers every target of the pair."""
     profiles = tuple(profiles)
     if not all(p.is_regular(g) for p in profiles):
         raise PreconditionError("profiles must be regular")
@@ -101,22 +99,12 @@ def build_separator_instance(g: Graph, profiles) -> tuple[SplinterInstance, dict
         r = a & ~b
         return not r or not r & ~comp_at[b][r & -r]
 
-    corners: dict = {}  # (a, b) -> its `_first_corners`
-
-    def corner_oracle(a, b, target_key):
-        """The separator of the first corner of a and b, in witness order,
-        that is a member of the target pair's distinguisher set."""
-        first = corners.get((a, b))
-        if first is None:
-            first = corners[a, b] = _first_corners(a, b, witnesses, owners)
-        return first.get(target_key)
-
     instance = SplinterInstance(
         elements=elements,
         families=families,
         orders=orders,
         nested=nested,
-        corner_oracle=corner_oracle,
+        corner_oracle=lambda a, b: _first_corners(a, b, witnesses, owners),
     )
     return instance, distinguishers
 

@@ -22,8 +22,6 @@ from typing import Callable, Optional
 from .core import UniverseView, codable, iter_bits, leq, mask_of
 from .errors import CertificationError, HypothesisError, PreconditionError
 
-_DIGITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as 0/1 bytes
-
 
 # ---------------------------------------------------------------------------
 # finite splinter lemma machinery
@@ -343,12 +341,15 @@ class SplinterInstance:
     The elements must be distinct, which is checked: the crossing table
     numbers them by position.
 
-    corner_oracle, when present, must be a pure function of (a, b, target
-    key). The engine never calls it. The hypothesis checker asks it once
-    per distinct triple and reports every answer that is not a corner of
-    a and b. An answer may be any value, an element or not: a corner is
-    anything with which every family member nested with both a and b is
-    nested, asked through `nested` for a non-element (`oracles.is_corner`).
+    corner_oracle, when present, must be a pure function of (a, b). It
+    returns a mapping from each target family key that has an answer for
+    a and b to that answer; a key missing from the mapping has no answer.
+    The engine never calls it. The hypothesis checker asks it once per
+    crossing pair that asks about some target, and reports every answer
+    it reads that is not a corner of a and b. An answer may be any value,
+    an element or not: a corner is anything with which every family
+    member nested with both a and b is nested, asked through `nested` for
+    a non-element (`oracles.is_corner`).
     """
 
     elements: tuple
@@ -370,7 +371,7 @@ class SplinterInstance:
             if not fam <= ground:
                 raise PreconditionError(f"family {key!r} leaves the element set")
             order = self.orders.get(key)
-            if not isinstance(order, int) or order < 0:
+            if type(order) is not int or order < 0:
                 raise PreconditionError(f"order of {key!r} must be a non-negative integer")
 
     def family_keys(self) -> list:
@@ -478,8 +479,8 @@ class _Unions:
 class _PairTests:
     """The tests of `thinly_splinters_check` on one instance and its
     crossing table. Each crossing pair (a, b) is seen once, through its
-    corner mask, and the corner oracle is asked once about each of the
-    pair's targets.
+    corner mask, and the corner oracle is asked once for the pair's
+    answers, when the pair asks about some target.
 
     Families are positions in `family_keys()`, that is in repr order, and
     a set of families is a mask over them. `families_of` gives each
@@ -500,7 +501,6 @@ class _PairTests:
             for i in iter_bits(mask):
                 self.families_of[i] |= 1 << kx
         self.crossed_by = _Unions(t.rows).over  # the elements crossed by one of a mask
-        self.positioned = list(enumerate(self.keys))
         self.bit_of = {x: 1 << i for x, i in t.index.items()}
         level: dict = {}
         first, last = {}, {}  # per repr, the first and last position holding it
@@ -544,16 +544,15 @@ class _PairTests:
     def oracle_misses(self, ia: int, ib: int, asked: int, cmask: int) -> dict:
         """The corner oracle's answers for the elements indexed ia and ib
         and the targets at the positions of `asked` that are no corners,
-        by position. An element is read off the corner mask cmask. Any
-        other answer is a corner when every family member crossing neither
-        a nor b is nested with it, asked through `nested` as
-        `oracles.is_corner` asks it."""
-        elements, oracle, bit_of = self.inst.elements, self.inst.corner_oracle, self.bit_of
-        a, b = elements[ia], elements[ib]
+        by position, from one call to the oracle. An element is read off
+        the corner mask cmask. Any other answer is a corner when every
+        family member crossing neither a nor b is nested with it, asked
+        through `nested` as `oracles.is_corner` asks it."""
+        elements, keys, bit_of = self.inst.elements, self.keys, self.bit_of
+        answers = self.inst.corner_oracle(elements[ia], elements[ib])
         misses = {}
-        # the (position, key) pairs at the set bits of asked, read off its binary digits
-        for kx, key in compress(self.positioned, bin(asked)[:1:-1].encode().translate(_DIGITS)):
-            c = oracle(a, b, key)
+        for kx in iter_bits(asked):
+            c = answers.get(keys[kx])
             if c is None or bit_of.get(c, 0) & cmask:
                 continue
             outside = iter_bits(self.t.outside(ia, ib))
@@ -654,11 +653,11 @@ def thinly_splinters_check(inst: SplinterInstance) -> ThinSplinterReport:
     (a, b) holds its corners. Property 2 at a family kj then holds when
     the mask meets the members of kj nested with a, and property 3 at
     (ki, kj) when it meets the members of ki below a's crossing number or
-    those of kj below b's. The corner oracle is asked once per distinct
-    (a, b, target) triple, and an answer that is no corner (an element
-    outside the corner mask, or a non-element that a member crossing
-    neither a nor b crosses) is reported once per family pair that asks
-    it.
+    those of kj below b's. The corner oracle is asked once per crossing
+    pair that asks about some target, for all of the pair's answers, and
+    an answer that is no corner (an element outside the corner mask, or a
+    non-element that a member crossing neither a nor b crosses) is
+    reported once per family pair that asks it.
 
     The report lists the violations in the order of
     `oracles.brute_thin_splinter_report`: a walk over the family pairs

@@ -640,6 +640,17 @@ def test_property3_corner_has_strictly_lower_crossing_number(triring, triring_pr
 # the tabulated check and engine against the per-call definitions
 
 
+def per_pair(per_triple, keys):
+    """The corner oracle of an instance with the family keys `keys` that
+    answers for (a, b) every key at which per_triple(a, b, key) is not
+    None, with that answer."""
+
+    def corner_oracle(a, b):
+        return {key: c for key in keys if (c := per_triple(a, b, key)) is not None}
+
+    return corner_oracle
+
+
 @st.composite
 def thin_instances(draw):
     """A random instance: at most 10 elements, a reflexive nestedness
@@ -672,7 +683,7 @@ def thin_instances(draw):
         families=families,
         orders=orders,
         nested=lambda a, b: (a, b) not in crossing,
-        corner_oracle=corner_oracle if draw(st.booleans()) else None,
+        corner_oracle=per_pair(corner_oracle, keys) if draw(st.booleans()) else None,
     )
 
 
@@ -782,59 +793,54 @@ def test_replacing_nested_replaces_the_crossing_relation():
     assert crossing_pairs(crossing_table(dataclasses.replace(inst, nested=lambda a, b: True))) == 0
 
 
-def test_five_triangle_ring_asks_the_corner_oracle_once_per_triple(monkeypatch):
+def test_five_triangle_ring_asks_the_corner_oracle_once_per_crossing_pair(monkeypatch):
     """40 separators, so 40 `components` calls, all made when the instance
-    is built, and 1,760 distinct (a, b, target) triples of crossing pairs
-    reach the corner oracle (the per-family-pair walk asked it 5,510
-    times). The instance thinly splinters, and each of its 420 crossing
-    pairs gets one corner mask."""
+    is built. The instance thinly splinters, and each of its 420 crossing
+    pairs gets one corner mask. 416 of them ask about some target, 1,760
+    targets in all (the per-family-pair walk asks 5,510 questions), and
+    each of the 416 asks the corner oracle, `_first_corners`, once and
+    reads its targets off the one answer. The instance keeps no state
+    between checks: a second check asks the oracle about each of the 416
+    pairs again."""
     g, profiles = ring_profiles(5)
-    calls = {"components": 0, "oracle": 0, "corner_mask": 0}
+    calls = {"components": 0, "corner_mask": 0, "targets": 0}
     monkeypatch.setattr(Graph, "components", counted(calls, "components", Graph.components))
+    asked = collections.Counter()
+    first_corners = separators_module._first_corners
+
+    class Answers(dict):
+        def get(self, key, default=None):
+            calls["targets"] += 1
+            return super().get(key, default)
+
+    def counted_oracle(a, b, *rest):
+        asked[a, b] += 1
+        return Answers(first_corners(a, b, *rest))
+
+    monkeypatch.setattr(separators_module, "_first_corners", counted_oracle)
     inst, _ = build_separator_instance(g, profiles)
     assert len(inst.elements) == calls["components"] == 40
     corner_mask = splinter_module._PairTests.corner_mask
     monkeypatch.setattr(
         splinter_module._PairTests, "corner_mask", counted(calls, "corner_mask", corner_mask)
     )
-    oracle = dataclasses.replace(
-        inst, corner_oracle=counted(calls, "oracle", inst.corner_oracle)
-    )
-    rep = thinly_splinters_check(oracle)
+    rep = thinly_splinters_check(inst)
     assert rep.ok
     assert crossing_pairs(rep.table) == 420
-    assert calls == {"components": 40, "oracle": 1760, "corner_mask": 420}
-
-
-def test_five_triangle_ring_builds_the_corners_of_each_pair_once(monkeypatch):
-    """The separator instance's corner oracle builds the corners of a pair
-    on its first question about the pair and answers every later target
-    from them: the check's 1,760 questions build corners for 416 of the
-    420 crossing pairs (the other four ask about no target), each once,
-    and a second check on the same instance builds none."""
-    g, profiles = ring_profiles(5)
-    built = collections.Counter()
-    first_corners = separators_module._first_corners
-
-    def counted_build(a, b, *rest):
-        built[a, b] += 1
-        return first_corners(a, b, *rest)
-
-    monkeypatch.setattr(separators_module, "_first_corners", counted_build)
-    inst, _ = build_separator_instance(g, profiles)
-    rep = thinly_splinters_check(inst)
-    assert rep.ok and crossing_pairs(rep.table) == 420
-    assert len(built) == 416 and set(built.values()) == {1}
-    before = dict(built)
+    assert calls == {"components": 40, "corner_mask": 420, "targets": 1760}
+    assert len(asked) == 416 and set(asked.values()) == {1}
     assert thinly_splinters_check(inst).violations == []
-    assert built == before
+    assert len(asked) == 416 and set(asked.values()) == {2}
+    assert calls == {"components": 40, "corner_mask": 840, "targets": 3520}
 
 
 def assert_oracle_is_the_per_triple_reference(g, profiles, rng):
-    """The instance's corner oracle answers every (a, b, target) triple as
-    `oracles.brute_corner_oracle` does, with the triples asked in a
-    shuffled order, so the question that builds a pair's corners varies.
-    Returns the number of answers that are not None."""
+    """The instance's corner oracle answers every pair (a, b) with family
+    keys only, and at every family key as `oracles.brute_corner_oracle`
+    answers the triple (a, b, key), with the triples asked in a shuffled
+    order and the oracle asked afresh for each, so its answers do not
+    depend on the order of the questions. Returns the number of answers
+    that are not None."""
     inst, distinguishers = build_separator_instance(g, profiles)
     reference = oracles.brute_corner_oracle(distinguishers)
     triples = [
@@ -845,7 +851,9 @@ def assert_oracle_is_the_per_triple_reference(g, profiles, rng):
     rng.shuffle(triples)
     answers = 0
     for a, b, key in triples:
-        got = inst.corner_oracle(a, b, key)
+        found = inst.corner_oracle(a, b)
+        assert found.keys() <= inst.families.keys(), (a, b)
+        got = found.get(key)
         assert got == reference(a, b, key), (a, b, key)
         answers += got is not None
     return answers
@@ -1066,7 +1074,7 @@ def test_check_reports_an_oracle_answer_that_is_no_corner():
         families={"f1": {"a", "c"}, "f2": {"b", "d"}, "f3": {"b", "e"}},
         orders={"f1": 1, "f2": 1, "f3": 2},
         nested=lambda x, y: (x, y) not in crossing,
-        corner_oracle=lambda a, b, key: answers.get((a, b, key)),
+        corner_oracle=per_pair(lambda a, b, key: answers.get((a, b, key)), ("f1", "f2", "f3")),
     )
     rep = thinly_splinters_check(inst)
     violations, max_crossing = oracles.brute_thin_splinter_report(inst)
@@ -1077,7 +1085,9 @@ def test_check_reports_an_oracle_answer_that_is_no_corner():
     inst = dataclasses.replace(
         inst,
         families={"f1": {"a"}, "f2": {"a", "d"}, "f3": {"b", "c", "e"}},
-        corner_oracle=lambda a, b, key: "c" if (a, b, key) == ("a", "b", "f3") else None,
+        corner_oracle=per_pair(
+            lambda a, b, key: "c" if (a, b, key) == ("a", "b", "f3") else None, ("f1", "f2", "f3")
+        ),
     )
     rep = thinly_splinters_check(inst)
     assert oracles.brute_thin_splinter_report(inst) == (rep.violations, rep.max_crossing)
@@ -1119,7 +1129,7 @@ def test_an_oracle_answer_outside_the_elements_is_decided_through_nested():
         families={0: {"a"}, 1: {"b", "c"}},
         orders={0: 1, 1: 2},
         nested=lambda x, y: (x, y) not in crossing,
-        corner_oracle=lambda a, b, key: "zzz",
+        corner_oracle=per_pair(lambda a, b, key: "zzz", (0, 1)),
     )
     for crosses_zzz, violations in (
         ((), []),
@@ -1131,6 +1141,18 @@ def test_an_oracle_answer_outside_the_elements_is_decided_through_nested():
         rep = thinly_splinters_check(inst)
         assert oracles.brute_thin_splinter_report(inst) == (rep.violations, rep.max_crossing)
         assert rep.violations == violations
+
+
+def test_bool_orders_are_refused():
+    """An order is an int and not a bool, as `cli.instance_from_json`
+    requires of a JSON instance: True is refused, not taken for order 1."""
+    with pytest.raises(PreconditionError, match="non-negative integer"):
+        SplinterInstance(
+            elements=("a",),
+            families={0: {"a"}},
+            orders={0: True},
+            nested=lambda x, y: True,
+        )
 
 
 def test_repeated_elements_are_refused():
