@@ -793,45 +793,67 @@ def test_replacing_nested_replaces_the_crossing_relation():
     assert crossing_pairs(crossing_table(dataclasses.replace(inst, nested=lambda a, b: True))) == 0
 
 
-def test_five_triangle_ring_asks_the_corner_oracle_once_per_crossing_pair(monkeypatch):
+def test_five_triangle_ring_asks_the_corner_oracle_once_per_triple(monkeypatch):
     """40 separators, so 40 `components` calls, all made when the instance
-    is built. The instance thinly splinters, and each of its 420 crossing
-    pairs gets one corner mask. 416 of them ask about some target, 1,760
-    targets in all (the per-family-pair walk asks 5,510 questions), and
-    each of the 416 asks the corner oracle, `_first_corners`, once and
-    reads its targets off the one answer. The instance keeps no state
-    between checks: a second check asks the oracle about each of the 416
-    pairs again."""
+    is built, and 1,760 distinct (a, b, target) triples of crossing pairs
+    reach the corner oracle (the per-family-pair walk asks 5,510
+    questions), each read once off the answer for its pair: the check
+    calls the oracle once for each of the 416 crossing pairs that ask some
+    target. The instance thinly splinters, and each of its 420 crossing
+    pairs gets one corner mask."""
     g, profiles = ring_profiles(5)
-    calls = {"components": 0, "corner_mask": 0, "targets": 0}
+    calls = {"components": 0, "oracle": 0, "corner_mask": 0}
     monkeypatch.setattr(Graph, "components", counted(calls, "components", Graph.components))
-    asked = collections.Counter()
-    first_corners = separators_module._first_corners
-
-    class Answers(dict):
-        def get(self, key, default=None):
-            calls["targets"] += 1
-            return super().get(key, default)
-
-    def counted_oracle(a, b, *rest):
-        asked[a, b] += 1
-        return Answers(first_corners(a, b, *rest))
-
-    monkeypatch.setattr(separators_module, "_first_corners", counted_oracle)
     inst, _ = build_separator_instance(g, profiles)
     assert len(inst.elements) == calls["components"] == 40
     corner_mask = splinter_module._PairTests.corner_mask
     monkeypatch.setattr(
         splinter_module._PairTests, "corner_mask", counted(calls, "corner_mask", corner_mask)
     )
-    rep = thinly_splinters_check(inst)
+    triples = collections.Counter()
+
+    class Answers(dict):
+        def __init__(self, a, b, answers):
+            super().__init__(answers)
+            self.pair = a, b
+
+        def get(self, key, default=None):
+            triples[self.pair + (key,)] += 1
+            return super().get(key, default)
+
+    def counted_oracle(a, b):
+        calls["oracle"] += 1
+        return Answers(a, b, inst.corner_oracle(a, b))
+
+    rep = thinly_splinters_check(dataclasses.replace(inst, corner_oracle=counted_oracle))
     assert rep.ok
     assert crossing_pairs(rep.table) == 420
-    assert calls == {"components": 40, "corner_mask": 420, "targets": 1760}
-    assert len(asked) == 416 and set(asked.values()) == {1}
+    assert calls == {"components": 40, "oracle": 416, "corner_mask": 420}
+    assert len(triples) == 1760 and set(triples.values()) == {1}
+
+
+def test_five_triangle_ring_builds_the_corners_of_each_pair_once(monkeypatch):
+    """The separator instance's corner oracle, `_first_corners`, builds
+    the corners of a pair once and answers every target of the pair from
+    them: a check builds corners for 416 of the 420 crossing pairs (the
+    other four ask about no target), each once. The instance keeps no
+    state between checks, so a second check builds each of the 416 once
+    more."""
+    g, profiles = ring_profiles(5)
+    built = collections.Counter()
+    first_corners = separators_module._first_corners
+
+    def counted_build(a, b, *rest):
+        built[a, b] += 1
+        return first_corners(a, b, *rest)
+
+    monkeypatch.setattr(separators_module, "_first_corners", counted_build)
+    inst, _ = build_separator_instance(g, profiles)
+    rep = thinly_splinters_check(inst)
+    assert rep.ok and crossing_pairs(rep.table) == 420
+    assert len(built) == 416 and set(built.values()) == {1}
     assert thinly_splinters_check(inst).violations == []
-    assert len(asked) == 416 and set(asked.values()) == {2}
-    assert calls == {"components": 40, "corner_mask": 840, "targets": 3520}
+    assert len(built) == 416 and set(built.values()) == {2}
 
 
 def assert_oracle_is_the_per_triple_reference(g, profiles, rng):
