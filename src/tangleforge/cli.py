@@ -27,7 +27,6 @@ from .core import (
     enumerate_separations,
     graph_to_json,
     mask_of,
-    separation_to_json,
     sorted_universe,
     vertices_of,
 )
@@ -625,50 +624,98 @@ def _run(args) -> tuple[int, str]:
 
 def _json(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte, with
-    every Separation in obj read as the dict separation_to_json gives.
-    Results carry the library's Separation objects, and each distinct
-    (separation, indent) is written once per call: a profile run repeats
-    most of S_k across its profiles, and every repeat reuses the text. The
-    memo lives in the call. An indent makes json.dumps fall back to its
-    pure-Python encoder, which costs more than building the same string
-    here."""
-    return _encode(obj, "\n", {}) + "\n"
+    every Separation in obj read as the dict {"a": [...], "b": [...],
+    "order": k} of its sides' vertices and its order. The text is written
+    in one pass: `_write` appends its fragments to one list, joined once
+    here, so no level copies the text of the level below. Results carry
+    the library's Separation objects, and a profile run repeats most of S_k
+    across its profiles, so the text of each distinct (separation, indent),
+    and of each side's (mask, indent), is built once per call and every
+    repeat reuses it. The memo lives in the call. An indent makes
+    json.dumps fall back to its pure-Python encoder, which costs more than
+    building the same string here."""
+    out = []
+    _write(obj, "\n", out, {})
+    out.append("\n")
+    return "".join(out)
 
 
-def _encode(obj, newline: str, memo: dict) -> str:
-    """The indented JSON text of obj; `newline` is a newline followed by the
-    indent of obj's own line, and `memo` maps (separation, newline) to its
-    text. Containers come first, as the most frequent; a Separation is a
-    tuple, so it is told apart by its exact type before the list branch,
-    and a plain tuple stays a list. The types json tells apart exclude each
-    other except bool and int, so testing bool first gives json's result.
-    Whatever json.dumps refuses raises TypeError."""
+def _write(obj, newline: str, out: list, memo: dict):
+    """Append the indented JSON text of obj to `out`; `newline` is a newline
+    followed by the indent of obj's own line. Containers come first, as the
+    most frequent; a Separation is a tuple, so it is told apart by its
+    exact type before the list branch, and a plain tuple stays a list. The
+    types json tells apart exclude each other except bool and int, so
+    testing bool first gives json's result. Whatever json.dumps refuses
+    raises TypeError. A container's items are each followed by a comma
+    fragment, and the last comma is overwritten by the closing bracket."""
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
+            out.append("{}")
+            return
         inner = newline + "  "
-        items = [
-            (encode_basestring_ascii(k) if isinstance(k, str) else _key(k)) + ": " + _encode(v, inner, memo)
-            for k, v in sorted(obj.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if type(obj) is Separation:
-        key = (obj, newline)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = _encode(separation_to_json(obj), newline, memo)
-        return text
-    if isinstance(obj, (list, tuple)):
+        comma = "," + inner
+        out.append("{" + inner)
+        for k, v in sorted(obj.items()):
+            out.append((encode_basestring_ascii(k) if isinstance(k, str) else _key(k)) + ": ")
+            _write(v, inner, out, memo)
+            out.append(comma)
+        out[-1] = newline + "}"
+    elif type(obj) is Separation:
+        out.append(memo.get((obj, newline)) or _separation(obj, newline, memo))
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
         inner = newline + "  "
+        comma = "," + inner
         if set(map(type, obj)) == {int}:
-            items = map(int.__repr__, obj)
+            out.append("[" + inner + comma.join(map(int.__repr__, obj)) + newline + "]")
+            return
+        out.append("[" + inner)
+        for x in obj:
+            if type(x) is Separation:
+                out.append(memo.get((x, inner)) or _separation(x, inner, memo))
+            else:
+                _write(x, inner, out, memo)
+            out.append(comma)
+        out[-1] = newline + "]"
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    else:
+        out.append(_scalar(obj))
+
+
+def _separation(s: Separation, newline: str, memo: dict) -> str:
+    """The text of s at the indent of `newline`, stored in `memo` under
+    (s, newline); each side's vertex list is stored under (mask, inner),
+    which no Separation key equals."""
+    inner = newline + "  "
+    a, b = s
+    text = memo[s, newline] = (
+        f'{{{inner}"a": {_side(a, inner, memo)},{inner}"b": {_side(b, inner, memo)},'
+        f'{inner}"order": {(a & b).bit_count()}{newline}}}'
+    )
+    return text
+
+
+def _side(mask: int, newline: str, memo: dict) -> str:
+    """The JSON list of the vertices of `mask`, ascending, at the indent
+    of `newline`."""
+    text = memo.get((mask, newline))
+    if text is None:
+        if mask:
+            inner = newline + "  "
+            text = f"[{inner}{(',' + inner).join(map(int.__repr__, vertices_of(mask)))}{newline}]"
         else:
-            items = [_encode(x, inner, memo) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
+            text = "[]"
+        memo[mask, newline] = text
+    return text
+
+
+def _scalar(obj) -> str:
+    """The JSON text of a scalar json.dumps accepts: None, bool, int and
+    float; anything else raises TypeError."""
     if obj is None:
         return "null"
     if obj is True:
@@ -688,7 +735,7 @@ def _key(key) -> str:
     if isinstance(key, float):
         return '"' + _float(key) + '"'
     if key is True or key is False or key is None:
-        return '"' + _encode(key, "", None) + '"'
+        return '"' + _scalar(key) + '"'
     if isinstance(key, int):
         return '"' + int.__repr__(key) + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")

@@ -400,7 +400,10 @@ def enumerate_separations(
     |V| when k > |V|. So the first min(k, |V|) separators X are the proper
     prefixes, with their (X, V) in block A, and the rest give block B in
     walk order. Each trivial separation is built in the orientation the
-    lemma gives, and `canonical` returns it unchanged. `small_separators`
+    lemma gives. `canonical` returns a prefix's (X, V) unchanged; block B,
+    whose (V, X) the lemma leaves as they are, skips it and is built in
+    one pass of `tuple.__new__`, as the profile search turns its (V, X)
+    to (X, V). `small_separators`
     takes the same walk. Both read the components of every X from one
     `Graph.components_each` call, which runs `components` only on the X
     that split G, and only those X are kept here. The call's list, one
@@ -424,7 +427,7 @@ def enumerate_separations(
         raise CapExceededError(f"|S_k| = {m} exceeds max_sk {max_sk}")
     p = min(k, n)
     prefixes = [canonical(Separation(x, verts)) for x in xs[:p]]
-    block_b = [canonical(Separation(verts, x)) for x in xs[p:]]
+    block_b = list(map(tuple.__new__, itertools.repeat(Separation), zip(itertools.repeat(verts), xs[p:])))
     opens = []
     for x, comps in split:
         rest = comps[:-1]
@@ -654,10 +657,6 @@ def verify_universe(u: UniverseView, pair_cap: int = 4_000_000) -> UniverseRepor
 
 # ---------------------------------------------------------------------------
 # JSON forms
-
-def separation_to_json(s: Separation) -> dict:
-    return {"a": list(vertices_of(s.a)), "b": list(vertices_of(s.b)), "order": s.order}
-
 
 def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges()]}

@@ -1,8 +1,15 @@
-"""JSON writers and readers that only the tests use: the inverse of
-`core.separation_to_json`, and a writer of the tabulated universe form
-that `profinite.universe_from_json` and the CLI's system files read."""
+"""JSON writers and readers that only the tests use: the dict form the
+CLI writes for a Separation and its inverse, and a writer of the tabulated
+universe form that `profinite.universe_from_json` and the CLI's system
+files read."""
 
-from tangleforge.core import Separation, UniverseView, mask_of
+from tangleforge.core import Separation, UniverseView, mask_of, vertices_of
+
+
+def separation_to_json(s: Separation) -> dict:
+    """The dict the CLI's JSON writer writes for s, built here from the
+    vertex lists, as the reference the writer is tested against."""
+    return {"a": list(vertices_of(s.a)), "b": list(vertices_of(s.b)), "order": s.order}
 
 
 def separation_from_json(obj: dict) -> Separation:

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -23,7 +24,7 @@ from tangleforge.cli import cli_main, read_graph
 from tangleforge.fixtures import FIXTURES, doubled_bridge_ring, triangle_ring
 from tangleforge.profinite import product_chain_universe
 
-from jsonforms import universe_to_json
+from jsonforms import separation_to_json, universe_to_json
 
 
 SCHEMA_PATH = os.path.join(
@@ -217,7 +218,7 @@ def plain(value):
     """value with every Separation in it mapped through separation_to_json,
     the JSON form the encoder writes for one."""
     if type(value) is core.Separation:
-        return core.separation_to_json(value)
+        return separation_to_json(value)
     if isinstance(value, dict):
         return {k: plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -259,8 +260,10 @@ def test_json_envelope_writes_each_oriented_separation_once(capsys, monkeypatch)
     """profiles on FIX_GRID33 repeats most of S_k across its profiles; each
     distinct oriented separation is rendered once."""
     rendered = []
-    real = core.separation_to_json
-    monkeypatch.setattr(cli_module, "separation_to_json", lambda s: rendered.append(s) or real(s))
+    real = cli_module._separation
+    monkeypatch.setattr(
+        cli_module, "_separation", lambda s, newline, memo: rendered.append(s) or real(s, newline, memo)
+    )
     code, out = run_cli(["profiles", "--fixture", "FIX_GRID33"], capsys)
     assert code == 0
     entries = [
@@ -283,6 +286,57 @@ def test_json_envelope_of_every_golden_payload(capsys, monkeypatch):
     for obj in payloads:
         assert real(obj) == json.dumps(plain(obj), sort_keys=True, indent=2) + "\n"
     assert any(map(holds_separation, payloads))
+
+
+@pytest.fixture(scope="module")
+def ring8_profiles_payload(tmp_path_factory):
+    """The payload that `profiles` on the eight-triangle ring at k = 3, caps
+    lifted, hands to `_json`: 8 profiles of 413 oriented separations each,
+    525 distinct ones in all."""
+    path = tmp_path_factory.mktemp("ring8") / "ring8.json"
+    path.write_text(json.dumps(ring_of_triangles(8)))
+    payloads = []
+    real = cli_module._json
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("TANGLEFORGE_CAPS", '{"max_n":30,"max_sk":1024}')
+        mp.setattr(cli_module, "_json", lambda obj: payloads.append(obj) or real(obj))
+        code, _ = cli_module._run(cli_module.PARSER.parse_args(["profiles", "--graph", str(path), "--k", "3"]))
+    assert code == 0 and len(payloads) == 1
+    return payloads[0]
+
+
+def test_json_envelope_equals_json_dumps_at_scale_and_edge_widths(ring8_profiles_payload):
+    """The eight-triangle ring's profiles envelope, about 1.9 MB, is
+    json.dumps of its plain form byte for byte, and so are separations
+    with an empty side, (V, V) and vertices from 63 up, at every depth."""
+    text = cli_module._json(ring8_profiles_payload)
+    assert text == json.dumps(plain(ring8_profiles_payload), sort_keys=True, indent=2) + "\n"
+    assert len(text) > 10**6
+    v = 0b1111
+    wide = core.mask_of([0, 63, 64, 65, 200])
+    edges = [
+        core.Separation(0, v),
+        core.Separation(v, 0),
+        core.Separation(0, 0),
+        core.Separation(v, v),
+        core.Separation(wide, core.mask_of([64, 65, 130, 200])),
+        core.Separation(1 << 64, wide),
+    ]
+    value = [edges, {"deep": [[edges]], "s": edges[-1]}, *edges]
+    assert cli_module._json(value) == json.dumps(plain(value), sort_keys=True, indent=2) + "\n"
+
+
+def test_json_envelope_peak_memory_stays_within_twice_the_text(ring8_profiles_payload):
+    """The envelope is written in one pass: the tracemalloc peak of `_json`
+    on the eight-triangle ring's profiles payload, the returned text
+    included, stays within twice the text's length."""
+    tracemalloc.start()
+    try:
+        text = cli_module._json(ring8_profiles_payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(text)
 
 
 # three triangles joined into a ring by bridges, the ring_decompose graph of

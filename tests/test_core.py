@@ -28,7 +28,6 @@ from tangleforge.core import (
     mask_of,
     meet,
     sep_sort_key,
-    separation_to_json,
     star,
     verify_universe,
     vertices_of,
@@ -37,7 +36,7 @@ from tangleforge.errors import CapExceededError, InputError, PreconditionError
 from tangleforge.fixtures import FIXTURES, doubled_bridge_ring, triangle_ring
 from tangleforge.verify import _random_graph
 
-from jsonforms import separation_from_json
+from jsonforms import separation_from_json, separation_to_json
 
 K2 = Graph.from_edges(2, [(0, 1)])
 
@@ -166,9 +165,11 @@ def test_enumeration_matches_pair_scan_oracle(graphs, name, k):
 
 def test_each_separation_is_built_once(monkeypatch):
     """On seeded random graphs, S_k has exactly the m separations that the
-    cap counts from the components of G − X, each canonically oriented
-    once (so none is built twice and merged), and equals the pair-scan
-    oracle."""
+    cap counts from the components of G − X, each built once (so none is
+    built twice and merged), and equals the pair-scan oracle. Block B, the
+    separations whose first side is V, is built without `canonical` and
+    is its own canonical form; every other separation is canonically
+    oriented once."""
     rng = random.Random(29)
     built = [0]
 
@@ -188,7 +189,9 @@ def test_each_separation_is_built_once(monkeypatch):
             )
             built[0] = 0
             seps = enumerate_separations(g, k, max_k=k, max_sk=m)
-            assert len(seps) == built[0] == m
+            block_b = [s for s in seps if s.a == g.vertices]
+            assert all(canonical(s) == s for s in block_b)
+            assert len(seps) == built[0] + len(block_b) == m
             assert seps == oracles.brute_separations(g, k)
             with pytest.raises(CapExceededError):
                 enumerate_separations(g, k, max_k=k, max_sk=m - 1)
@@ -259,17 +262,19 @@ def calls_inside(fn, codes, *args, **kwargs):
     return result, [calls[code] for code in codes]
 
 
-@pytest.mark.parametrize("name,expected", [("doubled", (12, 149)), ("triangle_ring3", (12, 58))])
+@pytest.mark.parametrize("name,expected", [("doubled", (12, 15, 149)), ("triangle_ring3", (12, 15, 58))])
 def test_sort_keys_for_the_open_separations_only(name, expected):
     """S_3 has 149 separations on `doubled_bridge_ring()` and 58 on the
     three-triangle ring, 12 of them open on each. The trivial ones come
     out of the walk over X in order, so `sep_sort_key` runs on the open
-    ones only, and `canonical` once per separation."""
+    ones only. `canonical` runs on the 12 open ones and the 3 trivial
+    (P, V) of a proper prefix P, 15 in all: block B's (V, X) are built
+    without it."""
     g = doubled_bridge_ring() if name == "doubled" else ring_of_three_triangles()
     codes = (core.sep_sort_key.__code__, core.canonical.__code__)
     seps, calls = calls_inside(enumerate_separations, codes, g, 3, max_sk=256)
-    assert tuple(calls) == expected
-    assert len(seps) == expected[1]
+    assert tuple(calls) == expected[:2]
+    assert len(seps) == expected[2]
     assert sum(s.a != g.vertices != s.b for s in seps) == expected[0]
 
 
