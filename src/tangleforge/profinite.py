@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple, Optional
@@ -39,7 +38,6 @@ from .jsonshape import members, require, rows, scalars
 from .splinter import FiniteSplinterFamily, splinters_check, _nested
 
 _side_a, _side_b = itemgetter(0), itemgetter(1)
-_new_separation = partial(tuple.__new__, Separation)   # a pair -> the Separation of its masks
 
 
 @dataclass(frozen=True)
@@ -113,26 +111,31 @@ class SystemReport:
 def validate_inverse_system(sys: InverseSystem) -> SystemReport:
     """List every directedness, homomorphism and compatibility violation.
 
-    The homomorphism check is complete: star on every x, join and meet on
-    every ordered pair (x, y) of every U_q. The violations, their payloads
-    and their order are those of oracles.brute_system_violations.
+    The check is complete: star on every x, join and meet on every ordered
+    pair (x, y) of every U_q, and f_qp(f_rq(x)) = f_rp(x) on every x of U_r.
+    The violations, their payloads and their order are those of
+    oracles.brute_system_violations; an x of U_r at which f_rp(x) or
+    f_qp(f_rq(x)) is undefined is a compatibility violation. A map or
+    triple that touches a point without a universe is not checked; the
+    point is reported as universe-missing.
 
-    Star, range, domain and compatibility are checked element by element;
-    an x of U_r at which f_rp(x) or f_qp(f_rq(x)) is undefined is a
-    compatibility violation. A map or triple that touches a point without a
-    universe is not checked; the point is reported as universe-missing.
     Each map's images are gathered once, in the order of U_q, and serve
     domain (its keys against one element set per universe), range (one
-    superset test, walked only when it fails), star (on plain pairs when
-    both stars are core.star) and the lemma below.
+    superset test, walked only when it fails) and the restriction lemma of
+    _preserves_joins_and_meets (O(|U_q|) per map, 2^|Z| component counts
+    per source point). A bond the lemma covers, with mask Y, has no hom-join
+    or hom-meet violation, and no hom-star violation when U_p's star is
+    core's; a triple r > q > p of covered bonds, each with its images in
+    its target, is compatible iff Y_rq & Y_qp == Y_rp. Only what the lemma leaves
+    open is walked element by element: star by _star_violations (on plain
+    pairs when both stars are core.star), compatibility by
+    _compatibility_violations.
 
-    Join and meet are certified per source point q by the lemma of
-    _preserves_joins_and_meets (O(|U_q|) per map, 2^|Z| component counts):
-    when it holds for every checked map out of q, no pair is visited. Every
-    other q goes through the exhaustive kernel: each target point is
-    tabulated once (_tabulate) and each map becomes an index list. The rows
-    join_q(x, ·) and meet_q(x, ·), computed once per x for all maps out of q
-    by the universe's own join and meet (_op_rows), are compared whole with
+    Join and meet of the bonds out of q that the lemma does not cover go
+    through the exhaustive kernel: each target point is tabulated once
+    (_tabulate) and each map becomes an index list. The rows join_q(x, ·)
+    and meet_q(x, ·), computed once per x for all those maps by the
+    universe's own join and meet (_op_rows), are compared whole with
     join_p(f x, f ·) and meet_p(f x, f ·), gathered once per map and image
     f x; only a row that differs is walked pair by pair.
     """
@@ -146,7 +149,6 @@ def validate_inverse_system(sys: InverseSystem) -> SystemReport:
     strays = {}   # p -> images outside U_p, in first-seen order
     element_sets = {p: set(universes[p].elements) for p in poset.points if p in universes}
     for q in poset.points:
-        star_keys = None   # x* for every x of U_q, as plain pairs, built on first use
         for p in poset.strictly_below(q):
             if q not in universes or p not in universes:
                 continue  # reported as universe-missing
@@ -154,11 +156,10 @@ def validate_inverse_system(sys: InverseSystem) -> SystemReport:
                 bonds.append((q, p, None, None, [("map-missing", (q, p))]))
                 continue
             f = sys.maps[(q, p)]
-            uq, up = universes[q], universes[p]
             if f.keys() != element_sets[q]:
                 bonds.append((q, p, None, None, [("map-domain", (q, p))]))
                 continue
-            elems = uq.elements
+            elems = universes[q].elements
             images = list(map(f.__getitem__, elems))
             stray = strays.setdefault(p, {})
             found = []
@@ -168,86 +169,125 @@ def validate_inverse_system(sys: InverseSystem) -> SystemReport:
                     if fx not in elems_p:
                         found.append(("map-range", (q, p, x)))
                         stray[fx] = None
-            if uq.star is star and up.star is star:
-                if star_keys is None:
-                    star_keys = [(x[1], x[0]) for x in elems]
-                pulled = list(map(f.get, star_keys))
-                pushed = [(fx[1], fx[0]) for fx in images]
-            else:
-                pulled = [f.get(uq.star(x)) for x in elems]
-                pushed = list(map(up.star, images))
-            if pulled != pushed:
-                found.extend(
-                    ("hom-star", (q, p, x)) for x, a, b in zip(elems, pulled, pushed) if a != b
-                )
             bonds.append((q, p, f, images, found))
     tables = {}
+    masks = {}    # (q, p) -> the mask Y of each covered bond with every image in U_p
     for q, group in itertools.groupby(bonds, key=lambda bond: bond[0]):
         group = list(group)
         uq = universes[q]
-        checked = [(p, f, images) for _, p, f, images, _ in group if f is not None]
-        if _preserves_joins_and_meets(uq, [(universes[p], f, images) for p, f, images in checked]):
-            homs = repeat([])
-        else:
-            for p, _, _ in checked:
+        checked = [(p, f, images, found) for _, p, f, images, found in group if f is not None]
+        ys = _preserves_joins_and_meets(uq, [(universes[p], f, img) for p, f, img, _ in checked])
+        kernel = []   # (p, f) of each bond left to the exhaustive kernel
+        for (p, f, images, found), y in zip(checked, ys):
+            up = universes[p]
+            if y is None:
+                kernel.append((p, f))
+            elif not found:   # no map-range violation, the only kind found so far
+                masks[q, p] = y
+            if y is None or up.star is not star:
+                found.extend(_star_violations(q, p, uq, up, f, images))
+        homs = {}
+        if kernel:
+            for p, _ in kernel:
                 if p not in tables:
                     tables[p] = _tabulate(universes[p], strays[p])
-            homs = iter(_hom_violations(q, uq, [(p, f) for p, f, _ in checked], tables))
-        for _, _, f, _, found in group:
+            homs = dict(zip((p for p, _ in kernel), _hom_violations(q, uq, kernel, tables)))
+        for _, p, _, _, found in group:
             out.extend(found)
-            if f is not None:
-                out.extend(next(homs))
+            out.extend(homs.get(p, ()))
     for r in poset.points:
         for q in poset.strictly_below(r):
             for p in poset.strictly_below(q):
-                if not {r, q, p} <= sys.universe_at.keys():
+                if not {r, q, p} <= universes.keys():
                     continue
                 frq = sys.maps.get((r, q))
                 fqp = sys.maps.get((q, p))
                 frp = sys.maps.get((r, p))
                 if frq is None or fqp is None or frp is None:
                     continue
-                for x in sys.universe_at[r].elements:
-                    defined = x in frp and x in frq and frq[x] in fqp
-                    if not defined or frp[x] != fqp[frq[x]]:
-                        out.append(("compatibility", (r, q, p, x)))
+                y_rq, y_qp, y_rp = masks.get((r, q)), masks.get((q, p)), masks.get((r, p))
+                if None not in (y_rq, y_qp, y_rp) and y_rq & y_qp == y_rp:
+                    continue
+                out.extend(_compatibility_violations(r, q, p, universes[r].elements, frq, fqp, frp))
     return rep
 
 
-def _preserves_joins_and_meets(uq: UniverseView, maps: list) -> bool:
-    """True when a lemma shows that every f in maps, a list of (U_p, f,
-    images) with f : U_q -> U_p and images = [f(x) for x in U_q], has no
-    hom-join and no hom-meet violation.
+def _star_violations(q, p, uq: UniverseView, up: UniverseView, f: dict, images: list) -> list:
+    """The hom-star violations of f : U_q -> U_p, in the order of U_q:
+    every x with f(x*) undefined or unequal to f(x)*. On plain pairs when
+    both stars are core.star, through the universes' callables otherwise."""
+    elems = uq.elements
+    if uq.star is star and up.star is star:
+        pulled = [f.get((x[1], x[0])) for x in elems]
+        pushed = [(fx[1], fx[0]) for fx in images]
+    else:
+        pulled = [f.get(uq.star(x)) for x in elems]
+        pushed = list(map(up.star, images))
+    if pulled == pushed:
+        return []
+    return [("hom-star", (q, p, x)) for x, a, b in zip(elems, pulled, pushed) if a != b]
 
-    Lemma. Suppose (1) U_q's join and meet are core.join and core.meet and
-    U_q is closed under them, (2) U_p's join and meet are core.join and
-    core.meet, and (3) f(x) = (x.a & Y, x.b & Y) for every x in U_q, for
-    one mask Y. Then f(x ∨ y) = f(x) ∨ f(y) and f(x ∧ y) = f(x) ∧ f(y) for
-    every pair, because an AND mask distributes over | and &; and x ∨ y,
-    x ∧ y lie in U_q, so f is defined on them.
 
-    (1) holds when U_q is the full separation universe of a graph
-    (_is_full_graph_universe), and (3) is checked on every element, as the
-    plain pairs (a & Y, b & Y) against the image list, with Y read off the
-    image of the top separation (Z, Z). No pair is visited.
+def _compatibility_violations(r, q, p, elems, frq: dict, fqp: dict, frp: dict) -> list:
+    """The compatibility violations of r > q > p, in the order of elems,
+    the elements of U_r: every x at which f_rp(x) and f_qp(f_rq(x)) are
+    not both defined and equal."""
+    out = []
+    for x in elems:
+        defined = x in frp and x in frq and frq[x] in fqp
+        if not defined or frp[x] != fqp[frq[x]]:
+            out.append(("compatibility", (r, q, p, x)))
+    return out
+
+
+def _preserves_joins_and_meets(uq: UniverseView, maps: list) -> list:
+    """For each (U_p, f, images) in maps, with f : U_q -> U_p and images =
+    [f(x) for x in U_q], the mask Y by which the lemma below covers f, or
+    None when it does not.
+
+    Lemma. Suppose (1) U_q is the full separation universe of a graph, so
+    its star, join and meet are core's and U_q is closed under them, (2)
+    U_p's join and meet are core.join and core.meet, and (3) f(x) = (x.a &
+    Y, x.b & Y) for every x in U_q. Then Y covers f:
+
+    - Join and meet. f(x ∨ y) = f(x) ∨ f(y) and f(x ∧ y) = f(x) ∧ f(y) for
+      every pair, because an AND mask distributes over | and &; and x ∨ y,
+      x ∧ y lie in U_q, so f is defined on them. No hom-join or hom-meet.
+    - Star. If U_p's star is core.star too, then x* = (x.b, x.a) lies in
+      U_q, because the star of a separation of the graph is one, and f(x*)
+      = (x.b & Y, x.a & Y) = f(x)*. No hom-star.
+    - Compatibility. Take r > q > p with f_rq, f_qp and f_rp covered by
+      Y_rq, Y_qp and Y_rp, and f_rq(x) in U_q for every x of U_r. Then
+      f_qp(f_rq(x)) = (x.a & Y_rq & Y_qp, x.b & Y_rq & Y_qp) is defined,
+      so f_qp ∘ f_rq = f_rp on all of U_r iff Y_rq & Y_qp == Y_rp: if
+      they are equal the two sides agree on every x; if not, they differ
+      at x = (Z_r, Z_r), which lies in U_r and goes to (Y_rq & Y_qp, …)
+      and to (Y_rp, …), since every Y read off below is a subset of the
+      ground set of its source.
+
+    (1) holds when U_q passes _is_full_graph_universe, and (3) is checked
+    on every element, as the plain pairs (a & Y, b & Y) against the image
+    list, with Y read off the image of the top separation (Z, Z); so Y =
+    Y & Z. No pair is visited.
     """
-    if not maps:
-        return True
-    if not all(up.join is join and up.meet is meet for up, _, _ in maps):
-        return False
+    covered = [None] * len(maps)
+    if not any(up.join is join and up.meet is meet for up, _, _ in maps):
+        return covered
     if not _is_full_graph_universe(uq):
-        return False
+        return covered
     elems = uq.elements
     ground = elems[0].a | elems[0].b
     sides_a, sides_b = list(map(_side_a, elems)), list(map(_side_b, elems))
-    for _, f, images in maps:
+    for i, (up, f, images) in enumerate(maps):
+        if up.join is not join or up.meet is not meet:
+            continue
         top = f[Separation(ground, ground)]
         if type(top) is not Separation or type(top.a) is not int:
-            return False
+            continue
         y = top.a
-        if list(zip(map(y.__and__, sides_a), map(y.__and__, sides_b))) != images:
-            return False
-    return True
+        if list(zip(map(y.__and__, sides_a), map(y.__and__, sides_b))) == images:
+            covered[i] = y
+    return covered
 
 
 def _is_full_graph_universe(u: UniverseView) -> bool:
@@ -470,7 +510,10 @@ def profinite_splinter(
     at most limit_cap transversals N_t are enumerated at t alone and carried
     down as f_tp(N_t), each image certified a nested transversal at p. The
     returned limits are certified nested at every projection and to meet
-    every family, through inverse_limits.
+    every family. A family is met iff some limit lies in it at every point:
+    a limit through choice ∩ family is a limit through choice with its
+    values in the family, and the limits found are every limit through the
+    choice, so one scan of them decides it.
     """
     rep = validate_inverse_system(sys)
     if not rep.ok:
@@ -526,8 +569,7 @@ def profinite_splinter(
         if not _nested_transversal(sys.universe_at[p], {lim[p] for lim in limits}, ()):
             raise CertificationError(f"projection at {p!r} not nested")
     for i, fam in enumerate(families):
-        meets = {p: choice[p] & frozenset(fam[p]) for p in points}
-        if not inverse_limits(sys, restrict=meets, cap=limit_cap):
+        if not any(all(lim[p] in fam[p] for p in points) for lim in limits):
             raise CertificationError(f"output misses family {i} (bug)")
 
     return ProfiniteSplinterResult(nested_choice=choice, limits=limits)
@@ -560,7 +602,15 @@ def product_chain_universe(a: int, b: int) -> UniverseView:
 def graph_restriction_system(g: Graph, vertex_sets) -> InverseSystem:
     """Inverse system of the universes of the induced subgraphs G[Z] over a
     collection of vertex sets ordered by inclusion, with the restriction
-    maps (A, B) -> (A ∩ Y, B ∩ Y)."""
+    maps (A, B) -> (A ∩ Y, B ∩ Y).
+
+    Every image is looked up among U_p's own elements, so the maps into p
+    share them and no Separation is built per image. The lookup never
+    misses: for (A, B) in U_q, (A ∩ Z_p) ∪ (B ∩ Z_p) = Z_p because Z_p ⊆
+    Z_q, and the strict sides of the image lie inside those of (A, B), so
+    an edge of G[Z_p] between them would be an edge of G[Z_q] between the
+    strict sides of (A, B). The image is thus a separation of G[Z_p], and
+    U_p holds every separation of G[Z_p] in both orientations."""
     masks = sorted({m & g.vertices for m in vertex_sets})
     points = tuple(masks)
     strict = [
@@ -568,11 +618,12 @@ def graph_restriction_system(g: Graph, vertex_sets) -> InverseSystem:
     ]
     poset = DirectedPoset.from_pairs(points, [(p, q) for q, p in strict])
     universes = {z: graph_universe(g.induced(z)) for z in points}
+    own = {p: {x: x for x in universes[p].elements} for p in {p for _, p in strict}}
     maps = {}
     for q, p in strict:
         elems = universes[q].elements
         images = zip(map(p.__and__, map(_side_a, elems)), map(p.__and__, map(_side_b, elems)))
-        maps[(q, p)] = dict(zip(elems, map(_new_separation, images)))
+        maps[(q, p)] = dict(zip(elems, map(own[p].__getitem__, images)))
     return InverseSystem(poset, universes, maps)
 
 

@@ -576,6 +576,34 @@ def test_profinite_splinter_demo_chain_depends_on_labels(capsys, monkeypatch, tm
     assert len(pulled_back) >= 2
 
 
+# exit codes and sha256 of the exit codes and stdouts of the sweep below, as
+# the demo verb gave them before the limit scan and the restriction lemma's
+# star and compatibility shortcuts entered profinite.py
+DEMO_SWEEP_CODES = {0: 126, 1: 311, 3: 13}
+DEMO_SWEEP_GOLDEN = "003d558b9e4244e2d51b550023a1177fdf22857ec15b5b07105a48f875984373"
+
+
+def test_profinite_splinter_demo_sweep_digest(capsys, monkeypatch, tmp_path):
+    """`profinite-splinter --graph` at k = 1, 2 and 3 on 150 seeded random
+    graphs, each on 3 to 8 vertices with n - 1 to 2n edges (as many as
+    there are pairs at most), connected or not: every exit code and every
+    stdout, with the graph file's path stripped, is hashed and pinned."""
+    monkeypatch.delenv("TANGLEFORGE_CAPS", raising=False)
+    rng = random.Random(39)
+    path = tmp_path / "g.json"
+    digest, codes = hashlib.sha256(), {}
+    for _ in range(150):
+        n = rng.randint(3, 8)
+        pairs = [[u, v] for u in range(n) for v in range(u + 1, n)]
+        edges = rng.sample(pairs, min(len(pairs), rng.randint(n - 1, 2 * n)))
+        path.write_text(json.dumps({"n": n, "edges": edges}))
+        for k in (1, 2, 3):
+            code, out = run_cli(["profinite-splinter", "--graph", str(path), "--k", str(k)], capsys)
+            codes[code] = codes.get(code, 0) + 1
+            digest.update(f"{code}\n{out.replace(str(path), '')}\n".encode())
+    assert (codes, digest.hexdigest()) == (DEMO_SWEEP_CODES, DEMO_SWEEP_GOLDEN)
+
+
 def test_splinter_picks_follow_vertex_labels(capsys, monkeypatch, tmp_path):
     """`splinter_finite` picks from the first family with a fitting member,
     and there its first member in element order, so the `splinter` verb is

@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 from tangleforge import core, profinite
 from tangleforge.cli import _demo_chain
 from tangleforge.core import Graph, Separation, graph_universe, mask_of
-from tangleforge.errors import CapExceededError, HypothesisError, PreconditionError
+from tangleforge.errors import (
+    CapExceededError,
+    CertificationError,
+    HypothesisError,
+    PreconditionError,
+)
 from tangleforge.fixtures import FIXTURES
 from tangleforge.oracles import (
     brute_inverse_limits,
@@ -608,6 +613,43 @@ def test_transversals_are_enumerated_once(graphs, monkeypatch):
     assert len(res.limits) == 3
 
 
+def test_families_are_certified_from_the_limits_found(graphs, monkeypatch):
+    """On the lollipop demo system the six families are certified by a
+    scan of the three limits found, so inverse_limits runs once, for the
+    limits through the choice."""
+    sys_ = demo_chain_system(graphs, "lollipop")
+    families = demo_families(LOLLIPOP, 2, sys_)
+    real, calls = profinite.inverse_limits, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("restrict"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(profinite, "inverse_limits", counted)
+    res = profinite_splinter(sys_, families)
+    assert len(families) == 6 and len(res.limits) == 3
+    assert calls == [res.nested_choice]
+
+
+def test_the_family_certificate_catches_a_limit_set_that_misses_a_family(graphs, monkeypatch):
+    """With every limit that meets family 0 dropped from what
+    inverse_limits returns (one of the three on the lollipop), the limits
+    left are still nested, and the certificate names family 0."""
+    sys_ = demo_chain_system(graphs, "lollipop")
+    families = demo_families(LOLLIPOP, 2, sys_)
+    points, real = sys_.poset.points, profinite.inverse_limits
+
+    def missing_family_0(*args, **kwargs):
+        limits = real(*args, **kwargs)
+        return tuple(
+            lim for lim in limits if not all(lim[p] in families[0][p] for p in points)
+        )
+
+    monkeypatch.setattr(profinite, "inverse_limits", missing_family_0)
+    with pytest.raises(CertificationError, match=r"^output misses family 0 \(bug\)$"):
+        profinite_splinter(sys_, families)
+
+
 def join_meet_calls(run):
     """run(), and the number of calls it made to core.join and core.meet,
     counted on their code objects: a wrapper would not be core.join, so the
@@ -626,10 +668,10 @@ def join_meet_calls(run):
     return result, sum(counts.values())
 
 
-def kernel_runs(monkeypatch):
-    """Count the _Table builds and _hom_violations calls of the exhaustive
-    kernel."""
-    counts = {"_Table": 0, "_hom_violations": 0}
+def kernel_runs(monkeypatch, names=("_Table", "_hom_violations")):
+    """Count the calls of each of names in profinite: by default the
+    _Table builds and _hom_violations calls of the exhaustive kernel."""
+    counts = dict.fromkeys(names, 0)
     for name in counts:
         real = getattr(profinite, name)
 
@@ -811,3 +853,99 @@ def test_the_certificate_refuses_what_it_cannot_prove(graphs, monkeypatch):
         found = assert_same_violations(sys_)
         assert any(k == kind for k, _ in found)
         assert counts["_hom_violations"] == 1
+
+
+WALKS = ("_star_violations", "_compatibility_violations")
+
+
+@pytest.mark.parametrize("name", [*sorted(FIXTURES), "lollipop", "triangle_ring3"])
+def test_demo_chains_validate_without_a_star_or_compatibility_walk(graphs, name, monkeypatch):
+    """Every bond of a demo chain is covered by the restriction lemma, so
+    neither the star walk nor the compatibility walk runs."""
+    sys_ = demo_chain_system(graphs, name)
+    counts = kernel_runs(monkeypatch, WALKS)
+    assert validate_inverse_system(sys_).ok
+    assert counts == dict.fromkeys(WALKS, 0)
+
+
+def restriction(u, y):
+    return {x: Separation(x.a & y, x.b & y) for x in u.elements}
+
+
+def test_masks_that_do_not_compose_take_the_compatibility_walk(graphs, monkeypatch):
+    """r > q > p over the path 0-1-2-3: U_r and U_q are the universes of
+    the path and of its first three vertices, U_p holds the images of both
+    maps into it, and every map is a mask restriction, which the lemma
+    covers. With Y_rq & Y_qp = {0, 1} and Y_rp = {0, 1, 3}, every x of U_r
+    is a compatibility violation, listed by the walk as the oracle lists
+    them. With Y_rq = {0, 1, 2, 3} the masks compose, but the images of
+    f_rq leave U_q and f_qp is undefined on them: the walk runs too."""
+    g = graphs["FIX_P4"]
+    z_q, y_qp = mask_of([0, 1, 2]), mask_of([0, 1])
+    u_r, u_q = graph_universe(g), graph_universe(g.induced(z_q))
+    poset = DirectedPoset.from_pairs("pqr", [("p", "q"), ("q", "r")])
+    for y_rq, y_rp in [(z_q, mask_of([0, 1, 3])), (g.vertices, y_qp)]:
+        images = [*restriction(u_q, y_qp).values(), *restriction(u_r, y_rp).values()]
+        u_p = core.sorted_universe(
+            sorted({core.canonical(s) for s in images}, key=core.sep_sort_key), closed=False
+        )
+        maps = {
+            ("r", "q"): restriction(u_r, y_rq),
+            ("q", "p"): restriction(u_q, y_qp),
+            ("r", "p"): restriction(u_r, y_rp),
+        }
+        sys_ = InverseSystem(poset, {"p": u_p, "q": u_q, "r": u_r}, maps)
+        counts = kernel_runs(monkeypatch, ("_hom_violations", *WALKS))
+        found = assert_same_violations(sys_)
+        assert list(counts.values()) == [0, 0, 1]   # kernel, star walk, compatibility walk
+        compatibility = [payload for kind, payload in found if kind == "compatibility"]
+        assert compatibility == [("r", "q", "p", x) for x in u_r.elements]
+        ranges = [kind for kind, _ in found if kind == "map-range"]
+        assert len(found) == len(compatibility) + len(ranges)
+        assert bool(ranges) == (y_rq == g.vertices)
+
+
+def test_a_target_star_other_than_cores_takes_the_star_walk(graphs, monkeypatch):
+    """A mask restriction into a universe whose star is not core.star: the
+    same map of pairs, and the identity. The lemma still covers join and
+    meet, and the star walk reports what the oracle reports: nothing, then
+    every x whose image is not its own star."""
+    g = graphs["FIX_P4"]
+    half, top = mask_of([0, 1]), g.vertices
+    two = graph_restriction_system(g, [half, top])
+    up, f = two.universe_at[half], two.maps[(top, half)]
+    elems = two.universe_at[top].elements
+    asymmetric = [("hom-star", (top, half, x)) for x in elems if f[x].a != f[x].b]
+    assert asymmetric
+    for twisted, expected in [(lambda x: core.star(x), []), (lambda x: x, asymmetric)]:
+        universes = {**two.universe_at, half: dataclasses.replace(up, star=twisted)}
+        sys_ = InverseSystem(two.poset, universes, two.maps)
+        counts = kernel_runs(monkeypatch, ("_hom_violations", *WALKS))
+        assert assert_same_violations(sys_) == expected
+        assert list(counts.values()) == [0, 1, 0]   # kernel, star walk, compatibility walk
+
+
+def test_the_lemma_covers_each_bond_on_its_own(graphs, monkeypatch):
+    """On the FIX_P4 demo chain low < mid < top with the join of U_low
+    twisted, the two bonds into low are left open: each takes the star
+    walk, both take the exhaustive kernel, once per source point over one
+    table, and their triple takes the compatibility walk. The bond from
+    top to mid stays covered."""
+    sys_ = demo_chain_system(graphs, "FIX_P4")
+    low, mid, top = sys_.poset.points
+    twisted = dataclasses.replace(sys_.universe_at[low], join=core.meet)
+    sys_ = InverseSystem(sys_.poset, {**sys_.universe_at, low: twisted}, sys_.maps)
+    counts = kernel_runs(monkeypatch, ("_Table", "_hom_violations", *WALKS))
+    found = assert_same_violations(sys_)
+    assert list(counts.values()) == [1, 2, 2, 1]
+    assert {payload[:2] for kind, payload in found} == {(top, low), (mid, low)}
+    assert {kind for kind, _ in found} == {"hom-join"}
+
+
+@pytest.mark.parametrize("name", ["lollipop", "FIX_GRID33"])
+def test_restriction_images_are_the_target_universes_own_elements(graphs, name):
+    sys_ = demo_chain_system(graphs, name)
+    for (q, p), f in sys_.maps.items():
+        own = set(map(id, sys_.universe_at[p].elements))
+        assert f.keys() == set(sys_.universe_at[q].elements)
+        assert all(id(fx) in own for fx in f.values())
